@@ -54,6 +54,14 @@ def bracket(i: int, j: int, params: AlgebraParams) -> BracketTerms:
     return terms
 
 
+def shifted_constants(i: int, j: int, params: AlgebraParams) -> BracketTerms:
+    """Structure constants in the shifted basis e_i = l_{i+1}.
+
+    Support lies in [i+j, i+j+6] with even steps.
+    """
+    return {k - 1: c for k, c in bracket(i + 1, j + 1, params).items()}
+
+
 def bracket_numeric(i: int, j: int, z: complex, cfg: TorusConfig) -> complex:
     """Pointwise vector-field bracket A_i * A_j' - A_j * A_i' at z.
 
@@ -119,17 +127,10 @@ class StructureTable:
                 for k in sorted(self.entries[(i, j)])
             ]
             entries.append({"i": i, "j": j, "terms": terms})
-        lam = self.params
         return {
             "window": self.window,
             "indexing": self.indexing,
-            "params": {
-                "lam4": [lam.lam4.real, lam.lam4.imag],
-                "lam5": [lam.lam5.real, lam.lam5.imag],
-                "lam6": [lam.lam6.real, lam.lam6.imag],
-                "lam7": [lam.lam7.real, lam.lam7.imag],
-                "provenance": lam.provenance,
-            },
+            "params": self.params.to_json_dict(),
             "entries": entries,
         }
 
@@ -141,15 +142,13 @@ def build_structure_table(
         raise ValueError("window must be >= 1")
     if indexing not in ("original", "shifted"):
         raise ValueError(f"unknown indexing {indexing!r}")
+    terms_of = bracket if indexing == "original" else shifted_constants
     entries: dict[tuple[int, int], BracketTerms] = {}
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
             if i == j:
                 continue
-            if indexing == "original":
-                terms = bracket(i, j, params)
-            else:
-                terms = {k - 1: c for k, c in bracket(i + 1, j + 1, params).items()}
+            terms = terms_of(i, j, params)
             if terms:
                 entries[(i, j)] = terms
     return StructureTable(window=window, indexing=indexing, params=params, entries=entries)

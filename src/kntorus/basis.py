@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import TorusConfig
-from .elliptic import half_period_values, reduce_to_fundamental, wp_pair, wp_second
-from .errors import NonIntegerWindingError, PoleProximityError
-from .propagation import puncture_set
+from .elliptic import half_period_values, wp_pair, wp_second
+from .errors import NonIntegerWindingError
+from .propagation import check_away_from_punctures, puncture_set
 from .quadrature import contour_residue
 
 
@@ -47,6 +47,16 @@ class AlgebraParams:
     def scale(self) -> float:
         return max(1.0, *(abs(v) for v in self.as_tuple()))
 
+    def to_json_dict(self) -> dict:
+        """lam4..lam7 as [re, im] pairs plus the provenance."""
+        return {
+            "lam4": [self.lam4.real, self.lam4.imag],
+            "lam5": [self.lam5.real, self.lam5.imag],
+            "lam6": [self.lam6.real, self.lam6.imag],
+            "lam7": [self.lam7.real, self.lam7.imag],
+            "provenance": self.provenance,
+        }
+
 
 WITT_PARAMS = AlgebraParams(1.0, 0j, 0j, 0j, provenance="formal")
 
@@ -63,21 +73,22 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
 
 def _pole_factor(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     """(wp(z) - p, wp'(z)) with puncture exclusion applied."""
-    ps = puncture_set(cfg)
-    for s in cfg.punctures():
-        if abs(reduce_to_fundamental(z - s, cfg)) <= cfg.exclusion_radius:
-            raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
+    check_away_from_punctures(z, cfg)
     p, dp = wp_pair(z, cfg)
-    return p - ps.p_q, dp
+    return p - puncture_set(cfg).p_q, dp
+
+
+def monomial(k: int, base: complex, w: complex) -> complex:
+    """A_k from the pole factor base = wp - p and the differential scalar w."""
+    if k % 2 == 0:
+        return base ** (-k // 2)
+    return w * base ** (-(k + 1) // 2)
 
 
 def basis_value(k: int, z: complex, cfg: TorusConfig) -> complex:
     """Evaluate the basis function with label k at z."""
     base, dp = _pole_factor(z, cfg)
-    if k % 2 == 0:
-        return base ** (-k // 2)
-    w = -0.5 * dp / base
-    return w * base ** (-(k + 1) // 2)
+    return monomial(k, base, -0.5 * dp / base)
 
 
 def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
@@ -89,19 +100,29 @@ def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
     base, dp = _pole_factor(z, cfg)
     w = -0.5 * dp / base
     if k % 2 == 0:
-        return k * w * base ** (-k // 2)
-    a_next = base ** (-(k + 1) // 2)
+        return k * w * monomial(k, base, w)
     ddp = wp_second(z, cfg)
     w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
-    return (w_prime + (k + 1) * w * w) * a_next
+    return (w_prime + (k + 1) * w * w) * monomial(k + 1, base, w)
 
 
 def order_triple(k: int) -> tuple[int, int, int]:
     """Vanishing orders of the basis function at (0, 1/2+q, 1/2-q)."""
-    if k % 2 == 0:
-        return (k, -k // 2, -k // 2)
-    m = (-k - 3) // 2
+    m = out_puncture_order(k)
     return (k, m, m)
+
+
+def out_puncture_order(k: int, two_point: bool = False) -> int:
+    """Vanishing order of the basis function at one out-puncture.
+
+    The order at the in-point 0 is k itself.  In two-point mode the
+    out-punctures merge: the pole factor acquires a double zero there while
+    the differential keeps a simple pole, so the merged orders are -k (even)
+    and -k-2 (odd).
+    """
+    if two_point:
+        return -k if k % 2 == 0 else -k - 2
+    return -k // 2 if k % 2 == 0 else (-k - 3) // 2
 
 
 def winding_order(

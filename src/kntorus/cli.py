@@ -8,14 +8,17 @@ Subcommands:
   levellines  emit crossing points of the string time function
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
-still written), 2 usage or configuration error.  Output is byte-identical
-across repeated runs with identical arguments.
+still written), 2 usage or configuration error, 141 standard output was
+closed before all output was written (the status a SIGPIPE death reports;
+e.g. `kntorus table cocycle --format csv | head` under `set -o pipefail`).
+Output is byte-identical across repeated runs with identical arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fock, propagation
@@ -124,6 +127,7 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -149,13 +153,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
         "g2": _c(hp.g2),
         "g3": _c(hp.g3),
         "p_q": _c(ps.p_q),
-        "lambda": {
-            "lam4": _c(lam.lam4),
-            "lam5": _c(lam.lam5),
-            "lam6": _c(lam.lam6),
-            "lam7": _c(lam.lam7),
-            "provenance": lam.provenance,
-        },
+        "lambda": lam.to_json_dict(),
         "mu": _c(mu.mu),
         "abs_mu": mu.abs_mu,
         "separation_time": sep,
@@ -276,6 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     except (KNTorusError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered, and the flush
+        # at interpreter exit, to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

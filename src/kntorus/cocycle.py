@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import BracketTerms, bracket
-from .basis import AlgebraParams
-from .config import TorusConfig, _lattice_distance
+from .algebra import shifted_constants
+from .basis import AlgebraParams, monomial, out_puncture_order
+from .config import TorusConfig, lattice_distance
 from .elliptic import wp_pair
 from .errors import BadContourError
 from .propagation import puncture_set
+from .quadrature import circle_nodes, circle_trapezoid
 
 # empirical wedge-operator convention; rederived by fock.determine_sign_convention
 DEFAULT_SIGN_CONVENTION: tuple[int, int] = (1, -1)
@@ -41,71 +42,37 @@ PAIRING_INDEX_BOUND = 12
 # duality pairing by contour quadrature
 
 
-def _order_at_origin(k: int) -> int:
-    return k
-
-
-def _order_at_out_puncture(k: int, cfg: TorusConfig) -> int:
-    """Vanishing order at one out-puncture (per puncture).
-
-    In two-point mode the out-punctures merge: the pole factor acquires a
-    double zero there while the differential keeps a simple pole, so the
-    merged orders are -k (even) and -k-2 (odd).
-    """
-    if cfg.two_point:
-        return -k if k % 2 == 0 else -k - 2
-    return -k // 2 if k % 2 == 0 else (-k - 3) // 2
-
-
 @lru_cache(maxsize=None)
 def _pairing_circles(cfg: TorusConfig, nodes: int):
     """Cached quadrature data on fixed circles around each distinct puncture.
 
-    For each circle: the node offsets (z - center), the pole factor
-    wp(z) - p and the differential scalar at every node.  All basis
-    functions on the circle are cheap monomials in these arrays.
+    For each circle: the center, its nodes, and the pole factor wp(z) - p and
+    the differential scalar at every node.  All basis functions on the
+    circle are cheap monomials in these values.
     """
     ps = puncture_set(cfg)
     centers = list(cfg.punctures())
     tau = cfg.tau
     lattice_min = min(1.0, abs(tau), abs(tau + 1.0), abs(tau - 1.0))
-    radii = []
+    data = []
     for idx, c in enumerate(centers):
         others = [s for pos, s in enumerate(centers) if pos != idx]
-        dist = min(_lattice_distance(c - s, tau) for s in others)
+        dist = min(lattice_distance(c - s, tau) for s in others)
         # the center's own lattice translates bound the holomorphy disk too
         dist = min(dist, lattice_min)
-        radii.append(0.45 * dist)
-    import cmath
-
-    data = []
-    for c, r in zip(centers, radii):
-        offsets = tuple(r * cmath.exp(2j * cmath.pi * k / nodes) for k in range(nodes))
-        base = []
-        omega = []
-        for dz in offsets:
-            p, dp = wp_pair(c + dz, cfg)
-            b = p - ps.p_q
-            base.append(b)
-            omega.append(-0.5 * dp / b)
-        data.append((offsets, tuple(base), tuple(omega)))
+        circle = circle_nodes(c, 0.45 * dist, nodes)
+        values = [wp_pair(z, cfg) for z in circle]
+        base = tuple(p - ps.p_q for p, _ in values)
+        omega = tuple(-0.5 * dp / b for (_, dp), b in zip(values, base))
+        data.append((c, circle, base, omega))
     return tuple(data)
 
 
-def _circle_residue(circle, i1: int, i2: int) -> complex:
+def _pairing_residue(circle, i1: int, i2: int) -> complex:
     """Residue of A_{i1} * A_{i2} on a cached circle."""
-    offsets, base, omega = circle
-    n = len(offsets)
-    total = 0j
-
-    def value(idx: int, b: complex, w: complex) -> complex:
-        if idx % 2 == 0:
-            return b ** (-idx // 2)
-        return w * b ** (-(idx + 1) // 2)
-
-    for dz, b, w in zip(offsets, base, omega):
-        total += value(i1, b, w) * value(i2, b, w) * dz
-    return total / n
+    center, nodes, base, omega = circle
+    values = (monomial(i1, b, w) * monomial(i2, b, w) for b, w in zip(base, omega))
+    return circle_trapezoid(values, nodes, center)
 
 
 def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
@@ -126,11 +93,10 @@ def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
             f"pairing indices |j|,|k| must be <= {PAIRING_INDEX_BOUND}"
         )
     i1, i2 = j + 1, -k - 2
-    n0 = _order_at_origin(i1) + _order_at_origin(i2)
-    nq = _order_at_out_puncture(i1, cfg) + _order_at_out_puncture(i2, cfg)
+    n0 = i1 + i2  # the order at the in-point is the label itself
+    nq = out_puncture_order(i1, cfg.two_point) + out_puncture_order(i2, cfg.two_point)
     if n0 >= -4:
-        circles = _pairing_circles(cfg, nodes)
-        return _circle_residue(circles[0], i1, i2)
+        return _pairing_residue(_pairing_circles(cfg, nodes)[0], i1, i2)
     if nq < 0:
         raise AssertionError(
             f"order bookkeeping violated for pairing({j},{k}): n0={n0}, nq={nq}"
@@ -146,21 +112,13 @@ def pairing_residue_routes(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -
     """
     i1, i2 = j + 1, -k - 2
     circles = _pairing_circles(cfg, nodes)
-    a = _circle_residue(circles[0], i1, i2)
-    b = -sum(_circle_residue(circle, i1, i2) for circle in circles[1:])
+    a = _pairing_residue(circles[0], i1, i2)
+    b = -sum(_pairing_residue(circle, i1, i2) for circle in circles[1:])
     return a, b
 
 
 # ---------------------------------------------------------------------------
 # shifted structure constants and the cocycle double sum
-
-
-def shifted_constants(i: int, j: int, params: AlgebraParams) -> BracketTerms:
-    """Structure constants in the shifted basis e_i = l_{i+1}.
-
-    Support lies in [i+j, i+j+6] with even steps.
-    """
-    return {k - 1: c for k, c in bracket(i + 1, j + 1, params).items()}
 
 
 def _chi_literal(i: int, j: int, params: AlgebraParams) -> complex:
@@ -173,18 +131,15 @@ def _chi_literal(i: int, j: int, params: AlgebraParams) -> complex:
     One extra k on each side is scanned and asserted to contribute zero.
     """
 
-    def row(a: int, b: int) -> BracketTerms:
-        return shifted_constants(a, b, params)
-
     def term_sum(k: int, l_lo: int, l_hi: int) -> complex:
-        first = row(i, k)
+        first = shifted_constants(i, k, params)
         if not first:
             return 0j
         total = 0j
         for l, c_ikl in first.items():
             if l < l_lo or l > l_hi:
                 continue
-            c_jlk = row(j, l).get(k)
+            c_jlk = shifted_constants(j, l, params).get(k)
             if c_jlk is not None:
                 total += c_ikl * c_jlk
         return total
@@ -341,7 +296,6 @@ class CocycleTable:
         return rows
 
     def to_json_dict(self) -> dict:
-        lam = self.params
         return {
             "window": self.window,
             "method": self.method,
@@ -349,13 +303,7 @@ class CocycleTable:
                 "sigma_c": self.sign_convention[0],
                 "sigma_chi": self.sign_convention[1],
             },
-            "params": {
-                "lam4": [lam.lam4.real, lam.lam4.imag],
-                "lam5": [lam.lam5.real, lam.lam5.imag],
-                "lam6": [lam.lam6.real, lam.lam6.imag],
-                "lam7": [lam.lam7.real, lam.lam7.imag],
-                "provenance": lam.provenance,
-            },
+            "params": self.params.to_json_dict(),
             "entries": [
                 {"i": i, "j": j, "chi": [self.entries[(i, j)].real, self.entries[(i, j)].imag]}
                 for (i, j) in sorted(self.entries)

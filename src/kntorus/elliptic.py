@@ -15,10 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import TorusConfig
+from .config import EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice
 from .errors import PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
+
+# most nome-series terms; the sum stops earlier once a term drops below 1e-18 of it
+SERIES_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,7 @@ class HalfPeriodValues:
 
 def reduce_to_fundamental(z: complex, cfg: TorusConfig) -> complex:
     """Reduce z mod the lattice to a + b*tau with a, b in [-1/2, 1/2)."""
-    tau = cfg.tau
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    a -= math.floor(a + 0.5)
-    b -= math.floor(b + 0.5)
-    return complex(a + b * tau.real, b * tau.imag)
+    return reduce_mod_lattice(z, cfg.tau)
 
 
 def _f_wp(x: complex) -> complex:
@@ -61,16 +59,16 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     The absolute error is far below cfg.tol away from the poles; accuracy
     degrades like the function itself (|wp| ~ |z|**-2) as z approaches one.
     """
-    zr = reduce_to_fundamental(z, cfg)
-    if abs(zr) <= cfg.exclusion_radius:
-        raise PoleProximityError(f"z={z} is within {cfg.exclusion_radius} of a lattice point")
+    zr = reduce_mod_lattice(z, cfg.tau)
+    if abs(zr) <= EXCLUSION_RADIUS:
+        raise PoleProximityError(f"z={z} is within {EXCLUSION_RADIUS} of a lattice point")
     q = cmath.exp(_TWO_PI_I * cfg.tau)
     u = cmath.exp(_TWO_PI_I * zr)
 
     wp = 1.0 / 12.0 + _f_wp(u)
     wpp = _g_wp(u)
     qn = 1.0 + 0j
-    for n in range(1, cfg.series_cutoff + 1):
+    for n in range(1, SERIES_CUTOFF + 1):
         qn *= q
         a = qn * u
         b = qn / u

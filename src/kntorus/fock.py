@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params
-from .cocycle import chi_sum, shifted_constants
+from .algebra import shifted_constants
+from .cocycle import chi_sum
 from .errors import WindowViolationError
 
 

@@ -13,14 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import TorusConfig
-from .elliptic import (
-    half_period_values,
-    reduce_to_fundamental,
-    wp,
-    wp_pair,
-    wp_second,
-)
+from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points
+from .elliptic import half_period_values, wp, wp_pair, wp_second
 from .errors import (
     BadContourError,
     DegenerateModuliError,
@@ -73,27 +67,22 @@ def puncture_set(cfg: TorusConfig) -> PunctureSet:
     )
 
 
-def _distance_to_punctures(z: complex, cfg: TorusConfig) -> float:
-    return min(
-        abs(reduce_to_fundamental(z - s, cfg)) for s in cfg.punctures()
-    )
-
-
-def _check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
-    if _distance_to_punctures(z, cfg) <= cfg.exclusion_radius:
+def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
+    """Raise PoleProximityError inside a puncture exclusion disk."""
+    if cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
         raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
 
 
 def omega_hat(z: complex, cfg: TorusConfig) -> complex:
     """Scalar part of the propagation differential."""
-    _check_away_from_punctures(z, cfg)
+    check_away_from_punctures(z, cfg)
     p, dp = wp_pair(z, cfg)
     return -0.5 * dp / (p - puncture_set(cfg).p_q)
 
 
 def omega_hat_prime(z: complex, cfg: TorusConfig) -> complex:
     """d/dz of omega_hat, in closed form from wp, wp', wp''."""
-    _check_away_from_punctures(z, cfg)
+    check_away_from_punctures(z, cfg)
     p, dp = wp_pair(z, cfg)
     ddp = wp_second(z, cfg)
     denom = p - puncture_set(cfg).p_q
@@ -112,8 +101,8 @@ def residue_at(
         raise ValueError("at least 64 quadrature nodes are required")
     enclosed = 0
     for s in cfg.punctures():
-        d = abs(reduce_to_fundamental(s - center, cfg))
-        if abs(d - radius) <= 4.0 * cfg.exclusion_radius:
+        d = distance_to_points(center, (s,), cfg.tau)
+        if abs(d - radius) <= 4.0 * EXCLUSION_RADIUS:
             raise BadContourError(
                 f"puncture {s} lies on the contour |z-{center}|={radius}"
             )
@@ -138,11 +127,9 @@ def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[co
 
 
 def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig, samples: int = 64) -> float:
-    best = math.inf
-    for k in range(samples + 1):
-        z = z0 + (z1 - z0) * (k / samples)
-        best = min(best, _distance_to_punctures(z, cfg))
-    return best
+    return min(
+        cfg.distance_to_punctures(z0 + (z1 - z0) * (k / samples)) for k in range(samples + 1)
+    )
 
 
 def period_real_parts(
@@ -161,7 +148,7 @@ def period_real_parts(
     segments = (a_cycle or defaults[0], b_cycle or defaults[1])
     results = []
     for z0, z1 in segments:
-        if _min_distance_segment(z0, z1, cfg) <= 10.0 * cfg.exclusion_radius:
+        if _min_distance_segment(z0, z1, cfg) <= 10.0 * EXCLUSION_RADIUS:
             raise PoleOnPathError(
                 f"cycle segment [{z0}, {z1}] passes too close to a puncture"
             )
@@ -181,7 +168,7 @@ def time_coordinate(z: complex, cfg: TorusConfig) -> float:
     t -> -inf at the in-point 0 and +inf at the out-points 1/2 +- q,
     matching the residue signs (+1, -1/2, -1/2).
     """
-    _check_away_from_punctures(z, cfg)
+    check_away_from_punctures(z, cfg)
     return -0.5 * math.log(abs(wp(z, cfg) - puncture_set(cfg).p_q)) + _reference_constant(cfg)
 
 
@@ -219,7 +206,7 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     tau = cfg.tau
     n = resolution
     coords = [-0.5 + k / n for k in range(n + 1)]
-    safe_radius = 4.0 * cfg.exclusion_radius
+    safe_radius = 4.0 * EXCLUSION_RADIUS
 
     def node(ai: int, bi: int) -> complex:
         return complex(coords[ai] + coords[bi] * tau.real, coords[bi] * tau.imag)
@@ -228,7 +215,7 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     for bi in range(n + 1):
         for ai in range(n + 1):
             z = node(ai, bi)
-            if _distance_to_punctures(z, cfg) <= safe_radius:
+            if cfg.distance_to_punctures(z) <= safe_radius:
                 tvals[(ai, bi)] = None
             else:
                 tvals[(ai, bi)] = time_coordinate(z, cfg)
@@ -236,7 +223,7 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     def bisect(z0: complex, t0: float, z1: complex, t1: float) -> complex | None:
         for _ in range(80):
             zm = 0.5 * (z0 + z1)
-            if _distance_to_punctures(zm, cfg) <= cfg.exclusion_radius:
+            if cfg.distance_to_punctures(zm) <= EXCLUSION_RADIUS:
                 return None
             tm = time_coordinate(zm, cfg) - u
             if abs(tm) <= cfg.tol:

@@ -7,28 +7,34 @@ composite Gauss-Legendre with panel doubling until two refinements agree.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 
 def circle_nodes(center: complex, radius: float, n: int) -> list[complex]:
     """Equispaced nodes on |z - center| = radius, deterministic order."""
-    return [center + radius * np.exp(2j * np.pi * k / n) for k in range(n)]
+    return [complex(center + radius * np.exp(2j * np.pi * k / n)) for k in range(n)]
+
+
+def circle_trapezoid(values: Iterable[complex], nodes: list[complex], center: complex) -> complex:
+    """(1/2*pi*i) * contour integral from values f(z_k) at circle_nodes.
+
+    The trapezoid rule collapses to mean(f(z_k) * (z_k - center)), i.e. the
+    Cauchy coefficient extractor.
+    """
+    total = 0j
+    for v, z in zip(values, nodes):
+        total += v * (z - center)
+    return total / len(nodes)
 
 
 def contour_residue(
     f: Callable[[complex], complex], center: complex, radius: float, n: int = 256
 ) -> complex:
-    """(1/2*pi*i) * closed contour integral of f over the circle.
-
-    With z_k on the circle the trapezoid rule collapses to
-    mean(f(z_k) * (z_k - center)), i.e. the Cauchy coefficient extractor.
-    """
-    total = 0j
-    for z in circle_nodes(center, radius, n):
-        total += f(z) * (z - center)
-    return total / n
+    """(1/2*pi*i) * closed contour integral of f over the circle."""
+    nodes = circle_nodes(center, radius, n)
+    return circle_trapezoid((f(z) for z in nodes), nodes, center)
 
 
 def segment_integral(

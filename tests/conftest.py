@@ -9,13 +9,11 @@ route from the production nome series.  Its own internal identities
 from __future__ import annotations
 
 import math
-import random
 
 import mpmath as mp
 import pytest
 
 from kntorus.config import TorusConfig
-from kntorus.elliptic import reduce_to_fundamental
 
 mp.mp.dps = 30
 
@@ -68,28 +66,11 @@ def cfg_two_point() -> TorusConfig:
     return TorusConfig(tau=1j, two_point=True)
 
 
-@pytest.fixture(scope="session")
-def all_acceptance_configs() -> list[TorusConfig]:
-    return [
-        TorusConfig(tau=tau, q=q)
-        for tau in (1j, 0.3 + 1.1j)
-        for q in (0.2, 0.17 + 0.05j)
-    ]
-
-
-def sample_points(cfg: TorusConfig, count: int, seed: int, margin: float = 0.08) -> list[complex]:
-    """Deterministic cell points away from punctures, half periods, lattice."""
-    rng = random.Random(seed)
-    tau = cfg.tau
-    special = (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau, 0.5 + 0j)
-    points: list[complex] = []
-    while len(points) < count:
-        a = rng.uniform(-0.5, 0.5)
-        b = rng.uniform(-0.5, 0.5)
-        z = complex(a + b * tau.real, b * tau.imag)
-        if min(abs(reduce_to_fundamental(z - s, cfg)) for s in special) > margin:
-            points.append(z)
-    return points
+ACCEPTANCE_CONFIGS = [
+    TorusConfig(tau=tau, q=q)
+    for tau in (1j, 0.3 + 1.1j)
+    for q in (0.2, 0.17 + 0.05j)
+]
 
 
 def assert_close(actual, expected, tol, label=""):

@@ -7,7 +7,7 @@ Tolerances are pinned here and never relaxed at runtime.
 import random
 import time
 
-from conftest import LN2_OVER_2, sample_points
+from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2
 from kntorus.algebra import (
     bracket_eval,
     bracket_numeric,
@@ -15,7 +15,7 @@ from kntorus.algebra import (
     jacobi_residual,
     table_gap,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, formal_params, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, basis_value, lambda_coefficients
 from kntorus.cocycle import (
     chi_closed,
     chi_sum,
@@ -26,7 +26,6 @@ from kntorus.cocycle import (
 )
 from kntorus.config import TorusConfig
 from kntorus.fock import (
-    VACUUM,
     apply_b,
     apply_c,
     commutator_residual,
@@ -43,14 +42,9 @@ from kntorus.propagation import (
     residue_at,
     separation_time,
 )
+from kntorus.verify import random_formal_sets, random_points, random_wedge_state
 
 _SUITE_START = time.time()
-
-ACCEPTANCE_CONFIGS = [
-    TorusConfig(tau=tau, q=q)
-    for tau in (1j, 0.3 + 1.1j)
-    for q in (0.2, 0.17 + 0.05j)
-]
 
 CFG_MAIN = TorusConfig(tau=1j, q=0.2)
 
@@ -59,15 +53,6 @@ def _report(num: int, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[acceptance {num:02d}] {status} - {detail}")
     assert passed, f"criterion {num}: {detail}"
-
-
-def _random_formal_sets(count: int, seed: int):
-    rng = random.Random(seed)
-
-    def c():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    return [formal_params(c(), c(), c()) for _ in range(count)]
 
 
 def test_criterion_01_residues():
@@ -113,7 +98,7 @@ def test_criterion_04_omega_squared_expansion():
     worst = 0.0
     for cfg in (CFG_MAIN, TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)):
         lam = lambda_coefficients(cfg)
-        for z in sample_points(cfg, 50, seed=71):
+        for z in random_points(cfg, 50, seed=71):
             w2 = omega_hat(z, cfg) ** 2
             rhs = sum(c * basis_value(-2 + 2 * t, z, cfg) for t, c in enumerate(lam.as_tuple()))
             worst = max(worst, abs(w2 - rhs))
@@ -138,7 +123,7 @@ def test_criterion_05_duality_pairing():
 def test_criterion_06_structure_constants_vs_oracle():
     lam = lambda_coefficients(CFG_MAIN)
     rng = random.Random(72)
-    pts = sample_points(CFG_MAIN, 30, seed=73)
+    pts = random_points(CFG_MAIN, 30, seed=73)
     worst = 0.0
     for i in range(-8, 9):
         for j in range(-8, 9):
@@ -154,7 +139,7 @@ def test_criterion_07_jacobi():
     sets = [
         lambda_coefficients(CFG_MAIN),
         lambda_coefficients(TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)),
-        *_random_formal_sets(3, seed=74),
+        *random_formal_sets(3, seed=74),
     ]
     worst = 0.0
     for params in sets:
@@ -212,7 +197,7 @@ def test_criterion_10_cocycle_properties():
             if v != 0 and i + j not in (0, -2, -4, -6, -8, -10, -12):
                 support += 1
     identity = 0.0
-    for params in (WITT_PARAMS, lam, *_random_formal_sets(1, seed=75)):
+    for params in (WITT_PARAMS, lam, *random_formal_sets(1, seed=75)):
         for i in range(-4, 5):
             for j in range(-4, 5):
                 for k in range(-4, 5):
@@ -264,19 +249,9 @@ def test_criterion_11_closed_form_reconciliation():
 def test_criterion_12_fock_grounding():
     rng = random.Random(76)
 
-    def random_state():
-        vec = {VACUUM: 1.0 + 0j}
-        for _ in range(rng.randint(1, 5)):
-            idx = rng.randint(-8, 8)
-            op = rng.choice((apply_c, apply_b))
-            cand = op(idx, vec)
-            if cand:
-                vec = cand
-        return next(iter(vec))
-
     clifford = 0.0
     for _ in range(100):
-        st = random_state()
+        st = random_wedge_state(rng)
         base = {st: 1.0 + 0j}
         for k in range(-8, 9):
             for i in range(-8, 9):
@@ -289,7 +264,7 @@ def test_criterion_12_fock_grounding():
     comm = 0.0
     for _ in range(20):
         i, j = rng.randint(-4, 4), rng.randint(-4, 4)
-        v = {random_state(): 1.0 + 0j}
+        v = {random_wedge_state(rng): 1.0 + 0j}
         comm = max(comm, commutator_residual(i, j, v, lam, conv))
 
     grounding = 0.0

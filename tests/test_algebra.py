@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from conftest import sample_points
 from kntorus.algebra import (
     bracket,
     bracket_eval,
@@ -12,17 +11,9 @@ from kntorus.algebra import (
     jacobi_residual,
     table_gap,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, formal_params, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, basis_value, lambda_coefficients
 from kntorus.config import TorusConfig
-
-
-def _random_formal(seed):
-    rng = random.Random(seed)
-
-    def c():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-    return formal_params(c(), c(), c())
+from kntorus.verify import random_formal_sets, random_points
 
 
 def test_bracket_even_even(cfg_square):
@@ -68,12 +59,12 @@ def test_support_window_and_parity(cfg_generic):
 
 
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
-    z = sample_points(cfg_square, 1, seed=41)[0]
+    z = random_points(cfg_square, 1, seed=41)[0]
     assert bracket_numeric(3, 3, z, cfg_square) == 0j
 
 
 def test_bracket_numeric_even_pair(cfg_square):
-    for z in sample_points(cfg_square, 5, seed=42):
+    for z in random_points(cfg_square, 5, seed=42):
         lhs = bracket_numeric(2, 4, z, cfg_square)
         rhs = 2 * basis_value(5, z, cfg_square)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
@@ -81,7 +72,7 @@ def test_bracket_numeric_even_pair(cfg_square):
 
 def test_bracket_numeric_mixed_pair(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    for z in sample_points(cfg_square, 5, seed=43):
+    for z in random_points(cfg_square, 5, seed=43):
         lhs = bracket_numeric(1, -1, z, cfg_square)
         rhs = bracket_eval(1, -1, z, cfg_square, lam)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
@@ -91,7 +82,7 @@ def test_bracket_numeric_mixed_pair(cfg_square):
 def test_oracle_equivalence_sweep(window, cfg_square):
     lam = lambda_coefficients(cfg_square)
     rng = random.Random(44)
-    pts = sample_points(cfg_square, 25, seed=45)
+    pts = random_points(cfg_square, 25, seed=45)
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
             for _ in range(5):
@@ -108,7 +99,7 @@ def test_jacobi_examples(cfg_square):
     assert jacobi_residual(2, 4, 6, lam) <= 1e-12
     assert jacobi_residual(2, 4, 6, WITT_PARAMS) == 0.0
     for seed in range(5):
-        assert jacobi_residual(1, 3, 2, _random_formal(seed)) <= 1e-9
+        assert jacobi_residual(1, 3, 2, random_formal_sets(1, seed)[0]) <= 1e-9
     assert jacobi_residual(1, -1, 3, lam) <= 1e-9
 
 
@@ -116,9 +107,7 @@ def test_jacobi_sweep(cfg_square, cfg_generic):
     param_sets = [
         lambda_coefficients(cfg_square),
         lambda_coefficients(cfg_generic),
-        _random_formal(1),
-        _random_formal(2),
-        _random_formal(3),
+        *(random_formal_sets(1, seed)[0] for seed in (1, 2, 3)),
     ]
     for params in param_sets:
         worst = max(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import assert_close, sample_points
+from conftest import assert_close
 from kntorus.basis import (
     WITT_PARAMS,
     basis_derivative,
@@ -15,17 +15,18 @@ from kntorus.basis import (
 from kntorus.elliptic import half_period_values, wp_prime
 from kntorus.errors import NonIntegerWindingError
 from kntorus.propagation import omega_hat, omega_hat_prime, puncture_set
+from kntorus.verify import random_points
 
 
 def test_unit_and_omega(cfg_square):
-    for z in sample_points(cfg_square, 5, seed=31):
+    for z in random_points(cfg_square, 5, seed=31):
         assert basis_value(0, z, cfg_square) == 1.0
         assert_close(basis_value(-1, z, cfg_square), omega_hat(z, cfg_square), 1e-13)
 
 
 def test_even_product_law(cfg_square):
     rng = random.Random(32)
-    pts = sample_points(cfg_square, 20, seed=33)
+    pts = random_points(cfg_square, 20, seed=33)
     for _ in range(100):
         z = rng.choice(pts)
         i = 2 * rng.randint(-4, 4)
@@ -37,7 +38,7 @@ def test_even_product_law(cfg_square):
 
 def test_odd_product_law(cfg_generic):
     rng = random.Random(34)
-    pts = sample_points(cfg_generic, 20, seed=35)
+    pts = random_points(cfg_generic, 20, seed=35)
     lam = lambda_coefficients(cfg_generic)
     for _ in range(100):
         z = rng.choice(pts)
@@ -52,7 +53,7 @@ def test_odd_product_law(cfg_generic):
 
 
 def test_parity(cfg_square):
-    for z in sample_points(cfg_square, 10, seed=36):
+    for z in random_points(cfg_square, 10, seed=36):
         for k in range(-6, 7):
             sign = 1.0 if k % 2 == 0 else -1.0
             lhs = basis_value(k, -z, cfg_square)
@@ -61,14 +62,14 @@ def test_parity(cfg_square):
 
 
 def test_derivative_constant_is_zero(cfg_square):
-    z = sample_points(cfg_square, 1, seed=37)[0]
+    z = random_points(cfg_square, 1, seed=37)[0]
     assert basis_derivative(0, z, cfg_square) == 0.0
 
 
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_derivative_vs_finite_difference(k, cfg_square):
     h = 1e-5
-    for z in sample_points(cfg_square, 5, seed=38):
+    for z in random_points(cfg_square, 5, seed=38):
         fd = (basis_value(k, z + h, cfg_square) - basis_value(k, z - h, cfg_square)) / (2 * h)
         an = basis_derivative(k, z, cfg_square)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
@@ -144,7 +145,7 @@ def test_lambda_formal():
 def test_omega_squared_expansion(cfg_square, cfg_generic):
     for cfg in (cfg_square, cfg_generic):
         lam = lambda_coefficients(cfg)
-        for z in sample_points(cfg, 50, seed=39):
+        for z in random_points(cfg, 50, seed=39):
             w2 = omega_hat(z, cfg) ** 2
             rhs = sum(c * basis_value(-2 + 2 * t, z, cfg) for t, c in enumerate(lam.as_tuple()))
             assert abs(w2 - rhs) <= 1e-8
@@ -153,7 +154,7 @@ def test_omega_squared_expansion(cfg_square, cfg_generic):
 def test_omega_prime_expansion(cfg_square):
     # w' = -lam4*A_-2 + lam6*A_2 + 2*lam7*A_4 (factor-2 consistent with (w^2)' = 2ww')
     lam = lambda_coefficients(cfg_square)
-    for z in sample_points(cfg_square, 20, seed=40):
+    for z in random_points(cfg_square, 20, seed=40):
         lhs = omega_hat_prime(z, cfg_square)
         rhs = (
             -lam.lam4 * basis_value(-2, z, cfg_square)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 from kntorus import cli
 from kntorus.verify import CheckResult
@@ -157,3 +160,35 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "params", "--q-re", "0", "--q-im", "0")
     assert code == 2 and "two_point" in err
+
+
+def test_non_finite_geometry_names_field(capsys):
+    for argv, field in (
+        (("--tau-im", "nan"), "tau"),
+        (("--tau-re", "inf"), "tau"),
+        (("--q-re", "nan"), "q"),
+    ):
+        code, _, err = run_cli(capsys, "params", *argv)
+        assert code == 2
+        assert err.startswith(f"error: {field} must be finite"), err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the read end is closed before the command writes anything, as when
+    # `| head` has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kntorus.cli", "table", "cocycle", "--window", "12", "--format", "csv"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -18,6 +18,7 @@ from kntorus.cocycle import (
     shifted_constants,
 )
 from kntorus.errors import BadContourError
+from kntorus.verify import random_formal_sets
 
 LEVELS = (0, -2, -4, -6, -8, -10, -12)
 
@@ -214,8 +215,7 @@ def test_chi_sum_starred_levels_vanish_two_point(cfg_two_point):
 
 def test_two_cocycle_identity(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    rng = random.Random(54)
-    sets = [WITT_PARAMS, lam, formal_params(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))]
+    sets = [WITT_PARAMS, lam, *random_formal_sets(1, seed=54)]
     for params in sets:
         for i in range(-4, 5):
             for j in range(-4, 5):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import assert_close, sample_points, theta_half_period_values, wp_oracle
+from conftest import assert_close, theta_half_period_values, wp_oracle
 from kntorus.config import TorusConfig
 from kntorus.elliptic import (
     half_period_values,
@@ -12,6 +12,7 @@ from kntorus.elliptic import (
     wp_second,
 )
 from kntorus.errors import PoleProximityError
+from kntorus.verify import random_points
 
 
 def test_reduce_lattice_points(cfg_square):
@@ -41,14 +42,14 @@ def test_wp_prime_vanishes_at_half_period(cfg_square):
 
 def test_wp_matches_reference_oracle(cfg_square, cfg_generic):
     for cfg in (cfg_square, cfg_generic):
-        for z in sample_points(cfg, 8, seed=11):
+        for z in random_points(cfg, 8, seed=11):
             assert_close(wp(z, cfg), wp_oracle(z, cfg.tau), 1e-10 * max(1, abs(wp(z, cfg))),
                          label=f"wp({z}; {cfg.tau})")
 
 
 def test_wp_satisfies_weierstrass_equation(cfg_generic):
     hp = half_period_values(cfg_generic)
-    for z in sample_points(cfg_generic, 100, seed=12):
+    for z in random_points(cfg_generic, 100, seed=12):
         p, dp = wp_pair(z, cfg_generic)
         res = dp * dp - 4 * (p - hp.e1) * (p - hp.e2) * (p - hp.e3)
         assert abs(res) <= 1e-10 * (1 + abs(p) ** 3)
@@ -64,7 +65,7 @@ def test_wp_specific_point_differential_equation():
 
 def test_wp_periodicity(cfg_square):
     rng = random.Random(3)
-    for z in sample_points(cfg_square, 10, seed=13):
+    for z in random_points(cfg_square, 10, seed=13):
         ref = wp(z, cfg_square)
         for _ in range(3):
             m, n = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -73,7 +74,7 @@ def test_wp_periodicity(cfg_square):
 
 
 def test_wp_parity(cfg_generic):
-    for z in sample_points(cfg_generic, 10, seed=14):
+    for z in random_points(cfg_generic, 10, seed=14):
         p1, d1 = wp_pair(z, cfg_generic)
         p2, d2 = wp_pair(-z, cfg_generic)
         assert abs(p1 - p2) <= 1e-10 * max(1.0, abs(p1))
@@ -114,7 +115,7 @@ def test_half_periods_against_theta_oracle(tau):
 
 
 def test_reduction_consistency(cfg_generic):
-    for z in sample_points(cfg_generic, 10, seed=15):
+    for z in random_points(cfg_generic, 10, seed=15):
         shifted = z + 2 - cfg_generic.tau
         direct = wp(shifted, cfg_generic)
         reduced = wp(reduce_to_fundamental(shifted, cfg_generic), cfg_generic)
@@ -123,7 +124,7 @@ def test_reduction_consistency(cfg_generic):
 
 def test_wp_second_via_finite_differences(cfg_square):
     h = 1e-5
-    for z in sample_points(cfg_square, 5, seed=16):
+    for z in random_points(cfg_square, 5, seed=16):
         fd = (wp_pair(z + h, cfg_square)[1] - wp_pair(z - h, cfg_square)[1]) / (2 * h)
         assert abs(wp_second(z, cfg_square) - fd) <= 1e-5 * max(1.0, abs(fd))
 

@@ -20,17 +20,7 @@ from kntorus.fock import (
     vec_scale,
     wedge_c,
 )
-
-
-def random_state(rng, depth=(1, 5), index_range=8):
-    vec = {VACUUM: 1.0 + 0j}
-    for _ in range(rng.randint(*depth)):
-        idx = rng.randint(-index_range, index_range)
-        op = rng.choice((apply_c, apply_b))
-        cand = op(idx, vec)
-        if cand:
-            vec = cand
-    return next(iter(vec))
+from kntorus.verify import random_wedge_state
 
 
 def test_vacuum_annihilation():
@@ -73,7 +63,7 @@ def test_state_text_round_trip():
 def test_clifford_relations_battery():
     rng = random.Random(61)
     for _ in range(100):
-        st = random_state(rng)
+        st = random_wedge_state(rng)
         base = {st: 1.0 + 0j}
         for k in range(-8, 9):
             for i in range(-8, 9):
@@ -87,7 +77,7 @@ def test_clifford_relations_battery():
 def test_anticommuting_squares():
     rng = random.Random(62)
     for _ in range(30):
-        st = random_state(rng)
+        st = random_wedge_state(rng)
         base = {st: 1.0 + 0j}
         for _ in range(10):
             k, l = rng.randint(-8, 8), rng.randint(-8, 8)
@@ -156,8 +146,8 @@ def test_l_operator_on_vacuum_witt():
 def test_l_operator_linearity(cfg_square):
     lam = lambda_coefficients(cfg_square)
     rng = random.Random(63)
-    v = {random_state(rng): 0.7 + 0.2j}
-    w = {random_state(rng): -1.1 + 0.4j}
+    v = {random_wedge_state(rng): 0.7 + 0.2j}
+    w = {random_wedge_state(rng): -1.1 + 0.4j}
     lhs = l_operator(1, vec_add(vec_scale(v, 2.0), w), lam)
     rhs = vec_add(vec_scale(l_operator(1, v, lam), 2.0), l_operator(1, w, lam))
     assert vec_norm(vec_add(lhs, vec_scale(rhs, -1))) <= 1e-12 * max(1.0, vec_norm(rhs))
@@ -167,7 +157,7 @@ def test_l_operator_windows_terminate(cfg_square):
     lam = lambda_coefficients(cfg_square)
     rng = random.Random(64)
     for _ in range(20):
-        st = random_state(rng, depth=(3, 6))
+        st = random_wedge_state(rng, depth=(3, 6))
         for i in range(-8, 9):
             l_operator(i, {st: 1.0 + 0j}, lam)  # must not raise WindowViolationError
 
@@ -189,7 +179,7 @@ def test_commutator_residual_battery(cfg_square):
     rng = random.Random(65)
     for _ in range(20):
         i, j = rng.randint(-4, 4), rng.randint(-4, 4)
-        v = {random_state(rng): 1.0 + 0j}
+        v = {random_wedge_state(rng): 1.0 + 0j}
         assert commutator_residual(i, j, v, lam, conv) <= 1e-9
 
 
@@ -199,7 +189,7 @@ def test_commutator_residual_formal_params():
     rng = random.Random(66)
     for _ in range(10):
         i, j = rng.randint(-3, 3), rng.randint(-3, 3)
-        v = {random_state(rng): 1.0 + 0j}
+        v = {random_wedge_state(rng): 1.0 + 0j}
         assert commutator_residual(i, j, v, params, conv) <= 1e-9
 
 
@@ -212,13 +202,8 @@ def test_commutator_residual_complex_lambdas(cfg_generic):
         i, j = rng.randint(-6, 6), rng.randint(-6, 6)
         v = {}
         for _ in range(2):
-            term = {VACUUM: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))}
-            for _ in range(rng.randint(1, 6)):
-                idx = rng.randint(-8, 8)
-                cand = rng.choice((apply_c, apply_b))(idx, term)
-                if cand:
-                    term = cand
-            v = vec_add(v, term)
+            coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            v = vec_add(v, {random_wedge_state(rng, depth=(1, 6)): coeff})
         assert commutator_residual(i, j, v, lam, conv) <= 1e-9
 
 

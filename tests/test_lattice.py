@@ -1,0 +1,53 @@
+"""Property tests of the lattice helpers shared through kntorus.config."""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kntorus.config import TorusConfig, lattice_distance
+
+coords = st.floats(-3.0, 3.0)
+points = st.builds(complex, coords, coords)
+# skewed lattices, |Re tau| beyond 1/2 and |tau| below 1 included; in this
+# range a 7x7 block around the rounded lattice coordinates of z always holds
+# the nearest lattice point
+skewed_taus = st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.4, 2.0))
+fundamental_taus = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
+    lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
+)
+
+
+def brute_force_distance(z: complex, tau: complex) -> float:
+    n0 = round(z.imag / tau.imag)
+    m0 = round(z.real - n0 * tau.real)
+    return min(
+        abs(z - (m0 + dm) - (n0 + dn) * tau)
+        for dm in range(-3, 4)
+        for dn in range(-3, 4)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=points, tau=skewed_taus)
+@example(z=1.7272502951672069 - 1.185463793952833j, tau=-1.4391603397422559 + 0.40228426386457117j)
+def test_lattice_distance_is_exact(z, tau):
+    assert math.isclose(lattice_distance(z, tau), brute_force_distance(z, tau), rel_tol=1e-12, abs_tol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=points, tau=fundamental_taus, q=st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_puncture_distance_exact_near_punctures(z, tau, q):
+    try:
+        cfg = TorusConfig(tau=tau, q=q)
+    except ValueError:
+        cfg = TorusConfig(tau=tau, two_point=True)
+    per_point = cfg.distance_to_punctures(z)
+    exact = min(lattice_distance(z - s, tau) for s in cfg.punctures())
+    if min(per_point, exact) < 0.25:
+        assert math.isclose(per_point, exact, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_lattice_distance_finishes_on_extreme_tau():
+    for tau in (1e-300 + 1e-300j, 0.3 + 1e-10j, 1e300 + 1j, -7.3 + 0.01j):
+        assert math.isfinite(lattice_distance(0.2 + 0.1j, tau))

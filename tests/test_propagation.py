@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import LN2_OVER_2, assert_close, sample_points
+from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -23,6 +23,7 @@ from kntorus.propagation import (
     time_coordinate,
 )
 from kntorus.quadrature import segment_integral
+from kntorus.verify import random_points
 
 
 def test_omega_zero_at_half_periods(cfg_square, cfg_generic):
@@ -33,7 +34,7 @@ def test_omega_zero_at_half_periods(cfg_square, cfg_generic):
 
 
 def test_omega_antisymmetry(cfg_generic):
-    for w in sample_points(cfg_generic, 50, seed=21):
+    for w in random_points(cfg_generic, 50, seed=21):
         a = omega_hat(0.5 + w, cfg_generic)
         b = omega_hat(0.5 - w, cfg_generic)
         assert abs(a + b) <= 1e-10 * max(1.0, abs(a))
@@ -44,20 +45,20 @@ def test_omega_antisymmetry(cfg_generic):
 
 def test_omega_two_point_form(cfg_two_point):
     hp = half_period_values(cfg_two_point)
-    for z in sample_points(cfg_two_point, 10, seed=22):
+    for z in random_points(cfg_two_point, 10, seed=22):
         p, dp = wp_pair(z, cfg_two_point)
         assert_close(omega_hat(z, cfg_two_point), -0.5 * dp / (p - hp.e1), 1e-12 * abs(dp))
 
 
 def test_omega_prime_vs_finite_difference(cfg_square):
     h = 1e-5
-    for z in sample_points(cfg_square, 6, seed=23):
+    for z in random_points(cfg_square, 6, seed=23):
         fd = (omega_hat(z + h, cfg_square) - omega_hat(z - h, cfg_square)) / (2 * h)
         assert abs(omega_hat_prime(z, cfg_square) - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_residues(all_acceptance_configs):
-    for cfg in all_acceptance_configs:
+def test_residues():
+    for cfg in ACCEPTANCE_CONFIGS:
         r0 = residue_at(0j, 0.05, cfg)
         r1 = residue_at(0.5 + cfg.q, 0.05, cfg)
         r2 = residue_at(0.5 - cfg.q, 0.05, cfg)
@@ -102,8 +103,8 @@ def test_pole_on_cycle_path():
         period_real_parts(cfg)
 
 
-def test_period_real_parts(all_acceptance_configs, cfg_two_point):
-    for cfg in (*all_acceptance_configs, cfg_two_point):
+def test_period_real_parts(cfg_two_point):
+    for cfg in (*ACCEPTANCE_CONFIGS, cfg_two_point):
         pa, pb = period_real_parts(cfg)
         assert abs(pa) < 1e-8
         assert abs(pb) < 1e-8
@@ -138,7 +139,7 @@ def test_time_logarithmic_near_in_point(cfg_square):
 
 
 def test_time_difference_is_line_integral(cfg_square):
-    pts = sample_points(cfg_square, 20, seed=24, margin=0.12)
+    pts = random_points(cfg_square, 20, seed=24, margin=0.12)
     pairs = list(zip(pts[:10], pts[10:]))
     for z0, z1 in pairs:
         lhs = time_coordinate(z1, cfg_square) - time_coordinate(z0, cfg_square)
