@@ -18,6 +18,7 @@ from .config import TorusConfig
 from .elliptic import HalfPeriodValues, half_period_values, reduce_to_fundamental, wp, wp_pair, wp_prime
 from .errors import (
     BadContourError,
+    BisectionError,
     DegenerateModuliError,
     KNTorusError,
     NonIntegerWindingError,
@@ -29,6 +30,7 @@ from .errors import (
 __all__ = [
     "AlgebraParams",
     "BadContourError",
+    "BisectionError",
     "DegenerateModuliError",
     "HalfPeriodValues",
     "KNTorusError",

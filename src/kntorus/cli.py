@@ -12,6 +12,9 @@ still written), 2 usage or configuration error, 141 standard output was
 closed before all output was written (the status a SIGPIPE death reports;
 e.g. `kntorus table cocycle --format csv | head` under `set -o pipefail`).
 Output is byte-identical across repeated runs with identical arguments.
+Every call has a cost bound: --window is capped for verify and table, and
+--samples for levellines (MAX_VERIFY_WINDOW, MAX_TABLE_WINDOW,
+MAX_SAMPLES); a larger value is a usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +32,18 @@ from .config import TorusConfig
 from .elliptic import half_period_values
 from .errors import KNTorusError
 from .verify import SUITES, verify_suite
+
+
+# cost bounds: verify evaluates 5 (2W+1)^2 pointwise brackets, a table has
+# (2W+1)^2 entries, a level-line scan evaluates (R+1)^2 time values
+MAX_VERIFY_WINDOW = 32
+MAX_TABLE_WINDOW = 256
+MAX_SAMPLES = 512
+
+
+def _check_cap(flag: str, value: int, cap: int, work: str) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} {value} exceeds the cap {cap}: it would take {work}")
 
 
 def _c(value: complex) -> list[float]:
@@ -178,6 +193,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.window < 1:
         raise ValueError("window must be >= 1")
+    side = 2 * args.window + 1
+    _check_cap(
+        "--window", args.window, MAX_VERIFY_WINDOW,
+        f"{5 * side * side} pointwise bracket evaluations",
+    )
     checks = verify_suite(args.suite, cfg, args.window)
     payload = {
         "config": _config_dict(args, cfg),
@@ -199,6 +219,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.window < 1:
         raise ValueError("window must be >= 1")
+    side = 2 * args.window + 1
+    _check_cap("--window", args.window, MAX_TABLE_WINDOW, f"{side * side} table entries")
     params = _formal_from_args(args)
     cfg = None
     if params is None:
@@ -236,6 +258,8 @@ def _cmd_levellines(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.samples < 16:
         raise ValueError("samples must be >= 16")
+    side = args.samples + 1
+    _check_cap("--samples", args.samples, MAX_SAMPLES, f"{side * side} time evaluations")
     sample = propagation.level_line_samples(cfg, args.u, args.samples)
     if args.format == "csv":
         rows = ["u,re,im"]

@@ -1,19 +1,24 @@
 """Duality pairing and the central-extension cocycle.
 
-The cocycle is computed two ways:
+The cocycle is computed three ways:
 
-* chi_sum: the finite double sum over products of shifted structure
+* _chi_literal: the finite double sum over products of shifted structure
   constants, split by the normal-ordering boundary k = -1.  This is the
   oracle; it reproduces the commutator anomaly of the wedge-space
-  operators exactly (up to the stored orientation flags).
+  operators exactly (up to the stored orientation flags).  It costs O(i)
+  per entry and runs only in the tests.
+* chi_sum: the same values in O(1) from _CHI_POLY, the exact polynomial
+  form of the double sum (degree <= 2 in lam4..lam7, an odd cubic in the
+  index at each level and parity).  The tests re-derive the table from
+  the double sum at integer parameter probes.
 * chi_closed: fixed closed-form coefficient tables, kept verbatim, in the
   same orientation.  Disagreements beyond round-off are emitted in a
   reconciliation report rather than silently corrected; the double sum is
   the authority (it is what the wedge operators realize).
 
-Orientation: the double sum is evaluated with its pair order chosen so
-that the Witt limit lands in the conventional form
-chi(m, -m) = 13/6 (m^3 - m).  The wedge-operator commutator realizes the
+Orientation: chi_sum is oriented so that the Witt limit lands in the
+conventional form chi(m, -m) = 13/6 (m^3 - m); _chi_literal, in its own
+pair order, is the transpose.  The wedge-operator commutator realizes the
 opposite orientation; the empirical flags (sigma_c, sigma_chi) = (+1, -1)
 stored on CocycleTable connect the two:
 [L_i, L_j] = sigma_c * sum_k C_ij^k L_k + sigma_chi * chi_sum(i, j).
@@ -118,7 +123,7 @@ def pairing_residue_routes(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -
 
 
 # ---------------------------------------------------------------------------
-# shifted structure constants and the cocycle double sum
+# the cocycle: double-sum oracle and its exact polynomial form
 
 
 def _chi_literal(i: int, j: int, params: AlgebraParams) -> complex:
@@ -162,19 +167,54 @@ def _chi_literal(i: int, j: int, params: AlgebraParams) -> complex:
     return total
 
 
+# The double sum is a polynomial of degree <= 2 in lam4..lam7.  At fixed
+# level i + j and parity of i, each monomial's coefficient is an odd cubic
+# (a*s**3 + b*s)/6 in the integer s = (i - j)/2; the division is exact for
+# every admissible pair.  Key (level, i % 2) -> ((lam indices, a, b), ...),
+# in the chi_sum orientation for i > j; the indices 0..3 stand for
+# lam4..lam7 and name the monomial's factors.  The table is exact: the
+# tests re-derive it from _chi_literal at integer parameter probes.
+_CHI_POLY: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int, int], ...]] = {
+    (0, 1): (((0,), 13, -13),),
+    (0, 0): (((0, 0), 13, -13),),
+    (-2, 1): (((1,), 13, -4),),
+    (-2, 0): (((0, 1), 26, 22),),
+    (-4, 1): (((2,), 13, -25),),
+    (-4, 0): (((0, 2), 26, 118), ((1, 1), 13, -4)),
+    (-6, 1): (((3,), 13, -76),),
+    (-6, 0): (((0, 3), 26, 262), ((1, 2), 26, 10)),
+    (-8, 0): (((1, 3), 26, 76), ((2, 2), 13, -25)),
+    (-10, 0): (((2, 3), 26, -62),),
+    (-12, 0): (((3, 3), 13, -76),),
+}
+
+
+def _chi_poly(i: int, j: int, params: AlgebraParams) -> complex:
+    """_chi_literal(i, j, params) for i > j, in O(1) from _CHI_POLY."""
+    total = 0j
+    s = (i - j) // 2
+    lam = params.as_tuple()
+    for factors, a, b in _CHI_POLY.get((i + j, i % 2), ()):
+        term = -((a * s**3 + b * s) // 6)
+        for t in factors:
+            term *= lam[t]
+        total += term
+    return total
+
+
 def chi_sum(i: int, j: int, params: AlgebraParams) -> complex:
-    """Central-extension cocycle from the finite double sum.
+    """Central-extension cocycle: the double sum, in closed form.
 
     Supported on i+j in {0, -2, ..., -12} and normalized so that the Witt
-    limit gives chi_sum(m, -m) = 13/6 (m^3 - m).  The sum is evaluated for
-    the ordered pair (i < j) and negated otherwise, which makes
+    limit gives chi_sum(m, -m) = 13/6 (m^3 - m).  The table is evaluated
+    with the larger index first and negated for i > j, which makes
     antisymmetry bit-exact.
     """
     if i == j:
         return 0j
     if i < j:
-        return _chi_literal(j, i, params)
-    return -_chi_literal(i, j, params)
+        return _chi_poly(j, i, params)
+    return -_chi_poly(i, j, params)
 
 
 # ---------------------------------------------------------------------------

@@ -25,5 +25,9 @@ class NonIntegerWindingError(KNTorusError):
     """A winding-number quadrature did not land near an integer."""
 
 
+class BisectionError(KNTorusError):
+    """A bisection ended without meeting its tolerance."""
+
+
 class WindowViolationError(KNTorusError):
     """A finiteness window for an operator sum was too small; must never fire."""

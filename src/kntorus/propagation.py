@@ -17,6 +17,7 @@ from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points
 from .elliptic import half_period_values, wp, wp_pair, wp_second
 from .errors import (
     BadContourError,
+    BisectionError,
     DegenerateModuliError,
     PoleOnPathError,
     PoleProximityError,
@@ -26,6 +27,10 @@ from .quadrature import contour_residue, segment_integral
 # offset of the period-cycle representatives, chosen to keep both segments
 # away from the punctures for every configuration used in the test matrix
 CYCLE_OFFSET = 0.17
+
+# halvings of a level-line grid edge before the bisection gives up; far
+# more than double precision can resolve on an edge of the unit cell
+BISECTION_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,7 @@ def period_real_parts(
     return results[0], results[1]
 
 
+@lru_cache(maxsize=None)
 def _reference_constant(cfg: TorusConfig) -> float:
     ref = 0.25 * (1.0 + cfg.tau)
     return 0.5 * math.log(abs(wp(ref, cfg) - puncture_set(cfg).p_q))
@@ -198,8 +204,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
 
     A (resolution x resolution) grid of the fundamental cell is scanned in
     row-major order; each sign change of t - u along a grid edge is refined
-    by bisection until |t - u| <= cfg.tol.  Nodes inside puncture exclusion
-    disks are skipped.
+    by bisection until |t - u| <= cfg.tol, or BisectionError is raised.
+    Nodes inside puncture exclusion disks are skipped.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -221,7 +227,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
                 tvals[(ai, bi)] = time_coordinate(z, cfg)
 
     def bisect(z0: complex, t0: float, z1: complex, t1: float) -> complex | None:
-        for _ in range(80):
+        edge = (z0, z1)
+        for _ in range(BISECTION_STEPS):
             zm = 0.5 * (z0 + z1)
             if cfg.distance_to_punctures(zm) <= EXCLUSION_RADIUS:
                 return None
@@ -232,7 +239,11 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
                 z1, t1 = zm, tm + u
             else:
                 z0, t0 = zm, tm + u
-        return zm
+        raise BisectionError(
+            f"level line t = {u!r} on the grid edge [{edge[0]}, {edge[1]}] did not "
+            f"converge in {BISECTION_STEPS} halvings: |t - u| = {abs(tm):.3g} > "
+            f"tol = {cfg.tol:.3g}"
+        )
 
     points: list[complex] = []
     for bi in range(n + 1):

@@ -162,6 +162,20 @@ def test_usage_errors(capsys):
     assert code == 2 and "two_point" in err
 
 
+def test_cost_caps(capsys):
+    for argv, flag, cap in (
+        (("verify", "cocycle", "--window", str(cli.MAX_VERIFY_WINDOW + 1)), "--window", cli.MAX_VERIFY_WINDOW),
+        (("table", "cocycle", "--window", str(cli.MAX_TABLE_WINDOW + 1)), "--window", cli.MAX_TABLE_WINDOW),
+        (("table", "brackets", "--window", "100000"), "--window", cli.MAX_TABLE_WINDOW),
+        (("levellines", "--u", "0", "--samples", str(cli.MAX_SAMPLES + 1)), "--samples", cli.MAX_SAMPLES),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} ") and f"cap {cap}:" in err and "would take" in err, err
+    # every size the README, the tests and the benchmark use stays admitted
+    assert cli.MAX_VERIFY_WINDOW >= 8 and cli.MAX_TABLE_WINDOW >= 32 and cli.MAX_SAMPLES >= 128
+
+
 def test_non_finite_geometry_names_field(capsys):
     for argv, field in (
         (("--tau-im", "nan"), "tau"),

@@ -1,10 +1,16 @@
+import pprint
 import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kntorus.algebra import bracket
-from kntorus.basis import WITT_PARAMS, formal_params, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
 from kntorus.cocycle import (
+    _CHI_POLY,
     DEFAULT_SIGN_CONVENTION,
     _chi_literal,
     build_cocycle_table,
@@ -104,6 +110,105 @@ def test_chi_sum_matches_brute_force(cfg_square):
         expect = _brute_force_chi(i, j, lam)
         got = chi_sum(i, j, lam)
         assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+def _literal_chi(i, j, params):
+    # chi_sum's orientation, taken from the double sum
+    if i == j:
+        return 0j
+    return _chi_literal(j, i, params) if i < j else -_chi_literal(i, j, params)
+
+
+def _probe_coefficients(i, j):
+    """Exact coefficient of every monomial of degree <= 2 in lam4..lam7.
+
+    Integer probes at lam = 0, +-e_t and e_t + e_u keep the double sum in
+    exact floating-point arithmetic.
+    """
+
+    def at(*lam):
+        v = _literal_chi(i, j, AlgebraParams(*lam, provenance="formal"))
+        assert v.imag == 0 and v.real == int(v.real)
+        return Fraction(v.real)
+
+    def unit(*factors):
+        lam = [0, 0, 0, 0]
+        for t, x in factors:
+            lam[t] += x
+        return at(*lam)
+
+    c0 = at(0, 0, 0, 0)
+    coeffs = {(): c0}
+    for t in range(4):
+        plus, minus = unit((t, 1)), unit((t, -1))
+        coeffs[(t,)] = (plus - minus) / 2
+        coeffs[(t, t)] = (plus + minus) / 2 - c0
+    for t, u in combinations_with_replacement(range(4), 2):
+        if t != u:
+            coeffs[(t, u)] = (
+                unit((t, 1), (u, 1)) - c0 - sum(coeffs[(x,)] + coeffs[(x, x)] for x in (t, u))
+            )
+    return coeffs
+
+
+def test_chi_poly_rederived_from_double_sum():
+    bound = 40
+    derived = {}
+    for level in LEVELS:
+        for parity in (1, 0):
+            samples = {
+                (i - (level - i)) // 2: _probe_coefficients(i, level - i)
+                for i in range(-bound, bound + 1)
+                if i % 2 == parity and i > level - i and abs(level - i) <= bound
+            }
+            terms = []
+            for mono in sorted(next(iter(samples.values())), key=lambda m: (len(m), m)):
+                values = {s: c[mono] for s, c in samples.items()}
+                if not any(values.values()):
+                    continue
+                # the odd cubic (a s^3 + b s) / 6 through the two smallest s
+                (s1, v1), (s2, v2) = sorted(values.items())[:2]
+                det = s1**3 * s2 - s1 * s2**3
+                a = 6 * (v1 * s2 - v2 * s1) / det
+                b = 6 * (s1**3 * v2 - s2**3 * v1) / det
+                assert a.denominator == b.denominator == 1, (level, parity, mono, a, b)
+                for s, v in values.items():
+                    assert 6 * v == a * s**3 + b * s, (level, parity, mono, s)
+                terms.append((mono, int(a), int(b)))
+            if terms:
+                derived[(level, parity)] = tuple(terms)
+    assert derived == _CHI_POLY, "regenerated _CHI_POLY:\n" + pprint.pformat(derived)
+
+
+lam_parts = st.floats(-3.0, 3.0)
+complex_lams = st.builds(complex, lam_parts, lam_parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(complex_lams, complex_lams, complex_lams, complex_lams),
+    st.integers(-40, 40),
+    # every level of the support, both parities, and a margin outside it
+    st.integers(-14, 2),
+)
+def test_chi_sum_matches_double_sum(lam, i, level):
+    j = level - i
+    assume(abs(j) <= 40)
+    params = AlgebraParams(*lam, provenance="formal")
+    expect = _literal_chi(i, j, params)
+    assert abs(chi_sum(i, j, params) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+def test_witt_table_bit_identical_to_double_sum():
+    table = build_cocycle_table(WITT_PARAMS, 8)
+    expect = {}
+    for i in range(-8, 9):
+        for j in range(-8, 9):
+            value = _literal_chi(i, j, WITT_PARAMS)
+            if value != 0:
+                expect[(i, j)] = repr(value)
+    # repr tells 0.0 from -0.0
+    assert {key: repr(value) for key, value in table.entries.items()} == expect
 
 
 def test_chi_sum_witt_limit():

@@ -3,10 +3,12 @@ import math
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
+from kntorus import propagation
 from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
     BadContourError,
+    BisectionError,
     DegenerateModuliError,
     PoleOnPathError,
     PoleProximityError,
@@ -233,3 +235,15 @@ def test_level_lines_accuracy_and_determinism(cfg_square):
 def test_level_lines_resolution_guard(cfg_square):
     with pytest.raises(ValueError):
         level_line_samples(cfg_square, 0.0, 8)
+
+
+def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
+    # a sign change with no zero: the bisection narrows onto Re z = 0.1 but
+    # |t - u| stays 1, so it must report the edge instead of returning it
+    monkeypatch.setattr(
+        propagation, "time_coordinate", lambda z, cfg: 1.0 if z.real > 0.1 else -1.0
+    )
+    with pytest.raises(BisectionError) as err:
+        level_line_samples(cfg_square, 0.0, 16)
+    message = str(err.value)
+    assert "grid edge [" in message and "|t - u| = 1 >" in message
