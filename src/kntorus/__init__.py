@@ -3,7 +3,7 @@
 Library layout:
 
 * config     -- TorusConfig (lattice, punctures, tolerances)
-* elliptic   -- Weierstrass wp, wp', half-period values
+* elliptic   -- Weierstrass wp, wp' (scalar) and wp (array), half-period values
 * propagation-- propagation differential, residues, string time, moduli
 * basis      -- adapted function basis and the lam4..lam7 scalars
 * algebra    -- structure constants, bracket oracle, degenerations
@@ -24,6 +24,7 @@ from .errors import (
     NonIntegerWindingError,
     PoleOnPathError,
     PoleProximityError,
+    QuadratureError,
     WindowViolationError,
 )
 
@@ -37,6 +38,7 @@ __all__ = [
     "NonIntegerWindingError",
     "PoleOnPathError",
     "PoleProximityError",
+    "QuadratureError",
     "TorusConfig",
     "WindowViolationError",
     "WITT_PARAMS",

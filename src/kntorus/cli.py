@@ -35,7 +35,8 @@ from .verify import SUITES, verify_suite
 
 
 # cost bounds: verify evaluates 5 (2W+1)^2 pointwise brackets, a table has
-# (2W+1)^2 entries, a level-line scan evaluates (R+1)^2 time values
+# (2W+1)^2 entries, a level-line scan evaluates wp on (R+1)^2 grid nodes (in
+# array chunks) and then bisects O(R) crossing edges in lockstep
 MAX_VERIFY_WINDOW = 32
 MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512
@@ -256,11 +257,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_levellines(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.samples < 16:
-        raise ValueError("samples must be >= 16")
     side = args.samples + 1
     _check_cap("--samples", args.samples, MAX_SAMPLES, f"{side * side} time evaluations")
-    sample = propagation.level_line_samples(cfg, args.u, args.samples)
+    try:
+        sample = propagation.level_line_samples(cfg, args.u, args.samples)
+    except ValueError as exc:
+        # the scan's own resolution floor, reported under the flag that set it
+        raise ValueError(f"--samples: {exc}") from None
     if args.format == "csv":
         rows = ["u,re,im"]
         rows.extend(f"{sample.u!r},{p.real!r},{p.imag!r}" for p in sample.points)

@@ -6,6 +6,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # no function is evaluated this close to a lattice point or a puncture
 EXCLUSION_RADIUS = 1e-4
 
@@ -66,6 +68,24 @@ def reduce_mod_lattice(z: complex, tau: complex) -> complex:
     return complex(a + b * tau.real, b * tau.imag)
 
 
+def _reduced_parts(z: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    # reduce_mod_lattice's float operations, entry by entry
+    b = z.imag / tau.imag
+    a = z.real - b * tau.real
+    a -= np.floor(a + 0.5)
+    b -= np.floor(b + 0.5)
+    return a + b * tau.real, b * tau.imag
+
+
+def reduce_mod_lattice_array(z: np.ndarray, tau: complex) -> np.ndarray:
+    """reduce_mod_lattice of every entry of a complex array, bit for bit."""
+    re, im = _reduced_parts(z, tau)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
 def distance_to_points(z: complex, points: tuple[complex, ...], tau: complex) -> float:
     """min |reduce_mod_lattice(z - s)| over the points: one reduction each.
 
@@ -74,6 +94,15 @@ def distance_to_points(z: complex, points: tuple[complex, ...], tau: complex) ->
     above any exclusion radius it is compared with.
     """
     return min(abs(reduce_mod_lattice(z - s, tau)) for s in points)
+
+
+def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: complex) -> np.ndarray:
+    """distance_to_points of every entry of a complex array, bit for bit.
+
+    np.hypot is the C library hypot that abs(complex) calls; np.abs of a
+    complex array rounds differently in about a third of the entries.
+    """
+    return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau)) for s in points])
 
 
 def _reduced_basis(tau: complex) -> tuple[complex, complex]:

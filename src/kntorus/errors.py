@@ -29,5 +29,17 @@ class BisectionError(KNTorusError):
     """A bisection ended without meeting its tolerance."""
 
 
+class QuadratureError(KNTorusError):
+    """A quadrature ended without meeting its tolerance.
+
+    ``estimate`` holds the last, unconverged value, for reports that show
+    how far off it was.
+    """
+
+    def __init__(self, message: str, estimate: complex):
+        super().__init__(message)
+        self.estimate = estimate
+
+
 class WindowViolationError(KNTorusError):
     """A finiteness window for an operator sum was too small; must never fire."""

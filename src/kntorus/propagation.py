@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points
-from .elliptic import half_period_values, wp, wp_pair, wp_second
+import numpy as np
+
+from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points, distance_to_points_array
+from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array, wp_pair, wp_second
 from .errors import (
     BadContourError,
     BisectionError,
@@ -31,6 +33,10 @@ CYCLE_OFFSET = 0.17
 # halvings of a level-line grid edge before the bisection gives up; far
 # more than double precision can resolve on an edge of the unit cell
 BISECTION_STEPS = 80
+
+# grid nodes per wp_array call in a level-line scan, so a scan's temporaries
+# keep one size whatever the resolution
+GRID_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -199,66 +205,108 @@ def mu_modulus(cfg: TorusConfig) -> MuModulus:
     return MuModulus(mu=mu, abs_mu=abs(mu), separation_time_two_point=-0.5 * math.log(abs(mu)))
 
 
+def _time_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray]:
+    """time_coordinate at every entry of a complex array, from wp_array, and a
+    bound on each value's distance from the scalar time_coordinate.
+
+    The bound carries wp_array's error, WP_ARRAY_RTOL * max(1, |wp|), through
+    the logarithm with twice its first-order factor 1/2, and adds
+    1e-14 * max(1, |t|) for the rounding of t.
+    """
+    w = wp_array(z, cfg)
+    gap = np.abs(w - puncture_set(cfg).p_q)
+    t = -0.5 * np.log(gap) + _reference_constant(cfg)
+    slack = WP_ARRAY_RTOL * np.maximum(1.0, np.abs(w)) / gap + 1e-14 * np.maximum(1.0, np.abs(t))
+    return t, slack
+
+
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
     """Points where the time function crosses the level u.
 
-    A (resolution x resolution) grid of the fundamental cell is scanned in
-    row-major order; each sign change of t - u along a grid edge is refined
-    by bisection until |t - u| <= cfg.tol, or BisectionError is raised.
-    Nodes inside puncture exclusion disks are skipped.
+    A (resolution x resolution) grid of the fundamental cell is evaluated
+    with wp_array in chunks of GRID_CHUNK nodes; nodes within
+    4 * EXCLUSION_RADIUS of a puncture are skipped.  Each sign change of
+    t - u along a grid edge is bisected, all edges in lockstep with one
+    array evaluation per halving, until |t - u| <= cfg.tol, or
+    BisectionError is raised; an edge whose midpoint falls inside a
+    puncture exclusion disk gives no point.  Wherever the array value of
+    t - u lies within its error bound of the decision being taken (a grid
+    node's sign, a midpoint's acceptance), the scalar time_coordinate
+    decides instead.  So every returned point meets |t - u| <= cfg.tol by
+    time_coordinate, and while wp_array meets its bound the points equal
+    those of a point-by-point scalar scan.  Points come in edge order:
+    row-major by start node, horizontal edge first.
     """
     if resolution < 16:
-        raise ValueError("resolution must be at least 16")
-    tau = cfg.tau
-    n = resolution
-    coords = [-0.5 + k / n for k in range(n + 1)]
-    safe_radius = 4.0 * EXCLUSION_RADIUS
+        raise ValueError(f"resolution must be at least 16, got {resolution}")
+    tau, punctures = cfg.tau, cfg.punctures()
+    side = resolution + 1
+    coords = -0.5 + np.arange(side) / resolution
 
-    def node(ai: int, bi: int) -> complex:
-        return complex(coords[ai] + coords[bi] * tau.real, coords[bi] * tau.imag)
+    def node(k: np.ndarray) -> np.ndarray:
+        # node k = ai + side*bi is coords[ai] + coords[bi]*tau
+        ca, cb = coords[k % side], coords[k // side]
+        z = np.empty(k.shape, dtype=complex)
+        z.real = ca + cb * tau.real
+        z.imag = cb * tau.imag
+        return z
 
-    tvals: dict[tuple[int, int], float | None] = {}
-    for bi in range(n + 1):
-        for ai in range(n + 1):
-            z = node(ai, bi)
-            if cfg.distance_to_punctures(z) <= safe_radius:
-                tvals[(ai, bi)] = None
-            else:
-                tvals[(ai, bi)] = time_coordinate(z, cfg)
+    def decide_by_scalar(z: np.ndarray, s: np.ndarray, band: np.ndarray) -> list[int]:
+        # replace s = t - u by the scalar value wherever |s| <= band
+        near = np.flatnonzero(np.abs(s) <= band)
+        for i in near:
+            s[i] = time_coordinate(complex(z[i]), cfg) - u
+        return near.tolist()
 
-    def bisect(z0: complex, t0: float, z1: complex, t1: float) -> complex | None:
-        edge = (z0, z1)
-        for _ in range(BISECTION_STEPS):
-            zm = 0.5 * (z0 + z1)
-            if cfg.distance_to_punctures(zm) <= EXCLUSION_RADIUS:
-                return None
-            tm = time_coordinate(zm, cfg) - u
-            if abs(tm) <= cfg.tol:
-                return zm
-            if (t0 - u) * tm <= 0:
-                z1, t1 = zm, tm + u
-            else:
-                z0, t0 = zm, tm + u
+    # t - u at every node, NaN where skipped
+    s = np.full(side * side, np.nan)
+    for first in range(0, side * side, GRID_CHUNK):
+        k = np.arange(first, min(first + GRID_CHUNK, side * side))
+        z = node(k)
+        clear = distance_to_points_array(z, punctures, tau) > 4.0 * EXCLUSION_RADIUS
+        k, z = k[clear], z[clear]
+        t, slack = _time_array(z, cfg)
+        sk = t - u
+        decide_by_scalar(z, sk, slack)
+        s[k] = sk
+
+    # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for (k, k+side)
+    grid = s.reshape(side, side)
+    crossing = np.zeros((side, side, 2), dtype=bool)
+    crossing[:, :-1, 0] = grid[:, :-1] * grid[:, 1:] < 0
+    crossing[:-1, :, 1] = grid[:-1, :] * grid[1:, :] < 0
+    edge = np.flatnonzero(crossing)
+    start = edge // 2
+    end = start + np.where(edge % 2, side, 1)
+
+    ids = np.arange(edge.size)
+    z0, z1, s0 = node(start), node(end), s[start]
+    found: dict[int, complex] = {}
+    for _ in range(BISECTION_STEPS):
+        if not ids.size:
+            break
+        zm = 0.5 * (z0 + z1)
+        clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
+        ids, z0, z1, s0, zm = ids[clear], z0[clear], z1[clear], s0[clear], zm[clear]
+        tm, slack = _time_array(zm, cfg)
+        sm = tm - u
+        done = np.zeros(ids.size, dtype=bool)
+        for i in decide_by_scalar(zm, sm, cfg.tol + slack):
+            if abs(sm[i]) <= cfg.tol:
+                done[i] = True
+                found[int(ids[i])] = complex(zm[i])
+        lower = s0 * sm <= 0
+        z1 = np.where(lower, zm, z1)
+        z0 = np.where(lower, z0, zm)
+        s0 = np.where(lower, s0, sm)
+        go = ~done
+        ids, z0, z1, s0, zm = ids[go], z0[go], z1[go], s0[go], zm[go]
+    if ids.size:
+        bad = ids[0]
+        residual = abs(time_coordinate(complex(zm[0]), cfg) - u)
         raise BisectionError(
-            f"level line t = {u!r} on the grid edge [{edge[0]}, {edge[1]}] did not "
-            f"converge in {BISECTION_STEPS} halvings: |t - u| = {abs(tm):.3g} > "
-            f"tol = {cfg.tol:.3g}"
+            f"level line t = {u!r} on the grid edge [{complex(node(start[bad]))}, "
+            f"{complex(node(end[bad]))}] did not converge in {BISECTION_STEPS} halvings: "
+            f"|t - u| = {residual:.3g} > tol = {cfg.tol:.3g}"
         )
-
-    points: list[complex] = []
-    for bi in range(n + 1):
-        for ai in range(n + 1):
-            t0 = tvals[(ai, bi)]
-            if t0 is None:
-                continue
-            for (aj, bj) in ((ai + 1, bi), (ai, bi + 1)):
-                if aj > n or bj > n:
-                    continue
-                t1 = tvals[(aj, bj)]
-                if t1 is None:
-                    continue
-                if (t0 - u) * (t1 - u) < 0:
-                    pt = bisect(node(ai, bi), t0, node(aj, bj), t1)
-                    if pt is not None:
-                        points.append(pt)
-    return LevelLineSample(u=u, points=tuple(points))
+    return LevelLineSample(u=u, points=tuple(found[i] for i in sorted(found)))

@@ -162,6 +162,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "two_point" in err
 
 
+def test_levellines_samples_floor_names_flag(capsys):
+    code, out, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --samples: ") and "at least 16" in err, err
+
+
 def test_cost_caps(capsys):
     for argv, flag, cap in (
         (("verify", "cocycle", "--window", str(cli.MAX_VERIFY_WINDOW + 1)), "--window", cli.MAX_VERIFY_WINDOW),

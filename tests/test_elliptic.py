@@ -1,13 +1,21 @@
+import cmath
+import math
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_close, theta_half_period_values, wp_oracle
-from kntorus.config import TorusConfig
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import (
+    WP_ARRAY_RTOL,
     half_period_values,
     reduce_to_fundamental,
     wp,
+    wp_array,
     wp_pair,
     wp_second,
 )
@@ -134,3 +142,54 @@ def test_memoization_invisible(cfg_square):
     z = 0.23 + 0.17j
     cfg_copy = TorusConfig(tau=1j, q=0.2)
     assert wp(z, cfg_square) == wp(z, cfg_copy)
+
+
+# tau in the fundamental domain, and lattices with Im tau down to 0.3
+_taus = st.one_of(
+    st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
+        lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
+    ),
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 1.0)),
+)
+
+
+@st.composite
+def _tau_and_points(draw, radii):
+    """tau, and points anywhere or at a distance drawn from radii from a lattice point."""
+    tau = draw(_taus)
+    coord = st.floats(-3.0, 3.0)
+    near = st.builds(
+        lambda m, n, r, theta: m + n * tau + r * cmath.exp(1j * theta),
+        st.integers(-2, 2), st.integers(-2, 2), radii, st.floats(0.0, 2 * math.pi),
+    )
+    points = draw(st.lists(st.one_of(st.builds(complex, coord, coord), near), min_size=1, max_size=24))
+    return tau, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tau_and_points(st.floats(1.001 * EXCLUSION_RADIUS, 3 * EXCLUSION_RADIUS)))
+def test_wp_array_matches_scalar(case):
+    tau, points = case
+    cfg = TorusConfig(tau=tau, two_point=True)
+    # a point drawn anywhere may still land in an exclusion disk
+    points = [z for z in points if abs(reduce_to_fundamental(z, cfg)) > EXCLUSION_RADIUS]
+    values = wp_array(np.array(points), cfg)
+    assert values.shape == (len(points),)
+    for z, value in zip(points, values):
+        ref = wp_pair(z, cfg)[0]
+        assert abs(value - ref) <= WP_ARRAY_RTOL * max(1.0, abs(ref)), (z, value, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tau_and_points(st.floats(0.0, 0.999 * EXCLUSION_RADIUS)))
+def test_wp_array_pole_exclusion(case):
+    tau, points = case
+    cfg = TorusConfig(tau=tau, two_point=True)
+    inside = [z for z in points if abs(reduce_to_fundamental(z, cfg)) <= EXCLUSION_RADIUS]
+    if inside:
+        with pytest.raises(PoleProximityError, match=re.escape(f"z={inside[0]} ")):
+            wp_array(np.array(points), cfg)
+        with pytest.raises(PoleProximityError):
+            wp_pair(inside[0], cfg)
+    else:
+        wp_array(np.array(points), cfg)

@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kntorus.config import TorusConfig, lattice_distance
+from kntorus.config import (
+    TorusConfig,
+    distance_to_points,
+    distance_to_points_array,
+    lattice_distance,
+    reduce_mod_lattice,
+    reduce_mod_lattice_array,
+)
 
 coords = st.floats(-3.0, 3.0)
 points = st.builds(complex, coords, coords)
@@ -51,3 +59,18 @@ def test_puncture_distance_exact_near_punctures(z, tau, q):
 def test_lattice_distance_finishes_on_extreme_tau():
     for tau in (1e-300 + 1e-300j, 0.3 + 1e-10j, 1e300 + 1j, -7.3 + 0.01j):
         assert math.isfinite(lattice_distance(0.2 + 0.1j, tau))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zs=st.lists(points, min_size=1, max_size=30),
+    tau=st.one_of(skewed_taus, fundamental_taus),
+    marks=st.lists(points, min_size=1, max_size=3),
+)
+def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
+    # the level-line skip masks rest on this equality, not on closeness
+    z = np.array(zs)
+    assert [complex(w) for w in reduce_mod_lattice_array(z, tau)] == [reduce_mod_lattice(w, tau) for w in zs]
+    assert distance_to_points_array(z, tuple(marks), tau).tolist() == [
+        distance_to_points(w, tuple(marks), tau) for w in zs
+    ]

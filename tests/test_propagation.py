@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus import propagation
-from kntorus.config import TorusConfig
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
     BadContourError,
@@ -12,6 +12,7 @@ from kntorus.errors import (
     DegenerateModuliError,
     PoleOnPathError,
     PoleProximityError,
+    QuadratureError,
 )
 from kntorus.propagation import (
     level_line_samples,
@@ -247,3 +248,75 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
         level_line_samples(cfg_square, 0.0, 16)
     message = str(err.value)
     assert "grid edge [" in message and "|t - u| = 1 >" in message
+
+
+def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[complex, ...]:
+    """The scan point by point: time_coordinate at every grid node, then each
+    crossing edge bisected on its own, in row-major order, horizontal edge
+    first.  The oracle for level_line_samples."""
+    tau = cfg.tau
+    n = resolution
+    coords = [-0.5 + k / n for k in range(n + 1)]
+
+    def node(ai: int, bi: int) -> complex:
+        return complex(coords[ai] + coords[bi] * tau.real, coords[bi] * tau.imag)
+
+    tvals = {}
+    for bi in range(n + 1):
+        for ai in range(n + 1):
+            z = node(ai, bi)
+            if cfg.distance_to_punctures(z) > 4.0 * EXCLUSION_RADIUS:
+                tvals[(ai, bi)] = time_coordinate(z, cfg)
+
+    def bisect(z0, t0, z1):
+        for _ in range(propagation.BISECTION_STEPS):
+            zm = 0.5 * (z0 + z1)
+            if cfg.distance_to_punctures(zm) <= EXCLUSION_RADIUS:
+                return None
+            tm = time_coordinate(zm, cfg) - u
+            if abs(tm) <= cfg.tol:
+                return zm
+            if (t0 - u) * tm <= 0:
+                z1 = zm
+            else:
+                z0, t0 = zm, tm + u
+        raise BisectionError(f"edge [{z0}, {z1}] did not converge")
+
+    points = []
+    for bi in range(n + 1):
+        for ai in range(n + 1):
+            t0 = tvals.get((ai, bi))
+            for aj, bj in ((ai + 1, bi), (ai, bi + 1)):
+                t1 = tvals.get((aj, bj))
+                if t0 is not None and t1 is not None and (t0 - u) * (t1 - u) < 0:
+                    pt = bisect(node(ai, bi), t0, node(aj, bj))
+                    if pt is not None:
+                        points.append(pt)
+    return tuple(points)
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+@pytest.mark.parametrize(
+    "cfg, levels",
+    [
+        (TorusConfig(tau=1j, q=0.2), (-0.45, 0.3)),
+        (TorusConfig(tau=-0.4 + 0.93j, q=0.15 + 0.05j), (-0.2, 0.6)),
+        (TorusConfig(tau=0.3 + 1.1j, two_point=True), (0.0, 0.8)),
+    ],
+    ids=["square", "skewed", "two_point"],
+)
+def test_level_lines_match_scalar_scan(cfg, levels, resolution):
+    for u in levels:
+        expected = _level_lines_scalar(cfg, u, resolution)
+        assert expected
+        assert level_line_samples(cfg, u, resolution).points == expected
+
+
+def test_segment_integral_raises_when_unconverged():
+    # 1/(z - 0.3)^2 is not integrable across 0.3: refining never settles
+    with pytest.raises(QuadratureError) as err:
+        segment_integral(lambda z: 1.0 / (z - 0.3) ** 2, 0j, 1 + 0j)
+    message = str(err.value)
+    assert "segment [0j, (1+0j)]" in message and "in 1024 panels" in message
+    assert "estimates differ by" in message
+    assert abs(err.value.estimate) > 1e3

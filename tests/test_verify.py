@@ -1,7 +1,10 @@
 import pytest
 
+from kntorus import propagation, verify
 from kntorus.config import TorusConfig
-from kntorus.verify import SUITES, CheckResult, verify_suite
+from kntorus.errors import QuadratureError
+from kntorus.quadrature import segment_integral
+from kntorus.verify import SUITES, CheckResult, verify_differential, verify_suite
 
 
 def test_all_suite_aggregates(cfg_square):
@@ -28,3 +31,19 @@ def test_suites_pass_generic_complex_q(cfg_generic):
         results = verify_suite(name, cfg_generic, 5)
         failing = [c.name for c in results if not c.passed]
         assert not failing, failing
+
+
+def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
+    # the estimate is the converged value, so only the error can fail the checks
+    def unconverged(f, z0, z1, tol=1e-12):
+        raise QuadratureError("did not converge", estimate=segment_integral(f, z0, z1, tol))
+
+    expected = [c.name for c in verify_differential(cfg_square)]
+    monkeypatch.setattr(verify, "segment_integral", unconverged)
+    monkeypatch.setattr(propagation, "segment_integral", unconverged)
+    checks = verify_differential(cfg_square)
+    assert [c.name for c in checks] == expected
+    for c in checks:
+        unconverged_check = c.name in ("period_real_parts", "time_vs_line_integral")
+        assert c.passed != unconverged_check, c
+        assert c.max_residual <= c.tolerance, c
