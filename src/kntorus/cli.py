@@ -209,6 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "status": c.status,
                 "max_residual": c.max_residual,
                 "tolerance": c.tolerance,
+                **({"detail": c.detail} if c.detail else {}),
             }
             for c in checks
         ],

@@ -221,36 +221,25 @@ def chi_sum(i: int, j: int, params: AlgebraParams) -> complex:
 # closed-form cocycle
 
 
-@dataclass(frozen=True)
-class QValues:
-    """Quadratic parameter combinations keyed by label products.
-
-    Q_k = sum of lam_a * lam_b over a, b in {4,...,7} with a*b = k.  The
-    starred keys carry a lam7 factor and vanish in two-point mode.
-    """
-
-    values: dict[int, complex]
-    starred: frozenset[int] = frozenset({28, 35, 42, 49})
-
-    def __getitem__(self, key: int) -> complex:
-        return self.values[key]
+# Q keys carrying a lam7 factor: their values vanish in two-point mode
+STARRED_Q_KEYS = (28, 35, 42, 49)
 
 
-def q_values(params: AlgebraParams) -> QValues:
+def q_values(params: AlgebraParams) -> dict[int, complex]:
+    """Quadratic parameter combinations keyed by label products:
+    Q_k = sum of lam_a * lam_b over a, b in {4,...,7} with a*b = k."""
     l4, l5, l6, l7 = params.as_tuple()
-    return QValues(
-        values={
-            20: 2 * l4 * l5,
-            24: 2 * l4 * l6,
-            25: l5 * l5,
-            28: 2 * l4 * l7,
-            30: 2 * l5 * l6,
-            35: 2 * l5 * l7,
-            36: l6 * l6,
-            42: 2 * l6 * l7,
-            49: l7 * l7,
-        }
-    )
+    return {
+        20: 2 * l4 * l5,
+        24: 2 * l4 * l6,
+        25: l5 * l5,
+        28: 2 * l4 * l7,
+        30: 2 * l5 * l6,
+        35: 2 * l5 * l7,
+        36: l6 * l6,
+        42: 2 * l6 * l7,
+        49: l7 * l7,
+    }
 
 
 # closed-form coefficient tables: level -> [(cubic, linear, Q key or None)]

@@ -2,6 +2,8 @@
 
 States are wedges of weight-2 forms labelled by integers, differing from
 the vacuum pattern (all slots below -1 occupied) in finitely many slots.
+A basis state is that finite set of exceptions, relative to the vacuum;
+it carries no sign, so every sign lives in a vector coefficient.
 The mode operators
 
     c^i : insert form i (zero if occupied),
@@ -21,7 +23,8 @@ operator anomaly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params
 from .algebra import shifted_constants
@@ -31,48 +34,39 @@ from .errors import WindowViolationError
 
 @dataclass(frozen=True)
 class WedgeState:
-    """Canonical semi-infinite wedge.
+    """Semi-infinite wedge as its exceptions to the vacuum.
 
-    All slots < stable_below are occupied except those in vacant_below;
-    slots >= stable_below are vacant except those in occupied_above.
-    Canonical form pins stable_below = -1 (the vacuum boundary chart),
-    which makes the representation of an occupancy unique in the vacuum
-    charge sector.  The sign field is +-1 relative to descending order;
-    canonical vector keys always carry +1 (signs live in coefficients).
+    Slots >= -1 are vacant except those in occupied_above; slots < -1 are
+    occupied except those in vacant_below.  Each occupancy has exactly one
+    such representation, and a state has no sign of its own: signs live in
+    the coefficients of a FockVector.  stable_below names the chart of the
+    exception sets and accepts only the vacuum boundary -1; other charts
+    are read through canonical_state.
     """
 
-    stable_below: int
-    occupied_above: tuple[int, ...]  # descending, all >= stable_below
-    vacant_below: tuple[int, ...]  # ascending, all < stable_below
-    sign: int = 1
+    occupied_above: tuple[int, ...] = ()  # descending, all >= -1
+    vacant_below: tuple[int, ...] = ()  # ascending, all < -1
+    stable_below: InitVar[int] = -1
+
+    def __post_init__(self, stable_below: int) -> None:
+        if stable_below != -1:
+            raise ValueError(
+                f"WedgeState is stored in the chart stable_below=-1, got {stable_below}; "
+                "use canonical_state to convert"
+            )
 
     def is_occupied(self, slot: int) -> bool:
-        if slot >= self.stable_below:
+        if slot >= -1:
             return slot in self.occupied_above
         return slot not in self.vacant_below
-
-    def occupied_above_count(self, slot: int) -> int:
-        """Number of occupied slots with index strictly greater than slot."""
-        count = sum(1 for x in self.occupied_above if x > slot)
-        if slot < self.stable_below:
-            count += (self.stable_below - slot - 1) - sum(
-                1 for x in self.vacant_below if x > slot
-            )
-        return count
-
-    def exception_count(self) -> int:
-        return len(self.occupied_above) + len(self.vacant_below)
 
     def to_text(self) -> str:
         occ = ", ".join(str(x) for x in self.occupied_above)
         vac = ", ".join(str(x) for x in self.vacant_below)
-        return (
-            f"s={self.stable_below}; occ={{{occ}}}; vac={{{vac}}}; "
-            f"sign={'+1' if self.sign >= 0 else '-1'}"
-        )
+        return f"s=-1; occ={{{occ}}}; vac={{{vac}}}; sign=+1"
 
 
-VACUUM = WedgeState(stable_below=-1, occupied_above=(), vacant_below=())
+VACUUM = WedgeState()
 
 _TEXT_RE = re.compile(
     r"s=(-?\d+); occ=\{([^}]*)\}; vac=\{([^}]*)\}; sign=([+-]1)"
@@ -83,48 +77,34 @@ def state_from_text(text: str) -> WedgeState:
     m = _TEXT_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"unparseable wedge state: {text!r}")
-    s = int(m.group(1))
-    occ = tuple(int(x) for x in m.group(2).split(",") if x.strip())
-    vac = tuple(int(x) for x in m.group(3).split(",") if x.strip())
-    return canonical_state(s, set(occ), set(vac), 1 if m.group(4) == "+1" else -1)
+    if m.group(4) != "+1":
+        raise ValueError(f"a basis state carries no sign: {text!r}")
+    occ = {int(x) for x in m.group(2).split(",") if x.strip()}
+    vac = {int(x) for x in m.group(3).split(",") if x.strip()}
+    return canonical_state(int(m.group(1)), occ, vac)
 
 
-def canonical_state(s: int, occ: set[int], vac: set[int], sign: int = 1) -> WedgeState:
-    """Convert any (stable_below, exceptions) chart to the s = -1 chart."""
-    occ = set(occ)
-    vac = set(vac)
+def canonical_state(s: int, occ: set[int], vac: set[int]) -> WedgeState:
+    """Convert the chart stable_below = s (slots < s occupied except vac,
+    slots >= s vacant except occ) to the vacuum-relative state.
+
+    The charts agree outside [min(s, -1), max(s, -1)) and disagree on every
+    default inside it, so the vacuum exceptions are the symmetric difference
+    of the chart exceptions with that range.
+    """
     if any(x < s for x in occ) or any(x >= s for x in vac):
         raise ValueError("exception sets out of range for the given chart")
-    if s <= -1:
-        # slots in [s, -1) are vacant unless listed occupied
-        vac = vac | {x for x in range(s, -1) if x not in occ}
-        occ = {x for x in occ if x >= -1}
-    else:
-        # slots in [-1, s) are occupied unless listed vacant
-        occ = occ | {x for x in range(-1, s) if x not in vac}
-        vac = {x for x in vac if x < -1}
+    flipped = (set(occ) | set(vac)) ^ set(range(min(s, -1), max(s, -1)))
     return WedgeState(
-        stable_below=-1,
-        occupied_above=tuple(sorted(occ, reverse=True)),
-        vacant_below=tuple(sorted(vac)),
-        sign=sign,
+        occupied_above=tuple(sorted((x for x in flipped if x >= -1), reverse=True)),
+        vacant_below=tuple(sorted(x for x in flipped if x < -1)),
     )
 
 
 FockVector = dict[WedgeState, complex]
 
 
-def vector(*terms: tuple[WedgeState, complex]) -> FockVector:
-    out: FockVector = {}
-    for state, coeff in terms:
-        _accumulate(out, state, coeff)
-    return out
-
-
 def _accumulate(vec: FockVector, state: WedgeState, coeff: complex) -> None:
-    if state.sign != 1:
-        coeff = coeff * state.sign
-        state = WedgeState(state.stable_below, state.occupied_above, state.vacant_below, 1)
     new = vec.get(state, 0j) + coeff
     if new == 0:
         vec.pop(state, None)
@@ -132,44 +112,34 @@ def _accumulate(vec: FockVector, state: WedgeState, coeff: complex) -> None:
         vec[state] = new
 
 
+def _toggle(slot: int, state: WedgeState) -> tuple[WedgeState, complex]:
+    """The state with slot flipped, and the Koszul sign
+    (-1)**(number of occupied slots above slot)."""
+    occ, vac = state.occupied_above, state.vacant_below
+    above = sum(1 for x in occ if x > slot)
+    if slot >= -1:
+        new = WedgeState(tuple(sorted(set(occ) ^ {slot}, reverse=True)), vac)
+    else:
+        # the slots in (slot, -1) are occupied unless listed vacant
+        above += -2 - slot - sum(1 for x in vac if x > slot)
+        new = WedgeState(occ, tuple(sorted(set(vac) ^ {slot})))
+    return new, complex((-1) ** above)
+
+
 def wedge_c(i: int, state: WedgeState) -> FockVector:
     """Insert form i; zero if the slot is occupied."""
     if state.is_occupied(i):
         return {}
-    sign = state.sign * (-1) ** state.occupied_above_count(i)
-    if i >= state.stable_below:
-        new = canonical_state(
-            state.stable_below,
-            set(state.occupied_above) | {i},
-            set(state.vacant_below),
-        )
-    else:
-        new = canonical_state(
-            state.stable_below,
-            set(state.occupied_above),
-            set(state.vacant_below) - {i},
-        )
-    return {new: complex(sign)}
+    new, sign = _toggle(i, state)
+    return {new: sign}
 
 
 def contract_b(k: int, state: WedgeState) -> FockVector:
     """Remove form k; zero if the slot is vacant."""
     if not state.is_occupied(k):
         return {}
-    sign = state.sign * (-1) ** state.occupied_above_count(k)
-    if k >= state.stable_below:
-        new = canonical_state(
-            state.stable_below,
-            set(state.occupied_above) - {k},
-            set(state.vacant_below),
-        )
-    else:
-        new = canonical_state(
-            state.stable_below,
-            set(state.occupied_above),
-            set(state.vacant_below) | {k},
-        )
-    return {new: complex(sign)}
+    new, sign = _toggle(k, state)
+    return {new: sign}
 
 
 def apply_c(i: int, vec: FockVector) -> FockVector:
@@ -219,23 +189,6 @@ def vec_norm(vec: FockVector) -> float:
     return max((abs(c) for c in vec.values()), default=0.0)
 
 
-def _vacant_slots_below(state: WedgeState, bound: int) -> list[int]:
-    """All vacant slots with index < bound (finite by construction)."""
-    slots = [x for x in state.vacant_below if x < bound]
-    slots.extend(
-        x
-        for x in range(state.stable_below, bound)
-        if x not in state.occupied_above
-    )
-    return slots
-
-
-def _max_occupied(state: WedgeState) -> int:
-    if state.occupied_above:
-        return state.occupied_above[0]
-    return state.stable_below - 1
-
-
 def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
     """Apply L_i = sum_{j,k} C_ij^k :b_k c^j: with C the shifted constants.
 
@@ -251,7 +204,7 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
     for state, coeff in v.items():
         base: FockVector = {state: coeff}
         # branch 1: j < -1, j vacant
-        for j in _vacant_slots_below(state, -1):
+        for j in state.vacant_below:
             terms = shifted_constants(i, j, params)
             if not terms:
                 continue
@@ -260,7 +213,7 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
                 for s2, c2 in apply_b(k, inserted).items():
                     _accumulate(out, s2, c * c2)
         # branch 2: j >= -1, k occupied and k in [i+j, i+j+6]
-        j_hi = _max_occupied(state) - i
+        j_hi = max(state.occupied_above, default=-2) - i
         for j in range(-1, j_hi + 3):
             terms = shifted_constants(i, j, params)
             contributed = False
@@ -320,9 +273,7 @@ def extract_vacuum_cocycle(i: int, j: int, params: AlgebraParams) -> complex:
     return comm.get(VACUUM, 0j)
 
 
-_SIGN_CONVENTION_CACHE: tuple[int, int] | None = None
-
-
+@lru_cache(maxsize=None)
 def determine_sign_convention() -> tuple[int, int]:
     """Empirically fix (sigma_c, sigma_chi) from operator probes.
 
@@ -330,9 +281,6 @@ def determine_sign_convention() -> tuple[int, int]:
     Witt and deformed formal parameters on vacuum and excited states.
     The result is the stored convention used by every identity check.
     """
-    global _SIGN_CONVENTION_CACHE
-    if _SIGN_CONVENTION_CACHE is not None:
-        return _SIGN_CONVENTION_CACHE
     deformed = formal_params(0.31 + 0.07j, -0.22 + 0.11j, 0.05 - 0.13j)
     excited = apply_c(1, apply_b(-3, {VACUUM: 1.0 + 0j}))
     probes = [
@@ -356,5 +304,4 @@ def determine_sign_convention() -> tuple[int, int]:
     others = sorted(r for key, r in results.items() if key != best)
     if best_res > 1e-9 or others[0] < 1e-6:
         raise ArithmeticError(f"sign convention probes inconclusive: {results}")
-    _SIGN_CONVENTION_CACHE = best
     return best

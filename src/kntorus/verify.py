@@ -23,20 +23,23 @@ class CheckResult:
     status: str
     max_residual: float
     tolerance: float
+    detail: str = ""  # why the check failed when its residual cannot say
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-def _check(name: str, residual: float, tol: float, converged: bool = True) -> CheckResult:
+def _check(name: str, residual: float, tol: float, unconverged: str = "") -> CheckResult:
     """Pass when the residual meets tol; a residual from an unconverged
-    quadrature fails whatever its size."""
+    quadrature (unconverged holds its error message) fails whatever its
+    size, and the message becomes the check's detail."""
     return CheckResult(
         name=name,
-        status="pass" if converged and residual <= tol else "fail",
+        status="pass" if not unconverged and residual <= tol else "fail",
         max_residual=residual,
         tolerance=tol,
+        detail=unconverged,
     )
 
 
@@ -152,9 +155,9 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
         pa, pb = propagation.period_real_parts(cfg)
         checks.append(_check("period_real_parts", max(abs(pa), abs(pb)), 1e-8))
     except QuadratureError as exc:
-        checks.append(_check("period_real_parts", abs(exc.estimate.real), 1e-8, converged=False))
+        checks.append(_check("period_real_parts", abs(exc.estimate.real), 1e-8, str(exc)))
 
-    worst, converged = 0.0, True
+    worst, unconverged = 0.0, ""
     for _ in range(20):
         z0, z1 = rng.choice(pts), rng.choice(pts)
         if z0 == z1:
@@ -166,9 +169,9 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
         try:
             rhs = segment_integral(lambda z: propagation.omega_hat(z, cfg), z0, z1).real
         except QuadratureError as exc:
-            rhs, converged = exc.estimate.real, False
+            rhs, unconverged = exc.estimate.real, str(exc)
         worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("time_vs_line_integral", worst, 1e-7, converged))
+    checks.append(_check("time_vs_line_integral", worst, 1e-7, unconverged))
 
     mu = propagation.mu_modulus(cfg)
     cfg0 = cfg if cfg.two_point else replace(cfg, q=0j, two_point=True)
@@ -372,7 +375,7 @@ def verify_cocycle(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     cfg0 = cfg if cfg.two_point else replace(cfg, q=0j, two_point=True)
     params0 = lambda_coefficients(cfg0)
     qv0 = cocycle.q_values(params0)
-    starred = max(abs(qv0[k]) for k in sorted(qv0.starred))
+    starred = max(abs(qv0[k]) for k in cocycle.STARRED_Q_KEYS)
     deep = max(
         (
             abs(cocycle.chi_sum(i, j, params0))
@@ -472,7 +475,7 @@ def verify_fock(cfg: TorusConfig) -> list[CheckResult]:
         st = random_wedge_state(rng)
         if fock.state_from_text(st.to_text()) != st:
             bad += 1
-    sample = fock.canonical_state(-1, {0}, {-2})
+    sample = fock.WedgeState(occupied_above=(0,), vacant_below=(-2,))
     checks.append(
         _check(f"wedge_text_round_trip[{sample.to_text()}]", bad, 0.0)
     )

@@ -52,13 +52,19 @@ def test_verify_quick_suite(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_suite(suite, cfg, window=8):
-        return [CheckResult(name="stub", status="fail", max_residual=1.0, tolerance=0.1)]
+        return [
+            CheckResult(name="stub", status="fail", max_residual=1.0, tolerance=0.1),
+            CheckResult(name="unconverged", status="fail", max_residual=0.0, tolerance=0.1,
+                        detail="segment did not converge"),
+        ]
 
     monkeypatch.setattr(cli, "verify_suite", fake_suite)
     code, out, _ = run_cli(capsys, "verify", "elliptic")
     assert code == 1
     payload = json.loads(out)
     assert payload["results"]["all_passed"] is False
+    # the detail key appears only where a check has one
+    assert [c.get("detail") for c in payload["checks"]] == [None, "segment did not converge"]
 
 
 def test_table_brackets_csv(capsys):

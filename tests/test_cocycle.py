@@ -263,12 +263,12 @@ def test_q_values(cfg_square, cfg_two_point):
     assert qv[20] == 2 * lam.lam4 * lam.lam5
     assert qv[25] == lam.lam5 * lam.lam5
     assert qv[36] == lam.lam6 * lam.lam6
-    assert set(qv.values) == {20, 24, 25, 28, 30, 35, 36, 42, 49}
+    assert set(qv) == {20, 24, 25, 28, 30, 35, 36, 42, 49}
     qv0 = q_values(lambda_coefficients(cfg_two_point))
     for key in (28, 35, 42, 49):
         assert qv0[key] == 0j
     qv_unit = q_values(formal_params())
-    assert all(v == 0 for v in qv_unit.values.values())
+    assert all(v == 0 for v in qv_unit.values())
 
 
 def test_chi_closed_level_zero():

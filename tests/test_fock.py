@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
 from kntorus.basis import WITT_PARAMS, formal_params, lambda_coefficients
 from kntorus.cocycle import chi_sum
 from kntorus.fock import (
@@ -32,12 +36,12 @@ def test_vacuum_annihilation():
 
 def test_vacuum_creation_signs():
     out = wedge_c(0, VACUUM)
-    assert out == {WedgeState(-1, (0,), ()): 1 + 0j}
+    assert out == {WedgeState((0,), ()): 1 + 0j}
     out = contract_b(-2, VACUUM)
-    assert out == {WedgeState(-1, (), (-2,)): 1 + 0j}
+    assert out == {WedgeState((), (-2,)): 1 + 0j}
     # removing deeper slots hops over the occupied slot above
     out = contract_b(-3, VACUUM)
-    assert out == {WedgeState(-1, (), (-3,)): -1 + 0j}
+    assert out == {WedgeState((), (-3,)): -1 + 0j}
 
 
 def test_clifford_recovers_vacuum():
@@ -48,8 +52,7 @@ def test_clifford_recovers_vacuum():
 def test_canonical_chart_unique():
     a = canonical_state(-2, {-1}, {-8})
     b = canonical_state(0, set(), {-8, -2})
-    assert a == b
-    assert a.stable_below == -1
+    assert a == b == WedgeState((-1,), (-8, -2))
 
 
 def test_state_text_round_trip():
@@ -58,6 +61,60 @@ def test_state_text_round_trip():
     assert text == "s=-1; occ={0}; vac={-2}; sign=+1"
     assert state_from_text(text) == state
     assert state_from_text(VACUUM.to_text()) == VACUUM
+
+
+def test_states_carry_no_chart_and_no_sign():
+    with pytest.raises(ValueError):
+        WedgeState(stable_below=0)
+    with pytest.raises(ValueError):
+        state_from_text("s=-1; occ={0}; vac={-2}; sign=-1")
+
+
+@hs.composite
+def charted_exceptions(draw):
+    """A chart s and exception sets consistent with it, inside [-16, 16]."""
+    s = draw(hs.integers(-12, 12))
+    occ = draw(hs.sets(hs.integers(s, 16), max_size=6))
+    vac = draw(hs.sets(hs.integers(-16, s - 1), max_size=6))
+    return s, occ, vac
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart=charted_exceptions())
+def test_canonical_state_keeps_chart_occupancy(chart):
+    s, occ, vac = chart
+    state = canonical_state(s, occ, vac)
+    for x in range(-16, 17):
+        assert state.is_occupied(x) == (x in occ if x >= s else x not in vac), x
+    assert state_from_text(state.to_text()) == state
+    listed = [", ".join(map(str, exceptions)) for exceptions in (occ, vac)]
+    assert state_from_text(f"s={s}; occ={{{listed[0]}}}; vac={{{listed[1]}}}; sign=+1") == state
+
+
+wedge_states = hs.builds(
+    lambda occ, vac: WedgeState(tuple(sorted(occ, reverse=True)), tuple(sorted(vac))),
+    hs.sets(hs.integers(-1, 10)),
+    hs.sets(hs.integers(-10, -2)),
+)
+slots = hs.integers(-12, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=wedge_states, k=slots, i=slots)
+def test_clifford_relations_random_states(state, k, i):
+    base = {state: 1.0 + 0j}
+    anti = vec_add(apply_b(k, apply_c(i, base)), apply_c(i, apply_b(k, base)))
+    assert anti == (base if k == i else {})
+    assert vec_add(apply_b(k, apply_b(i, base)), apply_b(i, apply_b(k, base))) == {}
+    assert vec_add(apply_c(k, apply_c(i, base)), apply_c(i, apply_c(k, base))) == {}
+    # the Koszul sign counts the occupied slots above the index
+    above = sum(state.is_occupied(x) for x in range(i + 1, 12))
+    for op in (wedge_c, contract_b):
+        for new, sign in op(i, state).items():
+            assert sign == (-1) ** above
+            assert new.is_occupied(i) != state.is_occupied(i)
+            others = [x for x in range(-16, 17) if x != i]
+            assert [new.is_occupied(x) for x in others] == [state.is_occupied(x) for x in others]
 
 
 def test_clifford_relations_battery():
@@ -90,7 +147,7 @@ def test_normal_ordering_rules():
     vac = {VACUUM: 1.0 + 0j}
     assert normal_ordered_bc(-2, -2, vac) == {}
     out = normal_ordered_bc(-2, 0, vac)
-    assert out == {WedgeState(-1, (0,), (-2,)): -1 + 0j}
+    assert out == {WedgeState((0,), (-2,)): -1 + 0j}
     for k in range(-6, 7):
         diag = normal_ordered_bc(k, k, vac)
         assert abs(diag.get(VACUUM, 0j)) == 0.0

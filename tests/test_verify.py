@@ -47,3 +47,4 @@ def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
         unconverged_check = c.name in ("period_real_parts", "time_vs_line_integral")
         assert c.passed != unconverged_check, c
         assert c.max_residual <= c.tolerance, c
+        assert c.detail == ("did not converge" if unconverged_check else ""), c
