@@ -3,9 +3,10 @@
 Library layout:
 
 * config     -- TorusConfig (lattice, punctures, tolerances)
-* elliptic   -- Weierstrass wp, wp' (scalar) and wp (array), half-period values
+* elliptic   -- Weierstrass wp, wp' (scalar and array), half-period values
+* basis      -- punctures, the per-point frame (wp - p, w, w'), adapted
+                function basis and the lam4..lam7 scalars
 * propagation-- propagation differential, residues, string time, moduli
-* basis      -- adapted function basis and the lam4..lam7 scalars
 * algebra    -- structure constants, bracket oracle, degenerations
 * cocycle    -- duality pairing, central-extension cocycle (sum + closed form)
 * fock       -- semi-infinite wedge representation grounding the cocycle

@@ -16,8 +16,9 @@ bracket pointwise and serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .basis import AlgebraParams, WITT_PARAMS, basis_derivative, basis_value, lambda_coefficients
+from .basis import AlgebraParams, WITT_PARAMS, frame, lambda_coefficients, monomial, monomial_derivative
 from .config import TorusConfig
 
 BracketTerms = dict[int, complex]
@@ -68,14 +69,23 @@ def bracket_numeric(i: int, j: int, z: complex, cfg: TorusConfig) -> complex:
     Truth oracle for bracket(): the closed-form constants must reproduce
     this value when contracted with the basis functions.
     """
-    return basis_value(i, z, cfg) * basis_derivative(j, z, cfg) - basis_value(
-        j, z, cfg
-    ) * basis_derivative(i, z, cfg)
+    base, w, w_prime = frame(z, cfg)
+    return monomial(i, base, w) * monomial_derivative(j, base, w, w_prime) - monomial(
+        j, base, w
+    ) * monomial_derivative(i, base, w, w_prime)
 
 
 def bracket_eval(i: int, j: int, z: complex, cfg: TorusConfig, params: AlgebraParams) -> complex:
     """Contract bracket(i, j) with the basis functions at z."""
-    return sum(c * basis_value(k, z, cfg) for k, c in bracket(i, j, params).items())
+    base, w, _ = frame(z, cfg)
+    return sum(c * monomial(k, base, w) for k, c in bracket(i, j, params).items())
+
+
+@lru_cache(maxsize=2048)
+def _bracket_items(i: int, j: int, params: AlgebraParams) -> tuple[tuple[int, complex], ...]:
+    # bracket(i, j, params) for jacobi_residual, which meets each pair about
+    # 50 times per parameter set; the bound holds one set's ~1.3k pairs
+    return tuple(bracket(i, j, params).items())
 
 
 def jacobi_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
@@ -88,8 +98,8 @@ def jacobi_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
 
     def double_bracket(a: int, b: int, c: int) -> BracketTerms:
         out: BracketTerms = {}
-        for m, coeff in bracket(a, b, params).items():
-            for target, inner in bracket(m, c, params).items():
+        for m, coeff in _bracket_items(a, b, params):
+            for target, inner in _bracket_items(m, c, params):
                 out[target] = out.get(target, 0j) + coeff * inner
         return out
 

@@ -11,17 +11,25 @@ the odd-odd product expands through the four scalars lam4..lam7, which are
 the Taylor coefficients at X = p of the cubic (X-e1)(X-e2)(X-e3) appearing
 in the Weierstrass equation.  Those four scalars determine the whole Lie
 algebra and its cocycle.
+
+Every A_k and its derivative are monomials in the frame of a point,
+(base, w, w') with base = wp - p: ``frame`` computes it at one point (one
+puncture check, one wp_pair call) and ``frame_array`` at every entry of an
+array (one wp_pair_array call), so a point costs one elliptic evaluation
+however many labels are read from it.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import TorusConfig
-from .elliptic import half_period_values, wp_pair, wp_second
-from .errors import NonIntegerWindingError
-from .propagation import check_away_from_punctures, puncture_set
+import numpy as np
+
+from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
+from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
+from .errors import NonIntegerWindingError, PoleProximityError
 from .quadrature import contour_residue
 
 
@@ -71,39 +79,90 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
     return AlgebraParams(1.0, lam5, lam6, lam7, provenance="formal")
 
 
-def _pole_factor(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
-    """(wp(z) - p, wp'(z)) with puncture exclusion applied."""
+@dataclass(frozen=True)
+class PunctureSet:
+    """Marked points together with the pole parameter p = wp(1/2 + q)."""
+
+    p_in: complex
+    q_out_1: complex
+    q_out_2: complex
+    p_q: complex
+
+
+@lru_cache(maxsize=None)
+def puncture_set(cfg: TorusConfig) -> PunctureSet:
+    hp = half_period_values(cfg)
+    if cfg.two_point:
+        p_q = hp.e1
+    else:
+        p_q = wp(0.5 + cfg.q, cfg)
+    return PunctureSet(
+        p_in=0j, q_out_1=0.5 + cfg.q, q_out_2=0.5 - cfg.q, p_q=p_q
+    )
+
+
+def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
+    """Raise PoleProximityError inside a puncture exclusion disk."""
+    if cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
+        raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
+
+
+def _frame_from(p, dp, cfg: TorusConfig):
+    # (base, w, w') from wp and wp', scalars or arrays alike; the derivative
+    # of w = -(1/2) wp'/base takes wp'' = 6 wp^2 - g2/2 from the same wp
+    base = p - puncture_set(cfg).p_q
+    w = -0.5 * dp / base
+    ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
+    w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
+    return base, w, w_prime
+
+
+def frame(z: complex, cfg: TorusConfig) -> tuple[complex, complex, complex]:
+    """(base, w, w') at z: base = wp(z) - p, the differential scalar
+    w = -(1/2) wp'(z)/base and its derivative w'.
+
+    Raises PoleProximityError inside a puncture exclusion disk.
+    """
     check_away_from_punctures(z, cfg)
-    p, dp = wp_pair(z, cfg)
-    return p - puncture_set(cfg).p_q, dp
+    return _frame_from(*wp_pair(z, cfg), cfg)
 
 
-def monomial(k: int, base: complex, w: complex) -> complex:
-    """A_k from the pole factor base = wp - p and the differential scalar w."""
+def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """frame at every entry of a complex array, from one wp_pair_array call.
+
+    Raises PoleProximityError, naming the first such entry, when any entry
+    lies inside a puncture exclusion disk.
+    """
+    near = np.flatnonzero(distance_to_points_array(z, cfg.punctures(), cfg.tau) <= EXCLUSION_RADIUS)
+    if near.size:
+        raise PoleProximityError(f"z={complex(z.flat[near[0]])} is inside a puncture exclusion disk")
+    return _frame_from(*wp_pair_array(z, cfg), cfg)
+
+
+def monomial(k: int, base, w):
+    """A_k from the pole factor base = wp - p and the differential scalar w
+    (scalars or arrays)."""
     if k % 2 == 0:
         return base ** (-k // 2)
     return w * base ** (-(k + 1) // 2)
 
 
+def monomial_derivative(k: int, base, w, w_prime):
+    """d/dz A_k from the frame: n * w * A_n for even n, and
+    (w' + (a+1) * w^2) * A_{a+1} for odd a."""
+    if k % 2 == 0:
+        return k * w * monomial(k, base, w)
+    return (w_prime + (k + 1) * w * w) * monomial(k + 1, base, w)
+
+
 def basis_value(k: int, z: complex, cfg: TorusConfig) -> complex:
     """Evaluate the basis function with label k at z."""
-    base, dp = _pole_factor(z, cfg)
-    return monomial(k, base, -0.5 * dp / base)
+    return monomial(k, *frame(z, cfg)[:2])
 
 
 def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
-    """d/dz of the basis function with label k at z.
-
-    Even n: n * w * A_n.  Odd a: w' * A_{a+1} + (a+1) * w^2 * A_{a+1},
-    with w' evaluated in closed form from wp, wp', wp''.
-    """
-    base, dp = _pole_factor(z, cfg)
-    w = -0.5 * dp / base
-    if k % 2 == 0:
-        return k * w * monomial(k, base, w)
-    ddp = wp_second(z, cfg)
-    w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
-    return (w_prime + (k + 1) * w * w) * monomial(k + 1, base, w)
+    """d/dz of the basis function with label k at z."""
+    return monomial_derivative(k, *frame(z, cfg))
 
 
 def order_triple(k: int) -> tuple[int, int, int]:
@@ -130,21 +189,24 @@ def winding_order(
 ) -> int:
     """Argument-principle order of basis function k inside the given circle.
 
-    Integrates A_k'/A_k and rounds; raises NonIntegerWindingError when the
-    quadrature is further than 1e-3 from an integer (bad contour or
-    precision loss).
+    Integrates the log-derivative A_k'/A_k from the array frame, k*w for
+    even k and w'/w + (k+1)*w for odd k, and rounds; raises
+    NonIntegerWindingError when the quadrature is further than 1e-3 from an
+    integer, or not finite (bad contour or precision loss).
     """
 
-    def logderiv(z: complex) -> complex:
-        return basis_derivative(k, z, cfg) / basis_value(k, z, cfg)
+    def logderiv(z: np.ndarray) -> np.ndarray:
+        _, w, w_prime = frame_array(z, cfg)
+        if k % 2 == 0:
+            return k * w
+        return w_prime / w + (k + 1) * w
 
     val = contour_residue(logderiv, center, radius, nodes)
-    nearest = round(val.real)
-    if abs(val - nearest) > 1e-3:
-        raise NonIntegerWindingError(
-            f"winding quadrature {val} for k={k} around {center} is not close to an integer"
-        )
-    return int(nearest)
+    if cmath.isfinite(val) and abs(val - round(val.real)) <= 1e-3:
+        return round(val.real)
+    raise NonIntegerWindingError(
+        f"winding quadrature {val} for k={k} around {center} is not close to an integer"
+    )
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import shifted_constants
-from .basis import AlgebraParams, monomial, out_puncture_order
+from .basis import AlgebraParams, frame_array, monomial, out_puncture_order
 from .config import TorusConfig, lattice_distance
-from .elliptic import wp_pair
 from .errors import BadContourError
-from .propagation import puncture_set
 from .quadrature import circle_nodes, circle_trapezoid
 
 # empirical wedge-operator convention; rederived by fock.determine_sign_convention
@@ -52,10 +50,9 @@ def _pairing_circles(cfg: TorusConfig, nodes: int):
     """Cached quadrature data on fixed circles around each distinct puncture.
 
     For each circle: the center, its nodes, and the pole factor wp(z) - p and
-    the differential scalar at every node.  All basis functions on the
-    circle are cheap monomials in these values.
+    the differential scalar at every node, from one frame_array call.  All
+    basis functions on the circle are cheap monomials in these arrays.
     """
-    ps = puncture_set(cfg)
     centers = list(cfg.punctures())
     tau = cfg.tau
     lattice_min = min(1.0, abs(tau), abs(tau + 1.0), abs(tau - 1.0))
@@ -66,9 +63,9 @@ def _pairing_circles(cfg: TorusConfig, nodes: int):
         # the center's own lattice translates bound the holomorphy disk too
         dist = min(dist, lattice_min)
         circle = circle_nodes(c, 0.45 * dist, nodes)
-        values = [wp_pair(z, cfg) for z in circle]
-        base = tuple(p - ps.p_q for p, _ in values)
-        omega = tuple(-0.5 * dp / b for (_, dp), b in zip(values, base))
+        base, omega, _ = frame_array(circle, cfg)
+        for cached in (circle, base, omega):
+            cached.flags.writeable = False  # every caller shares these arrays
         data.append((c, circle, base, omega))
     return tuple(data)
 
@@ -76,8 +73,7 @@ def _pairing_circles(cfg: TorusConfig, nodes: int):
 def _pairing_residue(circle, i1: int, i2: int) -> complex:
     """Residue of A_{i1} * A_{i2} on a cached circle."""
     center, nodes, base, omega = circle
-    values = (monomial(i1, b, w) * monomial(i2, b, w) for b, w in zip(base, omega))
-    return circle_trapezoid(values, nodes, center)
+    return circle_trapezoid(monomial(i1, base, omega) * monomial(i2, base, omega), nodes, center)
 
 
 def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
@@ -293,6 +289,13 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
 # identities, tables, reconciliation
 
 
+@lru_cache(maxsize=256)
+def _shifted_items(i: int, j: int, params: AlgebraParams) -> tuple[tuple[int, complex], ...]:
+    # shifted_constants(i, j, params) for cocycle_identity_residual, which
+    # meets each pair about 30 times per parameter set
+    return tuple(shifted_constants(i, j, params).items())
+
+
 def cocycle_identity_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
     """Two-cocycle identity residual, normalized by the cubic parameter scale.
 
@@ -301,7 +304,7 @@ def cocycle_identity_residual(i: int, j: int, k: int, params: AlgebraParams) -> 
     """
     total = 0j
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, coeff in shifted_constants(b, c, params).items():
+        for m, coeff in _shifted_items(b, c, params):
             total += coeff * chi_sum(a, m, params)
     scale = params.scale()
     return abs(total) / (scale**3)

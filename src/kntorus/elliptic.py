@@ -2,17 +2,21 @@
 
 Evaluation uses the Fourier (nome) expansion in u = exp(2*pi*i*z) and
 q = exp(2*pi*i*tau).  After reducing z to the fundamental cell the series
-terms decay at least like |q|**(n - 1/2).  There are two paths:
+terms decay at least like |q|**(n - 1/2).  There are three paths:
 
 * ``wp_pair`` evaluates wp and wp' at one point and stops the sum once a
   term drops below 1e-18 of it (after at least 3 terms);
 * ``wp_array`` evaluates wp alone on a numpy array of points with a fixed
   term count N = ceil(log(1e-18) / log|q|) + 1: at most 9 terms for tau in the
-  fundamental domain, 23 at Im(tau) = 0.3.
+  fundamental domain, 23 at Im(tau) = 0.3.  The level-line scans use it,
+  since they need no wp';
+* ``wp_pair_array`` is wp_array extended to wp', with the same term count;
+  it feeds the array basis frame (circles and segments).
 
-Both take at most SERIES_CUTOFF terms.  They agree within
-WP_ARRAY_RTOL * max(1, |wp|) (tested).  The second derivative comes from
-the algebraic identity wp'' = 6*wp**2 - g2/2 rather than a separate series.
+All take at most SERIES_CUTOFF terms.  The array paths agree with wp_pair
+within WP_ARRAY_RTOL * max(1, |value|) (tested).  No path evaluates wp'':
+the basis frame takes it from the algebraic identity
+wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
 
 from __future__ import annotations
@@ -101,13 +105,9 @@ def _array_terms(tau: complex) -> int:
     return min(SERIES_CUTOFF, math.ceil(math.log(1e-18) / (-2.0 * math.pi * tau.imag)) + 1)
 
 
-def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
-    """wp at every entry of a complex array (no wp': no array caller needs it).
-
-    The same series as wp_pair with the fixed term count of _array_terms.
-    Raises PoleProximityError, naming the first such entry, when any entry
-    lies inside the exclusion disk of a lattice point.
-    """
+def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    # the nome sums of wp and (when prime) wp' at every entry, with the fixed
+    # term count of _array_terms; raises on the first entry inside a pole's disk
     zr = reduce_mod_lattice_array(z, cfg.tau)
     # np.hypot rounds as abs(complex) does, so the disk is wp_pair's
     near = np.flatnonzero(np.hypot(zr.real, zr.imag) <= EXCLUSION_RADIUS)
@@ -118,11 +118,32 @@ def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     q = cmath.exp(_TWO_PI_I * cfg.tau)
     u = np.exp(_TWO_PI_I * zr)
     total = 1.0 / 12.0 + _f_wp(u)
+    deriv = _g_wp(u) if prime else None
     qn = 1.0 + 0j
     for _ in range(_array_terms(cfg.tau)):
         qn *= q
-        total += _f_wp(qn * u) + _f_wp(qn / u) - 2.0 * _f_wp(qn)
-    return (_TWO_PI_I * _TWO_PI_I) * total
+        a = qn * u
+        b = qn / u
+        total += _f_wp(a) + _f_wp(b) - 2.0 * _f_wp(qn)
+        if prime:
+            deriv += _g_wp(a) - _g_wp(b)
+    four_pi2 = _TWO_PI_I * _TWO_PI_I
+    return four_pi2 * total, four_pi2 * _TWO_PI_I * deriv if prime else None
+
+
+def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
+    """wp at every entry of a complex array, without the cost of wp'.
+
+    The same series as wp_pair with the fixed term count of _array_terms.
+    Raises PoleProximityError, naming the first such entry, when any entry
+    lies inside the exclusion disk of a lattice point.
+    """
+    return _series_array(z, cfg, prime=False)[0]
+
+
+def wp_pair_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(wp, wp') at every entry of a complex array; wp equals wp_array's bit for bit."""
+    return _series_array(z, cfg, prime=True)
 
 
 def wp(z: complex, cfg: TorusConfig) -> complex:
@@ -153,10 +174,3 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
     return HalfPeriodValues(e1=e1, e2=e2, e3=e3, g2=g2, g3=g3)
-
-
-def wp_second(z: complex, cfg: TorusConfig) -> complex:
-    """wp''(z) via the differentiated Weierstrass equation."""
-    hp = half_period_values(cfg)
-    p = wp(z, cfg)
-    return 6.0 * p * p - 0.5 * hp.g2

@@ -4,7 +4,9 @@ The differential is w(z) dz with w = -(1/2) wp'(z) / (wp(z) - p) where
 p = wp(1/2 + q).  It has residues +1 at 0 and -1/2 at 1/2 +- q, purely
 imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
-fixed by t((1+tau)/4) = 0.
+fixed by t((1+tau)/4) = 0.  The punctures, p and w itself come from the
+basis frame (``basis.frame`` and ``basis.frame_array``); residues and
+periods integrate w from the array frame.
 """
 
 from __future__ import annotations
@@ -15,16 +17,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points, distance_to_points_array
-from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array, wp_pair, wp_second
-from .errors import (
-    BadContourError,
-    BisectionError,
-    DegenerateModuliError,
-    PoleOnPathError,
-    PoleProximityError,
+from .basis import check_away_from_punctures, frame, frame_array, puncture_set
+from .config import (
+    EXCLUSION_RADIUS,
+    TorusConfig,
+    distance_to_points,
+    distance_to_points_array,
+    reduce_mod_lattice,
 )
-from .quadrature import contour_residue, segment_integral
+from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array
+from .errors import BadContourError, BisectionError, DegenerateModuliError, PoleOnPathError
+from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
 # offset of the period-cycle representatives, chosen to keep both segments
 # away from the punctures for every configuration used in the test matrix
@@ -33,20 +36,6 @@ CYCLE_OFFSET = 0.17
 # halvings of a level-line grid edge before the bisection gives up; far
 # more than double precision can resolve on an edge of the unit cell
 BISECTION_STEPS = 80
-
-# grid nodes per wp_array call in a level-line scan, so a scan's temporaries
-# keep one size whatever the resolution
-GRID_CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class PunctureSet:
-    """Marked points together with the pole parameter p = wp(1/2 + q)."""
-
-    p_in: complex
-    q_out_1: complex
-    q_out_2: complex
-    p_q: complex
 
 
 @dataclass(frozen=True)
@@ -66,38 +55,9 @@ class MuModulus:
     separation_time_two_point: float
 
 
-@lru_cache(maxsize=None)
-def puncture_set(cfg: TorusConfig) -> PunctureSet:
-    hp = half_period_values(cfg)
-    if cfg.two_point:
-        p_q = hp.e1
-    else:
-        p_q = wp(0.5 + cfg.q, cfg)
-    return PunctureSet(
-        p_in=0j, q_out_1=0.5 + cfg.q, q_out_2=0.5 - cfg.q, p_q=p_q
-    )
-
-
-def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
-    """Raise PoleProximityError inside a puncture exclusion disk."""
-    if cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
-        raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
-
-
 def omega_hat(z: complex, cfg: TorusConfig) -> complex:
     """Scalar part of the propagation differential."""
-    check_away_from_punctures(z, cfg)
-    p, dp = wp_pair(z, cfg)
-    return -0.5 * dp / (p - puncture_set(cfg).p_q)
-
-
-def omega_hat_prime(z: complex, cfg: TorusConfig) -> complex:
-    """d/dz of omega_hat, in closed form from wp, wp', wp''."""
-    check_away_from_punctures(z, cfg)
-    p, dp = wp_pair(z, cfg)
-    ddp = wp_second(z, cfg)
-    denom = p - puncture_set(cfg).p_q
-    return -0.5 * (ddp * denom - dp * dp) / (denom * denom)
+    return frame(z, cfg)[1]
 
 
 def residue_at(
@@ -124,7 +84,7 @@ def residue_at(
             f"contour around {center} (radius {radius}) encloses {enclosed} "
             "punctures; exactly one is required"
         )
-    return contour_residue(lambda z: omega_hat(z, cfg), center, radius, nodes)
+    return contour_residue(lambda z: frame_array(z, cfg)[1], center, radius, nodes)
 
 
 def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -137,10 +97,27 @@ def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[co
     return ((d * tau, 1.0 + d * tau), (complex(d), d + tau))
 
 
-def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig, samples: int = 64) -> float:
-    return min(
-        cfg.distance_to_punctures(z0 + (z1 - z0) * (k / samples)) for k in range(samples + 1)
-    )
+def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig) -> float:
+    """Exact distance from the segment [z0, z1] to the nearest puncture.
+
+    Measures every lattice translate of every puncture whose lattice
+    coordinates lie within two cells of the segment's, each at the clamped
+    projection onto the segment; that is exact for every distance below
+    min(Im tau, Im tau / |tau|), far above the radii it is compared with.
+    """
+    tau = cfg.tau
+
+    def cell_range(x0: float, x1: float) -> np.ndarray:
+        return np.arange(math.floor(min(x0, x1)) - 2, math.ceil(max(x0, x1)) + 3)
+
+    b0, b1 = z0.imag / tau.imag, z1.imag / tau.imag
+    ms = cell_range(z0.real - b0 * tau.real, z1.real - b1 * tau.real)
+    ns = cell_range(b0, b1)
+    lattice = (ms[:, None] + ns[None, :] * tau).ravel()
+    points = np.add.outer([reduce_mod_lattice(s, tau) for s in cfg.punctures()], lattice).ravel()
+    d = z1 - z0
+    t = np.clip(((points - z0) * d.conjugate()).real / max(abs(d) ** 2, 1e-300), 0.0, 1.0)
+    return float(np.abs(z0 + t * d - points).min())
 
 
 def period_real_parts(
@@ -163,7 +140,7 @@ def period_real_parts(
             raise PoleOnPathError(
                 f"cycle segment [{z0}, {z1}] passes too close to a puncture"
             )
-        val = segment_integral(lambda z: omega_hat(z, cfg), z0, z1, tol=1e-13)
+        val = segment_integral(lambda z: frame_array(z, cfg)[1], z0, z1, tol=1e-13)
         results.append(val.real)
     return results[0], results[1]
 

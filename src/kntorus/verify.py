@@ -167,7 +167,7 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
             continue
         lhs = propagation.time_coordinate(z1, cfg) - propagation.time_coordinate(z0, cfg)
         try:
-            rhs = segment_integral(lambda z: propagation.omega_hat(z, cfg), z0, z1).real
+            rhs = segment_integral(lambda z: basis.frame_array(z, cfg)[1], z0, z1).real
         except QuadratureError as exc:
             rhs, unconverged = exc.estimate.real, str(exc)
         worst = max(worst, abs(lhs - rhs))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kntorus.algebra import (
     bracket,
@@ -11,7 +13,7 @@ from kntorus.algebra import (
     jacobi_residual,
     table_gap,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, basis_value, formal_params, lambda_coefficients
 from kntorus.config import TorusConfig
 from kntorus.verify import random_formal_sets, random_points
 
@@ -117,6 +119,38 @@ def test_jacobi_sweep(cfg_square, cfg_generic):
             for k in range(-5, 6)
         )
         assert worst <= 1e-9
+
+
+lam_parts = st.floats(-3.0, 3.0)
+complex_lams = st.builds(complex, lam_parts, lam_parts)
+labels = st.integers(-12, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), labels, labels)
+def test_bracket_antisymmetry_random_lam(lam, i, j):
+    params = formal_params(*lam)
+    assert bracket(j, i, params) == {k: -c for k, c in bracket(i, j, params).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), labels, labels, labels)
+def test_jacobi_random_lam(lam, i, j, k):
+    params = formal_params(*lam)
+    # the cyclic sum straight from bracket(), with no reuse of brackets, in
+    # jacobi_residual's order of summation
+    total = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        term = {}
+        for m, coeff in bracket(a, b, params).items():
+            for target, inner in bracket(m, c, params).items():
+                term[target] = term.get(target, 0j) + coeff * inner
+        for target, value in term.items():
+            total[target] = total.get(target, 0j) + value
+    scale = params.scale()
+    direct = max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
+    assert jacobi_residual(i, j, k, params) == direct
+    assert direct <= 1e-9
 
 
 def test_structure_table_round_trip(cfg_square):

@@ -2,19 +2,20 @@ import random
 
 import pytest
 
-from conftest import assert_close
+from conftest import ACCEPTANCE_CONFIGS, assert_close
 from kntorus.basis import (
     WITT_PARAMS,
     basis_derivative,
     basis_value,
     formal_params,
+    frame,
     lambda_coefficients,
     order_triple,
     winding_order,
 )
-from kntorus.elliptic import half_period_values, wp_prime
+from kntorus.elliptic import half_period_values, wp_pair, wp_prime
 from kntorus.errors import NonIntegerWindingError
-from kntorus.propagation import omega_hat, omega_hat_prime, puncture_set
+from kntorus.propagation import omega_hat, puncture_set
 from kntorus.verify import random_points
 
 
@@ -75,6 +76,27 @@ def test_derivative_vs_finite_difference(k, cfg_square):
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
 
+def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
+    # A_k and A_k' as computed before the frame: wp'' from a second wp call
+    for cfg in (cfg_square, cfg_generic):
+        p_q, g2 = puncture_set(cfg).p_q, half_period_values(cfg).g2
+        for z in random_points(cfg, 10, seed=41):
+            p, dp = wp_pair(z, cfg)
+            base = p - p_q
+            w = -0.5 * dp / base
+            p2 = wp_pair(z, cfg)[0]
+            w_prime = -0.5 * ((6.0 * p2 * p2 - 0.5 * g2) * base - dp * dp) / (base * base)
+            for k in range(-8, 9):
+                if k % 2 == 0:
+                    value = base ** (-k // 2)
+                    derivative = k * w * value
+                else:
+                    value = w * base ** (-(k + 1) // 2)
+                    derivative = (w_prime + (k + 1) * w * w) * base ** (-(k + 1) // 2)
+                assert basis_value(k, z, cfg) == value
+                assert basis_derivative(k, z, cfg) == derivative
+
+
 def test_order_triples():
     assert order_triple(2) == (2, -1, -1)
     assert order_triple(-1) == (-1, -1, -1)
@@ -90,6 +112,17 @@ def test_winding_orders_match_triples(cfg_square):
         assert winding_order(k, 0j, 0.12, cfg_square) == triple[0]
         assert winding_order(k, ps.q_out_1, 0.1, cfg_square) == triple[1]
         assert winding_order(k, ps.q_out_2, 0.1, cfg_square) == triple[2]
+
+
+@pytest.mark.parametrize("cfg", ACCEPTANCE_CONFIGS, ids=lambda c: f"tau={c.tau},q={c.q}")
+def test_winding_orders_match_triples_acceptance(cfg):
+    ps = puncture_set(cfg)
+    for k in range(-6, 7):
+        got = tuple(
+            winding_order(k, center, radius, cfg)
+            for center, radius in ((0j, 0.12), (ps.q_out_1, 0.1), (ps.q_out_2, 0.1))
+        )
+        assert got == order_triple(k), k
 
 
 def test_winding_order_k4_and_k3(cfg_square):
@@ -155,7 +188,7 @@ def test_omega_prime_expansion(cfg_square):
     # w' = -lam4*A_-2 + lam6*A_2 + 2*lam7*A_4 (factor-2 consistent with (w^2)' = 2ww')
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 20, seed=40):
-        lhs = omega_hat_prime(z, cfg_square)
+        lhs = frame(z, cfg_square)[2]
         rhs = (
             -lam.lam4 * basis_value(-2, z, cfg_square)
             + lam.lam6 * basis_value(2, z, cfg_square)

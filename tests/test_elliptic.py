@@ -17,7 +17,7 @@ from kntorus.elliptic import (
     wp,
     wp_array,
     wp_pair,
-    wp_second,
+    wp_pair_array,
 )
 from kntorus.errors import PoleProximityError
 from kntorus.verify import random_points
@@ -131,10 +131,13 @@ def test_reduction_consistency(cfg_generic):
 
 
 def test_wp_second_via_finite_differences(cfg_square):
+    # the identity wp'' = 6 wp^2 - g2/2 that the basis frame uses for w'
+    g2 = half_period_values(cfg_square).g2
     h = 1e-5
     for z in random_points(cfg_square, 5, seed=16):
         fd = (wp_pair(z + h, cfg_square)[1] - wp_pair(z - h, cfg_square)[1]) / (2 * h)
-        assert abs(wp_second(z, cfg_square) - fd) <= 1e-5 * max(1.0, abs(fd))
+        p = wp_pair(z, cfg_square)[0]
+        assert abs(6.0 * p * p - 0.5 * g2 - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_memoization_invisible(cfg_square):
@@ -174,10 +177,13 @@ def test_wp_array_matches_scalar(case):
     # a point drawn anywhere may still land in an exclusion disk
     points = [z for z in points if abs(reduce_to_fundamental(z, cfg)) > EXCLUSION_RADIUS]
     values = wp_array(np.array(points), cfg)
-    assert values.shape == (len(points),)
-    for z, value in zip(points, values):
-        ref = wp_pair(z, cfg)[0]
+    pair_values, primes = wp_pair_array(np.array(points), cfg)
+    assert values.shape == primes.shape == (len(points),)
+    assert np.array_equal(pair_values, values)
+    for z, value, prime in zip(points, values, primes):
+        ref, ref_prime = wp_pair(z, cfg)
         assert abs(value - ref) <= WP_ARRAY_RTOL * max(1.0, abs(ref)), (z, value, ref)
+        assert abs(prime - ref_prime) <= WP_ARRAY_RTOL * max(1.0, abs(ref_prime)), (z, prime, ref_prime)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,12 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus import propagation
+from kntorus.basis import frame, frame_array
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -18,7 +21,6 @@ from kntorus.propagation import (
     level_line_samples,
     mu_modulus,
     omega_hat,
-    omega_hat_prime,
     period_real_parts,
     puncture_set,
     residue_at,
@@ -57,7 +59,7 @@ def test_omega_prime_vs_finite_difference(cfg_square):
     h = 1e-5
     for z in random_points(cfg_square, 6, seed=23):
         fd = (omega_hat(z + h, cfg_square) - omega_hat(z - h, cfg_square)) / (2 * h)
-        assert abs(omega_hat_prime(z, cfg_square) - fd) <= 1e-5 * max(1.0, abs(fd))
+        assert abs(frame(z, cfg_square)[2] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_residues():
@@ -106,6 +108,16 @@ def test_pole_on_cycle_path():
         period_real_parts(cfg)
 
 
+def test_pole_between_segment_samples(cfg_square):
+    # the segment passes 5e-4 beside the puncture 0.7, which sits halfway
+    # between two of 65 equispaced points of the segment (~5e-3 from both)
+    x = 0.7 + 5e-4
+    y0 = -32.5 * 0.65 / 64
+    segment = (complex(x, y0), complex(x, y0 + 0.65))
+    with pytest.raises(PoleOnPathError, match="passes too close to a puncture"):
+        period_real_parts(cfg_square, a_cycle=segment)
+
+
 def test_period_real_parts(cfg_two_point):
     for cfg in (*ACCEPTANCE_CONFIGS, cfg_two_point):
         pa, pb = period_real_parts(cfg)
@@ -146,8 +158,44 @@ def test_time_difference_is_line_integral(cfg_square):
     pairs = list(zip(pts[:10], pts[10:]))
     for z0, z1 in pairs:
         lhs = time_coordinate(z1, cfg_square) - time_coordinate(z0, cfg_square)
-        rhs = segment_integral(lambda z: omega_hat(z, cfg_square), z0, z1).real
+        rhs = segment_integral(lambda z: frame_array(z, cfg_square)[1], z0, z1).real
         assert abs(lhs - rhs) < 1e-7
+
+
+def test_array_quadrature_matches_scalar_loops(cfg_generic):
+    # the node-by-node scalar sums that the array rules replaced; only the
+    # order of summation differs
+    cfg = cfg_generic
+    n = 256
+    for center in cfg.punctures():
+        nodes = [center + 0.05 * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        ref = sum(omega_hat(z, cfg) * (z - center) for z in nodes) / n
+        assert abs(residue_at(center, 0.05, cfg) - ref) <= 1e-13
+    z0, z1 = 0.1 + 0.2j, 0.35 - 0.3j
+    x, weights = np.polynomial.legendre.leggauss(16)
+    ref = sum(
+        w * omega_hat(z0 + ((p + 0.5) / 2 + 0.25 * t) * (z1 - z0), cfg)
+        for p in range(2)
+        for t, w in zip(x, weights)
+    ) * (z1 - z0) * 0.25
+    # with tol = inf the doubling stops at its first refinement, 2 panels
+    value = segment_integral(lambda z: frame_array(z, cfg)[1], z0, z1, tol=math.inf)
+    assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_time_line_integral_beside_a_puncture():
+    # a segment of verify_differential at this geometry passes ~1e-3 from a
+    # puncture: the panel doubling settles only at 2048 panels
+    cfg = TorusConfig(
+        tau=0.13467594962923174 + 1.4250306337306076j,
+        q=0.22175815022078413 - 0.09734361074373614j,
+    )
+    z0, z1 = 0.28338005960397716 + 0.20631700547251255j, 0.250319941597631 - 0.43032708847071405j
+    omega = lambda z: frame_array(z, cfg)[1]  # noqa: E731
+    with pytest.raises(QuadratureError, match="in 1024 panels"):
+        segment_integral(omega, z0, z1, max_panels=1024)
+    lhs = time_coordinate(z1, cfg) - time_coordinate(z0, cfg)
+    assert abs(lhs - segment_integral(omega, z0, z1).real) < 1e-7
 
 
 def test_time_between_interaction_points(cfg_square):
@@ -317,6 +365,6 @@ def test_segment_integral_raises_when_unconverged():
     with pytest.raises(QuadratureError) as err:
         segment_integral(lambda z: 1.0 / (z - 0.3) ** 2, 0j, 1 + 0j)
     message = str(err.value)
-    assert "segment [0j, (1+0j)]" in message and "in 1024 panels" in message
+    assert "segment [0j, (1+0j)]" in message and "in 2048 panels" in message
     assert "estimates differ by" in message
     assert abs(err.value.estimate) > 1e3

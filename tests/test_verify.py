@@ -33,6 +33,19 @@ def test_suites_pass_generic_complex_q(cfg_generic):
         assert not failing, failing
 
 
+@pytest.mark.parametrize(
+    "tau, q",
+    [
+        (0.13467594962923174 + 1.4250306337306076j, 0.22175815022078413 - 0.09734361074373614j),
+        (-0.42795645893313183 + 0.9084632343037009j, 0.16666188774231883 - 0.0949892542583142j),
+    ],
+)
+def test_time_check_passes_beside_a_puncture(tau, q):
+    # one segment of the check passes ~1e-3 from a puncture and needs 2048 panels
+    checks = {c.name: c for c in verify_differential(TorusConfig(tau=tau, q=q))}
+    assert checks["time_vs_line_integral"].passed, checks["time_vs_line_integral"]
+
+
 def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
     # the estimate is the converged value, so only the error can fail the checks
     def unconverged(f, z0, z1, tol=1e-12):
