@@ -83,8 +83,9 @@ def bracket_eval(i: int, j: int, z: complex, cfg: TorusConfig, params: AlgebraPa
 
 @lru_cache(maxsize=2048)
 def _bracket_items(i: int, j: int, params: AlgebraParams) -> tuple[tuple[int, complex], ...]:
-    # bracket(i, j, params) for jacobi_residual, which meets each pair about
-    # 50 times per parameter set; the bound holds one set's ~1.3k pairs
+    # bracket(i, j, params) for jacobi_residual and
+    # cocycle.cocycle_identity_residual, which meet each pair about 50 and
+    # 30 times per parameter set; the bound holds one set's ~1.3k pairs
     return tuple(bracket(i, j, params).items())
 
 

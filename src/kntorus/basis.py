@@ -27,10 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, lattice_distance
 from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
-from .errors import NonIntegerWindingError, PoleProximityError
+from .errors import BadContourError, NonIntegerWindingError, PoleProximityError
 from .quadrature import contour_residue
+
+# a puncture circle's radius, as a fraction of the distance from the
+# puncture to the nearest other special point (see puncture_circles)
+CIRCLE_FRACTION = 0.45
+
+# trapezoid nodes on a puncture circle for winding orders and residues
+CIRCLE_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -79,26 +86,52 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
     return AlgebraParams(1.0, lam5, lam6, lam7, provenance="formal")
 
 
-@dataclass(frozen=True)
-class PunctureSet:
-    """Marked points together with the pole parameter p = wp(1/2 + q)."""
-
-    p_in: complex
-    q_out_1: complex
-    q_out_2: complex
-    p_q: complex
-
-
-@lru_cache(maxsize=None)
-def puncture_set(cfg: TorusConfig) -> PunctureSet:
-    hp = half_period_values(cfg)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def pole_parameter(cfg: TorusConfig) -> complex:
+    """p = wp(1/2 + q), the value the pole factor wp - p subtracts; e1 in two-point mode."""
     if cfg.two_point:
-        p_q = hp.e1
-    else:
-        p_q = wp(0.5 + cfg.q, cfg)
-    return PunctureSet(
-        p_in=0j, q_out_1=0.5 + cfg.q, q_out_2=0.5 - cfg.q, p_q=p_q
-    )
+        return half_period_values(cfg).e1
+    return wp(0.5 + cfg.q, cfg)
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def puncture_circles(cfg: TorusConfig) -> tuple[tuple[complex, float], ...]:
+    """(center, radius) of the quadrature circle around each puncture, in
+    cfg.punctures() order: the one circle that winding orders, residues and
+    the pairing all integrate on.
+
+    The radius is CIRCLE_FRACTION of the exact lattice distance to the
+    nearest other special point: the other punctures, the half periods (the
+    zeros of wp', hence of w and of every odd A_k) and the puncture's own
+    lattice translates.  So each circle encloses its puncture and no other
+    pole or zero of any A_k, w or w'/w.  Raises BadContourError, naming q,
+    when a radius does not clear twice the exclusion radius.
+    """
+    tau, punctures = cfg.tau, cfg.punctures()
+    half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
+    # the shortest period is twice the lattice's distance to its nearest half period
+    period = 2.0 * min(lattice_distance(h, tau) for h in half_periods)
+    circles = []
+    for s in punctures:
+        # a half period at distance 0 is the merged out-puncture itself
+        near = [d for d in (lattice_distance(s - h, tau) for h in half_periods) if d > 0]
+        near += [lattice_distance(s - t, tau) for t in punctures if t != s]
+        radius = CIRCLE_FRACTION * min(period, *near)
+        if radius <= 2.0 * EXCLUSION_RADIUS:
+            raise BadContourError(
+                f"q={cfg.q}: the circle around the puncture {s} would have radius "
+                f"{radius:.3g}, within twice the exclusion radius {EXCLUSION_RADIUS}"
+            )
+        circles.append((s, radius))
+    return tuple(circles)
+
+
+def circle_radius(s: complex, cfg: TorusConfig) -> float:
+    """Radius of the puncture_circles circle around the puncture s."""
+    for center, radius in puncture_circles(cfg):
+        if center == s:
+            return radius
+    raise ValueError(f"{s} is not a puncture of {cfg}; the punctures are {cfg.punctures()}")
 
 
 def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
@@ -110,7 +143,7 @@ def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
 def _frame_from(p, dp, cfg: TorusConfig):
     # (base, w, w') from wp and wp', scalars or arrays alike; the derivative
     # of w = -(1/2) wp'/base takes wp'' = 6 wp^2 - g2/2 from the same wp
-    base = p - puncture_set(cfg).p_q
+    base = p - pole_parameter(cfg)
     w = -0.5 * dp / base
     ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
     w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
@@ -165,12 +198,6 @@ def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
     return monomial_derivative(k, *frame(z, cfg))
 
 
-def order_triple(k: int) -> tuple[int, int, int]:
-    """Vanishing orders of the basis function at (0, 1/2+q, 1/2-q)."""
-    m = out_puncture_order(k)
-    return (k, m, m)
-
-
 def out_puncture_order(k: int, two_point: bool = False) -> int:
     """Vanishing order of the basis function at one out-puncture.
 
@@ -184,15 +211,14 @@ def out_puncture_order(k: int, two_point: bool = False) -> int:
     return -k // 2 if k % 2 == 0 else (-k - 3) // 2
 
 
-def winding_order(
-    k: int, center: complex, radius: float, cfg: TorusConfig, nodes: int = 256
-) -> int:
-    """Argument-principle order of basis function k inside the given circle.
+def winding_order(k: int, s: complex, cfg: TorusConfig) -> int:
+    """Argument-principle order of basis function k at the puncture s.
 
     Integrates the log-derivative A_k'/A_k from the array frame, k*w for
-    even k and w'/w + (k+1)*w for odd k, and rounds; raises
+    even k and w'/w + (k+1)*w for odd k, with CIRCLE_NODES nodes on the
+    puncture_circles circle around s, and rounds; raises
     NonIntegerWindingError when the quadrature is further than 1e-3 from an
-    integer, or not finite (bad contour or precision loss).
+    integer, or not finite.  s must be one of cfg.punctures().
     """
 
     def logderiv(z: np.ndarray) -> np.ndarray:
@@ -201,15 +227,15 @@ def winding_order(
             return k * w
         return w_prime / w + (k + 1) * w
 
-    val = contour_residue(logderiv, center, radius, nodes)
+    val = contour_residue(logderiv, s, circle_radius(s, cfg), CIRCLE_NODES)
     if cmath.isfinite(val) and abs(val - round(val.real)) <= 1e-3:
         return round(val.real)
     raise NonIntegerWindingError(
-        f"winding quadrature {val} for k={k} around {center} is not close to an integer"
+        f"winding quadrature {val} for k={k} around {s} is not close to an integer"
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
     """Derive lam4..lam7 from the torus geometry.
 
@@ -224,7 +250,7 @@ def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
     lam6 = (e1-e2)(e1-e3).
     """
     hp = half_period_values(cfg)
-    p = puncture_set(cfg).p_q
+    p = pole_parameter(cfg)
     lam5 = 3.0 * p
     lam6 = 3.0 * p * p - (hp.e2 * hp.e2 + hp.e2 * hp.e3 + hp.e3 * hp.e3)
     if cfg.two_point:

@@ -26,7 +26,7 @@ import sys
 
 from . import fock, propagation
 from .algebra import build_structure_table
-from .basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
+from .basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients, pole_parameter
 from .cocycle import build_cocycle_table, reconciliation_report
 from .config import TorusConfig
 from .elliptic import half_period_values
@@ -161,14 +161,13 @@ def _cmd_params(args: argparse.Namespace) -> int:
     lam = lambda_coefficients(cfg)
     mu = propagation.mu_modulus(cfg)
     sep = propagation.separation_time(cfg)
-    ps = propagation.puncture_set(cfg)
     results = {
         "e1": _c(hp.e1),
         "e2": _c(hp.e2),
         "e3": _c(hp.e3),
         "g2": _c(hp.g2),
         "g3": _c(hp.g3),
-        "p_q": _c(ps.p_q),
+        "p_q": _c(pole_parameter(cfg)),
         "lambda": lam.to_json_dict(),
         "mu": _c(mu.mu),
         "abs_mu": mu.abs_mu,

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import shifted_constants
-from .basis import AlgebraParams, frame_array, monomial, out_puncture_order
-from .config import TorusConfig, lattice_distance
+from .algebra import _bracket_items, shifted_constants
+from .basis import AlgebraParams, frame_array, monomial, out_puncture_order, puncture_circles
+from .config import CONFIG_CACHE_SIZE, TorusConfig
 from .errors import BadContourError
 from .quadrature import circle_nodes, circle_trapezoid
 
@@ -40,33 +40,31 @@ DEFAULT_SIGN_CONVENTION: tuple[int, int] = (1, -1)
 
 PAIRING_INDEX_BOUND = 12
 
+# trapezoid nodes on each pairing circle
+PAIRING_NODES = 512
+
 
 # ---------------------------------------------------------------------------
 # duality pairing by contour quadrature
 
 
-@lru_cache(maxsize=None)
-def _pairing_circles(cfg: TorusConfig, nodes: int):
-    """Cached quadrature data on fixed circles around each distinct puncture.
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _pairing_circles(cfg: TorusConfig):
+    """Cached quadrature data on the basis.puncture_circles circle around
+    each distinct puncture.
 
-    For each circle: the center, its nodes, and the pole factor wp(z) - p and
-    the differential scalar at every node, from one frame_array call.  All
-    basis functions on the circle are cheap monomials in these arrays.
+    For each circle: the center, its PAIRING_NODES nodes, and the pole factor
+    wp(z) - p and the differential scalar at every node, from one
+    frame_array call.  All basis functions on the circle are cheap
+    monomials in these arrays.
     """
-    centers = list(cfg.punctures())
-    tau = cfg.tau
-    lattice_min = min(1.0, abs(tau), abs(tau + 1.0), abs(tau - 1.0))
     data = []
-    for idx, c in enumerate(centers):
-        others = [s for pos, s in enumerate(centers) if pos != idx]
-        dist = min(lattice_distance(c - s, tau) for s in others)
-        # the center's own lattice translates bound the holomorphy disk too
-        dist = min(dist, lattice_min)
-        circle = circle_nodes(c, 0.45 * dist, nodes)
+    for center, radius in puncture_circles(cfg):
+        circle = circle_nodes(center, radius, PAIRING_NODES)
         base, omega, _ = frame_array(circle, cfg)
         for cached in (circle, base, omega):
             cached.flags.writeable = False  # every caller shares these arrays
-        data.append((c, circle, base, omega))
+        data.append((center, circle, base, omega))
     return tuple(data)
 
 
@@ -76,7 +74,7 @@ def _pairing_residue(circle, i1: int, i2: int) -> complex:
     return circle_trapezoid(monomial(i1, base, omega) * monomial(i2, base, omega), nodes, center)
 
 
-def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
+def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
     """Dual pairing of the vector field e_j with the quadratic form O_k.
 
     The integrand is the scalar A_{j+1} * A_{-k-2}; its integral over any
@@ -86,8 +84,10 @@ def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
     by conservation of the total vanishing order, a holomorphic integrand
     at both out-points, whose residues vanish identically; the level-line
     value is then an exact zero.  The underlying vanishing orders are
-    certified separately by argument-principle quadrature.  Returns
-    delta_j^k up to quadrature error.
+    certified separately by argument-principle quadrature.  Each residue is
+    the trapezoid rule with PAIRING_NODES nodes on the puncture's
+    basis.puncture_circles circle.  Returns delta_j^k up to quadrature
+    error.
     """
     if max(abs(j), abs(k)) > PAIRING_INDEX_BOUND:
         raise BadContourError(
@@ -97,7 +97,7 @@ def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
     n0 = i1 + i2  # the order at the in-point is the label itself
     nq = out_puncture_order(i1, cfg.two_point) + out_puncture_order(i2, cfg.two_point)
     if n0 >= -4:
-        return _pairing_residue(_pairing_circles(cfg, nodes)[0], i1, i2)
+        return _pairing_residue(_pairing_circles(cfg)[0], i1, i2)
     if nq < 0:
         raise AssertionError(
             f"order bookkeeping violated for pairing({j},{k}): n0={n0}, nq={nq}"
@@ -105,14 +105,14 @@ def pairing(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> complex:
     return 0j
 
 
-def pairing_residue_routes(j: int, k: int, cfg: TorusConfig, nodes: int = 512) -> tuple[complex, complex]:
+def pairing_residue_routes(j: int, k: int, cfg: TorusConfig) -> tuple[complex, complex]:
     """(in-point residue, -(sum of out-point residues)) for consistency checks.
 
     Both routes are homologous to a level line, so they agree whenever both
     are numerically benign (mild pole orders on each side).
     """
     i1, i2 = j + 1, -k - 2
-    circles = _pairing_circles(cfg, nodes)
+    circles = _pairing_circles(cfg)
     a = _pairing_residue(circles[0], i1, i2)
     b = -sum(_pairing_residue(circle, i1, i2) for circle in circles[1:])
     return a, b
@@ -289,13 +289,6 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
 # identities, tables, reconciliation
 
 
-@lru_cache(maxsize=256)
-def _shifted_items(i: int, j: int, params: AlgebraParams) -> tuple[tuple[int, complex], ...]:
-    # shifted_constants(i, j, params) for cocycle_identity_residual, which
-    # meets each pair about 30 times per parameter set
-    return tuple(shifted_constants(i, j, params).items())
-
-
 def cocycle_identity_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
     """Two-cocycle identity residual, normalized by the cubic parameter scale.
 
@@ -304,8 +297,9 @@ def cocycle_identity_residual(i: int, j: int, k: int, params: AlgebraParams) -> 
     """
     total = 0j
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, coeff in _shifted_items(b, c, params):
-            total += coeff * chi_sum(a, m, params)
+        # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
+        for m, coeff in _bracket_items(b + 1, c + 1, params):
+            total += coeff * chi_sum(a, m - 1, params)
     scale = params.scale()
     return abs(total) / (scale**3)
 

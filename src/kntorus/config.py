@@ -11,6 +11,12 @@ import numpy as np
 # no function is evaluated this close to a lattice point or a puncture
 EXCLUSION_RADIUS = 1e-4
 
+# entries of every per-configuration lru_cache: one `verify all` touches
+# five configurations (the given one, its two-point limit and the three
+# q of the degeneration check), so a bound of 8 keeps a run's misses to one
+# per configuration while a process that runs many geometries keeps few
+CONFIG_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class TorusConfig:

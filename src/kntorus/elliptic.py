@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice, reduce_mod_lattice_array
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice, reduce_mod_lattice_array
 from .errors import PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
@@ -154,7 +154,7 @@ def wp_prime(z: complex, cfg: TorusConfig) -> complex:
     return wp_pair(z, cfg)[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2 and g2, g3.
 

@@ -17,16 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import check_away_from_punctures, frame, frame_array, puncture_set
+from .basis import CIRCLE_NODES, check_away_from_punctures, circle_radius, frame, frame_array, pole_parameter
 from .config import (
+    CONFIG_CACHE_SIZE,
     EXCLUSION_RADIUS,
     TorusConfig,
-    distance_to_points,
     distance_to_points_array,
     reduce_mod_lattice,
 )
 from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array
-from .errors import BadContourError, BisectionError, DegenerateModuliError, PoleOnPathError
+from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
 # offset of the period-cycle representatives, chosen to keep both segments
@@ -60,31 +60,14 @@ def omega_hat(z: complex, cfg: TorusConfig) -> complex:
     return frame(z, cfg)[1]
 
 
-def residue_at(
-    center: complex, radius: float, cfg: TorusConfig, nodes: int = 256
-) -> complex:
-    """Residue of the propagation differential on |z - center| = radius.
+def residue_at(s: complex, cfg: TorusConfig) -> complex:
+    """Residue of the propagation differential at the puncture s.
 
-    The circle must enclose exactly one of the three punctures and stay
-    clear of the others; the geometry is checked before integrating.
+    The trapezoid rule with CIRCLE_NODES nodes on the basis.puncture_circles
+    circle around s, which encloses s and no other puncture.  Raises
+    ValueError when s is not one of cfg.punctures().
     """
-    if nodes < 64:
-        raise ValueError("at least 64 quadrature nodes are required")
-    enclosed = 0
-    for s in cfg.punctures():
-        d = distance_to_points(center, (s,), cfg.tau)
-        if abs(d - radius) <= 4.0 * EXCLUSION_RADIUS:
-            raise BadContourError(
-                f"puncture {s} lies on the contour |z-{center}|={radius}"
-            )
-        if d < radius:
-            enclosed += 1
-    if enclosed != 1:
-        raise BadContourError(
-            f"contour around {center} (radius {radius}) encloses {enclosed} "
-            "punctures; exactly one is required"
-        )
-    return contour_residue(lambda z: frame_array(z, cfg)[1], center, radius, nodes)
+    return contour_residue(lambda z: frame_array(z, cfg)[1], s, circle_radius(s, cfg), CIRCLE_NODES)
 
 
 def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -145,10 +128,10 @@ def period_real_parts(
     return results[0], results[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def _reference_constant(cfg: TorusConfig) -> float:
     ref = 0.25 * (1.0 + cfg.tau)
-    return 0.5 * math.log(abs(wp(ref, cfg) - puncture_set(cfg).p_q))
+    return 0.5 * math.log(abs(wp(ref, cfg) - pole_parameter(cfg)))
 
 
 def time_coordinate(z: complex, cfg: TorusConfig) -> float:
@@ -158,7 +141,7 @@ def time_coordinate(z: complex, cfg: TorusConfig) -> float:
     matching the residue signs (+1, -1/2, -1/2).
     """
     check_away_from_punctures(z, cfg)
-    return -0.5 * math.log(abs(wp(z, cfg) - puncture_set(cfg).p_q)) + _reference_constant(cfg)
+    return -0.5 * math.log(abs(wp(z, cfg) - pole_parameter(cfg))) + _reference_constant(cfg)
 
 
 def separation_time(cfg: TorusConfig) -> float:
@@ -168,7 +151,7 @@ def separation_time(cfg: TorusConfig) -> float:
     becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
     """
     hp = half_period_values(cfg)
-    p_q = puncture_set(cfg).p_q
+    p_q = pole_parameter(cfg)
     denom = hp.e2 - p_q
     if abs(denom) < 1e-13 * max(1.0, abs(hp.e2)):
         raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
@@ -191,7 +174,7 @@ def _time_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray
     1e-14 * max(1, |t|) for the rounding of t.
     """
     w = wp_array(z, cfg)
-    gap = np.abs(w - puncture_set(cfg).p_q)
+    gap = np.abs(w - pole_parameter(cfg))
     t = -0.5 * np.log(gap) + _reference_constant(cfg)
     slack = WP_ARRAY_RTOL * np.maximum(1.0, np.abs(w)) / gap + 1e-14 * np.maximum(1.0, np.abs(t))
     return t, slack

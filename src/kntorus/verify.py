@@ -137,17 +137,13 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
         worst = max(worst, abs(lhs2 + rhs2) / max(1.0, abs(lhs2)))
     checks.append(_check("omega_antisymmetry", worst, cfg.tol))
 
-    radius = 0.05
-    res_in = propagation.residue_at(0j, radius, cfg)
-    if cfg.two_point:
-        res_out = propagation.residue_at(0.5 + 0j, radius, cfg)
-        worst = max(abs(res_in - 1.0), abs(res_out + 1.0))
-        total = abs(res_in + res_out)
-    else:
-        r1 = propagation.residue_at(0.5 + cfg.q, radius, cfg)
-        r2 = propagation.residue_at(0.5 - cfg.q, radius, cfg)
-        worst = max(abs(res_in - 1.0), abs(r1 + 0.5), abs(r2 + 0.5))
-        total = abs(res_in + r1 + r2)
+    # residues (+1, -1/2, -1/2), or (+1, -1) at the merged out-puncture
+    punctures = cfg.punctures()
+    outs = len(punctures) - 1
+    residues = [propagation.residue_at(s, cfg) for s in punctures]
+    expected = (1.0, *(-1.0 / outs,) * outs)
+    worst = max(abs(r - e) for r, e in zip(residues, expected))
+    total = abs(sum(residues))
     checks.append(_check("residue_triple", worst, 1e-8))
     checks.append(_check("residue_sum", total, 1e-8))
 
@@ -229,25 +225,12 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     checks.append(_check("derivative_vs_finite_difference", worst, 1e-6))
 
     mismatches = 0.0
-    ps = propagation.puncture_set(cfg)
+    punctures = cfg.punctures()
     for k in range(-6, 7):
-        triple = basis.order_triple(k)
-        if cfg.two_point:
-            merged = basis.out_puncture_order(k, two_point=True)
-            got = (
-                basis.winding_order(k, 0j, 0.12, cfg),
-                basis.winding_order(k, 0.5 + 0j, 0.15, cfg),
-            )
-            if got != (triple[0], merged):
-                mismatches += 1
-        else:
-            got = (
-                basis.winding_order(k, 0j, 0.12, cfg),
-                basis.winding_order(k, ps.q_out_1, 0.1, cfg),
-                basis.winding_order(k, ps.q_out_2, 0.1, cfg),
-            )
-            if got != triple:
-                mismatches += 1
+        out = basis.out_puncture_order(k, cfg.two_point)
+        expected = (k, *(out,) * (len(punctures) - 1))
+        if tuple(basis.winding_order(k, s, cfg) for s in punctures) != expected:
+            mismatches += 1
     checks.append(_check("order_triples_vs_winding", mismatches, 0.0))
 
     worst = 0.0

@@ -61,9 +61,7 @@ def test_criterion_01_residues():
     slowest = 0.0
     for cfg in ACCEPTANCE_CONFIGS:
         start = time.time()
-        r0 = residue_at(0j, 0.05, cfg)
-        r1 = residue_at(0.5 + cfg.q, 0.05, cfg)
-        r2 = residue_at(0.5 - cfg.q, 0.05, cfg)
+        r0, r1, r2 = (residue_at(s, cfg) for s in cfg.punctures())
         slowest = max(slowest, time.time() - start)
         worst = max(worst, abs(r0 - 1.0), abs(r1 + 0.5), abs(r2 + 0.5))
     _report(

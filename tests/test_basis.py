@@ -3,19 +3,24 @@ import random
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, assert_close
+from kntorus import basis
 from kntorus.basis import (
     WITT_PARAMS,
     basis_derivative,
     basis_value,
+    circle_radius,
     formal_params,
     frame,
     lambda_coefficients,
-    order_triple,
+    out_puncture_order,
+    pole_parameter,
+    puncture_circles,
     winding_order,
 )
+from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair, wp_prime
 from kntorus.errors import NonIntegerWindingError
-from kntorus.propagation import omega_hat, puncture_set
+from kntorus.propagation import omega_hat
 from kntorus.verify import random_points
 
 
@@ -79,7 +84,7 @@ def test_derivative_vs_finite_difference(k, cfg_square):
 def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
     # A_k and A_k' as computed before the frame: wp'' from a second wp call
     for cfg in (cfg_square, cfg_generic):
-        p_q, g2 = puncture_set(cfg).p_q, half_period_values(cfg).g2
+        p_q, g2 = pole_parameter(cfg), half_period_values(cfg).g2
         for z in random_points(cfg, 10, seed=41):
             p, dp = wp_pair(z, cfg)
             base = p - p_q
@@ -98,63 +103,73 @@ def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
 
 
 def test_order_triples():
-    assert order_triple(2) == (2, -1, -1)
-    assert order_triple(-1) == (-1, -1, -1)
-    assert order_triple(0) == (0, 0, 0)
-    assert order_triple(4) == (4, -2, -2)
-    assert order_triple(3) == (3, -3, -3)
+    # the order at the in-point 0 is k itself; these are the out-point orders
+    for k, out in ((2, -1), (-1, -1), (0, 0), (4, -2), (3, -3)):
+        assert out_puncture_order(k) == out
+
+
+def _winding_orders(k, cfg):
+    return tuple(winding_order(k, s, cfg) for s in cfg.punctures())
 
 
 def test_winding_orders_match_triples(cfg_square):
-    ps = puncture_set(cfg_square)
     for k in range(-6, 7):
-        triple = order_triple(k)
-        assert winding_order(k, 0j, 0.12, cfg_square) == triple[0]
-        assert winding_order(k, ps.q_out_1, 0.1, cfg_square) == triple[1]
-        assert winding_order(k, ps.q_out_2, 0.1, cfg_square) == triple[2]
+        assert _winding_orders(k, cfg_square) == (k, out_puncture_order(k), out_puncture_order(k))
 
 
 @pytest.mark.parametrize("cfg", ACCEPTANCE_CONFIGS, ids=lambda c: f"tau={c.tau},q={c.q}")
 def test_winding_orders_match_triples_acceptance(cfg):
-    ps = puncture_set(cfg)
     for k in range(-6, 7):
-        got = tuple(
-            winding_order(k, center, radius, cfg)
-            for center, radius in ((0j, 0.12), (ps.q_out_1, 0.1), (ps.q_out_2, 0.1))
-        )
-        assert got == order_triple(k), k
+        assert _winding_orders(k, cfg) == (k, out_puncture_order(k), out_puncture_order(k)), k
 
 
 def test_winding_order_k4_and_k3(cfg_square):
-    assert winding_order(4, 0j, 0.12, cfg_square) == 4
-    assert winding_order(3, 0.7 + 0j, 0.1, cfg_square) == -3
-    assert winding_order(0, 0j, 0.12, cfg_square) == 0
+    assert winding_order(4, 0j, cfg_square) == 4
+    assert winding_order(3, 0.5 + cfg_square.q, cfg_square) == -3
+    assert winding_order(0, 0j, cfg_square) == 0
 
 
 def test_winding_orders_two_point(cfg_two_point):
     # merged out-puncture carries order -k (even) or -k-2 (odd)
     for k in range(-5, 6):
-        assert winding_order(k, 0j, 0.12, cfg_two_point) == k
         merged = -k if k % 2 == 0 else -k - 2
-        assert winding_order(k, 0.5 + 0j, 0.15, cfg_two_point) == merged
+        assert _winding_orders(k, cfg_two_point) == (k, merged)
 
 
-def test_winding_rejects_bad_contour(cfg_square):
+def test_winding_rejects_bad_contour(cfg_square, monkeypatch):
     # radius 0.5 around the origin passes through zeros of the odd basis
     # functions at the half periods, leaving a half-integer winding
+    monkeypatch.setattr(basis, "puncture_circles", lambda cfg: ((0j, 0.5),))
     with pytest.raises(NonIntegerWindingError):
-        winding_order(3, 0j, 0.5, cfg_square)
+        winding_order(3, 0j, cfg_square)
+
+
+def test_puncture_circles(cfg_square, cfg_two_point):
+    # 0.45 x the distance to the nearest other puncture or half period
+    radii = [r for _, r in puncture_circles(cfg_square)]
+    assert [c for c, _ in puncture_circles(cfg_square)] == list(cfg_square.punctures())
+    assert_close(radii[0], 0.45 * 0.3, 1e-15)
+    assert_close(radii[1], 0.45 * 0.2, 1e-15)
+    assert_close(radii[2], 0.45 * 0.2, 1e-15)
+    # the merged out-puncture 1/2 is itself a half period
+    assert [r for _, r in puncture_circles(cfg_two_point)] == [0.225, 0.225]
+    # a tall cell: the out-punctures' own translates (+-1) are nearest
+    tall = TorusConfig(tau=6j, q=1.5j)
+    assert [r for _, r in puncture_circles(tall)][1:] == [0.45, 0.45]
+    assert circle_radius(0.5 - cfg_square.q, cfg_square) == radii[2]
+    with pytest.raises(ValueError, match="not a puncture"):
+        winding_order(1, 0.25 + 0j, cfg_square)
 
 
 def test_lambda_derived_values(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    ps = puncture_set(cfg_square)
+    p_q = pole_parameter(cfg_square)
     hp = half_period_values(cfg_square)
     assert lam.lam4 == 1.0
-    assert_close(lam.lam5, 3 * ps.p_q, 1e-12 * abs(ps.p_q))
+    assert_close(lam.lam5, 3 * p_q, 1e-12 * abs(p_q))
     assert_close(
         lam.lam6,
-        3 * ps.p_q**2 - (hp.e2**2 + hp.e2 * hp.e3 + hp.e3**2),
+        3 * p_q**2 - (hp.e2**2 + hp.e2 * hp.e3 + hp.e3**2),
         1e-10 * max(1.0, abs(lam.lam6)),
     )
     quarter_sq = 0.25 * wp_prime(0.5 + cfg_square.q, cfg_square) ** 2

@@ -168,6 +168,21 @@ def test_usage_errors(capsys):
     assert code == 2 and "two_point" in err
 
 
+def test_verify_basis_at_small_q(capsys):
+    # the half period 1/2 lies |q| from each out-puncture; a winding circle
+    # of fixed radius 0.1 enclosed it (0.08) or ran through it (0.1)
+    for q in ("0.08", "0.1"):
+        code, out, err = run_cli(capsys, "verify", "basis", "--q-re", q)
+        assert code == 0, (q, err)
+        assert json.loads(out)["results"]["all_passed"] is True
+
+
+def test_circle_inside_exclusion_disk_names_q(capsys):
+    code, out, err = run_cli(capsys, "verify", "cocycle", "--q-re", "0.000105", "--window", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: q=(0.000105+0j): ") and "exclusion disk" not in err, err
+
+
 def test_levellines_samples_floor_names_flag(capsys):
     code, out, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "8")
     assert code == 2 and out == ""

@@ -328,6 +328,20 @@ def test_two_cocycle_identity(cfg_square):
                     assert cocycle_identity_residual(i, j, k, params) <= 1e-9
 
 
+@settings(max_examples=16, deadline=None)
+@given(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)))
+def test_two_cocycle_identity_exact_at_integer_probes(lams):
+    # with lam4 = 1 and small integer lam5..lam7 every structure constant
+    # and cocycle value is an exact small integer, so the identity holds
+    # bit for bit, not only to round-off
+    params = formal_params(*(complex(x) for x in lams))
+    window = range(-6, 7)
+    for i in window:
+        for j in window:
+            for k in window:
+                assert cocycle_identity_residual(i, j, k, params) == 0.0, (i, j, k)
+
+
 def test_identity_trivial_cases(cfg_square):
     lam = lambda_coefficients(cfg_square)
     assert cocycle_identity_residual(2, -1, -1, WITT_PARAMS) <= 1e-12

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus import propagation
-from kntorus.basis import frame, frame_array
+from kntorus.basis import circle_radius, frame, frame_array, pole_parameter
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -22,7 +22,6 @@ from kntorus.propagation import (
     mu_modulus,
     omega_hat,
     period_real_parts,
-    puncture_set,
     residue_at,
     separation_time,
     time_coordinate,
@@ -64,9 +63,7 @@ def test_omega_prime_vs_finite_difference(cfg_square):
 
 def test_residues():
     for cfg in ACCEPTANCE_CONFIGS:
-        r0 = residue_at(0j, 0.05, cfg)
-        r1 = residue_at(0.5 + cfg.q, 0.05, cfg)
-        r2 = residue_at(0.5 - cfg.q, 0.05, cfg)
+        r0, r1, r2 = (residue_at(s, cfg) for s in cfg.punctures())
         assert abs(r0 - 1.0) < 1e-8
         assert abs(r1 + 0.5) < 1e-8
         assert abs(r2 + 0.5) < 1e-8
@@ -74,24 +71,16 @@ def test_residues():
 
 
 def test_residues_two_point(cfg_two_point):
-    assert abs(residue_at(0j, 0.05, cfg_two_point) - 1.0) < 1e-8
-    assert abs(residue_at(0.5 + 0j, 0.05, cfg_two_point) + 1.0) < 1e-8
-
-
-def test_residue_radius_range(cfg_square):
-    for radius in (0.01, 0.05, 0.1):
-        assert abs(residue_at(0j, radius, cfg_square) - 1.0) < 1e-8
+    assert abs(residue_at(0j, cfg_two_point) - 1.0) < 1e-8
+    assert abs(residue_at(0.5 + 0j, cfg_two_point) + 1.0) < 1e-8
 
 
 def test_residue_bad_contour(cfg_square):
-    with pytest.raises(BadContourError):
-        residue_at(0.5 + 0j, 0.3, cfg_square)  # encloses both out-punctures
-    with pytest.raises(BadContourError):
-        residue_at(0.25 + 0j, 0.02, cfg_square)  # encloses nothing
-    with pytest.raises(BadContourError):
-        residue_at(0j, 0.3, cfg_square)  # puncture on the contour
-    with pytest.raises(ValueError):
-        residue_at(0j, 0.05, cfg_square, nodes=32)
+    with pytest.raises(ValueError, match="not a puncture"):
+        residue_at(0.25 + 0j, cfg_square)
+    # the out-point circles of |q| = 1.05e-4 would lie inside the exclusion disks
+    with pytest.raises(BadContourError, match="q="):
+        residue_at(0j, TorusConfig(tau=1j, q=0.000105))
 
 
 def test_degenerate_moduli_error():
@@ -168,9 +157,10 @@ def test_array_quadrature_matches_scalar_loops(cfg_generic):
     cfg = cfg_generic
     n = 256
     for center in cfg.punctures():
-        nodes = [center + 0.05 * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        radius = circle_radius(center, cfg)
+        nodes = [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]
         ref = sum(omega_hat(z, cfg) * (z - center) for z in nodes) / n
-        assert abs(residue_at(center, 0.05, cfg) - ref) <= 1e-13
+        assert abs(residue_at(center, cfg) - ref) <= 1e-13
     z0, z1 = 0.1 + 0.2j, 0.35 - 0.3j
     x, weights = np.polynomial.legendre.leggauss(16)
     ref = sum(
@@ -234,12 +224,9 @@ def test_mu_square_lattice(cfg_two_point):
     assert_close(m.separation_time_two_point, separation_time(cfg_two_point), 1e-10)
 
 
-def test_puncture_set(cfg_square):
-    ps = puncture_set(cfg_square)
-    assert ps.p_in == 0j
-    assert_close(ps.q_out_1, 0.7, 1e-15)
-    assert_close(ps.q_out_2, 0.3, 1e-15)
-    assert_close(ps.p_q, wp_pair(0.7, cfg_square)[0], 1e-12)
+def test_pole_parameter(cfg_square, cfg_two_point):
+    assert_close(pole_parameter(cfg_square), wp_pair(0.7, cfg_square)[0], 1e-12)
+    assert pole_parameter(cfg_two_point) == half_period_values(cfg_two_point).e1
 
 
 def test_pole_proximity(cfg_square):

@@ -1,7 +1,7 @@
 import pytest
 
-from kntorus import propagation, verify
-from kntorus.config import TorusConfig
+from kntorus import basis, cocycle, elliptic, propagation, verify
+from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
 from kntorus.verify import SUITES, CheckResult, verify_differential, verify_suite
@@ -61,3 +61,26 @@ def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
         assert c.passed != unconverged_check, c
         assert c.max_residual <= c.tolerance, c
         assert c.detail == ("did not converge" if unconverged_check else ""), c
+
+
+def test_config_caches_stay_bounded():
+    # a process that runs many geometries keeps at most CONFIG_CACHE_SIZE
+    # of each per-configuration cache
+    caches = (
+        elliptic.half_period_values,
+        basis.pole_parameter,
+        basis.puncture_circles,
+        basis.lambda_coefficients,
+        propagation._reference_constant,
+        cocycle._pairing_circles,
+    )
+    for n in range(50):
+        cfg = TorusConfig(tau=complex(0.01 * n, 1.0), q=0.1 + 0.003 * n)
+        basis.lambda_coefficients(cfg)
+        propagation.residue_at(0j, cfg)
+        propagation.time_coordinate(0.3 + 0.2j, cfg)
+        cocycle.pairing(0, 0, cfg)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == CONFIG_CACHE_SIZE, cache
+        assert 0 < info.currsize <= CONFIG_CACHE_SIZE, cache
