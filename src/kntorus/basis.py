@@ -16,7 +16,8 @@ Every A_k and its derivative are monomials in the frame of a point,
 (base, w, w') with base = wp - p: ``frame`` computes it at one point (one
 puncture check, one wp_pair call) and ``frame_array`` at every entry of an
 array (one wp_pair_array call), so a point costs one elliptic evaluation
-however many labels are read from it.
+however many labels are read from it.  ``puncture_circles`` caches the
+array frame on each puncture's quadrature circle, once per configuration.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import numpy as np
 from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, lattice_distance
 from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
 from .errors import BadContourError, NonIntegerWindingError, PoleProximityError
-from .quadrature import contour_residue
+from .quadrature import circle_nodes, contour_residue
 
 # a puncture circle's radius, as a fraction of the distance from the
 # puncture to the nearest other special point (see puncture_circles)
 CIRCLE_FRACTION = 0.45
 
-# trapezoid nodes on a puncture circle for winding orders and residues
-CIRCLE_NODES = 256
+# trapezoid nodes on every puncture circle
+CIRCLE_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -94,24 +95,42 @@ def pole_parameter(cfg: TorusConfig) -> complex:
     return wp(0.5 + cfg.q, cfg)
 
 
+@dataclass(frozen=True, eq=False)
+class PunctureCircle:
+    """A puncture's quadrature circle: its CIRCLE_NODES circle_nodes and the
+    frame (base, w, w_prime) at them, as arrays that every caller shares."""
+
+    center: complex
+    radius: float
+    nodes: np.ndarray
+    base: np.ndarray
+    w: np.ndarray
+    w_prime: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.nodes, self.base, self.w, self.w_prime):
+            a.flags.writeable = False
+
+
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def puncture_circles(cfg: TorusConfig) -> tuple[tuple[complex, float], ...]:
-    """(center, radius) of the quadrature circle around each puncture, in
-    cfg.punctures() order: the one circle that winding orders, residues and
-    the pairing all integrate on.
+def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
+    """The PunctureCircle of each puncture, in cfg.punctures() order: the one
+    circle and the one frame_array evaluation that winding orders, residues
+    and the pairing all sum over.
 
     The radius is CIRCLE_FRACTION of the exact lattice distance to the
     nearest other special point: the other punctures, the half periods (the
     zeros of wp', hence of w and of every odd A_k) and the puncture's own
     lattice translates.  So each circle encloses its puncture and no other
     pole or zero of any A_k, w or w'/w.  Raises BadContourError, naming q,
-    when a radius does not clear twice the exclusion radius.
+    before any node is evaluated, when a radius does not clear twice the
+    exclusion radius.
     """
     tau, punctures = cfg.tau, cfg.punctures()
     half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
     # the shortest period is twice the lattice's distance to its nearest half period
     period = 2.0 * min(lattice_distance(h, tau) for h in half_periods)
-    circles = []
+    radii = []
     for s in punctures:
         # a half period at distance 0 is the merged out-puncture itself
         near = [d for d in (lattice_distance(s - h, tau) for h in half_periods) if d > 0]
@@ -122,15 +141,19 @@ def puncture_circles(cfg: TorusConfig) -> tuple[tuple[complex, float], ...]:
                 f"q={cfg.q}: the circle around the puncture {s} would have radius "
                 f"{radius:.3g}, within twice the exclusion radius {EXCLUSION_RADIUS}"
             )
-        circles.append((s, radius))
+        radii.append(radius)
+    circles = []
+    for s, radius in zip(punctures, radii):
+        nodes = circle_nodes(s, radius, CIRCLE_NODES)
+        circles.append(PunctureCircle(s, radius, nodes, *frame_array(nodes, cfg)))
     return tuple(circles)
 
 
-def circle_radius(s: complex, cfg: TorusConfig) -> float:
-    """Radius of the puncture_circles circle around the puncture s."""
-    for center, radius in puncture_circles(cfg):
-        if center == s:
-            return radius
+def puncture_circle(s: complex, cfg: TorusConfig) -> PunctureCircle:
+    """The puncture_circles record of the puncture s."""
+    for circle in puncture_circles(cfg):
+        if circle.center == s:
+            return circle
     raise ValueError(f"{s} is not a puncture of {cfg}; the punctures are {cfg.punctures()}")
 
 
@@ -214,20 +237,14 @@ def out_puncture_order(k: int, two_point: bool = False) -> int:
 def winding_order(k: int, s: complex, cfg: TorusConfig) -> int:
     """Argument-principle order of basis function k at the puncture s.
 
-    Integrates the log-derivative A_k'/A_k from the array frame, k*w for
-    even k and w'/w + (k+1)*w for odd k, with CIRCLE_NODES nodes on the
-    puncture_circles circle around s, and rounds; raises
-    NonIntegerWindingError when the quadrature is further than 1e-3 from an
+    Sums the log-derivative A_k'/A_k, k*w for even k and w'/w + (k+1)*w for
+    odd k, over the cached frame of the puncture_circle around s and rounds;
+    raises NonIntegerWindingError when the sum is further than 1e-3 from an
     integer, or not finite.  s must be one of cfg.punctures().
     """
-
-    def logderiv(z: np.ndarray) -> np.ndarray:
-        _, w, w_prime = frame_array(z, cfg)
-        if k % 2 == 0:
-            return k * w
-        return w_prime / w + (k + 1) * w
-
-    val = contour_residue(logderiv, s, circle_radius(s, cfg), CIRCLE_NODES)
+    c = puncture_circle(s, cfg)
+    logderiv = k * c.w if k % 2 == 0 else c.w_prime / c.w + (k + 1) * c.w
+    val = contour_residue(logderiv, c.nodes, c.center)
     if cmath.isfinite(val) and abs(val - round(val.real)) <= 1e-3:
         return round(val.real)
     raise NonIntegerWindingError(

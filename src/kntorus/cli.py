@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,9 +43,20 @@ MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512
 
 
-def _check_cap(flag: str, value: int, cap: int, work: str) -> None:
+def _check_range(flag: str, value: int, floor: int, cap: int, work: str) -> None:
+    if value < floor:
+        raise ValueError(f"{flag}: must be at least {floor}, got {value}")
     if value > cap:
         raise ValueError(f"{flag} {value} exceeds the cap {cap}: it would take {work}")
+
+
+def finite_float(text: str) -> float:
+    """argparse type of the flags no config field checks: a float that is
+    neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _c(value: complex) -> list[float]:
@@ -85,15 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_geometry(p_table)
     p_table.add_argument("--window", type=int, default=6)
     p_table.add_argument("--formal-witt", action="store_true", help="formal (1,0,0,0) parameters")
-    p_table.add_argument("--lam5", type=float, nargs=2, metavar=("RE", "IM"))
-    p_table.add_argument("--lam6", type=float, nargs=2, metavar=("RE", "IM"))
-    p_table.add_argument("--lam7", type=float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam5", type=finite_float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam6", type=finite_float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam7", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--indexing", choices=("original", "shifted"), default="original")
     add_output(p_table)
 
     p_level = sub.add_parser("levellines", help="sample a level line of the time function")
     add_geometry(p_level)
-    p_level.add_argument("--u", type=float, required=True)
+    p_level.add_argument("--u", type=finite_float, required=True)
     p_level.add_argument("--samples", type=int, default=64)
     add_output(p_level)
 
@@ -191,11 +203,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.window < 1:
-        raise ValueError("window must be >= 1")
     side = 2 * args.window + 1
-    _check_cap(
-        "--window", args.window, MAX_VERIFY_WINDOW,
+    _check_range(
+        "--window", args.window, 1, MAX_VERIFY_WINDOW,
         f"{5 * side * side} pointwise bracket evaluations",
     )
     checks = verify_suite(args.suite, cfg, args.window)
@@ -218,10 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.window < 1:
-        raise ValueError("window must be >= 1")
     side = 2 * args.window + 1
-    _check_cap("--window", args.window, MAX_TABLE_WINDOW, f"{side * side} table entries")
+    _check_range("--window", args.window, 1, MAX_TABLE_WINDOW, f"{side * side} table entries")
     params = _formal_from_args(args)
     cfg = None
     if params is None:
@@ -258,12 +266,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_levellines(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     side = args.samples + 1
-    _check_cap("--samples", args.samples, MAX_SAMPLES, f"{side * side} time evaluations")
-    try:
-        sample = propagation.level_line_samples(cfg, args.u, args.samples)
-    except ValueError as exc:
-        # the scan's own resolution floor, reported under the flag that set it
-        raise ValueError(f"--samples: {exc}") from None
+    _check_range(
+        "--samples", args.samples, propagation.MIN_RESOLUTION, MAX_SAMPLES,
+        f"{side * side} time evaluations",
+    )
+    sample = propagation.level_line_samples(cfg, args.u, args.samples)
     if args.format == "csv":
         rows = ["u,re,im"]
         rows.extend(f"{sample.u!r},{p.real!r},{p.imag!r}" for p in sample.points)

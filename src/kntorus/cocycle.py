@@ -27,51 +27,31 @@ stored on CocycleTable connect the two:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import _bracket_items, shifted_constants
-from .basis import AlgebraParams, frame_array, monomial, out_puncture_order, puncture_circles
-from .config import CONFIG_CACHE_SIZE, TorusConfig
+from .basis import AlgebraParams, PunctureCircle, monomial, out_puncture_order, puncture_circles
+from .config import TorusConfig
 from .errors import BadContourError
-from .quadrature import circle_nodes, circle_trapezoid
+from .quadrature import contour_residue
 
 # empirical wedge-operator convention; rederived by fock.determine_sign_convention
 DEFAULT_SIGN_CONVENTION: tuple[int, int] = (1, -1)
 
 PAIRING_INDEX_BOUND = 12
 
-# trapezoid nodes on each pairing circle
-PAIRING_NODES = 512
+# chi_closed entries further than this, relative to max(1, |chi_sum|), from
+# chi_sum are listed by reconciliation_report
+RECONCILIATION_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # duality pairing by contour quadrature
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _pairing_circles(cfg: TorusConfig):
-    """Cached quadrature data on the basis.puncture_circles circle around
-    each distinct puncture.
-
-    For each circle: the center, its PAIRING_NODES nodes, and the pole factor
-    wp(z) - p and the differential scalar at every node, from one
-    frame_array call.  All basis functions on the circle are cheap
-    monomials in these arrays.
-    """
-    data = []
-    for center, radius in puncture_circles(cfg):
-        circle = circle_nodes(center, radius, PAIRING_NODES)
-        base, omega, _ = frame_array(circle, cfg)
-        for cached in (circle, base, omega):
-            cached.flags.writeable = False  # every caller shares these arrays
-        data.append((center, circle, base, omega))
-    return tuple(data)
-
-
-def _pairing_residue(circle, i1: int, i2: int) -> complex:
-    """Residue of A_{i1} * A_{i2} on a cached circle."""
-    center, nodes, base, omega = circle
-    return circle_trapezoid(monomial(i1, base, omega) * monomial(i2, base, omega), nodes, center)
+def _pairing_residue(circle: PunctureCircle, i1: int, i2: int) -> complex:
+    """Residue of A_{i1} * A_{i2} from the cached frame of a puncture circle."""
+    values = monomial(i1, circle.base, circle.w) * monomial(i2, circle.base, circle.w)
+    return contour_residue(values, circle.nodes, circle.center)
 
 
 def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
@@ -85,9 +65,9 @@ def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
     at both out-points, whose residues vanish identically; the level-line
     value is then an exact zero.  The underlying vanishing orders are
     certified separately by argument-principle quadrature.  Each residue is
-    the trapezoid rule with PAIRING_NODES nodes on the puncture's
-    basis.puncture_circles circle.  Returns delta_j^k up to quadrature
-    error.
+    a trapezoid sum of monomials in the cached basis.puncture_circles frame
+    of its puncture, so the pairing evaluates nothing itself.  Returns
+    delta_j^k up to quadrature error.
     """
     if max(abs(j), abs(k)) > PAIRING_INDEX_BOUND:
         raise BadContourError(
@@ -97,7 +77,7 @@ def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
     n0 = i1 + i2  # the order at the in-point is the label itself
     nq = out_puncture_order(i1, cfg.two_point) + out_puncture_order(i2, cfg.two_point)
     if n0 >= -4:
-        return _pairing_residue(_pairing_circles(cfg)[0], i1, i2)
+        return _pairing_residue(puncture_circles(cfg)[0], i1, i2)
     if nq < 0:
         raise AssertionError(
             f"order bookkeeping violated for pairing({j},{k}): n0={n0}, nq={nq}"
@@ -112,7 +92,7 @@ def pairing_residue_routes(j: int, k: int, cfg: TorusConfig) -> tuple[complex, c
     are numerically benign (mild pole orders on each side).
     """
     i1, i2 = j + 1, -k - 2
-    circles = _pairing_circles(cfg)
+    circles = puncture_circles(cfg)
     a = _pairing_residue(circles[0], i1, i2)
     b = -sum(_pairing_residue(circle, i1, i2) for circle in circles[1:])
     return a, b
@@ -363,13 +343,11 @@ def build_cocycle_table(
     )
 
 
-def reconciliation_report(
-    params: AlgebraParams, window: int, rel_tol: float = 1e-8
-) -> list[dict]:
+def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
     """Machine-readable chi_closed vs chi_sum comparison.
 
-    One record per disagreeing pair; empty list means full agreement at the
-    given relative tolerance over the whole window.
+    One record per disagreeing pair; empty list means full agreement at
+    RECONCILIATION_RTOL over the whole window.
     """
     report: list[dict] = []
     for i in range(-window, window + 1):
@@ -377,7 +355,7 @@ def reconciliation_report(
             s = chi_sum(i, j, params)
             c = chi_closed(i, j, params)
             diff = abs(s - c)
-            if diff > rel_tol * max(1.0, abs(s)):
+            if diff > RECONCILIATION_RTOL * max(1.0, abs(s)):
                 report.append(
                     {
                         "i": i,

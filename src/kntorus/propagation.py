@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import CIRCLE_NODES, check_away_from_punctures, circle_radius, frame, frame_array, pole_parameter
+from .basis import check_away_from_punctures, frame, frame_array, pole_parameter, puncture_circle
 from .config import (
     CONFIG_CACHE_SIZE,
     EXCLUSION_RADIUS,
@@ -32,6 +32,9 @@ from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 # offset of the period-cycle representatives, chosen to keep both segments
 # away from the punctures for every configuration used in the test matrix
 CYCLE_OFFSET = 0.17
+
+# the coarsest level-line grid, in nodes per side of the cell
+MIN_RESOLUTION = 16
 
 # halvings of a level-line grid edge before the bisection gives up; far
 # more than double precision can resolve on an edge of the unit cell
@@ -63,11 +66,12 @@ def omega_hat(z: complex, cfg: TorusConfig) -> complex:
 def residue_at(s: complex, cfg: TorusConfig) -> complex:
     """Residue of the propagation differential at the puncture s.
 
-    The trapezoid rule with CIRCLE_NODES nodes on the basis.puncture_circles
-    circle around s, which encloses s and no other puncture.  Raises
+    The trapezoid sum of w over the cached basis.puncture_circles frame
+    around s, whose circle encloses s and no other puncture.  Raises
     ValueError when s is not one of cfg.punctures().
     """
-    return contour_residue(lambda z: frame_array(z, cfg)[1], s, circle_radius(s, cfg), CIRCLE_NODES)
+    circle = puncture_circle(s, cfg)
+    return contour_residue(circle.w, circle.nodes, circle.center)
 
 
 def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -197,8 +201,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     those of a point-by-point scalar scan.  Points come in edge order:
     row-major by start node, horizontal edge first.
     """
-    if resolution < 16:
-        raise ValueError(f"resolution must be at least 16, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
     tau, punctures = cfg.tau, cfg.punctures()
     side = resolution + 1
     coords = -0.5 + np.arange(side) / resolution

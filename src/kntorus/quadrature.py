@@ -1,15 +1,14 @@
 """Contour and segment quadrature used by the residue/period/pairing code.
 
-Integrands take a numpy array of nodes and return the array of values, so
-one array evaluation (e.g. ``basis.frame_array``) serves many nodes.  Both
-rules call the integrand on at most GRID_CHUNK nodes at a time, so its
-temporaries keep one size whatever the node count; a segment rule also
-sums chunk by chunk, so its memory stays flat up to max_panels.
-
 Circles use the periodic trapezoid rule, which converges exponentially for
-integrands analytic in an annulus around the contour.  Straight segments use
-composite Gauss-Legendre with panel doubling until two refinements agree,
-or raise QuadratureError once max_panels is reached.
+integrands analytic in an annulus around the contour.  It reads values
+already evaluated at circle_nodes: each circle is one of
+``basis.puncture_circles``, with its frame evaluated once per configuration.
+Straight segments use composite Gauss-Legendre with panel doubling until
+two refinements agree, or raise QuadratureError once max_panels is reached;
+the integrand takes an array of nodes and returns the array of values, so
+one array evaluation (e.g. ``basis.frame_array``) serves many nodes, at
+most GRID_CHUNK at a time, summed chunk by chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from .errors import QuadratureError
 # nodes per integrand call (and per wp_array call in a level-line scan)
 GRID_CHUNK = 1024
 
-ArrayIntegrand = Callable[[np.ndarray], np.ndarray]
+# Gauss-Legendre nodes per segment panel
+GAUSS_ORDER = 16
 
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
@@ -31,8 +31,8 @@ def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
     return center + radius * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def circle_trapezoid(values: np.ndarray, nodes: np.ndarray, center: complex) -> complex:
-    """(1/2*pi*i) * contour integral from values f(z_k) at circle_nodes.
+def contour_residue(values: np.ndarray, nodes: np.ndarray, center: complex) -> complex:
+    """(1/2*pi*i) * contour integral from values f(z_k) at the circle_nodes z_k.
 
     The trapezoid rule collapses to mean(f(z_k) * (z_k - center)), i.e. the
     Cauchy coefficient extractor.
@@ -40,19 +40,11 @@ def circle_trapezoid(values: np.ndarray, nodes: np.ndarray, center: complex) -> 
     return complex(np.mean(values * (nodes - center)))
 
 
-def contour_residue(f: ArrayIntegrand, center: complex, radius: float, n: int = 256) -> complex:
-    """(1/2*pi*i) * closed contour integral of the array integrand f over the circle."""
-    nodes = circle_nodes(center, radius, n)
-    values = np.concatenate([f(nodes[i:i + GRID_CHUNK]) for i in range(0, n, GRID_CHUNK)])
-    return circle_trapezoid(values, nodes, center)
-
-
 def segment_integral(
-    f: ArrayIntegrand,
+    f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
     z1: complex,
     tol: float = 1e-12,
-    order: int = 16,
     max_panels: int = 2048,
 ) -> complex:
     """Integral of the array integrand f along the straight segment from z0 to z1.
@@ -60,11 +52,11 @@ def segment_integral(
     The panel count doubles until two successive estimates agree within
     tol * max(1, |value|); QuadratureError is raised if they still differ
     at max_panels panels.  A segment passing 5e-4 to 2e-3 from a pole of f
-    needs 512 to 2048 panels of order 16.
+    needs 512 to 2048 panels of GAUSS_ORDER nodes.
     """
-    x, weights = np.polynomial.legendre.leggauss(order)
+    x, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     direction = z1 - z0
-    per_call = max(1, GRID_CHUNK // order)  # whole panels per integrand call
+    per_call = max(1, GRID_CHUNK // GAUSS_ORDER)  # whole panels per integrand call
 
     def composite(panels: int) -> complex:
         h = 1.0 / panels

@@ -1,26 +1,32 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, assert_close
 from kntorus import basis
 from kntorus.basis import (
+    CIRCLE_NODES,
     WITT_PARAMS,
+    PunctureCircle,
     basis_derivative,
     basis_value,
-    circle_radius,
     formal_params,
     frame,
+    frame_array,
     lambda_coefficients,
     out_puncture_order,
     pole_parameter,
+    puncture_circle,
     puncture_circles,
     winding_order,
 )
+from kntorus.cocycle import pairing, pairing_residue_routes
 from kntorus.config import TorusConfig
-from kntorus.elliptic import half_period_values, wp_pair, wp_prime
+from kntorus.elliptic import half_period_values, wp_pair, wp_pair_array, wp_prime
 from kntorus.errors import NonIntegerWindingError
-from kntorus.propagation import omega_hat
+from kntorus.propagation import omega_hat, residue_at
+from kntorus.quadrature import circle_nodes
 from kntorus.verify import random_points
 
 
@@ -139,26 +145,59 @@ def test_winding_orders_two_point(cfg_two_point):
 def test_winding_rejects_bad_contour(cfg_square, monkeypatch):
     # radius 0.5 around the origin passes through zeros of the odd basis
     # functions at the half periods, leaving a half-integer winding
-    monkeypatch.setattr(basis, "puncture_circles", lambda cfg: ((0j, 0.5),))
+    nodes = circle_nodes(0j, 0.5, CIRCLE_NODES)
+    bad = PunctureCircle(0j, 0.5, nodes, *frame_array(nodes, cfg_square))
+    monkeypatch.setattr(basis, "puncture_circles", lambda cfg: (bad,))
     with pytest.raises(NonIntegerWindingError):
         winding_order(3, 0j, cfg_square)
 
 
 def test_puncture_circles(cfg_square, cfg_two_point):
     # 0.45 x the distance to the nearest other puncture or half period
-    radii = [r for _, r in puncture_circles(cfg_square)]
-    assert [c for c, _ in puncture_circles(cfg_square)] == list(cfg_square.punctures())
+    circles = puncture_circles(cfg_square)
+    radii = [c.radius for c in circles]
+    assert [c.center for c in circles] == list(cfg_square.punctures())
     assert_close(radii[0], 0.45 * 0.3, 1e-15)
     assert_close(radii[1], 0.45 * 0.2, 1e-15)
     assert_close(radii[2], 0.45 * 0.2, 1e-15)
     # the merged out-puncture 1/2 is itself a half period
-    assert [r for _, r in puncture_circles(cfg_two_point)] == [0.225, 0.225]
+    assert [c.radius for c in puncture_circles(cfg_two_point)] == [0.225, 0.225]
     # a tall cell: the out-punctures' own translates (+-1) are nearest
     tall = TorusConfig(tau=6j, q=1.5j)
-    assert [r for _, r in puncture_circles(tall)][1:] == [0.45, 0.45]
-    assert circle_radius(0.5 - cfg_square.q, cfg_square) == radii[2]
+    assert [c.radius for c in puncture_circles(tall)][1:] == [0.45, 0.45]
+    assert puncture_circle(0.5 - cfg_square.q, cfg_square) is circles[2]
     with pytest.raises(ValueError, match="not a puncture"):
         winding_order(1, 0.25 + 0j, cfg_square)
+    # each record holds its nodes and the frame there, read-only
+    for c in circles:
+        assert np.array_equal(c.nodes, circle_nodes(c.center, c.radius, CIRCLE_NODES))
+        for cached, fresh in zip((c.base, c.w, c.w_prime), frame_array(c.nodes, cfg_square)):
+            assert np.array_equal(cached, fresh)
+        for cached in (c.nodes, c.base, c.w, c.w_prime):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
+
+
+def test_one_frame_evaluation_per_puncture(monkeypatch):
+    # every winding order, residue and pairing of a fresh configuration
+    # reads the cached frame of its puncture circle
+    calls = []
+
+    def counting(z, cfg):
+        calls.append(z.size)
+        return wp_pair_array(z, cfg)
+
+    monkeypatch.setattr(basis, "wp_pair_array", counting)
+    cfg = TorusConfig(tau=0.07 + 1.13j, q=0.19 + 0.02j)
+    for s in cfg.punctures():
+        for k in range(-6, 7):
+            winding_order(k, s, cfg)
+        residue_at(s, cfg)
+    for j in range(-6, 7):
+        for k in range(-6, 7):
+            pairing(j, k, cfg)
+            pairing_residue_routes(j, k, cfg)
+    assert calls == [CIRCLE_NODES] * len(cfg.punctures())
 
 
 def test_lambda_derived_values(cfg_square):

@@ -189,6 +189,23 @@ def test_levellines_samples_floor_names_flag(capsys):
     assert err.startswith("error: --samples: ") and "at least 16" in err, err
 
 
+def test_flags_name_themselves(capsys):
+    # non-finite values of the flags that no config field checks, and
+    # values below a flag's floor
+    for argv, message in (
+        (("levellines", "--u", "nan", "--samples", "16"), "argument --u: must be finite"),
+        (("levellines", "--u", "inf", "--samples", "8"), "argument --u: must be finite"),
+        (("table", "cocycle", "--lam5", "nan", "0", "--window", "2"), "argument --lam5: must be finite"),
+        (("table", "brackets", "--lam6", "inf", "0", "--format", "csv"), "argument --lam6: must be finite"),
+        (("table", "brackets", "--lam7", "0", "nan"), "argument --lam7: must be finite"),
+        (("verify", "basis", "--window", "0"), "error: --window: must be at least 1, got 0"),
+        (("table", "cocycle", "--window", "-3"), "error: --window: must be at least 1, got -3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, err
+
+
 def test_cost_caps(capsys):
     for argv, flag, cap in (
         (("verify", "cocycle", "--window", str(cli.MAX_VERIFY_WINDOW + 1)), "--window", cli.MAX_VERIFY_WINDOW),

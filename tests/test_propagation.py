@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus import propagation
-from kntorus.basis import circle_radius, frame, frame_array, pole_parameter
+from kntorus.basis import CIRCLE_NODES, frame, frame_array, pole_parameter, puncture_circle
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -155,9 +155,9 @@ def test_array_quadrature_matches_scalar_loops(cfg_generic):
     # the node-by-node scalar sums that the array rules replaced; only the
     # order of summation differs
     cfg = cfg_generic
-    n = 256
+    n = CIRCLE_NODES
     for center in cfg.punctures():
-        radius = circle_radius(center, cfg)
+        radius = puncture_circle(center, cfg).radius
         nodes = [center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)]
         ref = sum(omega_hat(z, cfg) * (z - center) for z in nodes) / n
         assert abs(residue_at(center, cfg) - ref) <= 1e-13

@@ -72,7 +72,6 @@ def test_config_caches_stay_bounded():
         basis.puncture_circles,
         basis.lambda_coefficients,
         propagation._reference_constant,
-        cocycle._pairing_circles,
     )
     for n in range(50):
         cfg = TorusConfig(tau=complex(0.01 * n, 1.0), q=0.1 + 0.003 * n)
