@@ -10,15 +10,23 @@ structure constants whose only non-integer content is lam4..lam7:
 with t = 0..3.  The even-odd bracket follows by antisymmetry.  Every
 target index lies in [i+j-1, i+j+5] and shares the parity of i+j-1
 (almost-grading).  bracket_numeric realizes the defining vector-field
-bracket pointwise and serves as the independent oracle.
+bracket pointwise from the frame of a point and serves as the independent
+oracle.
+
+jacobi_residual takes ints or broadcastable int arrays of labels: one call
+checks a whole grid of triples.  It reads every bracket from one slot table,
+bracket_slots, filled from bracket() itself, and forms each complex product
+from real arrays (slot_product) so that every grid entry is bit for bit the
+scalar call's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
-from .basis import AlgebraParams, WITT_PARAMS, frame, lambda_coefficients, monomial, monomial_derivative
+import numpy as np
+
+from .basis import AlgebraParams, WITT_PARAMS, lambda_coefficients, monomial, monomial_derivative
 from .config import TorusConfig
 
 BracketTerms = dict[int, complex]
@@ -63,54 +71,91 @@ def shifted_constants(i: int, j: int, params: AlgebraParams) -> BracketTerms:
     return {k - 1: c for k, c in bracket(i + 1, j + 1, params).items()}
 
 
-def bracket_numeric(i: int, j: int, z: complex, cfg: TorusConfig) -> complex:
-    """Pointwise vector-field bracket A_i * A_j' - A_j * A_i' at z.
+def bracket_numeric(i: int, j: int, frame: tuple[complex, complex, complex]) -> complex:
+    """Pointwise vector-field bracket A_i * A_j' - A_j * A_i' from the frame
+    (base, w, w') of a point, as basis.frame returns it.
 
     Truth oracle for bracket(): the closed-form constants must reproduce
     this value when contracted with the basis functions.
     """
-    base, w, w_prime = frame(z, cfg)
+    base, w, w_prime = frame
     return monomial(i, base, w) * monomial_derivative(j, base, w, w_prime) - monomial(
         j, base, w
     ) * monomial_derivative(i, base, w, w_prime)
 
 
-def bracket_eval(i: int, j: int, z: complex, cfg: TorusConfig, params: AlgebraParams) -> complex:
-    """Contract bracket(i, j) with the basis functions at z."""
-    base, w, _ = frame(z, cfg)
+def bracket_eval(
+    i: int, j: int, frame: tuple[complex, complex, complex], params: AlgebraParams
+) -> complex:
+    """Contract bracket(i, j) with the basis functions at the point of frame."""
+    base, w, _ = frame
     return sum(c * monomial(k, base, w) for k, c in bracket(i, j, params).items())
 
 
-@lru_cache(maxsize=2048)
-def _bracket_items(i: int, j: int, params: AlgebraParams) -> tuple[tuple[int, complex], ...]:
-    # bracket(i, j, params) for jacobi_residual and
-    # cocycle.cocycle_identity_residual, which meet each pair about 50 and
-    # 30 times per parameter set; the bound holds one set's ~1.3k pairs
-    return tuple(bracket(i, j, params).items())
+def bracket_slots(
+    params: AlgebraParams, rows: range, cols: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of bracket(a, b, params) for a in rows and b
+    in cols, at [a - rows.start, b - cols.start, t] for the target
+    a + b - 1 + 2t (t = 0..3); a target bracket() drops holds 0.0."""
+    re = np.zeros((len(rows), len(cols), 4))
+    im = np.zeros_like(re)
+    for x, a in enumerate(rows):
+        for y, b in enumerate(cols):
+            for k, c in bracket(a, b, params).items():
+                t = (k - a - b + 1) // 2
+                re[x, y, t] = c.real
+                im[x, y, t] = c.imag
+    return re, im
 
 
-def jacobi_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
+def slot_product(ar, ai, br, bi):
+    """(re, im) of (ar + i ai) * (br + i bi), rounded as Python's complex
+    product: separate real multiplies, so no fused multiply-add (numpy's
+    complex multiply may fuse and differ in the last bit)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def jacobi_residual(i, j, k, params: AlgebraParams):
     """Max-norm of the cyclic Jacobi sum, normalized by the parameter scale.
 
     The double brackets are quadratic in lam4..lam7, so the residual is
     divided by max(1, max|lam|)^2; an exact Lie algebra leaves only
     floating-point noise well below 1e-9.
+
+    i, j, k are ints (the result is a float) or broadcastable int arrays
+    (an array of the broadcast shape).  [[l_a, l_b], l_c] has its targets at
+    a + b + c - 2 + 2s, s = 0..6, the same for all three cyclic terms.  Each
+    term sums its products from zero with the outer slot ascending, and the
+    terms add in the order (i, j, k), (j, k, i), (k, i, j): the summation
+    order of the scalar definition, so the value does not depend on the
+    shape of the call.
     """
-
-    def double_bracket(a: int, b: int, c: int) -> BracketTerms:
-        out: BracketTerms = {}
-        for m, coeff in _bracket_items(a, b, params):
-            for target, inner in _bracket_items(m, c, params):
-                out[target] = out.get(target, 0j) + coeff * inner
-        return out
-
-    total: BracketTerms = {}
+    i, j, k = np.broadcast_arrays(i, j, k)
+    lo = int(min(i.min(), j.min(), k.min()))
+    hi = int(max(i.max(), j.max(), k.max()))
+    # [l_a, l_b] lands on m in [2lo - 1, 2hi + 5], which [l_m, l_c] reads again
+    rows, cols = range(min(lo, 2 * lo - 1), max(hi, 2 * hi + 5) + 1), range(lo, hi + 1)
+    re, im = bracket_slots(params, rows, cols)
+    total_re = np.zeros(i.shape + (7,))
+    total_im = np.zeros_like(total_re)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for target, coeff in double_bracket(a, b, c).items():
-            total[target] = total.get(target, 0j) + coeff
-    residual = max((abs(v) for v in total.values()), default=0.0)
+        x, y, n = a - rows.start, b - cols.start, c - cols.start
+        term_re = np.zeros_like(total_re)
+        term_im = np.zeros_like(total_re)
+        for t1 in range(4):
+            # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
+            m = a + b - 1 + 2 * t1 - rows.start
+            p_re, p_im = slot_product(
+                re[x, y, t1][..., None], im[x, y, t1][..., None], re[m, n], im[m, n]
+            )
+            term_re[..., t1 : t1 + 4] += p_re
+            term_im[..., t1 : t1 + 4] += p_im
+        total_re += term_re
+        total_im += term_im
     scale = params.scale()
-    return residual / (scale * scale)
+    residual = np.hypot(total_re, total_im).max(axis=-1) / (scale * scale)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 @dataclass(frozen=True)

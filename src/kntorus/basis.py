@@ -82,8 +82,12 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
 
     lam4 is pinned to 1: the bracket pattern satisfies the Jacobi identity
     as a polynomial identity only on the slice lam4 in {0, 1}, and every
-    derived configuration has lam4 = 1.
+    derived configuration has lam4 = 1.  Raises ValueError, naming the
+    scalar, when one is not finite.
     """
+    for name, value in (("lam5", lam5), ("lam6", lam6), ("lam7", lam7)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return AlgebraParams(1.0, lam5, lam6, lam7, provenance="formal")
 
 

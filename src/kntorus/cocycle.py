@@ -22,13 +22,21 @@ pair order, is the transpose.  The wedge-operator commutator realizes the
 opposite orientation; the empirical flags (sigma_c, sigma_chi) = (+1, -1)
 stored on CocycleTable connect the two:
 [L_i, L_j] = sigma_c * sum_k C_ij^k L_k + sigma_chi * chi_sum(i, j).
+
+cocycle_identity_residual checks the two-cocycle identity of chi_sum on
+ints or on a whole grid of label triples in one call: it reads the
+structure constants from one algebra.bracket_slots table and chi_sum from
+one table over the window, both filled from those functions, and gives
+every grid entry bit for bit the scalar call's value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _bracket_items, shifted_constants
+import numpy as np
+
+from .algebra import bracket_slots, shifted_constants, slot_product
 from .basis import AlgebraParams, PunctureCircle, monomial, out_puncture_order, puncture_circles
 from .config import TorusConfig
 from .errors import BadContourError
@@ -269,19 +277,42 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
 # identities, tables, reconciliation
 
 
-def cocycle_identity_residual(i: int, j: int, k: int, params: AlgebraParams) -> float:
+def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     """Two-cocycle identity residual, normalized by the cubic parameter scale.
 
     Cyclic sum over (i, j, k) of sum_m C_jk^m chi_im; zero for any valid
     cocycle, in either orientation (the identity is linear in chi and C).
+
+    i, j, k are ints (the result is a float) or broadcastable int arrays
+    (an array of the broadcast shape).  C_bc^m is slot t of the
+    algebra.bracket_slots table of bracket(b + 1, c + 1), at m = b + c + 2t,
+    and chi_sum is read from one table over the window; the products add
+    into one running sum, t ascending within each cyclic term and the terms
+    in the order (i, j, k), (j, k, i), (k, i, j), as the scalar definition
+    does, so the value does not depend on the shape of the call.
     """
-    total = 0j
+    i, j, k = np.broadcast_arrays(i, j, k)
+    lo = int(min(i.min(), j.min(), k.min()))
+    hi = int(max(i.max(), j.max(), k.max()))
+    # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
+    shifted = range(lo + 1, hi + 2)
+    c_re, c_im = bracket_slots(params, shifted, shifted)
+    seconds = range(2 * lo, 2 * hi + 7)
+    chi = np.array([[chi_sum(a, m, params) for m in seconds] for a in range(lo, hi + 1)])
+    chi_re, chi_im = chi.real, chi.imag
+    total_re = np.zeros(i.shape)
+    total_im = np.zeros(i.shape)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
-        for m, coeff in _bracket_items(b + 1, c + 1, params):
-            total += coeff * chi_sum(a, m - 1, params)
-    scale = params.scale()
-    return abs(total) / (scale**3)
+        x, y = b - lo, c - lo
+        for t in range(4):
+            m = b + c + 2 * t - seconds.start
+            p_re, p_im = slot_product(
+                c_re[x, y, t], c_im[x, y, t], chi_re[a - lo, m], chi_im[a - lo, m]
+            )
+            total_re = total_re + p_re
+            total_im = total_im + p_im
+    residual = np.hypot(total_re, total_im) / (params.scale() ** 3)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,11 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     decides instead.  So every returned point meets |t - u| <= cfg.tol by
     time_coordinate, and while wp_array meets its bound the points equal
     those of a point-by-point scalar scan.  Points come in edge order:
-    row-major by start node, horizontal edge first.
+    row-major by start node, horizontal edge first.  Raises ValueError for
+    a u that is not finite.
     """
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
     tau, punctures = cfg.tau, cfg.punctures()

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import algebra, basis, cocycle, elliptic, fock, propagation
 from .basis import WITT_PARAMS, formal_params, lambda_coefficients
 from .config import TorusConfig, distance_to_points
@@ -65,6 +67,14 @@ def random_formal_sets(count: int, seed: int) -> list[basis.AlgebraParams]:
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
     return [formal_params(c(), c(), c()) for _ in range(count)]
+
+
+def label_grid(bound: int) -> list[np.ndarray]:
+    """Every label triple (i, j, k) in [-bound, bound]^3, as the broadcastable
+    arrays that algebra.jacobi_residual and cocycle.cocycle_identity_residual
+    take."""
+    labels = np.arange(-bound, bound + 1)
+    return np.meshgrid(labels, labels, labels, indexing="ij", sparse=True)
 
 
 def random_wedge_state(rng: random.Random, depth: tuple[int, int] = (1, 5)) -> fock.WedgeState:
@@ -181,14 +191,18 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     rng = random.Random(301)
     pts = random_points(cfg, 40, seed=302)
     params = lambda_coefficients(cfg)
+    frames = {z: basis.frame(z, cfg) for z in pts}
+
+    def value(k: int, z: complex) -> complex:
+        return basis.monomial(k, *frames[z][:2])
 
     worst = 0.0
     for _ in range(100):
         z = rng.choice(pts)
         i = 2 * rng.randint(-4, 4)
         j = rng.randint(-8, 8)
-        lhs = basis.basis_value(i, z, cfg) * basis.basis_value(j, z, cfg)
-        rhs = basis.basis_value(i + j, z, cfg)
+        lhs = value(i, z) * value(j, z)
+        rhs = value(i + j, z)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(_check("even_product_law", worst, 1e-8))
 
@@ -197,11 +211,8 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
         z = rng.choice(pts)
         i = 2 * rng.randint(-4, 3) + 1
         j = 2 * rng.randint(-4, 3) + 1
-        lhs = basis.basis_value(i, z, cfg) * basis.basis_value(j, z, cfg)
-        rhs = sum(
-            lam * basis.basis_value(i + j + 2 * t, z, cfg)
-            for t, lam in enumerate(params.as_tuple())
-        )
+        lhs = value(i, z) * value(j, z)
+        rhs = sum(lam * value(i + j + 2 * t, z) for t, lam in enumerate(params.as_tuple()))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(_check("odd_product_law", worst, 1e-8))
 
@@ -210,7 +221,7 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
         z = rng.choice(pts)
         even_sign = 1.0 if k % 2 == 0 else -1.0
         lhs = basis.basis_value(k, -z, cfg)
-        rhs = even_sign * basis.basis_value(k, z, cfg)
+        rhs = even_sign * value(k, z)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(_check("basis_parity", worst, 1e-8))
 
@@ -220,7 +231,7 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
         for _ in range(3):
             z = rng.choice(pts)
             fd = (basis.basis_value(k, z + h, cfg) - basis.basis_value(k, z - h, cfg)) / (2 * h)
-            an = basis.basis_derivative(k, z, cfg)
+            an = basis.monomial_derivative(k, *frames[z])
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     checks.append(_check("derivative_vs_finite_difference", worst, 1e-6))
 
@@ -234,12 +245,9 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     checks.append(_check("order_triples_vs_winding", mismatches, 0.0))
 
     worst = 0.0
-    for z in pts[:50]:
-        w2 = propagation.omega_hat(z, cfg) ** 2
-        rhs = sum(
-            lam * basis.basis_value(-2 + 2 * t, z, cfg)
-            for t, lam in enumerate(params.as_tuple())
-        )
+    for z in pts:
+        w2 = frames[z][1] ** 2
+        rhs = sum(lam * value(-2 + 2 * t, z) for t, lam in enumerate(params.as_tuple()))
         worst = max(worst, abs(w2 - rhs))
     checks.append(_check("omega_squared_expansion", worst, 1e-8))
     return checks
@@ -250,24 +258,23 @@ def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     rng = random.Random(401)
     pts = random_points(cfg, 25, seed=402)
     params = lambda_coefficients(cfg)
+    frames = {z: basis.frame(z, cfg) for z in pts}
 
     worst = 0.0
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
             for _ in range(5):
-                z = rng.choice(pts)
-                num = algebra.bracket_numeric(i, j, z, cfg)
-                cf = algebra.bracket_eval(i, j, z, cfg, params)
+                frame = frames[rng.choice(pts)]
+                num = algebra.bracket_numeric(i, j, frame)
+                cf = algebra.bracket_eval(i, j, frame, params)
                 worst = max(worst, abs(num - cf) / max(1.0, abs(num)))
     checks.append(_check("bracket_oracle_equivalence", worst, 1e-7))
 
-    worst = 0.0
-    param_sets = [params, *random_formal_sets(3, seed=403)]
-    for ps in param_sets:
-        for i in range(-5, 6):
-            for j in range(-5, 6):
-                for k in range(-5, 6):
-                    worst = max(worst, algebra.jacobi_residual(i, j, k, ps))
+    triples = label_grid(5)
+    worst = max(
+        float(algebra.jacobi_residual(*triples, ps).max())
+        for ps in (params, *random_formal_sets(3, seed=403))
+    )
     checks.append(_check("jacobi_identity", worst, 1e-9))
 
     table = algebra.build_structure_table(params, window)
@@ -347,12 +354,11 @@ def verify_cocycle(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     )
     checks.append(_check("witt_cocycle_values", max(worst, off), 1e-9))
 
-    worst = 0.0
-    for ps in (WITT_PARAMS, params, *random_formal_sets(1, seed=404)):
-        for i in range(-4, 5):
-            for j in range(-4, 5):
-                for k in range(-4, 5):
-                    worst = max(worst, cocycle.cocycle_identity_residual(i, j, k, ps))
+    triples = label_grid(4)
+    worst = max(
+        float(cocycle.cocycle_identity_residual(*triples, ps).max())
+        for ps in (WITT_PARAMS, params, *random_formal_sets(1, seed=404))
+    )
     checks.append(_check("two_cocycle_identity", worst, 1e-9))
 
     cfg0 = cfg if cfg.two_point else replace(cfg, q=0j, two_point=True)

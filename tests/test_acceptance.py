@@ -15,7 +15,7 @@ from kntorus.algebra import (
     jacobi_residual,
     table_gap,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, basis_value, frame, lambda_coefficients
 from kntorus.cocycle import (
     STARRED_Q_KEYS,
     chi_closed,
@@ -43,7 +43,7 @@ from kntorus.propagation import (
     residue_at,
     separation_time,
 )
-from kntorus.verify import random_formal_sets, random_points, random_wedge_state
+from kntorus.verify import label_grid, random_formal_sets, random_points, random_wedge_state
 
 _SUITE_START = time.time()
 
@@ -127,9 +127,9 @@ def test_criterion_06_structure_constants_vs_oracle():
     for i in range(-8, 9):
         for j in range(-8, 9):
             for _ in range(5):
-                z = rng.choice(pts)
-                num = bracket_numeric(i, j, z, CFG_MAIN)
-                cf = bracket_eval(i, j, z, CFG_MAIN, lam)
+                fr = frame(rng.choice(pts), CFG_MAIN)
+                num = bracket_numeric(i, j, fr)
+                cf = bracket_eval(i, j, fr, lam)
                 worst = max(worst, abs(num - cf) / max(1.0, abs(num)))
     _report(6, worst <= 1e-7, f"bracket vs pointwise oracle: worst rel {worst:.2e} (tol 1e-7)")
 
@@ -140,12 +140,7 @@ def test_criterion_07_jacobi():
         lambda_coefficients(TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)),
         *random_formal_sets(3, seed=74),
     ]
-    worst = 0.0
-    for params in sets:
-        for i in range(-5, 6):
-            for j in range(-5, 6):
-                for k in range(-5, 6):
-                    worst = max(worst, jacobi_residual(i, j, k, params))
+    worst = max(float(jacobi_residual(*label_grid(5), params).max()) for params in sets)
     _report(7, worst <= 1e-9, f"Jacobi residual over [-5,5]^3 x 5 sets: {worst:.2e} (tol 1e-9)")
 
 
@@ -195,12 +190,10 @@ def test_criterion_10_cocycle_properties():
                 mixed += 1
             if v != 0 and i + j not in (0, -2, -4, -6, -8, -10, -12):
                 support += 1
-    identity = 0.0
-    for params in (WITT_PARAMS, lam, *random_formal_sets(1, seed=75)):
-        for i in range(-4, 5):
-            for j in range(-4, 5):
-                for k in range(-4, 5):
-                    identity = max(identity, cocycle_identity_residual(i, j, k, params))
+    identity = max(
+        float(cocycle_identity_residual(*label_grid(4), params).max())
+        for params in (WITT_PARAMS, lam, *random_formal_sets(1, seed=75))
+    )
     _report(
         10,
         anti <= 1e-12 and mixed == 0 and support == 0 and identity <= 1e-9,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,9 @@ from kntorus.algebra import (
     jacobi_residual,
     table_gap,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, formal_params, lambda_coefficients
+from kntorus.basis import WITT_PARAMS, basis_value, formal_params, frame, lambda_coefficients
 from kntorus.config import TorusConfig
-from kntorus.verify import random_formal_sets, random_points
+from kntorus.verify import label_grid, random_formal_sets, random_points
 
 
 def test_bracket_even_even(cfg_square):
@@ -62,12 +63,12 @@ def test_support_window_and_parity(cfg_generic):
 
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
     z = random_points(cfg_square, 1, seed=41)[0]
-    assert bracket_numeric(3, 3, z, cfg_square) == 0j
+    assert bracket_numeric(3, 3, frame(z, cfg_square)) == 0j
 
 
 def test_bracket_numeric_even_pair(cfg_square):
     for z in random_points(cfg_square, 5, seed=42):
-        lhs = bracket_numeric(2, 4, z, cfg_square)
+        lhs = bracket_numeric(2, 4, frame(z, cfg_square))
         rhs = 2 * basis_value(5, z, cfg_square)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
@@ -75,8 +76,9 @@ def test_bracket_numeric_even_pair(cfg_square):
 def test_bracket_numeric_mixed_pair(cfg_square):
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 5, seed=43):
-        lhs = bracket_numeric(1, -1, z, cfg_square)
-        rhs = bracket_eval(1, -1, z, cfg_square, lam)
+        fr = frame(z, cfg_square)
+        lhs = bracket_numeric(1, -1, fr)
+        rhs = bracket_eval(1, -1, fr, lam)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -88,9 +90,9 @@ def test_oracle_equivalence_sweep(window, cfg_square):
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
             for _ in range(5):
-                z = rng.choice(pts)
-                num = bracket_numeric(i, j, z, cfg_square)
-                cf = bracket_eval(i, j, z, cfg_square, lam)
+                fr = frame(rng.choice(pts), cfg_square)
+                num = bracket_numeric(i, j, fr)
+                cf = bracket_eval(i, j, fr, lam)
                 assert abs(num - cf) <= 1e-7 * max(1.0, abs(num))
 
 
@@ -112,13 +114,7 @@ def test_jacobi_sweep(cfg_square, cfg_generic):
         *(random_formal_sets(1, seed)[0] for seed in (1, 2, 3)),
     ]
     for params in param_sets:
-        worst = max(
-            jacobi_residual(i, j, k, params)
-            for i in range(-5, 6)
-            for j in range(-5, 6)
-            for k in range(-5, 6)
-        )
-        assert worst <= 1e-9
+        assert jacobi_residual(*label_grid(5), params).max() <= 1e-9
 
 
 lam_parts = st.floats(-3.0, 3.0)
@@ -151,6 +147,20 @@ def test_jacobi_random_lam(lam, i, j, k):
     direct = max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
     assert jacobi_residual(i, j, k, params) == direct
     assert direct <= 1e-9
+
+
+label_lists = st.lists(labels, min_size=1, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), label_lists, label_lists, label_lists)
+def test_jacobi_grid_equals_scalar_calls(lam, i, j, k):
+    params = formal_params(*lam)
+    grid = jacobi_residual(*np.meshgrid(i, j, k, indexing="ij"), params)
+    assert grid.shape == (len(i), len(j), len(k))
+    for (a, b, c), value in np.ndenumerate(grid):
+        scalar = jacobi_residual(i[a], j[b], k[c], params)
+        assert type(scalar) is float and value == scalar
 
 
 def test_structure_table_round_trip(cfg_square):

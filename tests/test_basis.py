@@ -229,6 +229,13 @@ def test_lambda_formal():
     assert p.lam4 == 1.0 and p.provenance == "formal"
 
 
+@pytest.mark.parametrize("field", ["lam5", "lam6", "lam7"])
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("inf"))])
+def test_formal_params_refuses_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        formal_params(**{field: bad})
+
+
 def test_omega_squared_expansion(cfg_square, cfg_generic):
     for cfg in (cfg_square, cfg_generic):
         lam = lambda_coefficients(cfg)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from kntorus.cocycle import (
     shifted_constants,
 )
 from kntorus.errors import BadContourError
-from kntorus.verify import random_formal_sets
+from kntorus.verify import label_grid, random_formal_sets
 
 LEVELS = (0, -2, -4, -6, -8, -10, -12)
 
@@ -322,10 +323,7 @@ def test_two_cocycle_identity(cfg_square):
     lam = lambda_coefficients(cfg_square)
     sets = [WITT_PARAMS, lam, *random_formal_sets(1, seed=54)]
     for params in sets:
-        for i in range(-4, 5):
-            for j in range(-4, 5):
-                for k in range(-4, 5):
-                    assert cocycle_identity_residual(i, j, k, params) <= 1e-9
+        assert cocycle_identity_residual(*label_grid(4), params).max() <= 1e-9
 
 
 @settings(max_examples=16, deadline=None)
@@ -335,11 +333,35 @@ def test_two_cocycle_identity_exact_at_integer_probes(lams):
     # and cocycle value is an exact small integer, so the identity holds
     # bit for bit, not only to round-off
     params = formal_params(*(complex(x) for x in lams))
-    window = range(-6, 7)
-    for i in window:
-        for j in window:
-            for k in window:
-                assert cocycle_identity_residual(i, j, k, params) == 0.0, (i, j, k)
+    residual = cocycle_identity_residual(*label_grid(6), params)
+    assert not residual.any(), np.argwhere(residual) - 6
+
+
+def _identity_by_loop(i: int, j: int, k: int, params: AlgebraParams) -> float:
+    # the cyclic sum straight from shifted_constants and chi_sum, in
+    # cocycle_identity_residual's order of summation
+    total = 0j
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, coeff in shifted_constants(b, c, params).items():
+            total += coeff * chi_sum(a, m, params)
+    return abs(total) / params.scale() ** 3
+
+
+lam_parts = st.floats(-3.0, 3.0)
+complex_lams = st.builds(complex, lam_parts, lam_parts)
+label_lists = st.lists(st.integers(-12, 12), min_size=1, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), label_lists, label_lists, label_lists)
+def test_identity_grid_equals_scalar_calls(lam, i, j, k):
+    params = formal_params(*lam)
+    grid = cocycle_identity_residual(*np.meshgrid(i, j, k, indexing="ij"), params)
+    assert grid.shape == (len(i), len(j), len(k))
+    for (a, b, c), value in np.ndenumerate(grid):
+        scalar = cocycle_identity_residual(i[a], j[b], k[c], params)
+        assert type(scalar) is float
+        assert value == scalar == _identity_by_loop(i[a], j[b], k[c], params)
 
 
 def test_identity_trivial_cases(cfg_square):

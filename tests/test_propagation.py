@@ -273,6 +273,12 @@ def test_level_lines_resolution_guard(cfg_square):
         level_line_samples(cfg_square, 0.0, 8)
 
 
+@pytest.mark.parametrize("u", [float("nan"), float("inf")])
+def test_level_lines_refuse_non_finite_u(cfg_square, u):
+    with pytest.raises(ValueError, match="u must be finite"):
+        level_line_samples(cfg_square, u, 16)
+
+
 def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
     # a sign change with no zero: the bisection narrows onto Re z = 0.1 but
     # |t - u| stays 1, so it must report the edge instead of returning it
