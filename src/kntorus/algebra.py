@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import AlgebraParams, WITT_PARAMS, lambda_coefficients, monomial, monomial_derivative
+from .basis import AlgebraParams, lambda_coefficients, monomial, monomial_derivative
 from .config import TorusConfig
 
 BracketTerms = dict[int, complex]
@@ -84,12 +84,11 @@ def bracket_numeric(i: int, j: int, frame: tuple[complex, complex, complex]) -> 
     ) * monomial_derivative(i, base, w, w_prime)
 
 
-def bracket_eval(
-    i: int, j: int, frame: tuple[complex, complex, complex], params: AlgebraParams
-) -> complex:
-    """Contract bracket(i, j) with the basis functions at the point of frame."""
+def bracket_eval(terms: BracketTerms, frame: tuple[complex, complex, complex]) -> complex:
+    """Contract bracket terms (as bracket() returns them) with the basis
+    functions at the point of frame."""
     base, w, _ = frame
-    return sum(c * monomial(k, base, w) for k, c in bracket(i, j, params).items())
+    return sum(c * monomial(k, base, w) for k, c in terms.items())
 
 
 def bracket_slots(
@@ -210,21 +209,12 @@ def build_structure_table(
     return StructureTable(window=window, indexing=indexing, params=params, entries=entries)
 
 
-def degeneration_table(
-    mode: str,
-    window: int,
-    cfg: TorusConfig | None = None,
-    params: AlgebraParams | None = None,
-) -> StructureTable:
+def degeneration_table(mode: str, window: int, cfg: TorusConfig | None = None) -> StructureTable:
     """Structure table for one of the degeneration stages.
 
     three_point: parameters derived from cfg as given.
     two_point:   cfg forced to the coincident-puncture mode (lam7 = 0).
-    witt:        formal parameters (1, 0, 0, 0); the bracket collapses to
-                 [l_i, l_j] = (j - i) l_{i+j-1} for all parities.
     """
-    if mode == "witt":
-        return build_structure_table(params or WITT_PARAMS, window)
     if cfg is None:
         raise ValueError(f"mode {mode!r} requires a TorusConfig")
     if mode == "three_point":

@@ -13,11 +13,13 @@ carry the Koszul sign (-1)**(number of occupied slots above the index) of
 the canonical descending ordering and satisfy the Clifford relations
 {b_k, c^i} = delta, {b,b} = {c,c} = 0 exactly.
 
-The current operators L_i = sum_{j,k} C_ij^k :b_k c^j: (shifted structure
-constants, normal ordering switching at j = -1) realize the centrally
-extended algebra.  Their commutator fixes the empirical sign convention
-(sigma_c, sigma_chi) connecting the abstract cocycle chi_sum to the
-operator anomaly.
+Every operator is defined once on a basis state, where it gives one state
+and a sign or zero: _flip is b or c, _normal_ordered is :b_k c^j:
+(normal ordering switching at j = -1), and _linear extends either to a
+FockVector.  The current operators L_i = sum_{j,k} C_ij^k :b_k c^j:
+(shifted structure constants) realize the centrally extended algebra.
+Their commutator fixes the empirical sign convention (sigma_c, sigma_chi)
+connecting the abstract cocycle chi_sum to the operator anomaly.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params
 from .algebra import shifted_constants
@@ -39,9 +42,8 @@ class WedgeState:
     Slots >= -1 are vacant except those in occupied_above; slots < -1 are
     occupied except those in vacant_below.  Each occupancy has exactly one
     such representation, and a state has no sign of its own: signs live in
-    the coefficients of a FockVector.  stable_below names the chart of the
-    exception sets and accepts only the vacuum boundary -1; other charts
-    are read through canonical_state.
+    the coefficients of a FockVector.  stable_below names the boundary of
+    the exception sets and accepts only the vacuum boundary -1.
     """
 
     occupied_above: tuple[int, ...] = ()  # descending, all >= -1
@@ -51,8 +53,8 @@ class WedgeState:
     def __post_init__(self, stable_below: int) -> None:
         if stable_below != -1:
             raise ValueError(
-                f"WedgeState is stored in the chart stable_below=-1, got {stable_below}; "
-                "use canonical_state to convert"
+                f"WedgeState is stored relative to the vacuum boundary stable_below=-1, "
+                f"got {stable_below}"
             )
 
     def is_occupied(self, slot: int) -> bool:
@@ -68,40 +70,25 @@ class WedgeState:
 
 VACUUM = WedgeState()
 
-_TEXT_RE = re.compile(
-    r"s=(-?\d+); occ=\{([^}]*)\}; vac=\{([^}]*)\}; sign=([+-]1)"
-)
+_TEXT_RE = re.compile(r"s=-1; occ=\{([-\d, ]*)\}; vac=\{([-\d, ]*)\}; sign=\+1")
 
 
 def state_from_text(text: str) -> WedgeState:
-    m = _TEXT_RE.fullmatch(text.strip())
-    if not m:
-        raise ValueError(f"unparseable wedge state: {text!r}")
-    if m.group(4) != "+1":
-        raise ValueError(f"a basis state carries no sign: {text!r}")
-    occ = {int(x) for x in m.group(2).split(",") if x.strip()}
-    vac = {int(x) for x in m.group(3).split(",") if x.strip()}
-    return canonical_state(int(m.group(1)), occ, vac)
-
-
-def canonical_state(s: int, occ: set[int], vac: set[int]) -> WedgeState:
-    """Convert the chart stable_below = s (slots < s occupied except vac,
-    slots >= s vacant except occ) to the vacuum-relative state.
-
-    The charts agree outside [min(s, -1), max(s, -1)) and disagree on every
-    default inside it, so the vacuum exceptions are the symmetric difference
-    of the chart exceptions with that range.
-    """
-    if any(x < s for x in occ) or any(x >= s for x in vac):
-        raise ValueError("exception sets out of range for the given chart")
-    flipped = (set(occ) | set(vac)) ^ set(range(min(s, -1), max(s, -1)))
-    return WedgeState(
-        occupied_above=tuple(sorted((x for x in flipped if x >= -1), reverse=True)),
-        vacant_below=tuple(sorted(x for x in flipped if x < -1)),
-    )
+    """Read the text WedgeState.to_text writes; any other text raises ValueError."""
+    text = text.strip()
+    m = _TEXT_RE.fullmatch(text)
+    if m:
+        occ, vac = ({int(x) for x in group.split(",")} if group else set() for group in m.groups())
+        if all(x >= -1 for x in occ) and all(x < -1 for x in vac):
+            state = WedgeState(tuple(sorted(occ, reverse=True)), tuple(sorted(vac)))
+            if state.to_text() == text:
+                return state
+    raise ValueError(f"not a wedge state as WedgeState.to_text writes it: {text!r}")
 
 
 FockVector = dict[WedgeState, complex]
+# a basis-state operator: the image state and its sign, or None for zero
+StateImage = tuple[WedgeState, int] | None
 
 
 def _accumulate(vec: FockVector, state: WedgeState, coeff: complex) -> None:
@@ -112,63 +99,62 @@ def _accumulate(vec: FockVector, state: WedgeState, coeff: complex) -> None:
         vec[state] = new
 
 
-def _toggle(slot: int, state: WedgeState) -> tuple[WedgeState, complex]:
-    """The state with slot flipped, and the Koszul sign
-    (-1)**(number of occupied slots above slot)."""
+def _flip(slot: int, state: WedgeState, occupied: bool) -> StateImage:
+    """b_slot (occupied=True) or c^slot (occupied=False) on a basis state.
+
+    Zero (None) unless slot's occupancy is `occupied`; otherwise the state
+    with slot toggled and the Koszul sign (-1)**(occupied slots above slot).
+    """
     occ, vac = state.occupied_above, state.vacant_below
-    above = sum(1 for x in occ if x > slot)
     if slot >= -1:
-        new = WedgeState(tuple(sorted(set(occ) ^ {slot}, reverse=True)), vac)
-    else:
-        # the slots in (slot, -1) are occupied unless listed vacant
-        above += -2 - slot - sum(1 for x in vac if x > slot)
-        new = WedgeState(occ, tuple(sorted(set(vac) ^ {slot})))
-    return new, complex((-1) ** above)
+        if (slot in occ) != occupied:
+            return None
+        above = sum(1 for x in occ if x > slot)
+        return WedgeState(tuple(sorted(set(occ) ^ {slot}, reverse=True)), vac), (-1) ** above
+    if (slot not in vac) != occupied:
+        return None
+    # every listed slot >= -1 lies above, and the -2 - slot slots in
+    # (slot, -1) are occupied unless listed vacant
+    above = len(occ) - 2 - slot - sum(1 for x in vac if x > slot)
+    return WedgeState(occ, tuple(sorted(set(vac) ^ {slot}))), (-1) ** above
 
 
-def wedge_c(i: int, state: WedgeState) -> FockVector:
-    """Insert form i; zero if the slot is occupied."""
-    if state.is_occupied(i):
-        return {}
-    new, sign = _toggle(i, state)
-    return {new: sign}
+def _normal_ordered(k: int, j: int, state: WedgeState) -> StateImage:
+    """:b_k c^j: on a basis state, read right to left.
+
+    c^j acts first for j < -1; otherwise the reordered -c^j b_k (b_k first)
+    is applied.  This switch makes every vacuum expectation value vanish.
+    """
+    if j < -1:
+        first = _flip(j, state, False)
+        second = first and _flip(k, first[0], True)
+        return second and (second[0], first[1] * second[1])
+    first = _flip(k, state, True)
+    second = first and _flip(j, first[0], False)
+    return second and (second[0], -first[1] * second[1])
 
 
-def contract_b(k: int, state: WedgeState) -> FockVector:
-    """Remove form k; zero if the slot is vacant."""
-    if not state.is_occupied(k):
-        return {}
-    new, sign = _toggle(k, state)
-    return {new: sign}
+def _linear(op: Callable[[WedgeState], StateImage], vec: FockVector) -> FockVector:
+    """Extend a basis-state operator linearly to a vector."""
+    out: FockVector = {}
+    for state, coeff in vec.items():
+        image = op(state)
+        if image is not None:
+            _accumulate(out, image[0], coeff * image[1])
+    return out
 
 
 def apply_c(i: int, vec: FockVector) -> FockVector:
-    out: FockVector = {}
-    for state, coeff in vec.items():
-        for new, s in wedge_c(i, state).items():
-            _accumulate(out, new, coeff * s)
-    return out
+    return _linear(lambda state: _flip(i, state, False), vec)
 
 
 def apply_b(k: int, vec: FockVector) -> FockVector:
-    out: FockVector = {}
-    for state, coeff in vec.items():
-        for new, s in contract_b(k, state).items():
-            _accumulate(out, new, coeff * s)
-    return out
+    return _linear(lambda state: _flip(k, state, True), vec)
 
 
 def normal_ordered_bc(k: int, j: int, v: FockVector) -> FockVector:
-    """:b_k c^j: applied to a vector.
-
-    Reads the product right to left: c^j acts first for j < -1, otherwise
-    the reordered -c^j b_k (b_k first) is applied.  This switch makes every
-    vacuum expectation value vanish.
-    """
-    if j < -1:
-        return apply_b(k, apply_c(j, v))
-    out = apply_c(j, apply_b(k, v))
-    return {s: -c for s, c in out.items()}
+    """:b_k c^j: applied to a vector (see _normal_ordered)."""
+    return _linear(lambda state: _normal_ordered(k, j, state), v)
 
 
 def vec_scale(vec: FockVector, factor: complex) -> FockVector:
@@ -193,40 +179,24 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
     """Apply L_i = sum_{j,k} C_ij^k :b_k c^j: with C the shifted constants.
 
     Finiteness of the sum, per input state:
-      * j < -1 branch: c^j acts first, so j must currently be vacant; the
-        vacant slots below -1 form a finite set.
-      * j >= -1 branch: b_k acts first, so k must currently be occupied,
-        and k >= i + j (support window) bounds j <= max_occupied - i.
+      * j < -1: c^j acts first, so j must currently be vacant; the vacant
+        slots below -1 form a finite set.
+      * j >= -1: b_k acts first, so k must currently be occupied, and
+        k >= i + j (support window) bounds j <= max_occupied - i.
     Two extra j values beyond the derived upper bound are scanned; any
     nonzero contribution there raises WindowViolationError.
     """
     out: FockVector = {}
     for state, coeff in v.items():
-        base: FockVector = {state: coeff}
-        # branch 1: j < -1, j vacant
-        for j in state.vacant_below:
-            terms = shifted_constants(i, j, params)
-            if not terms:
-                continue
-            inserted = apply_c(j, base)
-            for k, c in terms.items():
-                for s2, c2 in apply_b(k, inserted).items():
-                    _accumulate(out, s2, c * c2)
-        # branch 2: j >= -1, k occupied and k in [i+j, i+j+6]
         j_hi = max(state.occupied_above, default=-2) - i
-        for j in range(-1, j_hi + 3):
-            terms = shifted_constants(i, j, params)
+        for j in (*state.vacant_below, *range(-1, j_hi + 3)):
             contributed = False
-            for k, c in terms.items():
-                if not state.is_occupied(k):
-                    continue
-                removed = apply_b(k, base)
-                if not removed:
-                    continue
-                for s2, c2 in apply_c(j, removed).items():
-                    _accumulate(out, s2, -c * c2)
+            for k, c in shifted_constants(i, j, params).items():
+                image = _normal_ordered(k, j, state)
+                if image is not None:
+                    _accumulate(out, image[0], c * (coeff * image[1]))
                     contributed = True
-            if contributed and j > j_hi:
+            if contributed and j >= -1 and j > j_hi:
                 raise WindowViolationError(
                     f"L_{i} produced a contribution at j={j} beyond the "
                     f"derived bound {j_hi}"
@@ -234,12 +204,20 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
     return out
 
 
+def _commutator(i: int, j: int, v: FockVector, params: AlgebraParams) -> FockVector:
+    """(L_i L_j - L_j L_i) v."""
+    return vec_add(
+        l_operator(i, l_operator(j, v, params), params),
+        vec_scale(l_operator(j, l_operator(i, v, params), params), -1),
+    )
+
+
 def commutator_residual(
     i: int,
     j: int,
     v: FockVector,
     params: AlgebraParams,
-    convention: tuple[int, int] | None = None,
+    convention: tuple[int, int],
 ) -> float:
     """Max-norm residual of the centrally extended commutation relation.
 
@@ -247,17 +225,11 @@ def commutator_residual(
     sigma_c * sum_k C_ij^k L_k v + sigma_chi * chi_sum(i, j) * v and
     normalizes by the squared parameter scale times the vector norm.
     """
-    if convention is None:
-        convention = determine_sign_convention()
     sigma_c, sigma_chi = convention
-    lhs = vec_add(
-        l_operator(i, l_operator(j, v, params), params),
-        vec_scale(l_operator(j, l_operator(i, v, params), params), -1),
-    )
     rhs: FockVector = vec_scale(v, sigma_chi * chi_sum(i, j, params))
     for k, c in shifted_constants(i, j, params).items():
         rhs = vec_add(rhs, vec_scale(l_operator(k, v, params), sigma_c * c))
-    diff = vec_add(lhs, vec_scale(rhs, -1))
+    diff = vec_add(_commutator(i, j, v, params), vec_scale(rhs, -1))
     scale = params.scale()
     return vec_norm(diff) / (scale * scale * max(1.0, vec_norm(v)))
 
@@ -265,12 +237,7 @@ def commutator_residual(
 def extract_vacuum_cocycle(i: int, j: int, params: AlgebraParams) -> complex:
     """Coefficient of the vacuum in (L_i L_j - L_j L_i)|0> minus the
     structure-constant part (which has no vacuum component)."""
-    vac: FockVector = {VACUUM: 1.0 + 0j}
-    comm = vec_add(
-        l_operator(i, l_operator(j, vac, params), params),
-        vec_scale(l_operator(j, l_operator(i, vac, params), params), -1),
-    )
-    return comm.get(VACUUM, 0j)
+    return _commutator(i, j, {VACUUM: 1.0 + 0j}, params).get(VACUUM, 0j)
 
 
 @lru_cache(maxsize=None)

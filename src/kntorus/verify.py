@@ -263,10 +263,11 @@ def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     worst = 0.0
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
+            terms = algebra.bracket(i, j, params)
             for _ in range(5):
                 frame = frames[rng.choice(pts)]
                 num = algebra.bracket_numeric(i, j, frame)
-                cf = algebra.bracket_eval(i, j, frame, params)
+                cf = algebra.bracket_eval(terms, frame)
                 worst = max(worst, abs(num - cf) / max(1.0, abs(num)))
     checks.append(_check("bracket_oracle_equivalence", worst, 1e-7))
 

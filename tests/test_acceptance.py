@@ -9,6 +9,7 @@ import time
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2
 from kntorus.algebra import (
+    bracket,
     bracket_eval,
     bracket_numeric,
     degeneration_table,
@@ -126,10 +127,11 @@ def test_criterion_06_structure_constants_vs_oracle():
     worst = 0.0
     for i in range(-8, 9):
         for j in range(-8, 9):
+            terms = bracket(i, j, lam)
             for _ in range(5):
                 fr = frame(rng.choice(pts), CFG_MAIN)
                 num = bracket_numeric(i, j, fr)
-                cf = bracket_eval(i, j, fr, lam)
+                cf = bracket_eval(terms, fr)
                 worst = max(worst, abs(num - cf) / max(1.0, abs(num)))
     _report(6, worst <= 1e-7, f"bracket vs pointwise oracle: worst rel {worst:.2e} (tol 1e-7)")
 

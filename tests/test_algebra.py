@@ -78,7 +78,7 @@ def test_bracket_numeric_mixed_pair(cfg_square):
     for z in random_points(cfg_square, 5, seed=43):
         fr = frame(z, cfg_square)
         lhs = bracket_numeric(1, -1, fr)
-        rhs = bracket_eval(1, -1, fr, lam)
+        rhs = bracket_eval(bracket(1, -1, lam), fr)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -89,10 +89,11 @@ def test_oracle_equivalence_sweep(window, cfg_square):
     pts = random_points(cfg_square, 25, seed=45)
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
+            terms = bracket(i, j, lam)
             for _ in range(5):
                 fr = frame(rng.choice(pts), cfg_square)
                 num = bracket_numeric(i, j, fr)
-                cf = bracket_eval(i, j, fr, lam)
+                cf = bracket_eval(terms, fr)
                 assert abs(num - cf) <= 1e-7 * max(1.0, abs(num))
 
 
@@ -196,7 +197,7 @@ def test_degeneration_two_point_values(cfg_two_point):
 
 
 def test_degeneration_witt():
-    table = degeneration_table("witt", 3)
+    table = build_structure_table(WITT_PARAMS, 3)
     assert table.entries[(1, 2)] == {2: 1 + 0j}
     for (i, j), terms in table.entries.items():
         assert set(terms) == {i + j - 1}
@@ -216,8 +217,8 @@ def test_degeneration_continuity():
     assert gaps[2] <= 1e-4
 
 
-def test_degeneration_requires_config():
+def test_degeneration_requires_config(cfg_square):
     with pytest.raises(ValueError):
         degeneration_table("three_point", 4)
     with pytest.raises(ValueError):
-        degeneration_table("unknown", 4, params=WITT_PARAMS)
+        degeneration_table("unknown", 4, cfg=cfg_square)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from kntorus.algebra import shifted_constants
 from kntorus.basis import WITT_PARAMS, formal_params, lambda_coefficients
 from kntorus.cocycle import chi_sum
 from kntorus.fock import (
@@ -11,9 +12,7 @@ from kntorus.fock import (
     WedgeState,
     apply_b,
     apply_c,
-    canonical_state,
     commutator_residual,
-    contract_b,
     determine_sign_convention,
     extract_vacuum_cocycle,
     l_operator,
@@ -22,26 +21,24 @@ from kntorus.fock import (
     vec_add,
     vec_norm,
     vec_scale,
-    wedge_c,
 )
 from kntorus.verify import random_wedge_state
 
+VAC = {VACUUM: 1.0 + 0j}
+
 
 def test_vacuum_annihilation():
-    assert wedge_c(-2, VACUUM) == {}
-    assert wedge_c(-5, VACUUM) == {}
-    assert contract_b(-1, VACUUM) == {}
-    assert contract_b(3, VACUUM) == {}
+    assert apply_c(-2, VAC) == {}
+    assert apply_c(-5, VAC) == {}
+    assert apply_b(-1, VAC) == {}
+    assert apply_b(3, VAC) == {}
 
 
 def test_vacuum_creation_signs():
-    out = wedge_c(0, VACUUM)
-    assert out == {WedgeState((0,), ()): 1 + 0j}
-    out = contract_b(-2, VACUUM)
-    assert out == {WedgeState((), (-2,)): 1 + 0j}
+    assert apply_c(0, VAC) == {WedgeState((0,), ()): 1 + 0j}
+    assert apply_b(-2, VAC) == {WedgeState((), (-2,)): 1 + 0j}
     # removing deeper slots hops over the occupied slot above
-    out = contract_b(-3, VACUUM)
-    assert out == {WedgeState((), (-3,)): -1 + 0j}
+    assert apply_b(-3, VAC) == {WedgeState((), (-3,)): -1 + 0j}
 
 
 def test_clifford_recovers_vacuum():
@@ -50,13 +47,15 @@ def test_clifford_recovers_vacuum():
 
 
 def test_canonical_chart_unique():
-    a = canonical_state(-2, {-1}, {-8})
-    b = canonical_state(0, set(), {-8, -2})
-    assert a == b == WedgeState((-1,), (-8, -2))
+    # the occupancy with -1 filled and -8, -2 empty, in the vacuum chart only
+    assert state_from_text("s=-1; occ={-1}; vac={-8, -2}; sign=+1") == WedgeState((-1,), (-8, -2))
+    for other_chart in ("s=-2; occ={-1}; vac={-8}; sign=+1", "s=0; occ={}; vac={-8, -2}; sign=+1"):
+        with pytest.raises(ValueError):
+            state_from_text(other_chart)
 
 
 def test_state_text_round_trip():
-    state = canonical_state(-1, {0}, {-2})
+    state = WedgeState((0,), (-2,))
     text = state.to_text()
     assert text == "s=-1; occ={0}; vac={-2}; sign=+1"
     assert state_from_text(text) == state
@@ -79,16 +78,33 @@ def charted_exceptions(draw):
     return s, occ, vac
 
 
+def wedge_text(s, occ, vac, sign="+1"):
+    return f"s={s}; occ={{{', '.join(map(str, occ))}}}; vac={{{', '.join(map(str, vac))}}}; sign={sign}"
+
+
 @settings(max_examples=300, deadline=None)
 @given(chart=charted_exceptions())
-def test_canonical_state_keeps_chart_occupancy(chart):
+def test_state_text_reads_only_what_to_text_writes(chart):
     s, occ, vac = chart
-    state = canonical_state(s, occ, vac)
+    occ, vac = sorted(occ, reverse=True), sorted(vac)
+    if s != -1:
+        with pytest.raises(ValueError):
+            state_from_text(wedge_text(s, occ, vac))
+        # keep the exceptions that fit the vacuum chart
+        occ, vac = [x for x in occ if x >= -1], [x for x in vac if x < -1]
+    text = wedge_text(-1, occ, vac)
+    state = state_from_text(text)
+    assert state.to_text() == text
     for x in range(-16, 17):
-        assert state.is_occupied(x) == (x in occ if x >= s else x not in vac), x
-    assert state_from_text(state.to_text()) == state
-    listed = [", ".join(map(str, exceptions)) for exceptions in (occ, vac)]
-    assert state_from_text(f"s={s}; occ={{{listed[0]}}}; vac={{{listed[1]}}}; sign=+1") == state
+        assert state.is_occupied(x) == (x in occ if x >= -1 else x not in vac), x
+    for bad in (
+        wedge_text(-1, occ, vac, sign="-1"),
+        wedge_text(-1, [*occ, -4], vac),  # an occupied exception below -1
+        wedge_text(-1, occ, [*vac, -1]),  # vacant exceptions at or above -1
+        wedge_text(-1, occ, [*vac, 3]),
+    ):
+        with pytest.raises(ValueError):
+            state_from_text(bad)
 
 
 wedge_states = hs.builds(
@@ -109,48 +125,57 @@ def test_clifford_relations_random_states(state, k, i):
     assert vec_add(apply_c(k, apply_c(i, base)), apply_c(i, apply_c(k, base))) == {}
     # the Koszul sign counts the occupied slots above the index
     above = sum(state.is_occupied(x) for x in range(i + 1, 12))
-    for op in (wedge_c, contract_b):
-        for new, sign in op(i, state).items():
+    for op in (apply_c, apply_b):
+        for new, sign in op(i, base).items():
             assert sign == (-1) ** above
             assert new.is_occupied(i) != state.is_occupied(i)
             others = [x for x in range(-16, 17) if x != i]
             assert [new.is_occupied(x) for x in others] == [state.is_occupied(x) for x in others]
 
 
-def test_clifford_relations_battery():
-    rng = random.Random(61)
-    for _ in range(100):
-        st = random_wedge_state(rng)
-        base = {st: 1.0 + 0j}
-        for k in range(-8, 9):
-            for i in range(-8, 9):
-                anti = vec_add(
-                    apply_b(k, apply_c(i, base)), apply_c(i, apply_b(k, base))
-                )
-                expect = base if k == i else {}
-                assert vec_norm(vec_add(anti, vec_scale(expect, -1))) == 0.0
-
-
-def test_anticommuting_squares():
-    rng = random.Random(62)
-    for _ in range(30):
-        st = random_wedge_state(rng)
-        base = {st: 1.0 + 0j}
-        for _ in range(10):
-            k, l = rng.randint(-8, 8), rng.randint(-8, 8)
-            bb = vec_add(apply_b(k, apply_b(l, base)), apply_b(l, apply_b(k, base)))
-            cc = vec_add(apply_c(k, apply_c(l, base)), apply_c(l, apply_c(k, base)))
-            assert vec_norm(bb) == 0.0 and vec_norm(cc) == 0.0
+def composed_bc(k, j, v):
+    """:b_k c^j: composed from apply_b and apply_c, switching at j = -1."""
+    if j < -1:
+        return apply_b(k, apply_c(j, v))
+    return vec_scale(apply_c(j, apply_b(k, v)), -1)
 
 
 def test_normal_ordering_rules():
-    vac = {VACUUM: 1.0 + 0j}
-    assert normal_ordered_bc(-2, -2, vac) == {}
-    out = normal_ordered_bc(-2, 0, vac)
+    assert normal_ordered_bc(-2, -2, VAC) == {}
+    out = normal_ordered_bc(-2, 0, VAC)
     assert out == {WedgeState((0,), (-2,)): -1 + 0j}
     for k in range(-6, 7):
-        diag = normal_ordered_bc(k, k, vac)
+        diag = normal_ordered_bc(k, k, VAC)
         assert abs(diag.get(VACUUM, 0j)) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=wedge_states, k=slots, j=slots)
+def test_normal_ordered_bc_equals_composition(state, k, j):
+    v = {state: 0.7 - 0.3j}
+    assert normal_ordered_bc(k, j, v) == composed_bc(k, j, v)
+
+
+lams = hs.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    states=hs.lists(wedge_states, min_size=1, max_size=3, unique=True),
+    i=hs.integers(-6, 6),
+    lam=hs.tuples(lams, lams, lams),
+)
+def test_l_operator_equals_brute_force_sum(states, i, lam):
+    params = formal_params(*lam)
+    v = {st: complex(1 + n, 0.5 - n) for n, st in enumerate(states)}
+    # every j in a window wider than any contributing one (slots lie in
+    # [-10, 10], |i| <= 6), composed without the l_operator pruning
+    brute = {}
+    for j in range(-30, 31):
+        for k, c in shifted_constants(i, j, params).items():
+            brute = vec_add(brute, vec_scale(composed_bc(k, j, v), c))
+    diff = vec_add(l_operator(i, v, params), vec_scale(brute, -1))
+    assert vec_norm(diff) <= 1e-14 * max(1.0, vec_norm(brute))
 
 
 def test_order_independence_of_sign_normalization():
