@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from . import fock, propagation
+from . import propagation
 from .algebra import build_structure_table
 from .basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients, pole_parameter
 from .cocycle import build_cocycle_table, reconciliation_report
@@ -247,8 +247,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             }
             _emit_json(payload, args.output)
         return 0
-    convention = fock.determine_sign_convention()
-    table = build_cocycle_table(params, args.window, method="sum", sign_convention=convention)
+    table = build_cocycle_table(params, args.window)
     if args.format == "csv":
         _emit("\n".join(table.to_csv_rows()), args.output)
     else:

@@ -19,9 +19,12 @@ The cocycle is computed three ways:
 Orientation: chi_sum is oriented so that the Witt limit lands in the
 conventional form chi(m, -m) = 13/6 (m^3 - m); _chi_literal, in its own
 pair order, is the transpose.  The wedge-operator commutator realizes the
-opposite orientation; the empirical flags (sigma_c, sigma_chi) = (+1, -1)
-stored on CocycleTable connect the two:
+opposite orientation; the constant flags DEFAULT_SIGN_CONVENTION =
+(sigma_c, sigma_chi) = (+1, -1), written into every cocycle table,
+connect the two:
 [L_i, L_j] = sigma_c * sum_k C_ij^k L_k + sigma_chi * chi_sum(i, j).
+The tests ground the flags exactly: at integer parameter probes the
+wedge vacuum gives -chi_sum bit for bit.
 
 cocycle_identity_residual checks the two-cocycle identity of chi_sum on
 ints or on a whole grid of label triples in one call: it reads the
@@ -42,7 +45,8 @@ from .config import TorusConfig
 from .errors import BadContourError
 from .quadrature import contour_residue
 
-# empirical wedge-operator convention; rederived by fock.determine_sign_convention
+# the wedge-operator convention (sigma_c, sigma_chi); the tests check it
+# exactly against fock.extract_vacuum_cocycle and fock.commutator_residual
 DEFAULT_SIGN_CONVENTION: tuple[int, int] = (1, -1)
 
 PAIRING_INDEX_BOUND = 12
@@ -321,8 +325,6 @@ class CocycleTable:
 
     window: int
     params: AlgebraParams
-    method: str  # "sum" or "closed_form"
-    sign_convention: tuple[int, int]
     entries: dict[tuple[int, int], complex]
 
     def to_csv_rows(self) -> list[str]:
@@ -335,10 +337,10 @@ class CocycleTable:
     def to_json_dict(self) -> dict:
         return {
             "window": self.window,
-            "method": self.method,
+            "method": "sum",
             "sign_convention": {
-                "sigma_c": self.sign_convention[0],
-                "sigma_chi": self.sign_convention[1],
+                "sigma_c": DEFAULT_SIGN_CONVENTION[0],
+                "sigma_chi": DEFAULT_SIGN_CONVENTION[1],
             },
             "params": self.params.to_json_dict(),
             "entries": [
@@ -348,30 +350,17 @@ class CocycleTable:
         }
 
 
-def build_cocycle_table(
-    params: AlgebraParams,
-    window: int,
-    method: str = "sum",
-    sign_convention: tuple[int, int] = DEFAULT_SIGN_CONVENTION,
-) -> CocycleTable:
+def build_cocycle_table(params: AlgebraParams, window: int) -> CocycleTable:
+    """The nonzero chi_sum values over [-window, window]^2."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    fn = {"sum": chi_sum, "closed_form": chi_closed}.get(method)
-    if fn is None:
-        raise ValueError(f"unknown cocycle method {method!r}")
     entries: dict[tuple[int, int], complex] = {}
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
-            value = fn(i, j, params)
+            value = chi_sum(i, j, params)
             if value != 0:
                 entries[(i, j)] = value
-    return CocycleTable(
-        window=window,
-        params=params,
-        method=method,
-        sign_convention=sign_convention,
-        entries=entries,
-    )
+    return CocycleTable(window=window, params=params, entries=entries)
 
 
 def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:

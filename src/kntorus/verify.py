@@ -401,14 +401,7 @@ def verify_fock(cfg: TorusConfig) -> list[CheckResult]:
     for _ in range(30):
         st = random_wedge_state(rng)
         base = {st: 1.0 + 0j}
-        for k in range(-6, 7):
-            for i in range(-6, 7):
-                anti = fock.vec_add(
-                    fock.apply_b(k, fock.apply_c(i, base)),
-                    fock.apply_c(i, fock.apply_b(k, base)),
-                )
-                expect = base if k == i else {}
-                worst = max(worst, fock.vec_norm(fock.vec_add(anti, fock.vec_scale(expect, -1))))
+        worst = max(worst, fock.clifford_residual(st, 6))
         k, l = rng.randint(-8, 8), rng.randint(-8, 8)
         worst = max(
             worst,
@@ -445,7 +438,7 @@ def verify_fock(cfg: TorusConfig) -> list[CheckResult]:
     )
     checks.append(_check("l_operator_linearity", fock.vec_norm(lin), 1e-12))
 
-    conv = fock.determine_sign_convention()
+    conv = cocycle.DEFAULT_SIGN_CONVENTION
     worst = 0.0
     for _ in range(10):
         i, j = rng.randint(-4, 4), rng.randint(-4, 4)

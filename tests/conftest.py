@@ -14,6 +14,7 @@ import mpmath as mp
 import pytest
 
 from kntorus.config import TorusConfig
+from kntorus.verify import CheckResult, verify_suite
 
 mp.mp.dps = 30
 
@@ -71,6 +72,14 @@ ACCEPTANCE_CONFIGS = [
     for tau in (1j, 0.3 + 1.1j)
     for q in (0.2, 0.17 + 0.05j)
 ]
+
+
+def suite_checks(suite: str, cfg: TorusConfig, window: int = 8) -> dict[str, CheckResult]:
+    """The checks of verify_suite by name; the names must be unique."""
+    checks = verify_suite(suite, cfg, window)
+    by_name = {c.name: c for c in checks}
+    assert len(by_name) == len(checks), [c.name for c in checks]
+    return by_name
 
 
 def assert_close(actual, expected, tol, label=""):

@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +10,9 @@ from kntorus.algebra import (
     build_structure_table,
     degeneration_table,
     jacobi_residual,
-    table_gap,
 )
 from kntorus.basis import WITT_PARAMS, basis_value, formal_params, frame, lambda_coefficients
-from kntorus.config import TorusConfig
-from kntorus.verify import label_grid, random_formal_sets, random_points
+from kntorus.verify import random_formal_sets, random_points
 
 
 def test_bracket_even_even(cfg_square):
@@ -82,21 +78,6 @@ def test_bracket_numeric_mixed_pair(cfg_square):
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("window", [8])
-def test_oracle_equivalence_sweep(window, cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    rng = random.Random(44)
-    pts = random_points(cfg_square, 25, seed=45)
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            terms = bracket(i, j, lam)
-            for _ in range(5):
-                fr = frame(rng.choice(pts), cfg_square)
-                num = bracket_numeric(i, j, fr)
-                cf = bracket_eval(terms, fr)
-                assert abs(num - cf) <= 1e-7 * max(1.0, abs(num))
-
-
 def test_jacobi_examples(cfg_square):
     lam = lambda_coefficients(cfg_square)
     # even triple: the intermediate odd index still drags lambda terms in,
@@ -106,16 +87,6 @@ def test_jacobi_examples(cfg_square):
     for seed in range(5):
         assert jacobi_residual(1, 3, 2, random_formal_sets(1, seed)[0]) <= 1e-9
     assert jacobi_residual(1, -1, 3, lam) <= 1e-9
-
-
-def test_jacobi_sweep(cfg_square, cfg_generic):
-    param_sets = [
-        lambda_coefficients(cfg_square),
-        lambda_coefficients(cfg_generic),
-        *(random_formal_sets(1, seed)[0] for seed in (1, 2, 3)),
-    ]
-    for params in param_sets:
-        assert jacobi_residual(*label_grid(5), params).max() <= 1e-9
 
 
 lam_parts = st.floats(-3.0, 3.0)
@@ -202,19 +173,6 @@ def test_degeneration_witt():
     for (i, j), terms in table.entries.items():
         assert set(terms) == {i + j - 1}
         assert terms[i + j - 1] == complex(j - i)
-
-
-def test_degeneration_continuity():
-    tau = 0.8j
-    two_point = degeneration_table("two_point", 6, cfg=TorusConfig(tau=tau, two_point=True))
-    gaps = [
-        table_gap(
-            degeneration_table("three_point", 6, cfg=TorusConfig(tau=tau, q=q)), two_point
-        )
-        for q in (1e-1, 1e-2, 1e-3)
-    ]
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] <= 1e-4
 
 
 def test_degeneration_requires_config(cfg_square):

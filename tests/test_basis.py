@@ -236,15 +236,6 @@ def test_formal_params_refuses_non_finite(field, bad):
         formal_params(**{field: bad})
 
 
-def test_omega_squared_expansion(cfg_square, cfg_generic):
-    for cfg in (cfg_square, cfg_generic):
-        lam = lambda_coefficients(cfg)
-        for z in random_points(cfg, 50, seed=39):
-            w2 = omega_hat(z, cfg) ** 2
-            rhs = sum(c * basis_value(-2 + 2 * t, z, cfg) for t, c in enumerate(lam.as_tuple()))
-            assert abs(w2 - rhs) <= 1e-8
-
-
 def test_omega_prime_expansion(cfg_square):
     # w' = -lam4*A_-2 + lam6*A_2 + 2*lam7*A_4 (factor-2 consistent with (w^2)' = 2ww')
     lam = lambda_coefficients(cfg_square)

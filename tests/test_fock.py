@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as hs
 
 from kntorus.algebra import shifted_constants
 from kntorus.basis import WITT_PARAMS, formal_params, lambda_coefficients
-from kntorus.cocycle import chi_sum
+from kntorus.cocycle import DEFAULT_SIGN_CONVENTION, chi_sum
 from kntorus.fock import (
     VACUUM,
     WedgeState,
@@ -245,40 +246,43 @@ def test_l_operator_windows_terminate(cfg_square):
 
 
 def test_sign_convention():
-    assert determine_sign_convention() == (1, -1)
+    # vacuum and excited states at Witt and deformed parameters: only the
+    # constant fits them, and every other sign pair misses by far
+    deformed = formal_params(0.31 + 0.07j, -0.22 + 0.11j, 0.05 - 0.13j)
+    excited = apply_c(1, apply_b(-3, VAC))
+    probes = [
+        (2, -2, VAC, WITT_PARAMS),
+        (2, 0, excited, WITT_PARAMS),
+        (1, -3, VAC, deformed),
+        (2, -1, excited, deformed),
+    ]
+    assert determine_sign_convention() == DEFAULT_SIGN_CONVENTION == (1, -1)
+    for conv in product((1, -1), repeat=2):
+        worst = max(commutator_residual(i, j, v, params, conv) for i, j, v, params in probes)
+        if conv == DEFAULT_SIGN_CONVENTION:
+            assert worst == 0.0
+        else:
+            assert worst >= 1e-6, conv
 
 
 def test_commutator_witt_vacuum():
-    conv = determine_sign_convention()
     vac = {VACUUM: 1.0 + 0j}
-    assert commutator_residual(2, -2, vac, WITT_PARAMS, conv) <= 1e-12
-    assert commutator_residual(1, 1, vac, WITT_PARAMS, conv) == 0.0
-
-
-def test_commutator_residual_battery(cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    conv = determine_sign_convention()
-    rng = random.Random(65)
-    for _ in range(20):
-        i, j = rng.randint(-4, 4), rng.randint(-4, 4)
-        v = {random_wedge_state(rng): 1.0 + 0j}
-        assert commutator_residual(i, j, v, lam, conv) <= 1e-9
+    assert commutator_residual(2, -2, vac, WITT_PARAMS, DEFAULT_SIGN_CONVENTION) <= 1e-12
+    assert commutator_residual(1, 1, vac, WITT_PARAMS, DEFAULT_SIGN_CONVENTION) == 0.0
 
 
 def test_commutator_residual_formal_params():
-    conv = determine_sign_convention()
     params = formal_params(0.4 - 0.1j, 0.25j, -0.3)
     rng = random.Random(66)
     for _ in range(10):
         i, j = rng.randint(-3, 3), rng.randint(-3, 3)
         v = {random_wedge_state(rng): 1.0 + 0j}
-        assert commutator_residual(i, j, v, params, conv) <= 1e-9
+        assert commutator_residual(i, j, v, params, DEFAULT_SIGN_CONVENTION) <= 1e-9
 
 
 def test_commutator_residual_complex_lambdas(cfg_generic):
     # fully complex structure scalars on multi-term vectors
     lam = lambda_coefficients(cfg_generic)
-    conv = determine_sign_convention()
     rng = random.Random(99)
     for _ in range(15):
         i, j = rng.randint(-6, 6), rng.randint(-6, 6)
@@ -286,17 +290,18 @@ def test_commutator_residual_complex_lambdas(cfg_generic):
         for _ in range(2):
             coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             v = vec_add(v, {random_wedge_state(rng, depth=(1, 6)): coeff})
-        assert commutator_residual(i, j, v, lam, conv) <= 1e-9
+        assert commutator_residual(i, j, v, lam, DEFAULT_SIGN_CONVENTION) <= 1e-9
 
 
-def test_vacuum_cocycle_extraction(cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    conv = determine_sign_convention()
-    for m in (2, 3, 4):
-        assert extract_vacuum_cocycle(m, -m, WITT_PARAMS) == conv[1] * chi_sum(
-            m, -m, WITT_PARAMS
-        )
-    for i in range(-5, 6):
-        ext = extract_vacuum_cocycle(i, -i, lam)
-        expect = conv[1] * chi_sum(i, -i, lam)
-        assert abs(ext - expect) <= 1e-9 * max(1.0, abs(expect))
+def test_vacuum_cocycle_extraction():
+    # at integer parameters every structure constant and cocycle value is
+    # an exactly representable integer, so the wedge vacuum must give
+    # sigma_chi * chi_sum bit for bit, at every level and both parities
+    sigma_chi = DEFAULT_SIGN_CONVENTION[1]
+    integer_lams = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3))
+    for params in (WITT_PARAMS, *(formal_params(*map(complex, lams)) for lams in integer_lams)):
+        for i in range(-7, 8):
+            for j in range(-7, 8):
+                if i != j:
+                    expect = sigma_chi * chi_sum(i, j, params)
+                    assert extract_vacuum_cocycle(i, j, params) == expect, (i, j, params)

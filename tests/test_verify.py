@@ -7,12 +7,18 @@ from kntorus.quadrature import segment_integral
 from kntorus.verify import SUITES, CheckResult, verify_differential, verify_suite
 
 
-def test_all_suite_aggregates(cfg_square):
+def test_all_suite_aggregates(cfg_square, cfg_two_point):
     per_suite = [verify_suite(name, cfg_square, 4) for name in SUITES]
     combined = verify_suite("all", cfg_square, 4)
     assert len(combined) == sum(len(batch) for batch in per_suite)
     assert all(isinstance(c, CheckResult) for c in combined)
     assert all(c.passed for c in combined)
+    # perfbench's verify_all workload expects 40 (VERIFY_CHECK_COUNT), and
+    # two-point mode drops the two degeneration checks
+    names = [c.name for c in combined]
+    assert len(names) == len(set(names)) == 40, names
+    names = [c.name for c in verify_suite("all", cfg_two_point, 4)]
+    assert len(names) == len(set(names)) == 38, names
 
 
 def test_unknown_suite():
