@@ -22,12 +22,11 @@ scalar call's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AlgebraParams, lambda_coefficients, monomial, monomial_derivative
-from .config import TorusConfig
+from .basis import AlgebraParams, monomial, monomial_derivative
 
 BracketTerms = dict[int, complex]
 
@@ -207,22 +206,6 @@ def build_structure_table(
             if terms:
                 entries[(i, j)] = terms
     return StructureTable(window=window, indexing=indexing, params=params, entries=entries)
-
-
-def degeneration_table(mode: str, window: int, cfg: TorusConfig | None = None) -> StructureTable:
-    """Structure table for one of the degeneration stages.
-
-    three_point: parameters derived from cfg as given.
-    two_point:   cfg forced to the coincident-puncture mode (lam7 = 0).
-    """
-    if cfg is None:
-        raise ValueError(f"mode {mode!r} requires a TorusConfig")
-    if mode == "three_point":
-        return build_structure_table(lambda_coefficients(cfg), window)
-    if mode == "two_point":
-        cfg0 = replace(cfg, q=0j, two_point=True)
-        return build_structure_table(lambda_coefficients(cfg0), window)
-    raise ValueError(f"unknown degeneration mode {mode!r}")
 
 
 def table_gap(a: StructureTable, b: StructureTable) -> float:

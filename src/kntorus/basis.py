@@ -28,7 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, lattice_distance
+from .config import (
+    CONFIG_CACHE_SIZE,
+    EXCLUSION_RADIUS,
+    TorusConfig,
+    distance_to_points_array,
+    lattice_distance,
+    reduced_basis,
+)
 from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
 from .errors import BadContourError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
@@ -132,8 +139,7 @@ def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
     """
     tau, punctures = cfg.tau, cfg.punctures()
     half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
-    # the shortest period is twice the lattice's distance to its nearest half period
-    period = 2.0 * min(lattice_distance(h, tau) for h in half_periods)
+    period = abs(reduced_basis(tau)[0])  # the shortest period
     radii = []
     for s in punctures:
         # a half period at distance 0 is the merged out-puncture itself

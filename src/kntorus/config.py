@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,18 +36,21 @@ class TorusConfig:
 
     def __post_init__(self):
         tau = complex(self.tau)
-        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "q", 0j if self.two_point else complex(self.q))
         for name, value in (("tau", tau), ("q", self.q)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if tau.imag <= 0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
+        # an even shift of Re tau keeps the lattice, the punctures and the
+        # half-period labels (an odd one would swap e2 and e3), and keeps
+        # (1 + tau)/2 apart from tau/2 however large Re tau is
+        object.__setattr__(self, "tau", tau - 2 * round(tau.real / 2))
         if not (0 < self.tol):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.two_point:
             for base in (0j, 0.5 + 0j):
-                d = lattice_distance(self.q - base, tau)
+                d = lattice_distance(self.q - base, self.tau)
                 if d <= EXCLUSION_RADIUS:
                     raise ValueError(
                         f"q={self.q} is within {EXCLUSION_RADIUS} of "
@@ -60,44 +64,71 @@ class TorusConfig:
             return (0j, 0.5 + 0j)
         return (0j, 0.5 + self.q, 0.5 - self.q)
 
+    def two_point_limit(self) -> TorusConfig:
+        """This lattice with both out-punctures merged at 1/2 (q = 0)."""
+        return replace(self, two_point=True)
+
     def distance_to_punctures(self, z: complex) -> float:
         """Distance from z to the nearest puncture mod the lattice (see distance_to_points)."""
         return distance_to_points(z, self.punctures(), self.tau)
 
 
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def reduced_basis(tau: complex) -> tuple[complex, complex]:
+    """(w1, t) with Z + tau*Z = w1*(Z + t*Z) and t in the fundamental domain.
+
+    Lagrange-Gauss reduction makes w1 a shortest period; t = w2/w1 is then
+    oriented to Im t > 0, with |Re t| <= 1/2 and |t| >= 1.  When tau already
+    lies in the fundamental domain the basis is exactly (1, tau).  |w1|
+    falls strictly at every swap, so the loop ends in floating point too.
+    """
+    w1, w2 = (tau, 1 + 0j) if abs(tau) < 1 else (1 + 0j, tau)
+    while True:
+        w2 -= round((w2 / w1).real) * w1
+        if abs(w2) >= abs(w1):
+            break
+        w1, w2 = w2, w1
+    t = w2 if w1 == 1.0 else w2 / w1
+    return w1, t if t.imag > 0 else -t
+
+
+def _reduced_parts(z, tau: complex, floor):
+    # (re, im) of z reduced mod the lattice to a*w1 + b*w1*t with a, b in
+    # [-1/2, 1/2), by real operations only: a Python complex (floor =
+    # math.floor) and a complex array (np.floor) round alike, entry by entry
+    w1, t = reduced_basis(tau)
+    x, y = z.real, z.imag
+    if w1 != 1.0:
+        c = 1 / w1
+        x, y = x * c.real - y * c.imag, x * c.imag + y * c.real
+    b = y / t.imag
+    a = x - b * t.real
+    a -= floor(a + 0.5)
+    b -= floor(b + 0.5)
+    x, y = a + b * t.real, b * t.imag
+    if w1 != 1.0:
+        x, y = x * w1.real - y * w1.imag, x * w1.imag + y * w1.real
+    return x, y
+
+
 def reduce_mod_lattice(z: complex, tau: complex) -> complex:
-    """Reduce z mod Z + tau*Z to a + b*tau with a, b in [-1/2, 1/2)."""
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    a -= math.floor(a + 0.5)
-    b -= math.floor(b + 0.5)
-    return complex(a + b * tau.real, b * tau.imag)
-
-
-def _reduced_parts(z: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
-    # reduce_mod_lattice's float operations, entry by entry
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    a -= np.floor(a + 0.5)
-    b -= np.floor(b + 0.5)
-    return a + b * tau.real, b * tau.imag
+    """z mod Z + tau*Z as a*w1 + b*w1*t with a, b in [-1/2, 1/2), (w1, t) = reduced_basis(tau)."""
+    return complex(*_reduced_parts(z, tau, math.floor))
 
 
 def reduce_mod_lattice_array(z: np.ndarray, tau: complex) -> np.ndarray:
     """reduce_mod_lattice of every entry of a complex array, bit for bit."""
-    re, im = _reduced_parts(z, tau)
     out = np.empty(z.shape, dtype=complex)
-    out.real = re
-    out.imag = im
+    out.real, out.imag = _reduced_parts(z, tau, np.floor)
     return out
 
 
 def distance_to_points(z: complex, points: tuple[complex, ...], tau: complex) -> float:
     """min |reduce_mod_lattice(z - s)| over the points: one reduction each.
 
-    With tau in the fundamental domain the reduced cell keeps sqrt(3)/4 from
-    every nonzero lattice point, so the value is exact below ~0.43, far
-    above any exclusion radius it is compared with.
+    The reduced cell keeps sqrt(3)/4 * |w1| from every nonzero lattice
+    point, so the value is exact below ~0.43 * |w1|, far above any
+    exclusion radius it is compared with.
     """
     return min(abs(reduce_mod_lattice(z - s, tau)) for s in points)
 
@@ -108,28 +139,15 @@ def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: co
     np.hypot is the C library hypot that abs(complex) calls; np.abs of a
     complex array rounds differently in about a third of the entries.
     """
-    return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau)) for s in points])
-
-
-def _reduced_basis(tau: complex) -> tuple[complex, complex]:
-    """Lagrange-Gauss reduced basis (w1, w2) of Z + tau*Z; (1, tau) when tau
-    already lies in the fundamental domain.  |w1| falls strictly at every
-    swap, so the loop ends in floating point too."""
-    w1, w2 = (tau, 1 + 0j) if abs(tau) < 1 else (1 + 0j, tau)
-    while True:
-        w2 -= round((w2 / w1).real) * w1
-        if abs(w2) >= abs(w1):
-            return w1, w2
-        w1, w2 = w2, w1
+    return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau, np.floor)) for s in points])
 
 
 def lattice_distance(z: complex, tau: complex) -> float:
     """Exact distance from z to the nearest point of Z + tau*Z, for any tau.
 
-    In a reduced basis the nearest lattice point is a corner of the cell
+    In the reduced basis the nearest lattice point is a corner of the cell
     holding the reduced point, so the 3x3 neighbours of the cell suffice.
     """
-    w1, w2 = _reduced_basis(tau)
-    t = w2 / w1
-    w = reduce_mod_lattice(z / w1, t)
-    return abs(w1) * min(abs(w + da + db * t) for da in (-1.0, 0.0, 1.0) for db in (-1.0, 0.0, 1.0))
+    w1, t = reduced_basis(tau)
+    zr, w2 = reduce_mod_lattice(z, tau), w1 * t
+    return min(abs(zr + da * w1 + db * w2) for da in (-1.0, 0.0, 1.0) for db in (-1.0, 0.0, 1.0))

@@ -1,19 +1,16 @@
 """Weierstrass elliptic functions on the torus C/(Z + tau*Z).
 
-Evaluation uses the Fourier (nome) expansion in u = exp(2*pi*i*z) and
-q = exp(2*pi*i*tau).  After reducing z to the fundamental cell the series
-terms decay at least like |q|**(n - 1/2).  There are three paths:
+One nome sum serves every evaluation.  With the reduced basis (w1, t) of
+config.reduced_basis, wp(z) = w1**-2 wp(z/w1; Z + t*Z) (DLMF 23.18), and
+the sum runs in u = exp(2*pi*i*z/w1) and q = exp(2*pi*i*t) at the reduced
+z, where its terms decay at least like |q|**(n - 1/2).  Since t lies in
+the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
+N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
-* ``wp_pair`` evaluates wp and wp' at one point and stops the sum once a
-  term drops below 1e-18 of it (after at least 3 terms);
-* ``wp_array`` evaluates wp alone on a numpy array of points with a fixed
-  term count N = ceil(log(1e-18) / log|q|) + 1: at most 9 terms for tau in the
-  fundamental domain, 23 at Im(tau) = 0.3.  The level-line scans use it,
-  since they need no wp';
-* ``wp_pair_array`` is wp_array extended to wp', with the same term count;
-  it feeds the array basis frame (circles and segments).
-
-All take at most SERIES_CUTOFF terms.  The array paths agree with wp_pair
+The sum takes two entry shapes: ``wp_pair`` gives wp and wp' at one point
+in Python complex arithmetic; ``wp_array`` (wp alone, for the level-line
+scans) and ``wp_pair_array`` (for the array basis frame: circles and
+segments) give them on a numpy array.  The array values agree with wp_pair
 within WP_ARRAY_RTOL * max(1, |value|) (tested).  No path evaluates wp'':
 the basis frame takes it from the algebraic identity
 wp'' = 6*wp**2 - g2/2 at the wp it already has.
@@ -28,13 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice, reduce_mod_lattice_array
+from .config import (
+    CONFIG_CACHE_SIZE,
+    EXCLUSION_RADIUS,
+    TorusConfig,
+    reduce_mod_lattice,
+    reduce_mod_lattice_array,
+    reduced_basis,
+)
 from .errors import PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
-
-# most nome-series terms; the scalar sum stops earlier once a term drops below 1e-18 of it
-SERIES_CUTOFF = 64
 
 # bound on |wp_array - wp| / max(1, |wp|), the two paths' rounding
 # differences (measured worst 2.4e-15, exclusion-disk edges included)
@@ -53,7 +54,7 @@ class HalfPeriodValues:
 
 
 def reduce_to_fundamental(z: complex, cfg: TorusConfig) -> complex:
-    """Reduce z mod the lattice to a + b*tau with a, b in [-1/2, 1/2)."""
+    """Reduce z mod the lattice to the cell of config.reduced_basis."""
     return reduce_mod_lattice(z, cfg.tau)
 
 
@@ -69,6 +70,37 @@ def _g_wp(x: complex) -> complex:
     return x * (1.0 + x) / (d * d * d)
 
 
+def _array_terms(t: complex) -> int:
+    # N = ceil(log(1e-18) / log|q|) + 1 for the nome q = exp(2*pi*i*t):
+    # at most 9, since Im t >= sqrt(3)/2 in the fundamental domain
+    return math.ceil(math.log(1e-18) / (-2.0 * math.pi * t.imag)) + 1
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _series_constants(tau: complex) -> tuple[complex, complex, int]:
+    # k = 2*pi*i/w1, the nome exp(2*pi*i*t) and the term count of reduced_basis(tau)
+    w1, t = reduced_basis(tau)
+    return _TWO_PI_I / w1, cmath.exp(_TWO_PI_I * t), _array_terms(t)
+
+
+def _nome_sum(u, constants: tuple[complex, complex, int], prime: bool):
+    # (wp, wp' or None) from u = exp(k*zr) at the reduced zr, a Python complex
+    # or an ndarray alike: the sums on Z + t*Z, scaled by w1**-2 and w1**-3
+    k, q, terms = constants
+    total = 1.0 / 12.0 + _f_wp(u)
+    deriv = _g_wp(u) if prime else None
+    qn = 1.0 + 0j
+    for _ in range(terms):
+        qn *= q
+        a = qn * u
+        b = qn / u
+        total += _f_wp(a) + _f_wp(b) - 2.0 * _f_wp(qn)
+        if prime:
+            deriv += _g_wp(a) - _g_wp(b)
+    k2 = k * k
+    return k2 * total, k2 * k * deriv if prime else None
+
+
 def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     """Return (wp(z), wp'(z)).
 
@@ -79,35 +111,12 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     zr = reduce_mod_lattice(z, cfg.tau)
     if abs(zr) <= EXCLUSION_RADIUS:
         raise PoleProximityError(f"z={z} is within {EXCLUSION_RADIUS} of a lattice point")
-    q = cmath.exp(_TWO_PI_I * cfg.tau)
-    u = cmath.exp(_TWO_PI_I * zr)
-
-    wp = 1.0 / 12.0 + _f_wp(u)
-    wpp = _g_wp(u)
-    qn = 1.0 + 0j
-    for n in range(1, SERIES_CUTOFF + 1):
-        qn *= q
-        a = qn * u
-        b = qn / u
-        t_wp = _f_wp(a) + _f_wp(b) - 2.0 * _f_wp(qn)
-        t_wpp = _g_wp(a) - _g_wp(b)
-        wp += t_wp
-        wpp += t_wpp
-        if n >= 3 and abs(t_wp) + abs(t_wpp) < 1e-18 * (1.0 + abs(wp) + abs(wpp)):
-            break
-    four_pi2 = _TWO_PI_I * _TWO_PI_I
-    return four_pi2 * wp, four_pi2 * _TWO_PI_I * wpp
-
-
-def _array_terms(tau: complex) -> int:
-    # N = ceil(log(1e-18) / log|q|) + 1 with log|q| = -2*pi*Im(tau), which
-    # stays finite where |q| itself underflows
-    return min(SERIES_CUTOFF, math.ceil(math.log(1e-18) / (-2.0 * math.pi * tau.imag)) + 1)
+    constants = _series_constants(cfg.tau)
+    return _nome_sum(cmath.exp(constants[0] * zr), constants, True)
 
 
 def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # the nome sums of wp and (when prime) wp' at every entry, with the fixed
-    # term count of _array_terms; raises on the first entry inside a pole's disk
+    # _nome_sum at every entry; raises on the first entry inside a pole's disk
     zr = reduce_mod_lattice_array(z, cfg.tau)
     # np.hypot rounds as abs(complex) does, so the disk is wp_pair's
     near = np.flatnonzero(np.hypot(zr.real, zr.imag) <= EXCLUSION_RADIUS)
@@ -115,28 +124,22 @@ def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndar
         raise PoleProximityError(
             f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
         )
-    q = cmath.exp(_TWO_PI_I * cfg.tau)
-    u = np.exp(_TWO_PI_I * zr)
-    total = 1.0 / 12.0 + _f_wp(u)
-    deriv = _g_wp(u) if prime else None
-    qn = 1.0 + 0j
-    for _ in range(_array_terms(cfg.tau)):
-        qn *= q
-        a = qn * u
-        b = qn / u
-        total += _f_wp(a) + _f_wp(b) - 2.0 * _f_wp(qn)
-        if prime:
-            deriv += _g_wp(a) - _g_wp(b)
-    four_pi2 = _TWO_PI_I * _TWO_PI_I
-    return four_pi2 * total, four_pi2 * _TWO_PI_I * deriv if prime else None
+    # k * zr by real operations, rounded as wp_pair's Python complex product:
+    # near a pole 1 - u cancels, and numpy's product can differ in the last bit
+    constants = _series_constants(cfg.tau)
+    k = constants[0]
+    arg = np.empty(zr.shape, dtype=complex)
+    arg.real = k.real * zr.real - k.imag * zr.imag
+    arg.imag = k.real * zr.imag + k.imag * zr.real
+    return _nome_sum(np.exp(arg), constants, prime)
 
 
 def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     """wp at every entry of a complex array, without the cost of wp'.
 
-    The same series as wp_pair with the fixed term count of _array_terms.
-    Raises PoleProximityError, naming the first such entry, when any entry
-    lies inside the exclusion disk of a lattice point.
+    The same nome sum as wp_pair.  Raises PoleProximityError, naming the
+    first such entry, when any entry lies inside the exclusion disk of a
+    lattice point.
     """
     return _series_array(z, cfg, prime=False)[0]
 

@@ -18,13 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import check_away_from_punctures, frame, frame_array, pole_parameter, puncture_circle
-from .config import (
-    CONFIG_CACHE_SIZE,
-    EXCLUSION_RADIUS,
-    TorusConfig,
-    distance_to_points_array,
-    reduce_mod_lattice,
-)
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
 from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
@@ -87,21 +81,21 @@ def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[co
 def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig) -> float:
     """Exact distance from the segment [z0, z1] to the nearest puncture.
 
-    Measures every lattice translate of every puncture whose lattice
-    coordinates lie within two cells of the segment's, each at the clamped
-    projection onto the segment; that is exact for every distance below
-    min(Im tau, Im tau / |tau|), far above the radii it is compared with.
+    Measures every translate s + m + n*tau of every puncture s with (m, n)
+    within two cells of the segment's lattice coordinates seen from s, each
+    at the clamped projection onto the segment; that is exact for every
+    distance below min(Im tau, Im tau / |tau|), far above the radii it is compared with.
     """
-    tau = cfg.tau
+    tau, punctures = cfg.tau, np.array(cfg.punctures())
 
-    def cell_range(x0: float, x1: float) -> np.ndarray:
-        return np.arange(math.floor(min(x0, x1)) - 2, math.ceil(max(x0, x1)) + 3)
+    def cell_range(x: np.ndarray) -> np.ndarray:
+        return np.arange(math.floor(x.min()) - 2, math.ceil(x.max()) + 3)
 
-    b0, b1 = z0.imag / tau.imag, z1.imag / tau.imag
-    ms = cell_range(z0.real - b0 * tau.real, z1.real - b1 * tau.real)
-    ns = cell_range(b0, b1)
-    lattice = (ms[:, None] + ns[None, :] * tau).ravel()
-    points = np.add.outer([reduce_mod_lattice(s, tau) for s in cfg.punctures()], lattice).ravel()
+    # the lattice coordinates of the segment's ends seen from each puncture
+    ends = np.array([z0, z1])[:, None] - punctures
+    b = ends.imag / tau.imag
+    lattice = (cell_range(ends.real - b * tau.real)[:, None] + cell_range(b)[None, :] * tau).ravel()
+    points = np.add.outer(punctures, lattice).ravel()
     d = z1 - z0
     t = np.clip(((points - z0) * d.conjugate()).real / max(abs(d) ** 2, 1e-300), 0.0, 1.0)
     return float(np.abs(z0 + t * d - points).min())

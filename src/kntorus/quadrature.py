@@ -22,8 +22,9 @@ from .errors import QuadratureError
 # nodes per integrand call (and per wp_array call in a level-line scan)
 GRID_CHUNK = 1024
 
-# Gauss-Legendre nodes per segment panel
+# Gauss-Legendre nodes per segment panel, and the rule's nodes and weights on [-1, 1]
 GAUSS_ORDER = 16
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
@@ -54,7 +55,6 @@ def segment_integral(
     at max_panels panels.  A segment passing 5e-4 to 2e-3 from a pole of f
     needs 512 to 2048 panels of GAUSS_ORDER nodes.
     """
-    x, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     direction = z1 - z0
     per_call = max(1, GRID_CHUNK // GAUSS_ORDER)  # whole panels per integrand call
 
@@ -63,8 +63,8 @@ def segment_integral(
         total = 0j
         for first in range(0, panels, per_call):
             mid = (np.arange(first, min(first + per_call, panels)) + 0.5) * h
-            t = (mid[:, None] + 0.5 * h * x).ravel()
-            total += np.dot(np.tile(weights, mid.size), f(z0 + t * direction))
+            t = (mid[:, None] + 0.5 * h * _GAUSS_NODES).ravel()
+            total += np.dot(np.tile(_GAUSS_WEIGHTS, mid.size), f(z0 + t * direction))
         return complex(total) * direction * 0.5 / panels
 
     current = composite(1)

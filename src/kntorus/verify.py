@@ -180,8 +180,7 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
     checks.append(_check("time_vs_line_integral", worst, 1e-7, unconverged))
 
     mu = propagation.mu_modulus(cfg)
-    cfg0 = cfg if cfg.two_point else replace(cfg, q=0j, two_point=True)
-    sep0 = propagation.separation_time(cfg0)
+    sep0 = propagation.separation_time(cfg.two_point_limit())
     checks.append(_check("mu_vs_separation_time", abs(mu.separation_time_two_point - sep0), 1e-10))
     return checks
 
@@ -295,12 +294,9 @@ def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     checks.append(_check("support_parity", parity_violation, 0.0))
 
     if not cfg.two_point:
-        two_point = algebra.degeneration_table("two_point", 6, cfg=cfg)
+        two_point = algebra.build_structure_table(lambda_coefficients(cfg.two_point_limit()), 6)
         gaps = [
-            algebra.table_gap(
-                algebra.degeneration_table("three_point", 6, cfg=replace(cfg, q=qq)),
-                two_point,
-            )
+            algebra.table_gap(algebra.build_structure_table(lambda_coefficients(replace(cfg, q=qq)), 6), two_point)
             for qq in (1e-1, 1e-2, 1e-3)
         ]
         monotone = 0.0 if gaps[0] > gaps[1] > gaps[2] else 1.0
@@ -362,8 +358,7 @@ def verify_cocycle(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     )
     checks.append(_check("two_cocycle_identity", worst, 1e-9))
 
-    cfg0 = cfg if cfg.two_point else replace(cfg, q=0j, two_point=True)
-    params0 = lambda_coefficients(cfg0)
+    params0 = lambda_coefficients(cfg.two_point_limit())
     qv0 = cocycle.q_values(params0)
     starred = max(abs(qv0[k]) for k in cocycle.STARRED_Q_KEYS)
     deep = max(

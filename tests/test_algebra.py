@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +7,6 @@ from kntorus.algebra import (
     bracket_eval,
     bracket_numeric,
     build_structure_table,
-    degeneration_table,
     jacobi_residual,
 )
 from kntorus.basis import WITT_PARAMS, basis_value, formal_params, frame, lambda_coefficients
@@ -159,7 +157,7 @@ def test_degeneration_two_point_values(cfg_two_point):
     from kntorus.elliptic import half_period_values
 
     hp = half_period_values(cfg_two_point)
-    table = degeneration_table("two_point", 4, cfg=cfg_two_point)
+    table = build_structure_table(lambda_coefficients(cfg_two_point), 4)
     terms = table.entries[(1, 3)]
     assert abs(terms[3] - 2.0) < 1e-12
     assert abs(terms[5] - 2 * 3 * hp.e1) < 1e-9
@@ -173,10 +171,3 @@ def test_degeneration_witt():
     for (i, j), terms in table.entries.items():
         assert set(terms) == {i + j - 1}
         assert terms[i + j - 1] == complex(j - i)
-
-
-def test_degeneration_requires_config(cfg_square):
-    with pytest.raises(ValueError):
-        degeneration_table("three_point", 4)
-    with pytest.raises(ValueError):
-        degeneration_table("unknown", 4, cfg=cfg_square)

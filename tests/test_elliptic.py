@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close, theta_half_period_values, wp_oracle
-from kntorus.config import EXCLUSION_RADIUS, TorusConfig
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig, reduced_basis
 from kntorus.elliptic import (
     WP_ARRAY_RTOL,
+    _array_terms,
     half_period_values,
     reduce_to_fundamental,
     wp,
@@ -148,12 +149,10 @@ def test_memoization_invisible(cfg_square):
 
 
 # tau in the fundamental domain, and lattices with Im tau down to 0.3
-_taus = st.one_of(
-    st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
-        lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
-    ),
-    st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 1.0)),
+_fundamental_taus = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
+    lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
 )
+_taus = st.one_of(_fundamental_taus, st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.3, 1.0)))
 
 
 @st.composite
@@ -199,3 +198,51 @@ def test_wp_array_pole_exclusion(case):
             wp_pair(inside[0], cfg)
     else:
         wp_array(np.array(points), cfg)
+
+
+# every SL2(Z) matrix with entries in [-3, 3]
+_SL2 = [
+    (a, b, c, d)
+    for a in range(-3, 4)
+    for b in range(-3, 4)
+    for c in range(-3, 4)
+    for d in range(-3, 4)
+    if a * d - b * c == 1
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tau=_fundamental_taus,
+    gamma=st.sampled_from(_SL2),
+    x=st.floats(0.05, 0.95),
+    y=st.floats(0.05, 0.95),
+)
+def test_wp_modular_invariance(tau, gamma, x, y):
+    # Z + (gamma tau)Z = (c tau + d)^-1 (Z + tau Z), so wp(z; gamma tau) = j^2 wp(j z; tau), j = c tau + d
+    a, b, c, d = gamma
+    j = c * tau + d
+    w = x + y * tau  # a cell point away from the lattice
+    p, dp = wp_pair(w / j, TorusConfig(tau=(a * tau + b) / j, two_point=True))
+    ref, ref_prime = wp_pair(w, TorusConfig(tau=tau, two_point=True))
+    assert_close(p, j**2 * ref, 1e-10 * max(1, abs(p)), label=f"wp at gamma={gamma}")
+    assert_close(dp, j**3 * ref_prime, 1e-10 * max(1, abs(dp)), label=f"wp' at gamma={gamma}")
+
+
+@pytest.mark.parametrize("tau", [0.06j, 2.7 + 0.3j])
+def test_wp_against_oracle_outside_fundamental_domain(tau):
+    cfg = TorusConfig(tau=tau, two_point=True)
+    for z in random_points(cfg, 8, seed=11):
+        ref = wp_oracle(z, tau)
+        assert_close(wp(z, cfg), ref, 1e-12 * abs(ref), label=f"wp({z}; {tau})")
+    hp = half_period_values(cfg)
+    for value, ref in zip((hp.e1, hp.e2, hp.e3), theta_half_period_values(tau)):
+        assert_close(value, ref, 1e-12 * abs(ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.builds(complex, st.floats(-1e3, 1e3), st.floats(1e-4, 1e3)))
+def test_series_terms_bounded_everywhere(tau):
+    t = reduced_basis(tau)[1]
+    assert t.imag > 0 and abs(t.real) <= 0.5 + 1e-12 and abs(t) >= 1 - 1e-12
+    assert _array_terms(t) <= 9

@@ -13,6 +13,7 @@ from kntorus.config import (
     lattice_distance,
     reduce_mod_lattice,
     reduce_mod_lattice_array,
+    reduced_basis,
 )
 
 coords = st.floats(-3.0, 3.0)
@@ -44,7 +45,11 @@ def test_lattice_distance_is_exact(z, tau):
 
 
 @settings(max_examples=300, deadline=None)
-@given(z=points, tau=fundamental_taus, q=st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+@given(
+    z=points,
+    tau=st.one_of(skewed_taus, fundamental_taus),
+    q=st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
 def test_puncture_distance_exact_near_punctures(z, tau, q):
     try:
         cfg = TorusConfig(tau=tau, q=q)
@@ -52,7 +57,7 @@ def test_puncture_distance_exact_near_punctures(z, tau, q):
         cfg = TorusConfig(tau=tau, two_point=True)
     per_point = cfg.distance_to_punctures(z)
     exact = min(lattice_distance(z - s, tau) for s in cfg.punctures())
-    if min(per_point, exact) < 0.25:
+    if min(per_point, exact) < 0.25 * abs(reduced_basis(tau)[0]):
         assert math.isclose(per_point, exact, rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -74,3 +79,11 @@ def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
     assert distance_to_points_array(z, tuple(marks), tau).tolist() == [
         distance_to_points(w, tuple(marks), tau) for w in zs
     ]
+
+
+def test_config_shifts_re_tau_by_even_integers():
+    # an even shift keeps the lattice and the half-period labels e1, e2, e3
+    assert TorusConfig(tau=1e300 + 1j, q=0.2) == TorusConfig(tau=1j, q=0.2)
+    assert TorusConfig(tau=2.7 + 0.3j, two_point=True).tau == (2.7 - 2) + 0.3j
+    for tau in (1 + 1j, -1 + 0.5j, 0.5 + 1j):
+        assert TorusConfig(tau=tau, two_point=True).tau == tau

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
 from kntorus import propagation
@@ -361,3 +363,28 @@ def test_segment_integral_raises_when_unconverged():
     assert "segment [0j, (1+0j)]" in message and "in 2048 panels" in message
     assert "estimates differ by" in message
     assert abs(err.value.estimate) > 1e3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tau=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.05, 0.5)),
+    q=st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+    z0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    step=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+@example(tau=0.125 + 0.0625j, q=0j, z0=0.5 + 0j, step=0j)
+def test_segment_distance_exact_on_skewed_lattices(tau, q, z0, step):
+    # against every translate with lattice coordinates up to 60, which holds
+    # the nearest one to every segment drawn: the search may not depend on
+    # which cell a reduction puts a puncture in
+    try:
+        cfg = TorusConfig(tau=tau, q=q)
+    except ValueError:
+        cfg = TorusConfig(tau=tau, two_point=True)
+    z1 = z0 + step
+    cells = np.arange(-60, 61)
+    points = np.add.outer(np.array(cfg.punctures()), (cells[:, None] + cells[None, :] * cfg.tau).ravel()).ravel()
+    t = np.clip(((points - z0) * step.conjugate()).real / max(abs(step) ** 2, 1e-300), 0.0, 1.0)
+    exact = float(np.abs(z0 + t * step - points).min())
+    if exact < 0.01:
+        assert math.isclose(propagation._min_distance_segment(z0, z1, cfg), exact, rel_tol=1e-9, abs_tol=1e-15)
