@@ -11,7 +11,8 @@ with t = 0..3.  The even-odd bracket follows by antisymmetry.  Every
 target index lies in [i+j-1, i+j+5] and shares the parity of i+j-1
 (almost-grading).  bracket_numeric realizes the defining vector-field
 bracket pointwise from the frame of a point and serves as the independent
-oracle.
+oracle.  build_structure_table returns the brackets over an index window
+as a plain dict {(i, j): terms}; cli.py alone writes it out.
 
 jacobi_residual takes ints or broadcastable int arrays of labels: one call
 checks a whole grid of triples.  It reads every bracket from one slot table,
@@ -22,13 +23,12 @@ scalar call's value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import AlgebraParams, monomial, monomial_derivative
 
 BracketTerms = dict[int, complex]
+StructureEntries = dict[tuple[int, int], BracketTerms]
 
 
 def bracket(i: int, j: int, params: AlgebraParams) -> BracketTerms:
@@ -156,48 +156,17 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
     return float(residual) if residual.ndim == 0 else residual
 
 
-@dataclass(frozen=True)
-class StructureTable:
-    """Bracket coefficients for all pairs in a symmetric index window."""
-
-    window: int
-    indexing: str  # "original" (l basis) or "shifted" (e_i = l_{i+1})
-    params: AlgebraParams
-    entries: dict[tuple[int, int], BracketTerms]
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["i,j,k,re,im"]
-        for (i, j) in sorted(self.entries):
-            for k in sorted(self.entries[(i, j)]):
-                c = self.entries[(i, j)][k]
-                rows.append(f"{i},{j},{k},{c.real!r},{c.imag!r}")
-        return rows
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for (i, j) in sorted(self.entries):
-            terms = [
-                {"k": k, "c": [self.entries[(i, j)][k].real, self.entries[(i, j)][k].imag]}
-                for k in sorted(self.entries[(i, j)])
-            ]
-            entries.append({"i": i, "j": j, "terms": terms})
-        return {
-            "window": self.window,
-            "indexing": self.indexing,
-            "params": self.params.to_json_dict(),
-            "entries": entries,
-        }
-
-
 def build_structure_table(
     params: AlgebraParams, window: int, indexing: str = "original"
-) -> StructureTable:
+) -> StructureEntries:
+    """The nonempty brackets over [-window, window]^2, keyed (i, j), in the
+    l basis ("original") or the shifted basis e_i = l_{i+1} ("shifted")."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if indexing not in ("original", "shifted"):
         raise ValueError(f"unknown indexing {indexing!r}")
     terms_of = bracket if indexing == "original" else shifted_constants
-    entries: dict[tuple[int, int], BracketTerms] = {}
+    entries: StructureEntries = {}
     for i in range(-window, window + 1):
         for j in range(-window, window + 1):
             if i == j:
@@ -205,24 +174,24 @@ def build_structure_table(
             terms = terms_of(i, j, params)
             if terms:
                 entries[(i, j)] = terms
-    return StructureTable(window=window, indexing=indexing, params=params, entries=entries)
+    return entries
 
 
-def table_gap(a: StructureTable, b: StructureTable) -> float:
+def table_gap(a: StructureEntries, b: StructureEntries) -> float:
     """Largest entrywise coefficient difference, relative to b's magnitude.
 
     Used for degeneration-continuity checks; the normalization is the
     largest coefficient magnitude of the reference table.
     """
-    keys = set(a.entries) | set(b.entries)
+    keys = set(a) | set(b)
     gap = 0.0
     ref = 1.0
-    for terms in b.entries.values():
+    for terms in b.values():
         for c in terms.values():
             ref = max(ref, abs(c))
     for key in keys:
-        ta = a.entries.get(key, {})
-        tb = b.entries.get(key, {})
+        ta = a.get(key, {})
+        tb = b.get(key, {})
         for k in set(ta) | set(tb):
             gap = max(gap, abs(ta.get(k, 0j) - tb.get(k, 0j)))
     return gap / ref

@@ -70,16 +70,6 @@ class AlgebraParams:
     def scale(self) -> float:
         return max(1.0, *(abs(v) for v in self.as_tuple()))
 
-    def to_json_dict(self) -> dict:
-        """lam4..lam7 as [re, im] pairs plus the provenance."""
-        return {
-            "lam4": [self.lam4.real, self.lam4.imag],
-            "lam5": [self.lam5.real, self.lam5.imag],
-            "lam6": [self.lam6.real, self.lam6.imag],
-            "lam7": [self.lam7.real, self.lam7.imag],
-            "provenance": self.provenance,
-        }
-
 
 WITT_PARAMS = AlgebraParams(1.0, 0j, 0j, 0j, provenance="formal")
 

@@ -4,8 +4,13 @@ Subcommands:
   params      geometry report: half-period values, invariants, lambdas,
               moduli parameter, separation time
   verify      run one invariant suite (or all) and report pass/fail checks
+              (JSON only)
   table       emit a structure-constant or cocycle table (+ reconciliation)
   levellines  emit crossing points of the string time function
+
+This is the only module that writes output.  The library returns plain
+values; _emit writes them as CSV rows (--format csv) or as the JSON
+envelope {"config", "results", "checks"}, to stdout or to --output.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
 still written), 2 usage or configuration error, 141 standard output was
@@ -28,7 +33,7 @@ import sys
 from . import propagation
 from .algebra import build_structure_table
 from .basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients, pole_parameter
-from .cocycle import build_cocycle_table, reconciliation_report
+from .cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
 from .config import TorusConfig
 from .elliptic import half_period_values
 from .errors import KNTorusError
@@ -41,6 +46,8 @@ from .verify import SUITES, verify_suite
 MAX_VERIFY_WINDOW = 32
 MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512
+
+LAM_NAMES = ("lam4", "lam5", "lam6", "lam7")
 
 
 def _check_range(flag: str, value: int, floor: int, cap: int, work: str) -> None:
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
     add_geometry(p_verify)
     p_verify.add_argument("--window", type=int, default=6)
-    add_output(p_verify)
+    p_verify.add_argument("--output", type=str, default=None, help="file path (default stdout)")
 
     p_table = sub.add_parser("table", help="emit structure constants or the cocycle")
     p_table.add_argument("kind", choices=("brackets", "cocycle"))
@@ -134,37 +141,30 @@ def _formal_from_args(args: argparse.Namespace) -> AlgebraParams | None:
     return None
 
 
-def _config_dict(args: argparse.Namespace, cfg: TorusConfig | None) -> dict:
-    out: dict = {"command": args.command}
-    if cfg is not None:
-        out.update(
-            {
-                "tau": _c(cfg.tau),
-                "q": _c(cfg.q),
-                "two_point": cfg.two_point,
-                "tol": cfg.tol,
-            }
-        )
-    if getattr(args, "window", None) is not None:
-        out["window"] = args.window
-    return out
+def _lam_json(params: AlgebraParams) -> dict:
+    """lam4..lam7 as [re, im] pairs plus the provenance."""
+    return {**dict(zip(LAM_NAMES, map(_c, params.as_tuple()))), "provenance": params.provenance}
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.flush()
+def _emit(args: argparse.Namespace, cfg: TorusConfig | None, results, csv_rows, checks=()) -> None:
+    """Write a command's output to --output, or to stdout: its CSV rows, or
+    the JSON envelope {"config", "results", "checks"}.  results and
+    csv_rows are functions, so that only the requested format is built."""
+    if getattr(args, "format", "json") == "csv":
+        text = "\n".join(csv_rows())
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-
-
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2), path)
+        config: dict = {"command": args.command}
+        if cfg is not None:
+            config.update({"tau": _c(cfg.tau), "q": _c(cfg.q), "two_point": cfg.two_point, "tol": cfg.tol})
+        if getattr(args, "window", None) is not None:
+            config["window"] = args.window
+        envelope = {"config": config, "results": results(), "checks": list(checks)}
+        text = json.dumps(envelope, sort_keys=True, indent=2)
+    if args.output is None:
+        print(text, flush=True)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
@@ -172,32 +172,19 @@ def _cmd_params(args: argparse.Namespace) -> int:
     hp = half_period_values(cfg)
     lam = lambda_coefficients(cfg)
     mu = propagation.mu_modulus(cfg)
-    sep = propagation.separation_time(cfg)
-    results = {
-        "e1": _c(hp.e1),
-        "e2": _c(hp.e2),
-        "e3": _c(hp.e3),
-        "g2": _c(hp.g2),
-        "g3": _c(hp.g3),
-        "p_q": _c(pole_parameter(cfg)),
-        "lambda": lam.to_json_dict(),
-        "mu": _c(mu.mu),
-        "abs_mu": mu.abs_mu,
-        "separation_time": sep,
-    }
-    if args.format == "csv":
-        rows = ["name,re,im"]
-        for name in ("e1", "e2", "e3", "g2", "g3", "p_q", "mu"):
-            re, im = results[name]
-            rows.append(f"{name},{re!r},{im!r}")
-        for name in ("lam4", "lam5", "lam6", "lam7"):
-            re, im = results["lambda"][name]
-            rows.append(f"{name},{re!r},{im!r}")
-        rows.append(f"abs_mu,{mu.abs_mu!r},0.0")
-        rows.append(f"separation_time,{sep!r},0.0")
-        _emit("\n".join(rows), args.output)
-    else:
-        _emit_json({"config": _config_dict(args, cfg), "results": results, "checks": []}, args.output)
+    points = {"e1": hp.e1, "e2": hp.e2, "e3": hp.e3, "g2": hp.g2, "g3": hp.g3,
+              "p_q": pole_parameter(cfg), "mu": mu.mu}
+    reals = {"abs_mu": mu.abs_mu, "separation_time": propagation.separation_time(cfg)}
+    lams = dict(zip(LAM_NAMES, lam.as_tuple()))
+    _emit(
+        args, cfg,
+        lambda: {**{name: _c(v) for name, v in points.items()}, "lambda": _lam_json(lam), **reals},
+        lambda: [
+            "name,re,im",
+            *(f"{name},{v.real!r},{v.imag!r}" for name, v in {**points, **lams}.items()),
+            *(f"{name},{v!r},0.0" for name, v in reals.items()),
+        ],
+    )
     return 0
 
 
@@ -209,22 +196,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{5 * side * side} pointwise bracket evaluations",
     )
     checks = verify_suite(args.suite, cfg, args.window)
-    payload = {
-        "config": _config_dict(args, cfg),
-        "results": {"suite": args.suite, "all_passed": all(c.passed for c in checks)},
-        "checks": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "max_residual": c.max_residual,
-                "tolerance": c.tolerance,
-                **({"detail": c.detail} if c.detail else {}),
-            }
-            for c in checks
-        ],
-    }
-    _emit_json(payload, args.output)
-    return 0 if all(c.passed for c in checks) else 1
+    passed = all(c.passed for c in checks)
+    # every field of a check; detail only where it is set
+    reports = [{k: v for k, v in vars(c).items() if k != "detail" or v} for c in checks]
+    _emit(args, cfg, lambda: {"suite": args.suite, "all_passed": passed}, None, reports)
+    return 0 if passed else 1
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -235,30 +211,43 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if params is None:
         cfg = _config_from_args(args)
         params = lambda_coefficients(cfg)
+    header = {"window": args.window, "params": _lam_json(params)}
     if args.kind == "brackets":
-        table = build_structure_table(params, args.window, indexing=args.indexing)
-        if args.format == "csv":
-            _emit("\n".join(table.to_csv_rows()), args.output)
-        else:
-            payload = {
-                "config": _config_dict(args, cfg),
-                "results": table.to_json_dict(),
-                "checks": [],
-            }
-            _emit_json(payload, args.output)
+        brackets = build_structure_table(params, args.window, indexing=args.indexing)
+        pairs = sorted(brackets)
+        _emit(
+            args, cfg,
+            lambda: {
+                **header,
+                "indexing": args.indexing,
+                "entries": [
+                    {"i": i, "j": j, "terms": [{"k": k, "c": _c(c)} for k, c in sorted(brackets[i, j].items())]}
+                    for i, j in pairs
+                ],
+            },
+            lambda: [
+                "i,j,k,re,im",
+                *(
+                    f"{i},{j},{k},{c.real!r},{c.imag!r}"
+                    for i, j in pairs
+                    for k, c in sorted(brackets[i, j].items())
+                ),
+            ],
+        )
         return 0
-    table = build_cocycle_table(params, args.window)
-    if args.format == "csv":
-        _emit("\n".join(table.to_csv_rows()), args.output)
-    else:
-        results = table.to_json_dict()
-        results["reconciliation"] = reconciliation_report(params, args.window)
-        payload = {
-            "config": _config_dict(args, cfg),
-            "results": results,
-            "checks": [],
-        }
-        _emit_json(payload, args.output)
+    chi = sorted(build_cocycle_table(params, args.window).items())
+    sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
+    _emit(
+        args, cfg,
+        lambda: {
+            **header,
+            "method": "sum",
+            "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
+            "entries": [{"i": i, "j": j, "chi": _c(c)} for (i, j), c in chi],
+            "reconciliation": reconciliation_report(params, args.window),
+        },
+        lambda: ["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)],
+    )
     return 0
 
 
@@ -270,21 +259,11 @@ def _cmd_levellines(args: argparse.Namespace) -> int:
         f"{side * side} time evaluations",
     )
     sample = propagation.level_line_samples(cfg, args.u, args.samples)
-    if args.format == "csv":
-        rows = ["u,re,im"]
-        rows.extend(f"{sample.u!r},{p.real!r},{p.imag!r}" for p in sample.points)
-        _emit("\n".join(rows), args.output)
-    else:
-        payload = {
-            "config": _config_dict(args, cfg),
-            "results": {
-                "u": sample.u,
-                "count": len(sample.points),
-                "points": [_c(p) for p in sample.points],
-            },
-            "checks": [],
-        }
-        _emit_json(payload, args.output)
+    _emit(
+        args, cfg,
+        lambda: {"u": sample.u, "count": len(sample.points), "points": [_c(p) for p in sample.points]},
+        lambda: ["u,re,im", *(f"{sample.u!r},{p.real!r},{p.imag!r}" for p in sample.points)],
+    )
     return 0
 
 

@@ -31,11 +31,13 @@ ints or on a whole grid of label triples in one call: it reads the
 structure constants from one algebra.bracket_slots table and chi_sum from
 one table over the window, both filled from those functions, and gives
 every grid entry bit for bit the scalar call's value.
+
+build_cocycle_table returns the nonzero chi_sum values over a window as a
+plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
+convention and the reconciliation report.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,39 +321,8 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     return float(residual) if residual.ndim == 0 else residual
 
 
-@dataclass(frozen=True)
-class CocycleTable:
-    """Antisymmetric cocycle values over a symmetric shifted-index window."""
-
-    window: int
-    params: AlgebraParams
-    entries: dict[tuple[int, int], complex]
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["i,j,re,im"]
-        for (i, j) in sorted(self.entries):
-            c = self.entries[(i, j)]
-            rows.append(f"{i},{j},{c.real!r},{c.imag!r}")
-        return rows
-
-    def to_json_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "method": "sum",
-            "sign_convention": {
-                "sigma_c": DEFAULT_SIGN_CONVENTION[0],
-                "sigma_chi": DEFAULT_SIGN_CONVENTION[1],
-            },
-            "params": self.params.to_json_dict(),
-            "entries": [
-                {"i": i, "j": j, "chi": [self.entries[(i, j)].real, self.entries[(i, j)].imag]}
-                for (i, j) in sorted(self.entries)
-            ],
-        }
-
-
-def build_cocycle_table(params: AlgebraParams, window: int) -> CocycleTable:
-    """The nonzero chi_sum values over [-window, window]^2."""
+def build_cocycle_table(params: AlgebraParams, window: int) -> dict[tuple[int, int], complex]:
+    """The nonzero chi_sum values over [-window, window]^2, keyed (i, j)."""
     if window < 1:
         raise ValueError("window must be >= 1")
     entries: dict[tuple[int, int], complex] = {}
@@ -360,7 +331,7 @@ def build_cocycle_table(params: AlgebraParams, window: int) -> CocycleTable:
             value = chi_sum(i, j, params)
             if value != 0:
                 entries[(i, j)] = value
-    return CocycleTable(window=window, params=params, entries=entries)
+    return entries
 
 
 def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:

@@ -133,24 +133,18 @@ def test_jacobi_grid_equals_scalar_calls(lam, i, j, k):
         assert type(scalar) is float and value == scalar
 
 
-def test_structure_table_round_trip(cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    table = build_structure_table(lam, 4)
-    assert table.entries[(2, 4)] == {5: 2 + 0j}
-    assert (1, 1) not in table.entries
-    rows = table.to_csv_rows()
-    assert rows[0] == "i,j,k,re,im"
-    assert rows == sorted(rows[:1]) + sorted(rows[1:], key=lambda r: [int(x) for x in r.split(",")[:3]])
-    payload = table.to_json_dict()
-    assert payload["window"] == 4
-    assert payload["indexing"] == "original"
+def test_structure_table_entries(cfg_square):
+    # the CSV and JSON round trips of the table are in test_cli
+    table = build_structure_table(lambda_coefficients(cfg_square), 4)
+    assert table[(2, 4)] == {5: 2 + 0j}
+    assert (1, 1) not in table
 
 
 def test_shifted_table_indexing(cfg_square):
     lam = lambda_coefficients(cfg_square)
     shifted = build_structure_table(lam, 3, indexing="shifted")
     # [e_1, e_3] = [l_2, l_4] = 2 l_5 = 2 e_4
-    assert shifted.entries[(1, 3)] == {4: 2 + 0j}
+    assert shifted[(1, 3)] == {4: 2 + 0j}
 
 
 def test_degeneration_two_point_values(cfg_two_point):
@@ -158,7 +152,7 @@ def test_degeneration_two_point_values(cfg_two_point):
 
     hp = half_period_values(cfg_two_point)
     table = build_structure_table(lambda_coefficients(cfg_two_point), 4)
-    terms = table.entries[(1, 3)]
+    terms = table[(1, 3)]
     assert abs(terms[3] - 2.0) < 1e-12
     assert abs(terms[5] - 2 * 3 * hp.e1) < 1e-9
     assert abs(terms[7] - 2 * (hp.e1 - hp.e2) * (hp.e1 - hp.e3)) < 1e-8
@@ -167,7 +161,7 @@ def test_degeneration_two_point_values(cfg_two_point):
 
 def test_degeneration_witt():
     table = build_structure_table(WITT_PARAMS, 3)
-    assert table.entries[(1, 2)] == {2: 1 + 0j}
-    for (i, j), terms in table.entries.items():
+    assert table[(1, 2)] == {2: 1 + 0j}
+    for (i, j), terms in table.items():
         assert set(terms) == {i + j - 1}
         assert terms[i + j - 1] == complex(j - i)

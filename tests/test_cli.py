@@ -5,6 +5,10 @@ import subprocess
 import sys
 
 from kntorus import cli
+from kntorus.algebra import build_structure_table
+from kntorus.basis import lambda_coefficients
+from kntorus.cocycle import build_cocycle_table
+from kntorus.config import TorusConfig
 from kntorus.verify import CheckResult
 
 
@@ -67,15 +71,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert [c.get("detail") for c in payload["checks"]] == [None, "segment did not converge"]
 
 
+def _bits(c: complex) -> tuple[str, str]:
+    # float.hex tells 0.0 from -0.0
+    return c.real.hex(), c.imag.hex()
+
+
 def test_table_brackets_csv(capsys):
-    code, out, _ = run_cli(
-        capsys, "table", "brackets", "--window", "2", "--format", "csv",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "i,j,k,re,im"
-    keys = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
-    assert keys == sorted(keys)
+    # the rows read back to build_structure_table's entries bit for bit
+    lam = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
+    for indexing in ("original", "shifted"):
+        code, out, _ = run_cli(
+            capsys, "table", "brackets", "--window", "2", "--indexing", indexing, "--format", "csv",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "i,j,k,re,im"
+        keys = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
+        assert keys == sorted(keys)
+        table: dict = {}
+        for line in lines[1:]:
+            i, j, k, re, im = line.split(",")
+            table.setdefault((int(i), int(j)), {})[int(k)] = (float(re).hex(), float(im).hex())
+        expect = build_structure_table(lam, 2, indexing=indexing)
+        assert table == {key: {k: _bits(c) for k, c in terms.items()} for key, terms in expect.items()}
 
 
 def test_table_cocycle_witt(capsys):
@@ -91,6 +109,7 @@ def test_table_cocycle_witt(capsys):
         assert abs(entries[(m, -m)][1]) < 1e-12
     assert payload["results"]["reconciliation"] == []
     assert payload["results"]["sign_convention"] == {"sigma_c": 1, "sigma_chi": -1}
+    assert payload["results"]["method"] == "sum" and payload["results"]["window"] == 8
 
 
 def test_table_cocycle_derived_reports(capsys):
@@ -104,16 +123,33 @@ def test_table_cocycle_derived_reports(capsys):
     assert isinstance(report, list)
     for entry in report:
         assert set(entry) == {"i", "j", "chi_sum", "chi_closed", "abs_diff"}
+    # the CSV rows read back to build_cocycle_table's entries bit for bit
+    code, out, _ = run_cli(
+        capsys, "table", "cocycle", "--tau-re", "0", "--tau-im", "1", "--q-re", "0.2",
+        "--window", "6", "--format", "csv",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "i,j,re,im"
+    table = {}
+    for line in lines[1:]:
+        i, j, re, im = line.split(",")
+        table[int(i), int(j)] = (float(re).hex(), float(im).hex())
+    expect = build_cocycle_table(lambda_coefficients(TorusConfig(tau=1j, q=0.2)), 6)
+    assert list(table) == sorted(expect)
+    assert table == {key: _bits(c) for key, c in expect.items()}
 
 
 def test_table_formal_lambdas(capsys):
-    code, out, _ = run_cli(
-        capsys, "table", "brackets", "--lam5", "1.5", "0", "--window", "2",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["results"]["params"]["lam5"] == [1.5, 0.0]
-    assert payload["results"]["params"]["provenance"] == "formal"
+    for indexing in ("original", "shifted"):
+        code, out, _ = run_cli(
+            capsys, "table", "brackets", "--lam5", "1.5", "0", "--window", "2", "--indexing", indexing,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["results"]["params"]["lam5"] == [1.5, 0.0]
+        assert payload["results"]["params"]["provenance"] == "formal"
+        assert payload["results"]["window"] == 2 and payload["results"]["indexing"] == indexing
 
 
 def test_levellines_csv(capsys):
@@ -166,6 +202,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "params", "--q-re", "0", "--q-im", "0")
     assert code == 2 and "two_point" in err
+    # verify writes JSON only and has no --format
+    code, _, err = run_cli(capsys, "verify", "all", "--format", "csv")
+    assert code == 2 and "--format" in err
 
 
 def test_verify_basis_at_small_q(capsys):

@@ -1,3 +1,4 @@
+import math
 import pprint
 import random
 from fractions import Fraction
@@ -208,7 +209,7 @@ def test_witt_table_bit_identical_to_double_sum():
             if value != 0:
                 expect[(i, j)] = repr(value)
     # repr tells 0.0 from -0.0
-    assert {key: repr(value) for key, value in table.entries.items()} == expect
+    assert {key: repr(value) for key, value in table.items()} == expect
 
 
 def test_chi_sum_witt_limit():
@@ -219,6 +220,29 @@ def test_chi_sum_witt_limit():
         for j in range(-8, 9):
             if i + j != 0:
                 assert chi_sum(i, j, WITT_PARAMS) == 0j
+
+
+def test_chi_poly_monomials_have_weight_minus_level():
+    # lam_{4+t} has weight 2t (wp scales by c^-2 when the lattice scales by c)
+    for (level, _), monomials in _CHI_POLY.items():
+        for factors, _, _ in monomials:
+            assert sum(2 * t for t in factors) == -level, (level, factors)
+
+
+@pytest.mark.parametrize("e", [-1, 1, 2, 3])
+def test_weight_scaling_is_exact(cfg_generic, e):
+    # with c = 2**e, lam_{4+t} -> c^-2t lam_{4+t} multiplies chi_sum(i, j) by
+    # c^(i+j) and the bracket slot at target k by c^(i+j-1-k), exactly
+    def c_pow(n: int) -> float:
+        return math.ldexp(1.0, e * n)
+
+    lam = lambda_coefficients(cfg_generic)
+    scaled = AlgebraParams(*(v * c_pow(-2 * t) for t, v in enumerate(lam.as_tuple())))
+    for i in range(-12, 13):
+        for j in range(-12, 13):
+            assert chi_sum(i, j, scaled) == chi_sum(i, j, lam) * c_pow(i + j), (i, j)
+            expect = {k: v * c_pow(i + j - 1 - k) for k, v in bracket(i, j, lam).items()}
+            assert bracket(i, j, scaled) == expect, (i, j)
 
 
 def test_chi_literal_orientation_is_operator_anomaly():
@@ -390,13 +414,9 @@ def test_reconciliation_report_structure(cfg_square):
 def test_cocycle_table(cfg_square):
     lam = lambda_coefficients(cfg_square)
     table = build_cocycle_table(lam, 4)
-    for (i, j), value in table.entries.items():
+    # the CSV and JSON round trips of the table are in test_cli
+    for (i, j), value in table.items():
         assert value == chi_sum(i, j, lam)
-        assert table.entries[(j, i)] == -value
-    rows = table.to_csv_rows()
-    assert rows[0] == "i,j,re,im"
-    payload = table.to_json_dict()
-    assert payload["method"] == "sum"
-    assert payload["sign_convention"] == {"sigma_c": 1, "sigma_chi": -1}
+        assert table[(j, i)] == -value
     with pytest.raises(ValueError):
         build_cocycle_table(lam, 0)
