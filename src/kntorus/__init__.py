@@ -2,7 +2,7 @@
 
 Library layout:
 
-* config     -- TorusConfig (lattice, punctures, tolerances)
+* config     -- TorusConfig (lattice, punctures, level-line target)
 * elliptic   -- Weierstrass wp, wp' (scalar and array), half-period values
 * basis      -- punctures, the per-point frame (wp - p, w, w'), adapted
                 function basis and the lam4..lam7 scalars
@@ -16,7 +16,7 @@ Library layout:
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params, lambda_coefficients
 from .config import TorusConfig
-from .elliptic import HalfPeriodValues, half_period_values, reduce_to_fundamental, wp, wp_pair, wp_prime
+from .elliptic import HalfPeriodValues, half_period_values, wp, wp_pair, wp_prime
 from .errors import (
     BadContourError,
     BisectionError,
@@ -46,7 +46,6 @@ __all__ = [
     "formal_params",
     "half_period_values",
     "lambda_coefficients",
-    "reduce_to_fundamental",
     "wp",
     "wp_pair",
     "wp_prime",

@@ -90,9 +90,8 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def pole_parameter(cfg: TorusConfig) -> complex:
-    """p = wp(1/2 + q), the value the pole factor wp - p subtracts; e1 in two-point mode."""
-    if cfg.two_point:
-        return half_period_values(cfg).e1
+    """p = wp(1/2 + q), the value the pole factor wp - p subtracts; at q = 0 the
+    same call as half_period_values(cfg).e1, so p = e1 bit for bit."""
     return wp(0.5 + cfg.q, cfg)
 
 
@@ -125,7 +124,8 @@ def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
     lattice translates.  So each circle encloses its puncture and no other
     pole or zero of any A_k, w or w'/w.  Raises BadContourError, naming q,
     before any node is evaluated, when a radius does not clear twice the
-    exclusion radius.
+    exclusion radius; and, naming q and tau, when a frame is not finite (on
+    a thin lattice wp - p can come too close to 0 at a node).
     """
     tau, punctures = cfg.tau, cfg.punctures()
     half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
@@ -145,7 +145,14 @@ def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
     circles = []
     for s, radius in zip(punctures, radii):
         nodes = circle_nodes(s, radius, CIRCLE_NODES)
-        circles.append(PunctureCircle(s, radius, nodes, *frame_array(nodes, cfg)))
+        with np.errstate(all="ignore"):
+            arrays = frame_array(nodes, cfg)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise BadContourError(
+                f"q={cfg.q}, tau={cfg.tau}: the frame on the circle around the "
+                f"puncture {s} is not finite (wp - p is too close to 0 at a node)"
+            )
+        circles.append(PunctureCircle(s, radius, nodes, *arrays))
     return tuple(circles)
 
 
@@ -263,15 +270,12 @@ def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
         lam6 = P'(p) = 3p^2 - (e2^2 + e2*e3 + e3^2),
         lam7 = P(p)  = (1/4) wp'(1/2+q)^2.
 
-    In two-point mode p = e1 exactly, so lam7 = 0 and
+    At q = 0 (the two-point torus) p = e1 exactly, so lam7 = 0j and
     lam6 = (e1-e2)(e1-e3).
     """
     hp = half_period_values(cfg)
     p = pole_parameter(cfg)
     lam5 = 3.0 * p
     lam6 = 3.0 * p * p - (hp.e2 * hp.e2 + hp.e2 * hp.e3 + hp.e3 * hp.e3)
-    if cfg.two_point:
-        lam7 = 0j
-    else:
-        lam7 = (p - hp.e1) * (p - hp.e2) * (p - hp.e3)
+    lam7 = 0j if cfg.two_point else (p - hp.e1) * (p - hp.e2) * (p - hp.e3)
     return AlgebraParams(1.0, lam5, lam6, lam7, provenance="derived")

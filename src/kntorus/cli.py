@@ -78,12 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_geometry(p: argparse.ArgumentParser) -> None:
+        # q = 0 is the two-point torus
         p.add_argument("--tau-re", type=float, default=0.0)
         p.add_argument("--tau-im", type=float, default=1.0)
         p.add_argument("--q-re", type=float, default=0.2)
         p.add_argument("--q-im", type=float, default=0.0)
-        p.add_argument("--two-point", action="store_true")
-        p.add_argument("--tol", type=float, default=1e-10)
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", type=str, default=None, help="file path (default stdout)")
@@ -114,19 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_geometry(p_level)
     p_level.add_argument("--u", type=finite_float, required=True)
     p_level.add_argument("--samples", type=int, default=64)
+    p_level.add_argument("--tol", type=float, default=TorusConfig.tol, help="target |t - u| of each point")
     add_output(p_level)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> TorusConfig:
-    if args.tol <= 0 or args.tol > 1e-4:
-        raise ValueError(f"tol must lie in (0, 1e-4], got {args.tol}")
     return TorusConfig(
         tau=complex(args.tau_re, args.tau_im),
         q=complex(args.q_re, args.q_im),
-        tol=args.tol,
-        two_point=args.two_point,
+        tol=getattr(args, "tol", TorusConfig.tol),  # only levellines has --tol
     )
 
 
@@ -244,7 +241,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "method": "sum",
             "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
             "entries": [{"i": i, "j": j, "chi": _c(c)} for (i, j), c in chi],
-            "reconciliation": reconciliation_report(params, args.window),
+            "reconciliation": [{**e, "chi_sum": _c(e["chi_sum"]), "chi_closed": _c(e["chi_closed"])}
+                               for e in reconciliation_report(params, args.window)],
         },
         lambda: ["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)],
     )

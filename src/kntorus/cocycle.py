@@ -335,10 +335,11 @@ def build_cocycle_table(params: AlgebraParams, window: int) -> dict[tuple[int, i
 
 
 def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
-    """Machine-readable chi_closed vs chi_sum comparison.
+    """chi_closed vs chi_sum comparison.
 
-    One record per disagreeing pair; empty list means full agreement at
-    RECONCILIATION_RTOL over the whole window.
+    One record per disagreeing pair, with chi_sum and chi_closed as complex
+    values; empty list means full agreement at RECONCILIATION_RTOL over the
+    whole window.
     """
     report: list[dict] = []
     for i in range(-window, window + 1):
@@ -351,8 +352,8 @@ def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
                     {
                         "i": i,
                         "j": j,
-                        "chi_sum": [s.real, s.imag],
-                        "chi_closed": [c.real, c.imag],
+                        "chi_sum": s,
+                        "chi_closed": c,
                         "abs_diff": diff,
                     }
                 )

@@ -21,23 +21,22 @@ CONFIG_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class TorusConfig:
-    """Fixes the lattice Z + tau*Z, the puncture offset q and the tolerance.
+    """Fixes the lattice Z + tau*Z, the puncture offset q and the level-line target tol.
 
-    The three punctures are 0 and 1/2 +- q (mod the lattice).  ``two_point``
-    selects the degenerate configuration where both out-punctures coincide
-    at 1/2; it is an explicit mode, not a numerical limit, and forces q = 0.
-    q must stay farther than EXCLUSION_RADIUS from 0 and 1/2 mod the lattice.
+    The three punctures are 0 and 1/2 +- q (mod the lattice).  q = 0, stored as
+    0j whatever the signs of its zeros, is the two-point torus: the q -> 0 end
+    of the degeneration, where both out-punctures merge at 1/2.  Any other q
+    must stay farther than EXCLUSION_RADIUS from 0 and 1/2 mod the lattice.
+    tol, in (0, 1e-4], is read only by propagation.level_line_samples.
     """
 
     tau: complex
     q: complex = 0j
     tol: float = 1e-10
-    two_point: bool = False
 
     def __post_init__(self):
-        tau = complex(self.tau)
-        object.__setattr__(self, "q", 0j if self.two_point else complex(self.q))
-        for name, value in (("tau", tau), ("q", self.q)):
+        tau, q = complex(self.tau), complex(self.q)
+        for name, value in (("tau", tau), ("q", q)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if tau.imag <= 0:
@@ -46,27 +45,32 @@ class TorusConfig:
         # half-period labels (an odd one would swap e2 and e3), and keeps
         # (1 + tau)/2 apart from tau/2 however large Re tau is
         object.__setattr__(self, "tau", tau - 2 * round(tau.real / 2))
-        if not (0 < self.tol):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        object.__setattr__(self, "q", 0j if q == 0 else q)
+        if not (0 < self.tol <= 1e-4):
+            raise ValueError(f"tol must lie in (0, 1e-4], got {self.tol}")
         if not self.two_point:
             for base in (0j, 0.5 + 0j):
                 d = lattice_distance(self.q - base, self.tau)
                 if d <= EXCLUSION_RADIUS:
                     raise ValueError(
-                        f"q={self.q} is within {EXCLUSION_RADIUS} of "
-                        f"{base} mod the lattice; use two_point=True for the "
-                        "degenerate configuration"
+                        f"q={self.q} is within {EXCLUSION_RADIUS} of {base} mod the "
+                        "lattice; q = 0 gives the two-point torus"
                     )
 
+    @property
+    def two_point(self) -> bool:
+        """True at q = 0, where the out-punctures merge at 1/2."""
+        return self.q == 0
+
     def punctures(self) -> tuple[complex, ...]:
-        """Distinct marked points; (0, 1/2+q, 1/2-q) or (0, 1/2) degenerate."""
+        """Distinct marked points; (0, 1/2+q, 1/2-q), or (0, 1/2) at q = 0."""
         if self.two_point:
             return (0j, 0.5 + 0j)
         return (0j, 0.5 + self.q, 0.5 - self.q)
 
     def two_point_limit(self) -> TorusConfig:
         """This lattice with both out-punctures merged at 1/2 (q = 0)."""
-        return replace(self, two_point=True)
+        return replace(self, q=0j)
 
     def distance_to_punctures(self, z: complex) -> float:
         """Distance from z to the nearest puncture mod the lattice (see distance_to_points)."""

@@ -53,11 +53,6 @@ class HalfPeriodValues:
     g3: complex
 
 
-def reduce_to_fundamental(z: complex, cfg: TorusConfig) -> complex:
-    """Reduce z mod the lattice to the cell of config.reduced_basis."""
-    return reduce_mod_lattice(z, cfg.tau)
-
-
 def _f_wp(x: complex) -> complex:
     # x/(1-x)^2, the Fourier kernel of wp
     d = 1.0 - x
@@ -105,7 +100,7 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     """Return (wp(z), wp'(z)).
 
     Raises PoleProximityError inside the exclusion disk of a lattice point.
-    The absolute error is far below cfg.tol away from the poles; accuracy
+    The error is at rounding level away from the poles; accuracy
     degrades like the function itself (|wp| ~ |z|**-2) as z approaches one.
     """
     zr = reduce_mod_lattice(z, cfg.tau)
@@ -162,7 +157,7 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2 and g2, g3.
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
-    so e1+e2+e3 vanishes; this is checked against cfg.tol.
+    so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|).
     """
     tau = cfg.tau
     e1 = wp(0.5 + 0j, cfg)
@@ -170,7 +165,7 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     e3 = wp(0.5 * tau, cfg)
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
-    if abs(s) > 100.0 * cfg.tol * scale:
+    if abs(s) > 1e-8 * scale:
         raise ArithmeticError(
             f"half-period values violate e1+e2+e3=0 by {abs(s)} at tau={tau}"
         )

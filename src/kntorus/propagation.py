@@ -101,22 +101,15 @@ def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig) -> float:
     return float(np.abs(z0 + t * d - points).min())
 
 
-def period_real_parts(
-    cfg: TorusConfig,
-    a_cycle: tuple[complex, complex] | None = None,
-    b_cycle: tuple[complex, complex] | None = None,
-) -> tuple[float, float]:
+def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
     """Re of the contour integrals of the differential over both cycles.
 
     Both vanish (to quadrature accuracy) because the propagation
-    differential has purely imaginary periods.  Default representatives
-    are the offset segments of _cycle_segments; callers may override with
-    their own pole-free segments.
+    differential has purely imaginary periods.  The representatives are
+    the offset segments of _cycle_segments.
     """
-    defaults = _cycle_segments(cfg)
-    segments = (a_cycle or defaults[0], b_cycle or defaults[1])
     results = []
-    for z0, z1 in segments:
+    for z0, z1 in _cycle_segments(cfg):
         if _min_distance_segment(z0, z1, cfg) <= 10.0 * EXCLUSION_RADIUS:
             raise PoleOnPathError(
                 f"cycle segment [{z0}, {z1}] passes too close to a puncture"
@@ -160,7 +153,7 @@ def mu_modulus(cfg: TorusConfig) -> MuModulus:
     """mu = (e2 - e1)/(e3 - e1); |mu| = 1 marks Re tau = +-1/2 lattices."""
     hp = half_period_values(cfg)
     mu = (hp.e2 - hp.e1) / (hp.e3 - hp.e1)
-    return MuModulus(mu=mu, abs_mu=abs(mu), separation_time_two_point=-0.5 * math.log(abs(mu)))
+    return MuModulus(mu, abs(mu), -0.5 * math.log(abs(mu)))
 
 
 def _time_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray]:

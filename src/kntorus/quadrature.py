@@ -5,7 +5,7 @@ integrands analytic in an annulus around the contour.  It reads values
 already evaluated at circle_nodes: each circle is one of
 ``basis.puncture_circles``, with its frame evaluated once per configuration.
 Straight segments use composite Gauss-Legendre with panel doubling until
-two refinements agree, or raise QuadratureError once max_panels is reached;
+two refinements agree, or raise QuadratureError once MAX_PANELS is reached;
 the integrand takes an array of nodes and returns the array of values, so
 one array evaluation (e.g. ``basis.frame_array``) serves many nodes, at
 most GRID_CHUNK at a time, summed chunk by chunk.
@@ -26,6 +26,9 @@ GRID_CHUNK = 1024
 GAUSS_ORDER = 16
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
+# panels at which segment_integral gives up; a segment 5e-4 to 2e-3 from a pole needs 512 to 2048
+MAX_PANELS = 2048
+
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
     """Equispaced nodes on |z - center| = radius, deterministic order."""
@@ -42,18 +45,13 @@ def contour_residue(values: np.ndarray, nodes: np.ndarray, center: complex) -> c
 
 
 def segment_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    z0: complex,
-    z1: complex,
-    tol: float = 1e-12,
-    max_panels: int = 2048,
+    f: Callable[[np.ndarray], np.ndarray], z0: complex, z1: complex, tol: float = 1e-12
 ) -> complex:
     """Integral of the array integrand f along the straight segment from z0 to z1.
 
     The panel count doubles until two successive estimates agree within
     tol * max(1, |value|); QuadratureError is raised if they still differ
-    at max_panels panels.  A segment passing 5e-4 to 2e-3 from a pole of f
-    needs 512 to 2048 panels of GAUSS_ORDER nodes.
+    at MAX_PANELS panels of GAUSS_ORDER nodes.
     """
     direction = z1 - z0
     per_call = max(1, GRID_CHUNK // GAUSS_ORDER)  # whole panels per integrand call
@@ -69,7 +67,7 @@ def segment_integral(
 
     current = composite(1)
     panels, diff = 1, float("inf")
-    while 2 * panels <= max_panels:
+    while 2 * panels <= MAX_PANELS:
         panels *= 2
         previous, current = current, composite(panels)
         diff = abs(current - previous)

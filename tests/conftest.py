@@ -64,7 +64,7 @@ def cfg_generic() -> TorusConfig:
 
 @pytest.fixture(scope="session")
 def cfg_two_point() -> TorusConfig:
-    return TorusConfig(tau=1j, two_point=True)
+    return TorusConfig(tau=1j)
 
 
 ACCEPTANCE_CONFIGS = [

@@ -65,10 +65,10 @@ def test_criterion_02_imaginary_periods():
 
 
 def test_criterion_03_separation_time_and_mu():
-    sep = separation_time(TorusConfig(tau=1j, two_point=True))
+    sep = separation_time(TorusConfig(tau=1j, q=0))
     sep_err = abs(sep - LN2_OVER_2)
     mu_err = max(
-        abs(mu_modulus(TorusConfig(tau=0.5 + 1j * y, two_point=True)).abs_mu - 1.0)
+        abs(mu_modulus(TorusConfig(tau=0.5 + 1j * y, q=0)).abs_mu - 1.0)
         for y in (0.8, 1.0, 1.3)
     )
     _report(
@@ -168,7 +168,7 @@ def test_criterion_10_cocycle_properties():
 
 
 def test_criterion_11_closed_form_reconciliation():
-    cfg_two_point = TorusConfig(tau=1j, two_point=True)
+    cfg_two_point = TorusConfig(tau=1j, q=0)
     sets = {
         "witt": WITT_PARAMS,
         "derived(q=0.2)": lambda_coefficients(CFG_MAIN),

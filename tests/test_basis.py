@@ -118,21 +118,10 @@ def _winding_orders(k, cfg):
     return tuple(winding_order(k, s, cfg) for s in cfg.punctures())
 
 
-def test_winding_orders_match_triples(cfg_square):
-    for k in range(-6, 7):
-        assert _winding_orders(k, cfg_square) == (k, out_puncture_order(k), out_puncture_order(k))
-
-
 @pytest.mark.parametrize("cfg", ACCEPTANCE_CONFIGS, ids=lambda c: f"tau={c.tau},q={c.q}")
 def test_winding_orders_match_triples_acceptance(cfg):
     for k in range(-6, 7):
         assert _winding_orders(k, cfg) == (k, out_puncture_order(k), out_puncture_order(k)), k
-
-
-def test_winding_order_k4_and_k3(cfg_square):
-    assert winding_order(4, 0j, cfg_square) == 4
-    assert winding_order(3, 0.5 + cfg_square.q, cfg_square) == -3
-    assert winding_order(0, 0j, cfg_square) == 0
 
 
 def test_winding_orders_two_point(cfg_two_point):

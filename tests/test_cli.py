@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 from kntorus import cli
 from kntorus.algebra import build_structure_table
@@ -21,9 +22,11 @@ def run_cli(capsys, *argv):
 def test_params_two_point(capsys):
     code, out, _ = run_cli(
         capsys, "params", "--tau-re", "0", "--tau-im", "1", "--q-re", "0",
-        "--q-im", "0", "--two-point",
+        "--q-im", "0",
     )
     assert code == 0
+    # q = 0 is stored as 0j whatever the signs of its zeros
+    assert run_cli(capsys, "params", "--q-re", "-0", "--q-im", "-0")[1] == out
     payload = json.loads(out)
     assert payload["config"]["two_point"] is True
     results = payload["results"]
@@ -194,14 +197,18 @@ def test_usage_errors(capsys):
     assert code == 2 and "tau" in err
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
-    code, _, err = run_cli(capsys, "params", "--tol", "1")
-    assert code == 2
+    code, _, err = run_cli(capsys, "levellines", "--u", "0", "--tol", "1")
+    assert code == 2 and err == "error: tol must lie in (0, 1e-4], got 1.0\n"
+    # --tol is the level-line target only, and q = 0 is the two-point torus
+    for argv in (("params", "--tol", "1e-8"), ("verify", "elliptic", "--tol", "1e-4"), ("params", "--two-point")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
     code, _, err = run_cli(capsys, "verify", "basis", "--window", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "4")
     assert code == 2
-    code, _, err = run_cli(capsys, "params", "--q-re", "0", "--q-im", "0")
-    assert code == 2 and "two_point" in err
+    code, _, err = run_cli(capsys, "params", "--q-re", "1", "--q-im", "0")
+    assert code == 2 and "q=(1+0j) is within" in err and "q = 0 gives the two-point torus" in err
     # verify writes JSON only and has no --format
     code, _, err = run_cli(capsys, "verify", "all", "--format", "csv")
     assert code == 2 and "--format" in err
@@ -220,6 +227,15 @@ def test_circle_inside_exclusion_disk_names_q(capsys):
     code, out, err = run_cli(capsys, "verify", "cocycle", "--q-re", "0.000105", "--window", "4")
     assert code == 2 and out == ""
     assert err.startswith("error: q=(0.000105+0j): ") and "exclusion disk" not in err, err
+
+
+def test_non_finite_circle_frame_names_q_and_tau(capsys):
+    # on this thin lattice wp - p is 0 at a node of each out-puncture circle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "verify", "differential", "--tau-im", "0.04")
+    assert code == 2 and out == ""
+    assert err.startswith("error: q=(0.2+0j), tau=0.04j: ") and "not finite" in err, err
 
 
 def test_levellines_samples_floor_names_flag(capsys):

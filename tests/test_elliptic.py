@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close, theta_half_period_values, wp_oracle
-from kntorus.config import EXCLUSION_RADIUS, TorusConfig, reduced_basis
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice, reduced_basis
 from kntorus.elliptic import (
     WP_ARRAY_RTOL,
     _array_terms,
     half_period_values,
-    reduce_to_fundamental,
     wp,
     wp_array,
     wp_pair,
@@ -25,9 +24,9 @@ from kntorus.verify import random_points
 
 
 def test_reduce_lattice_points(cfg_square):
-    assert reduce_to_fundamental(0j, cfg_square) == 0j
-    assert abs(reduce_to_fundamental(1 + 1j, cfg_square)) < 1e-15
-    assert_close(reduce_to_fundamental(0.75, cfg_square), -0.25, 1e-15)
+    assert reduce_mod_lattice(0j, cfg_square.tau) == 0j
+    assert abs(reduce_mod_lattice(1 + 1j, cfg_square.tau)) < 1e-15
+    assert_close(reduce_mod_lattice(0.75, cfg_square.tau), -0.25, 1e-15)
 
 
 def test_reduce_generic(cfg_generic):
@@ -35,8 +34,8 @@ def test_reduce_generic(cfg_generic):
     z = 0.31 - 0.22j
     for m in (-2, 0, 3):
         for n in (-1, 0, 2):
-            assert_close(reduce_to_fundamental(z + m + n * tau, cfg_generic),
-                         reduce_to_fundamental(z, cfg_generic), 1e-12)
+            assert_close(reduce_mod_lattice(z + m + n * tau, cfg_generic.tau),
+                         reduce_mod_lattice(z, cfg_generic.tau), 1e-12)
 
 
 def test_wp_leading_laurent(cfg_square):
@@ -115,7 +114,7 @@ def test_half_period_sum_and_invariants(cfg_generic):
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5 + 0.8j, 0.5 + 1.3j])
 def test_half_periods_against_theta_oracle(tau):
-    cfg = TorusConfig(tau=tau, two_point=True)
+    cfg = TorusConfig(tau=tau)
     hp = half_period_values(cfg)
     e1r, e2r, e3r = theta_half_period_values(tau)
     assert abs(hp.e1 - e1r) < 1e-10
@@ -127,7 +126,7 @@ def test_reduction_consistency(cfg_generic):
     for z in random_points(cfg_generic, 10, seed=15):
         shifted = z + 2 - cfg_generic.tau
         direct = wp(shifted, cfg_generic)
-        reduced = wp(reduce_to_fundamental(shifted, cfg_generic), cfg_generic)
+        reduced = wp(reduce_mod_lattice(shifted, cfg_generic.tau), cfg_generic)
         assert abs(direct - reduced) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -172,9 +171,9 @@ def _tau_and_points(draw, radii):
 @given(case=_tau_and_points(st.floats(1.001 * EXCLUSION_RADIUS, 3 * EXCLUSION_RADIUS)))
 def test_wp_array_matches_scalar(case):
     tau, points = case
-    cfg = TorusConfig(tau=tau, two_point=True)
+    cfg = TorusConfig(tau=tau)
     # a point drawn anywhere may still land in an exclusion disk
-    points = [z for z in points if abs(reduce_to_fundamental(z, cfg)) > EXCLUSION_RADIUS]
+    points = [z for z in points if abs(reduce_mod_lattice(z, cfg.tau)) > EXCLUSION_RADIUS]
     values = wp_array(np.array(points), cfg)
     pair_values, primes = wp_pair_array(np.array(points), cfg)
     assert values.shape == primes.shape == (len(points),)
@@ -189,8 +188,8 @@ def test_wp_array_matches_scalar(case):
 @given(case=_tau_and_points(st.floats(0.0, 0.999 * EXCLUSION_RADIUS)))
 def test_wp_array_pole_exclusion(case):
     tau, points = case
-    cfg = TorusConfig(tau=tau, two_point=True)
-    inside = [z for z in points if abs(reduce_to_fundamental(z, cfg)) <= EXCLUSION_RADIUS]
+    cfg = TorusConfig(tau=tau)
+    inside = [z for z in points if abs(reduce_mod_lattice(z, cfg.tau)) <= EXCLUSION_RADIUS]
     if inside:
         with pytest.raises(PoleProximityError, match=re.escape(f"z={inside[0]} ")):
             wp_array(np.array(points), cfg)
@@ -223,15 +222,15 @@ def test_wp_modular_invariance(tau, gamma, x, y):
     a, b, c, d = gamma
     j = c * tau + d
     w = x + y * tau  # a cell point away from the lattice
-    p, dp = wp_pair(w / j, TorusConfig(tau=(a * tau + b) / j, two_point=True))
-    ref, ref_prime = wp_pair(w, TorusConfig(tau=tau, two_point=True))
+    p, dp = wp_pair(w / j, TorusConfig(tau=(a * tau + b) / j))
+    ref, ref_prime = wp_pair(w, TorusConfig(tau=tau))
     assert_close(p, j**2 * ref, 1e-10 * max(1, abs(p)), label=f"wp at gamma={gamma}")
     assert_close(dp, j**3 * ref_prime, 1e-10 * max(1, abs(dp)), label=f"wp' at gamma={gamma}")
 
 
 @pytest.mark.parametrize("tau", [0.06j, 2.7 + 0.3j])
 def test_wp_against_oracle_outside_fundamental_domain(tau):
-    cfg = TorusConfig(tau=tau, two_point=True)
+    cfg = TorusConfig(tau=tau)
     for z in random_points(cfg, 8, seed=11):
         ref = wp_oracle(z, tau)
         assert_close(wp(z, cfg), ref, 1e-12 * abs(ref), label=f"wp({z}; {tau})")

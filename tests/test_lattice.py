@@ -54,7 +54,7 @@ def test_puncture_distance_exact_near_punctures(z, tau, q):
     try:
         cfg = TorusConfig(tau=tau, q=q)
     except ValueError:
-        cfg = TorusConfig(tau=tau, two_point=True)
+        cfg = TorusConfig(tau=tau)
     per_point = cfg.distance_to_punctures(z)
     exact = min(lattice_distance(z - s, tau) for s in cfg.punctures())
     if min(per_point, exact) < 0.25 * abs(reduced_basis(tau)[0]):
@@ -84,6 +84,6 @@ def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
 def test_config_shifts_re_tau_by_even_integers():
     # an even shift keeps the lattice and the half-period labels e1, e2, e3
     assert TorusConfig(tau=1e300 + 1j, q=0.2) == TorusConfig(tau=1j, q=0.2)
-    assert TorusConfig(tau=2.7 + 0.3j, two_point=True).tau == (2.7 - 2) + 0.3j
+    assert TorusConfig(tau=2.7 + 0.3j).tau == (2.7 - 2) + 0.3j
     for tau in (1 + 1j, -1 + 0.5j, 0.5 + 1j):
-        assert TorusConfig(tau=tau, two_point=True).tau == tau
+        assert TorusConfig(tau=tau).tau == tau

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_CONFIGS, LN2_OVER_2, assert_close
-from kntorus import propagation
+from kntorus import propagation, quadrature
 from kntorus.basis import CIRCLE_NODES, frame, frame_array, pole_parameter, puncture_circle
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
@@ -99,14 +99,15 @@ def test_pole_on_cycle_path():
         period_real_parts(cfg)
 
 
-def test_pole_between_segment_samples(cfg_square):
+def test_pole_between_segment_samples(cfg_square, monkeypatch):
     # the segment passes 5e-4 beside the puncture 0.7, which sits halfway
     # between two of 65 equispaced points of the segment (~5e-3 from both)
     x = 0.7 + 5e-4
     y0 = -32.5 * 0.65 / 64
     segment = (complex(x, y0), complex(x, y0 + 0.65))
+    monkeypatch.setattr(propagation, "_cycle_segments", lambda cfg: (segment, segment))
     with pytest.raises(PoleOnPathError, match="passes too close to a puncture"):
-        period_real_parts(cfg_square, a_cycle=segment)
+        period_real_parts(cfg_square)
 
 
 def test_period_real_parts(cfg_two_point):
@@ -116,13 +117,12 @@ def test_period_real_parts(cfg_two_point):
         assert abs(pb) < 1e-8
 
 
-def test_period_cycle_override(cfg_square):
+def test_period_cycle_override(cfg_square, monkeypatch):
+    # other representatives of the same cycles give the same periods
     tau = cfg_square.tau
-    pa, pb = period_real_parts(
-        cfg_square,
-        a_cycle=(0.23 * tau, 1 + 0.23 * tau),
-        b_cycle=(0.11 + 0j, 0.11 + tau),
-    )
+    segments = ((0.23 * tau, 1 + 0.23 * tau), (0.11 + 0j, 0.11 + tau))
+    monkeypatch.setattr(propagation, "_cycle_segments", lambda cfg: segments)
+    pa, pb = period_real_parts(cfg_square)
     assert abs(pa) < 1e-8 and abs(pb) < 1e-8
 
 
@@ -175,7 +175,7 @@ def test_array_quadrature_matches_scalar_loops(cfg_generic):
     assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-def test_time_line_integral_beside_a_puncture():
+def test_time_line_integral_beside_a_puncture(monkeypatch):
     # a segment of verify_differential at this geometry passes ~1e-3 from a
     # puncture: the panel doubling settles only at 2048 panels
     cfg = TorusConfig(
@@ -184,8 +184,10 @@ def test_time_line_integral_beside_a_puncture():
     )
     z0, z1 = 0.28338005960397716 + 0.20631700547251255j, 0.250319941597631 - 0.43032708847071405j
     omega = lambda z: frame_array(z, cfg)[1]  # noqa: E731
-    with pytest.raises(QuadratureError, match="in 1024 panels"):
-        segment_integral(omega, z0, z1, max_panels=1024)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "MAX_PANELS", 1024)
+        with pytest.raises(QuadratureError, match="in 1024 panels"):
+            segment_integral(omega, z0, z1)
     lhs = time_coordinate(z1, cfg) - time_coordinate(z0, cfg)
     assert abs(lhs - segment_integral(omega, z0, z1).real) < 1e-7
 
@@ -201,7 +203,7 @@ def test_separation_time_square_two_point(cfg_two_point):
 
 
 def test_separation_time_half_real_tau():
-    cfg = TorusConfig(tau=0.5 + 1.0j, two_point=True)
+    cfg = TorusConfig(tau=0.5 + 1.0j, q=0)
     assert abs(separation_time(cfg)) < 1e-8
 
 
@@ -216,7 +218,7 @@ def test_separation_time_continuity(cfg_two_point):
 
 @pytest.mark.parametrize("y", [0.8, 1.0, 1.3])
 def test_mu_on_unit_circle_line(y):
-    m = mu_modulus(TorusConfig(tau=0.5 + 1j * y, two_point=True))
+    m = mu_modulus(TorusConfig(tau=0.5 + 1j * y, q=0))
     assert abs(m.abs_mu - 1.0) < 1e-8
 
 
@@ -344,7 +346,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     [
         (TorusConfig(tau=1j, q=0.2), (-0.45, 0.3)),
         (TorusConfig(tau=-0.4 + 0.93j, q=0.15 + 0.05j), (-0.2, 0.6)),
-        (TorusConfig(tau=0.3 + 1.1j, two_point=True), (0.0, 0.8)),
+        (TorusConfig(tau=0.3 + 1.1j, q=0), (0.0, 0.8)),
     ],
     ids=["square", "skewed", "two_point"],
 )
@@ -380,7 +382,7 @@ def test_segment_distance_exact_on_skewed_lattices(tau, q, z0, step):
     try:
         cfg = TorusConfig(tau=tau, q=q)
     except ValueError:
-        cfg = TorusConfig(tau=tau, two_point=True)
+        cfg = TorusConfig(tau=tau)
     z1 = z0 + step
     cells = np.arange(-60, 61)
     points = np.add.outer(np.array(cfg.punctures()), (cells[:, None] + cells[None, :] * cfg.tau).ravel()).ravel()

@@ -1,6 +1,9 @@
+import json
+import math
+
 import pytest
 
-from kntorus import basis, cocycle, elliptic, propagation, verify
+from kntorus import basis, cli, cocycle, elliptic, propagation, verify
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
@@ -70,6 +73,22 @@ def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
         assert c.passed != unconverged_check, c
         assert c.max_residual <= c.tolerance, c
         assert c.detail == ("did not converge" if unconverged_check else ""), c
+
+
+def test_degenerate_two_point_time_fails_its_check(capsys):
+    # on this thin lattice e1 and e2 agree to rounding, so the two-point
+    # separation time is degenerate: the check fails, the run goes on
+    code = cli.main(["verify", "all", "--tau-im", "0.06", "--window", "4"])
+    out = capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=refuse)["checks"]}
+    assert code == 1 and len(checks) == 40
+    assert all(math.isfinite(c["max_residual"]) for c in checks.values())
+    mu = checks["mu_vs_separation_time"]
+    assert mu["status"] == "fail" and mu["detail"] == "e2 coincides with wp(1/2+q)", mu
 
 
 def test_config_caches_stay_bounded():
