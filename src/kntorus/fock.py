@@ -26,7 +26,6 @@ parameter probes where every coefficient is an exact integer.
 
 from __future__ import annotations
 
-import re
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
@@ -63,29 +62,8 @@ class WedgeState:
             return slot in self.occupied_above
         return slot not in self.vacant_below
 
-    def to_text(self) -> str:
-        occ = ", ".join(str(x) for x in self.occupied_above)
-        vac = ", ".join(str(x) for x in self.vacant_below)
-        return f"s=-1; occ={{{occ}}}; vac={{{vac}}}; sign=+1"
-
 
 VACUUM = WedgeState()
-
-_TEXT_RE = re.compile(r"s=-1; occ=\{([-\d, ]*)\}; vac=\{([-\d, ]*)\}; sign=\+1")
-
-
-def state_from_text(text: str) -> WedgeState:
-    """Read the text WedgeState.to_text writes; any other text raises ValueError."""
-    text = text.strip()
-    m = _TEXT_RE.fullmatch(text)
-    if m:
-        occ, vac = ({int(x) for x in group.split(",")} if group else set() for group in m.groups())
-        if all(x >= -1 for x in occ) and all(x < -1 for x in vac):
-            state = WedgeState(tuple(sorted(occ, reverse=True)), tuple(sorted(vac)))
-            if state.to_text() == text:
-                return state
-    raise ValueError(f"not a wedge state as WedgeState.to_text writes it: {text!r}")
-
 
 FockVector = dict[WedgeState, complex]
 # a basis-state operator: the image state and its sign, or None for zero

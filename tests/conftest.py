@@ -12,6 +12,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import strategies as st
 
 from kntorus.config import TorusConfig
 from kntorus.verify import CheckResult, verify_suite
@@ -88,3 +89,11 @@ def assert_close(actual, expected, tol, label=""):
 
 
 LN2_OVER_2 = math.log(2.0) / 2.0
+
+# hypothesis strategies shared between test modules
+complex_lams = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+label_lists = st.lists(st.integers(-12, 12), min_size=1, max_size=3)
+# tau in the fundamental domain
+fundamental_taus = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
+    lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
+)

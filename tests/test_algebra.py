@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complex_lams, label_lists
 from kntorus.algebra import (
     bracket,
     bracket_eval,
@@ -33,26 +34,6 @@ def test_bracket_odd_even_pattern(cfg_square):
     assert terms[2] == lam.lam4
     assert terms[6] == -lam.lam6
     assert terms[8] == -2 * lam.lam7
-
-
-def test_bracket_antisymmetry_full(cfg_generic):
-    lam = lambda_coefficients(cfg_generic)
-    for i in range(-5, 6):
-        for j in range(-5, 6):
-            forward = bracket(i, j, lam)
-            backward = bracket(j, i, lam)
-            assert set(forward) == set(backward)
-            for k, c in forward.items():
-                assert c == -backward[k]
-
-
-def test_support_window_and_parity(cfg_generic):
-    lam = lambda_coefficients(cfg_generic)
-    for i in range(-8, 9):
-        for j in range(-8, 9):
-            for k in bracket(i, j, lam):
-                assert i + j - 1 <= k <= i + j + 5
-                assert (k - (i + j - 1)) % 2 == 0
 
 
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
@@ -87,8 +68,6 @@ def test_jacobi_examples(cfg_square):
     assert jacobi_residual(1, -1, 3, lam) <= 1e-9
 
 
-lam_parts = st.floats(-3.0, 3.0)
-complex_lams = st.builds(complex, lam_parts, lam_parts)
 labels = st.integers(-12, 12)
 
 
@@ -117,9 +96,6 @@ def test_jacobi_random_lam(lam, i, j, k):
     direct = max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
     assert jacobi_residual(i, j, k, params) == direct
     assert direct <= 1e-9
-
-
-label_lists = st.lists(labels, min_size=1, max_size=3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,7 +18,6 @@ from kntorus.fock import (
     extract_vacuum_cocycle,
     l_operator,
     normal_ordered_bc,
-    state_from_text,
     vec_add,
     vec_norm,
     vec_scale,
@@ -47,65 +46,9 @@ def test_clifford_recovers_vacuum():
     assert v == {VACUUM: 1 + 0j}
 
 
-def test_canonical_chart_unique():
-    # the occupancy with -1 filled and -8, -2 empty, in the vacuum chart only
-    assert state_from_text("s=-1; occ={-1}; vac={-8, -2}; sign=+1") == WedgeState((-1,), (-8, -2))
-    for other_chart in ("s=-2; occ={-1}; vac={-8}; sign=+1", "s=0; occ={}; vac={-8, -2}; sign=+1"):
-        with pytest.raises(ValueError):
-            state_from_text(other_chart)
-
-
-def test_state_text_round_trip():
-    state = WedgeState((0,), (-2,))
-    text = state.to_text()
-    assert text == "s=-1; occ={0}; vac={-2}; sign=+1"
-    assert state_from_text(text) == state
-    assert state_from_text(VACUUM.to_text()) == VACUUM
-
-
 def test_states_carry_no_chart_and_no_sign():
     with pytest.raises(ValueError):
         WedgeState(stable_below=0)
-    with pytest.raises(ValueError):
-        state_from_text("s=-1; occ={0}; vac={-2}; sign=-1")
-
-
-@hs.composite
-def charted_exceptions(draw):
-    """A chart s and exception sets consistent with it, inside [-16, 16]."""
-    s = draw(hs.integers(-12, 12))
-    occ = draw(hs.sets(hs.integers(s, 16), max_size=6))
-    vac = draw(hs.sets(hs.integers(-16, s - 1), max_size=6))
-    return s, occ, vac
-
-
-def wedge_text(s, occ, vac, sign="+1"):
-    return f"s={s}; occ={{{', '.join(map(str, occ))}}}; vac={{{', '.join(map(str, vac))}}}; sign={sign}"
-
-
-@settings(max_examples=300, deadline=None)
-@given(chart=charted_exceptions())
-def test_state_text_reads_only_what_to_text_writes(chart):
-    s, occ, vac = chart
-    occ, vac = sorted(occ, reverse=True), sorted(vac)
-    if s != -1:
-        with pytest.raises(ValueError):
-            state_from_text(wedge_text(s, occ, vac))
-        # keep the exceptions that fit the vacuum chart
-        occ, vac = [x for x in occ if x >= -1], [x for x in vac if x < -1]
-    text = wedge_text(-1, occ, vac)
-    state = state_from_text(text)
-    assert state.to_text() == text
-    for x in range(-16, 17):
-        assert state.is_occupied(x) == (x in occ if x >= -1 else x not in vac), x
-    for bad in (
-        wedge_text(-1, occ, vac, sign="-1"),
-        wedge_text(-1, [*occ, -4], vac),  # an occupied exception below -1
-        wedge_text(-1, occ, [*vac, -1]),  # vacant exceptions at or above -1
-        wedge_text(-1, occ, [*vac, 3]),
-    ):
-        with pytest.raises(ValueError):
-            state_from_text(bad)
 
 
 wedge_states = hs.builds(
@@ -226,16 +169,6 @@ def test_l_operator_on_vacuum_witt():
         assert l_operator(i, vac, WITT_PARAMS) == {}
 
 
-def test_l_operator_linearity(cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    rng = random.Random(63)
-    v = {random_wedge_state(rng): 0.7 + 0.2j}
-    w = {random_wedge_state(rng): -1.1 + 0.4j}
-    lhs = l_operator(1, vec_add(vec_scale(v, 2.0), w), lam)
-    rhs = vec_add(vec_scale(l_operator(1, v, lam), 2.0), l_operator(1, w, lam))
-    assert vec_norm(vec_add(lhs, vec_scale(rhs, -1))) <= 1e-12 * max(1.0, vec_norm(rhs))
-
-
 def test_l_operator_windows_terminate(cfg_square):
     lam = lambda_coefficients(cfg_square)
     rng = random.Random(64)
@@ -269,15 +202,6 @@ def test_commutator_witt_vacuum():
     vac = {VACUUM: 1.0 + 0j}
     assert commutator_residual(2, -2, vac, WITT_PARAMS, DEFAULT_SIGN_CONVENTION) <= 1e-12
     assert commutator_residual(1, 1, vac, WITT_PARAMS, DEFAULT_SIGN_CONVENTION) == 0.0
-
-
-def test_commutator_residual_formal_params():
-    params = formal_params(0.4 - 0.1j, 0.25j, -0.3)
-    rng = random.Random(66)
-    for _ in range(10):
-        i, j = rng.randint(-3, 3), rng.randint(-3, 3)
-        v = {random_wedge_state(rng): 1.0 + 0j}
-        assert commutator_residual(i, j, v, params, DEFAULT_SIGN_CONVENTION) <= 1e-9
 
 
 def test_commutator_residual_complex_lambdas(cfg_generic):

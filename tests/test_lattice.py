@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fundamental_taus
 from kntorus.config import (
     TorusConfig,
     distance_to_points,
@@ -22,9 +23,6 @@ points = st.builds(complex, coords, coords)
 # range a 7x7 block around the rounded lattice coordinates of z always holds
 # the nearest lattice point
 skewed_taus = st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.4, 2.0))
-fundamental_taus = st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 1.0)).map(
-    lambda p: complex(p[0], math.sqrt(1.0 - p[0] ** 2) + p[1])
-)
 
 
 def brute_force_distance(z: complex, tau: complex) -> float:

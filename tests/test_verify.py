@@ -3,25 +3,41 @@ import math
 
 import pytest
 
-from kntorus import basis, cli, cocycle, elliptic, propagation, verify
+from conftest import ACCEPTANCE_CONFIGS, suite_checks
+from kntorus import basis, cli, cocycle, config, elliptic, propagation, verify
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
 from kntorus.verify import SUITES, CheckResult, verify_differential, verify_suite
 
 
-def test_all_suite_aggregates(cfg_square, cfg_two_point):
-    per_suite = [verify_suite(name, cfg_square, 4) for name in SUITES]
-    combined = verify_suite("all", cfg_square, 4)
-    assert len(combined) == sum(len(batch) for batch in per_suite)
-    assert all(isinstance(c, CheckResult) for c in combined)
-    assert all(c.passed for c in combined)
+# checks of laws that hold exactly in floating point: the residual is 0.0
+EXACT_CHECKS = (
+    "table_antisymmetry",
+    "chi_antisymmetry",
+    "chi_support",
+    "chi_mixed_parity",
+    "starred_q_vanishing_two_point",
+)
+
+
+@pytest.mark.parametrize(
+    "cfg", [*ACCEPTANCE_CONFIGS, TorusConfig(tau=1j)], ids=lambda c: f"tau={c.tau},q={c.q}"
+)
+def test_every_check_passes(cfg):
     # perfbench's verify_all workload expects 40 (VERIFY_CHECK_COUNT), and
-    # two-point mode drops the two degeneration checks
-    names = [c.name for c in combined]
-    assert len(names) == len(set(names)) == 40, names
-    names = [c.name for c in verify_suite("all", cfg_two_point, 4)]
-    assert len(names) == len(set(names)) == 38, names
+    # the two-point torus drops the two degeneration checks
+    checks = suite_checks("all", cfg)
+    assert len(checks) == (38 if cfg.two_point else 40), list(checks)
+    failing = [c for c in checks.values() if not c.passed]
+    assert not failing, failing
+    for name in EXACT_CHECKS:
+        assert checks[name].max_residual == 0.0, checks[name]
+
+
+def test_all_suite_aggregates(cfg_square):
+    per_suite = [c for name in SUITES for c in verify_suite(name, cfg_square, 4)]
+    assert verify_suite("all", cfg_square, 4) == per_suite
 
 
 def test_unknown_suite():
@@ -33,13 +49,6 @@ def test_check_result_passed_property():
     good = CheckResult(name="x", status="pass", max_residual=0.0, tolerance=1.0)
     bad = CheckResult(name="x", status="fail", max_residual=2.0, tolerance=1.0)
     assert good.passed and not bad.passed
-
-
-def test_suites_pass_generic_complex_q(cfg_generic):
-    for name in ("differential", "basis", "cocycle"):
-        results = verify_suite(name, cfg_generic, 5)
-        failing = [c.name for c in results if not c.passed]
-        assert not failing, failing
 
 
 @pytest.mark.parametrize(
@@ -95,6 +104,8 @@ def test_config_caches_stay_bounded():
     # a process that runs many geometries keeps at most CONFIG_CACHE_SIZE
     # of each per-configuration cache
     caches = (
+        config.reduced_basis,
+        elliptic._series_constants,
         elliptic.half_period_values,
         basis.pole_parameter,
         basis.puncture_circles,
