@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -47,8 +49,14 @@ def test_clifford_recovers_vacuum():
 
 
 def test_states_carry_no_chart_and_no_sign():
+    # the keyword call of the benchmark harness
+    state = WedgeState(stable_below=-1, occupied_above=(3, 0), vacant_below=(-4,))
+    assert state == WedgeState((3, 0), (-4,))
     with pytest.raises(ValueError):
         WedgeState(stable_below=0)
+    for occ, vac in (((-2,), ()), ((), (-1,))):
+        with pytest.raises(ValueError):
+            WedgeState(occ, vac)
 
 
 wedge_states = hs.builds(
@@ -57,6 +65,19 @@ wedge_states = hs.builds(
     hs.sets(hs.integers(-10, -2)),
 )
 slots = hs.integers(-12, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=wedge_states)
+def test_state_round_trips_through_its_slot_views(state):
+    occ, vac = state.occupied_above, state.vacant_below
+    again = WedgeState(occ, vac)
+    assert again == state and hash(again) == hash(state)
+    assert pickle.loads(pickle.dumps(state)) == state == copy.deepcopy(state)
+    assert list(occ) == sorted(set(occ), reverse=True) and min(occ, default=-1) >= -1
+    assert list(vac) == sorted(set(vac)) and max(vac, default=-2) < -1
+    for x in (-1000, *range(-12, 13), 1000):
+        assert state.is_occupied(x) == (x in occ if x >= -1 else x not in vac)
 
 
 @settings(max_examples=300, deadline=None)
