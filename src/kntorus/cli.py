@@ -32,7 +32,7 @@ import sys
 
 from . import propagation
 from .algebra import build_structure_table
-from .basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients, pole_parameter
+from .basis import AlgebraParams, formal_params, lambda_coefficients, pole_parameter
 from .cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
 from .config import TorusConfig
 from .elliptic import half_period_values
@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=("brackets", "cocycle"))
     add_geometry(p_table)
     p_table.add_argument("--window", type=int, default=6)
-    p_table.add_argument("--formal-witt", action="store_true", help="formal (1,0,0,0) parameters")
     p_table.add_argument("--lam5", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam6", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam7", type=finite_float, nargs=2, metavar=("RE", "IM"))
@@ -128,14 +127,10 @@ def _config_from_args(args: argparse.Namespace) -> TorusConfig:
 
 
 def _formal_from_args(args: argparse.Namespace) -> AlgebraParams | None:
-    if args.formal_witt:
-        return WITT_PARAMS
-    if args.lam5 or args.lam6 or args.lam7:
-        def pick(pair):
-            return complex(pair[0], pair[1]) if pair else 0j
-
-        return formal_params(pick(args.lam5), pick(args.lam6), pick(args.lam7))
-    return None
+    pairs = (args.lam5, args.lam6, args.lam7)
+    if not any(pairs):
+        return None
+    return formal_params(*(complex(*pair) if pair else 0j for pair in pairs))
 
 
 def _lam_json(params: AlgebraParams) -> dict:

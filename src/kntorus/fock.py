@@ -199,22 +199,38 @@ def vec_norm(vec: FockVector) -> float:
 
 
 def clifford_residual(state: WedgeState, bound: int) -> float:
-    """Max-norm residual of {b_k, c^i} = delta_ki on one basis state, over
-    k, i in [-bound, bound]; the relations hold exactly, so it is 0.0."""
-    worst = 0.0
+    """1.0 at the first violation on one basis state of {b_k, c^i} = delta_ki,
+    {b_k, b_i} = 0 or {c^k, c^i} = 0 for k, i in [-bound, bound], else 0.0.
+
+    The signed images XY|s> and YX|s> are both zero or one state with
+    opposite signs; for {b_k, c^k} one is zero and the other is |s> with
+    sign +1.  {b, b} runs over pairs of occupied slots and {c, c} over pairs
+    of vacant ones: elsewhere both images vanish at a flip of the wrong
+    occupancy, which the {b, c} sweep already exercises.
+    """
     labels = range(-bound, bound + 1)
     created = {i: _flip(i, state, False) for i in labels}
     removed = {k: _flip(k, state, True) for k in labels}
+
+    def then(first: StateImage, slot: int, occupied: bool) -> StateImage:
+        second = first and _flip(slot, first[0], occupied)
+        return second and (second[0], first[1] * second[1])
+
+    def opposite(xy: StateImage, yx: StateImage) -> bool:
+        return xy == (yx and (yx[0], -yx[1]))
+
     for k in labels:
-        for i in labels:
-            anti: FockVector = {state: -1.0 + 0j} if k == i else {}
-            # b_k c^i and c^i b_k
-            for first, slot, occupied in ((created[i], k, True), (removed[k], i, False)):
-                second = first and _flip(slot, first[0], occupied)
-                if second:
-                    _accumulate(anti, second[0], complex(first[1] * second[1]))
-            worst = max(worst, vec_norm(anti))
-    return worst
+        for i in labels:  # b_k c^i and c^i b_k
+            xy, yx = then(created[i], k, True), then(removed[k], i, False)
+            if not ({xy, yx} == {None, (state, 1)} if k == i else opposite(xy, yx)):
+                return 1.0
+    for images, occupied in ((removed, True), (created, False)):
+        slots = [s for s in labels if images[s]]
+        for n, k in enumerate(slots):
+            for i in slots[n:]:
+                if not opposite(then(images[i], k, occupied), then(images[k], i, occupied)):
+                    return 1.0
+    return 0.0
 
 
 def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_CONFIGS, assert_close
+from conftest import assert_close
 from kntorus import basis
 from kntorus.basis import (
     CIRCLE_NODES,
@@ -39,15 +39,6 @@ def test_derivative_constant_is_zero(cfg_square):
     assert basis_derivative(0, z, cfg_square) == 0.0
 
 
-@pytest.mark.parametrize("k", range(-6, 7))
-def test_derivative_vs_finite_difference(k, cfg_square):
-    h = 1e-5
-    for z in random_points(cfg_square, 5, seed=38):
-        fd = (basis_value(k, z + h, cfg_square) - basis_value(k, z - h, cfg_square)) / (2 * h)
-        an = basis_derivative(k, z, cfg_square)
-        assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
-
-
 def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
     # A_k and A_k' as computed before the frame: wp'' from a second wp call
     for cfg in (cfg_square, cfg_generic):
@@ -76,23 +67,6 @@ def test_order_triples():
     ks = range(-6, 7)
     assert [out_puncture_order(k) for k in ks] == [3, 1, 2, 0, 1, -1, 0, -2, -1, -3, -2, -4, -3]
     assert [out_puncture_order(k, True) for k in ks] == [6, 3, 4, 1, 2, -1, 0, -3, -2, -5, -4, -7, -6]
-
-
-def _winding_orders(k, cfg):
-    return tuple(winding_order(k, s, cfg) for s in cfg.punctures())
-
-
-@pytest.mark.parametrize("cfg", ACCEPTANCE_CONFIGS, ids=lambda c: f"tau={c.tau},q={c.q}")
-def test_winding_orders_match_triples_acceptance(cfg):
-    for k in range(-6, 7):
-        assert _winding_orders(k, cfg) == (k, out_puncture_order(k), out_puncture_order(k)), k
-
-
-def test_winding_orders_two_point(cfg_two_point):
-    # merged out-puncture carries order -k (even) or -k-2 (odd)
-    for k in range(-5, 6):
-        merged = -k if k % 2 == 0 else -k - 2
-        assert _winding_orders(k, cfg_two_point) == (k, merged)
 
 
 def test_winding_rejects_bad_contour(cfg_square, monkeypatch):

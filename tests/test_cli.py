@@ -101,7 +101,7 @@ def test_table_brackets_csv(capsys):
 
 def test_table_cocycle_witt(capsys):
     code, out, _ = run_cli(
-        capsys, "table", "cocycle", "--formal-witt", "--window", "8",
+        capsys, "table", "cocycle", "--lam5", "0", "0", "--window", "8",
     )
     assert code == 0
     payload = json.loads(out)
@@ -199,8 +199,14 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "levellines", "--u", "0", "--tol", "1")
     assert code == 2 and err == "error: tol must lie in (0, 1e-4], got 1.0\n"
-    # --tol is the level-line target only, and q = 0 is the two-point torus
-    for argv in (("params", "--tol", "1e-8"), ("verify", "elliptic", "--tol", "1e-4"), ("params", "--two-point")):
+    # --tol is the level-line target only, q = 0 is the two-point torus and
+    # --lam5 0 0 gives the Witt parameters
+    for argv in (
+        ("params", "--tol", "1e-8"),
+        ("verify", "elliptic", "--tol", "1e-4"),
+        ("params", "--two-point"),
+        ("table", "cocycle", "--formal-witt"),
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err, argv
     code, _, err = run_cli(capsys, "verify", "basis", "--window", "0")

@@ -172,12 +172,6 @@ def test_separation_time_continuity(cfg_two_point):
     assert diffs[2] < 1e-4
 
 
-@pytest.mark.parametrize("y", [0.8, 1.0, 1.3])
-def test_mu_on_unit_circle_line(y):
-    m = mu_modulus(TorusConfig(tau=0.5 + 1j * y, q=0))
-    assert abs(m.abs_mu - 1.0) < 1e-8
-
-
 def test_mu_square_lattice(cfg_two_point):
     m = mu_modulus(cfg_two_point)
     assert_close(m.mu, 0.5, 1e-10)
