@@ -9,16 +9,18 @@ structure constants whose only non-integer content is lam4..lam7:
 
 with t = 0..3.  The even-odd bracket follows by antisymmetry.  Every
 target index lies in [i+j-1, i+j+5] and shares the parity of i+j-1
-(almost-grading).  bracket_numeric realizes the defining vector-field
-bracket pointwise from the frame of a point and serves as the independent
-oracle.  build_structure_table returns the brackets over an index window
-as a plain dict {(i, j): terms}; cli.py alone writes it out.
+(almost-grading).  slot_coefficients is the one implementation of these
+formulas: bracket, shifted_constants and the slot table bracket_slots all
+read it.  bracket_numeric realizes the defining vector-field bracket
+pointwise from the frame of a point and serves as the independent oracle.
+build_structure_table returns the brackets over an index window as a plain
+dict {(i, j): terms}; cli.py alone writes it out.
 
 jacobi_residual takes ints or broadcastable int arrays of labels: one call
-checks a whole grid of triples.  It reads every bracket from one slot table,
-bracket_slots, filled from bracket() itself, and forms each complex product
-from real arrays (slot_product) so that every grid entry is bit for bit the
-scalar call's value.
+checks a whole grid of triples.  It reads every bracket from one
+bracket_slots table and forms each complex product from real arrays
+(slot_product) so that every grid entry is bit for bit the scalar call's
+value.
 """
 
 from __future__ import annotations
@@ -31,43 +33,33 @@ BracketTerms = dict[int, complex]
 StructureEntries = dict[tuple[int, int], BracketTerms]
 
 
+def slot_coefficients(i: int, j: int, params: AlgebraParams) -> tuple[complex, ...]:
+    """The coefficients of [l_i, l_j] at the targets i + j - 1 + 2t, t = 0..3.
+
+    The one implementation of the slot rule: slot t is (j - i + step t)
+    lam_{4+t}, with step 0 for two odd labels, -1 for odd-even and +1 for
+    even-odd (the antisymmetric image of odd-even); two even labels fill
+    slot 0 alone with j - i.  Adding 0j makes every zero part +0.0.
+    """
+    if i % 2 == 0 and j % 2 == 0:
+        return complex(j - i), 0j, 0j, 0j
+    step = j % 2 - i % 2
+    return tuple(complex(j - i + step * t) * lam + 0j for t, lam in enumerate(params.as_tuple()))
+
+
 def bracket(i: int, j: int, params: AlgebraParams) -> BracketTerms:
     """Sparse bracket [l_i, l_j] as a map target index -> coefficient.
 
     Zero coefficients are dropped, so antisymmetric pairs and equal
     arguments produce an empty map.
     """
-    lam = params.as_tuple()
-    terms: BracketTerms = {}
-
-    def add(k: int, c: complex) -> None:
-        if c != 0:
-            terms[k] = terms.get(k, 0j) + c
-            if terms[k] == 0:
-                del terms[k]
-
-    if i % 2 == 0 and j % 2 == 0:
-        add(i + j - 1, complex(j - i))
-    elif i % 2 != 0 and j % 2 != 0:
-        factor = complex(j - i)
-        if factor != 0:
-            for t in range(4):
-                add(i + j - 1 + 2 * t, factor * lam[t])
-    elif i % 2 != 0:  # odd-even
-        for t in range(4):
-            add(i + j - 1 + 2 * t, complex(j - i - t) * lam[t])
-    else:  # even-odd via antisymmetry
-        for k, c in bracket(j, i, params).items():
-            add(k, -c)
-    return terms
+    return {i + j - 1 + 2 * t: c for t, c in enumerate(slot_coefficients(i, j, params)) if c}
 
 
 def shifted_constants(i: int, j: int, params: AlgebraParams) -> BracketTerms:
-    """Structure constants in the shifted basis e_i = l_{i+1}.
-
-    Support lies in [i+j, i+j+6] with even steps.
-    """
-    return {k - 1: c for k, c in bracket(i + 1, j + 1, params).items()}
+    """Structure constants in the shifted basis e_i = l_{i+1}: the nonzero
+    slots of [l_{i+1}, l_{j+1}], keyed at i + j + 2t."""
+    return {i + j + 2 * t: c for t, c in enumerate(slot_coefficients(i + 1, j + 1, params)) if c}
 
 
 def bracket_numeric(i: int, j: int, frame: tuple[complex, complex, complex]) -> complex:
@@ -90,21 +82,12 @@ def bracket_eval(terms: BracketTerms, frame: tuple[complex, complex, complex]) -
     return sum(c * monomial(k, base, w) for k, c in terms.items())
 
 
-def bracket_slots(
-    params: AlgebraParams, rows: range, cols: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of bracket(a, b, params) for a in rows and b
-    in cols, at [a - rows.start, b - cols.start, t] for the target
-    a + b - 1 + 2t (t = 0..3); a target bracket() drops holds 0.0."""
-    re = np.zeros((len(rows), len(cols), 4))
-    im = np.zeros_like(re)
-    for x, a in enumerate(rows):
-        for y, b in enumerate(cols):
-            for k, c in bracket(a, b, params).items():
-                t = (k - a - b + 1) // 2
-                re[x, y, t] = c.real
-                im[x, y, t] = c.imag
-    return re, im
+def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of slot_coefficients(a, b, params) for a in
+    rows and b in cols, at [a - rows.start, b - cols.start, t] for the
+    target a + b - 1 + 2t (t = 0..3)."""
+    slots = np.array([[slot_coefficients(a, b, params) for b in cols] for a in rows])
+    return slots.real, slots.imag
 
 
 def slot_product(ar, ai, br, bi):
@@ -122,12 +105,13 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
     floating-point noise well below 1e-9.
 
     i, j, k are ints (the result is a float) or broadcastable int arrays
-    (an array of the broadcast shape).  [[l_a, l_b], l_c] has its targets at
-    a + b + c - 2 + 2s, s = 0..6, the same for all three cyclic terms.  Each
-    term sums its products from zero with the outer slot ascending, and the
-    terms add in the order (i, j, k), (j, k, i), (k, i, j): the summation
-    order of the scalar definition, so the value does not depend on the
-    shape of the call.
+    (an array of the broadcast shape).  Both brackets of each term are read
+    from one bracket_slots table, so from the slot rule bracket() reads.
+    [[l_a, l_b], l_c] has its targets at a + b + c - 2 + 2s, s = 0..6, the
+    same for all three cyclic terms.  Each term sums its products from zero
+    with the outer slot ascending, and the terms add in the order (i, j, k),
+    (j, k, i), (k, i, j): the summation order of the scalar definition, so
+    the value does not depend on the shape of the call.
     """
     i, j, k = np.broadcast_arrays(i, j, k)
     lo = int(min(i.min(), j.min(), k.min()))
@@ -175,23 +159,3 @@ def build_structure_table(
             if terms:
                 entries[(i, j)] = terms
     return entries
-
-
-def table_gap(a: StructureEntries, b: StructureEntries) -> float:
-    """Largest entrywise coefficient difference, relative to b's magnitude.
-
-    Used for degeneration-continuity checks; the normalization is the
-    largest coefficient magnitude of the reference table.
-    """
-    keys = set(a) | set(b)
-    gap = 0.0
-    ref = 1.0
-    for terms in b.values():
-        for c in terms.values():
-            ref = max(ref, abs(c))
-    for key in keys:
-        ta = a.get(key, {})
-        tb = b.get(key, {})
-        for k in set(ta) | set(tb):
-            gap = max(gap, abs(ta.get(k, 0j) - tb.get(k, 0j)))
-    return gap / ref

@@ -37,7 +37,7 @@ from .cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliatio
 from .config import TorusConfig
 from .elliptic import half_period_values
 from .errors import KNTorusError
-from .verify import SUITES, verify_suite
+from .verify import SUITES, WINDOWED_SUITES, verify_suite
 
 
 # cost bounds: verify evaluates 5 (2W+1)^2 pointwise brackets, a table has
@@ -46,6 +46,7 @@ from .verify import SUITES, verify_suite
 MAX_VERIFY_WINDOW = 32
 MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512
+DEFAULT_WINDOW = 6
 
 LAM_NAMES = ("lam4", "lam5", "lam6", "lam7")
 
@@ -95,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
     add_geometry(p_verify)
-    p_verify.add_argument("--window", type=int, default=6)
+    p_verify.add_argument("--window", type=int, default=None)  # WINDOWED_SUITES only
     p_verify.add_argument("--output", type=str, default=None, help="file path (default stdout)")
 
     p_table = sub.add_parser("table", help="emit structure constants or the cocycle")
     p_table.add_argument("kind", choices=("brackets", "cocycle"))
     add_geometry(p_table)
-    p_table.add_argument("--window", type=int, default=6)
+    p_table.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p_table.add_argument("--lam5", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam6", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam7", type=finite_float, nargs=2, metavar=("RE", "IM"))
@@ -182,11 +183,15 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    side = 2 * args.window + 1
-    _check_range(
-        "--window", args.window, 1, MAX_VERIFY_WINDOW,
-        f"{5 * side * side} pointwise bracket evaluations",
-    )
+    if args.suite in WINDOWED_SUITES:
+        args.window = DEFAULT_WINDOW if args.window is None else args.window
+        side = 2 * args.window + 1
+        _check_range(
+            "--window", args.window, 1, MAX_VERIFY_WINDOW,
+            f"{5 * side * side} pointwise bracket evaluations",
+        )
+    elif args.window is not None:
+        raise ValueError(f"--window: verify {args.suite} has no label window")
     checks = verify_suite(args.suite, cfg, args.window)
     passed = all(c.passed for c in checks)
     # every field of a check; detail only where it is set

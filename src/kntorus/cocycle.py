@@ -28,9 +28,9 @@ wedge vacuum gives -chi_sum bit for bit.
 
 cocycle_identity_residual checks the two-cocycle identity of chi_sum on
 ints or on a whole grid of label triples in one call: it reads the
-structure constants from one algebra.bracket_slots table and chi_sum from
-one table over the window, both filled from those functions, and gives
-every grid entry bit for bit the scalar call's value.
+structure constants from one algebra.bracket_slots table, filled from the
+slot rule that shifted_constants reads, and chi_sum from one table over the
+window, and gives every grid entry bit for bit the scalar call's value.
 
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
@@ -290,12 +290,13 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     cocycle, in either orientation (the identity is linear in chi and C).
 
     i, j, k are ints (the result is a float) or broadcastable int arrays
-    (an array of the broadcast shape).  C_bc^m is slot t of the
-    algebra.bracket_slots table of bracket(b + 1, c + 1), at m = b + c + 2t,
-    and chi_sum is read from one table over the window; the products add
-    into one running sum, t ascending within each cyclic term and the terms
-    in the order (i, j, k), (j, k, i), (k, i, j), as the scalar definition
-    does, so the value does not depend on the shape of the call.
+    (an array of the broadcast shape).  C_bc^m is slot t of
+    algebra.slot_coefficients(b + 1, c + 1), read from one bracket_slots
+    table, at m = b + c + 2t (the shifted_constants key), and chi_sum is
+    read from one table over the window; the products add into one running
+    sum, t ascending within each cyclic term and the terms in the order
+    (i, j, k), (j, k, i), (k, i, j), as the scalar definition does, so the
+    value does not depend on the shape of the call.
     """
     i, j, k = np.broadcast_arrays(i, j, k)
     lo = int(min(i.min(), j.min(), k.min()))

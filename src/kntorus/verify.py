@@ -264,7 +264,7 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     return checks
 
 
-def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
+def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
     checks = []
     rng = random.Random(401)
     pts = random_points(cfg, 25, seed=402)
@@ -306,11 +306,15 @@ def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     checks.append(_check("support_parity", parity_violation, 0.0))
 
     if not cfg.two_point:
-        two_point = algebra.build_structure_table(lambda_coefficients(cfg.two_point_limit()), 6)
-        gaps = [
-            algebra.table_gap(algebra.build_structure_table(lambda_coefficients(replace(cfg, q=qq)), 6), two_point)
-            for qq in (1e-1, 1e-2, 1e-3)
-        ]
+        # largest slot difference over [-6, 6]^2 from the two-point constants,
+        # relative to max(1, their largest magnitude)
+        labels = range(-6, 7)
+        ref_re, ref_im = algebra.bracket_slots(lambda_coefficients(cfg.two_point_limit()), labels, labels)
+        ref = max(1.0, float(np.hypot(ref_re, ref_im).max()))
+        gaps = []
+        for qq in (1e-1, 1e-2, 1e-3):
+            re, im = algebra.bracket_slots(lambda_coefficients(replace(cfg, q=qq)), labels, labels)
+            gaps.append(float(np.hypot(re - ref_re, im - ref_im).max()) / ref)
         monotone = 0.0 if gaps[0] > gaps[1] > gaps[2] else 1.0
         checks.append(_check("degeneration_monotone", monotone, 0.0))
         # the relative gap at q = 1e-3 is P'(e1)*1e-6 ~ (0.9..1.1)e-4 over the
@@ -319,7 +323,7 @@ def verify_algebra(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
     return checks
 
 
-def verify_cocycle(cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
+def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
     checks = []
     params = lambda_coefficients(cfg)
 
@@ -443,7 +447,8 @@ def verify_fock(cfg: TorusConfig) -> list[CheckResult]:
         worst = max(worst, abs(ext - expect) / max(1.0, abs(expect)))
     checks.append(_check("vacuum_cocycle_grounding", worst, 1e-9))
 
-    # the canonical form that gives each occupancy one WedgeState key
+    # the canonical form that gives each occupancy one WedgeState key, and
+    # the round trip from the views back to the same state
     bad = 0.0
     for _ in range(10):
         st = random_wedge_state(rng)
@@ -451,6 +456,7 @@ def verify_fock(cfg: TorusConfig) -> list[CheckResult]:
         if not (
             occ == sorted(set(occ), reverse=True) and min(occ, default=-1) >= -1
             and vac == sorted(set(vac)) and max(vac, default=-2) < -1
+            and fock.WedgeState(st.occupied_above, st.vacant_below) == st
         ):
             bad += 1
     checks.append(_check("wedge_state_canonical", bad, 0.0))
@@ -468,9 +474,12 @@ _RUNNERS = {
     "fock": lambda cfg, window: verify_fock(cfg),
 }
 SUITES = tuple(_RUNNERS)
+# the suites (and "all") whose checks sweep a label window [-window, window]
+WINDOWED_SUITES = ("all", "algebra", "cocycle")
 
 
-def verify_suite(suite: str, cfg: TorusConfig, window: int = 8) -> list[CheckResult]:
+def verify_suite(suite: str, cfg: TorusConfig, window: int | None) -> list[CheckResult]:
+    """The checks of one suite, or of all; only WINDOWED_SUITES read window."""
     if suite == "all":
         return [check for name in SUITES for check in _RUNNERS[name](cfg, window)]
     if suite not in _RUNNERS:

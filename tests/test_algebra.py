@@ -7,8 +7,10 @@ from kntorus.algebra import (
     bracket,
     bracket_eval,
     bracket_numeric,
+    bracket_slots,
     build_structure_table,
     jacobi_residual,
+    shifted_constants,
 )
 from kntorus.basis import WITT_PARAMS, basis_value, formal_params, frame, lambda_coefficients
 from kntorus.verify import random_formal_sets, random_points
@@ -66,6 +68,32 @@ def test_jacobi_examples(cfg_square):
     for seed in range(5):
         assert jacobi_residual(1, 3, 2, random_formal_sets(1, seed)[0]) <= 1e-9
     assert jacobi_residual(1, -1, 3, lam) <= 1e-9
+
+
+def _bits(c: complex) -> tuple[str, str]:
+    # float.hex tells 0.0 from -0.0
+    return c.real.hex(), c.imag.hex()
+
+
+def test_one_slot_rule_bit_for_bit():
+    # lams with negative, zero and negative-zero parts; labels -12..12 cover
+    # all four parity classes
+    window = range(-12, 13)
+    for params in (
+        formal_params(-1.5 - 0.25j, complex(-0.0, -2.0), -0.5 + 0j),
+        formal_params(0j, 0.75 - 1j, complex(-3.0, -0.0)),
+        WITT_PARAMS,
+    ):
+        re, im = bracket_slots(params, window, window)
+        assert not np.signbit(re[re == 0]).any() and not np.signbit(im[im == 0]).any()
+        for x, a in enumerate(window):
+            for y, b in enumerate(window):
+                terms = bracket(a, b, params)
+                for t in range(4):
+                    slot = complex(re[x, y, t], im[x, y, t])
+                    assert _bits(slot) == _bits(terms.get(a + b - 1 + 2 * t, 0j)), (a, b, t)
+                shifted = {k - 1: _bits(c) for k, c in bracket(a + 1, b + 1, params).items()}
+                assert {k: _bits(c) for k, c in shifted_constants(a, b, params).items()} == shifted
 
 
 labels = st.integers(-12, 12)

@@ -209,7 +209,7 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err, argv
-    code, _, err = run_cli(capsys, "verify", "basis", "--window", "0")
+    code, _, err = run_cli(capsys, "verify", "algebra", "--window", "0")
     assert code == 2
     code, _, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "4")
     assert code == 2
@@ -259,7 +259,9 @@ def test_flags_name_themselves(capsys):
         (("table", "cocycle", "--lam5", "nan", "0", "--window", "2"), "argument --lam5: must be finite"),
         (("table", "brackets", "--lam6", "inf", "0", "--format", "csv"), "argument --lam6: must be finite"),
         (("table", "brackets", "--lam7", "0", "nan"), "argument --lam7: must be finite"),
-        (("verify", "basis", "--window", "0"), "error: --window: must be at least 1, got 0"),
+        (("verify", "algebra", "--window", "0"), "error: --window: must be at least 1, got 0"),
+        # only verify all, algebra and cocycle sweep a label window
+        (("verify", "fock", "--window", "4"), "error: --window: verify fock has no label window"),
         (("table", "cocycle", "--window", "-3"), "error: --window: must be at least 1, got -3"),
     ):
         code, out, err = run_cli(capsys, *argv)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, suite_checks
-from kntorus import basis, cli, cocycle, config, elliptic, propagation, verify
+from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
@@ -42,7 +42,17 @@ def test_all_suite_aggregates(cfg_square):
 
 def test_unknown_suite():
     with pytest.raises(ValueError):
-        verify_suite("bogus", TorusConfig(tau=1j, q=0.2))
+        verify_suite("bogus", TorusConfig(tau=1j, q=0.2), 6)
+
+
+def test_wedge_state_canonical_sees_a_shifted_view(cfg_square, monkeypatch):
+    # vacant slots reported one slot too low are still sorted and below -1,
+    # so only the round trip through WedgeState sees them
+    vacant_below = fock.WedgeState.vacant_below
+    shifted = property(lambda st: tuple(s - 1 for s in vacant_below.fget(st)))
+    monkeypatch.setattr(fock.WedgeState, "vacant_below", shifted)
+    check = {c.name: c for c in verify.verify_fock(cfg_square)}["wedge_state_canonical"]
+    assert not check.passed and check.max_residual >= 1.0, check
 
 
 def test_check_result_passed_property():
