@@ -3,10 +3,10 @@
 The cocycle is computed three ways:
 
 * _chi_literal: the finite double sum over products of shifted structure
-  constants, split by the normal-ordering boundary k = -1.  This is the
-  oracle; it reproduces the commutator anomaly of the wedge-space
-  operators exactly (up to the stored orientation flags).  It costs O(i)
-  per entry and runs only in the tests.
+  constants, split by the normal-ordering boundary k = -1, over a k window
+  proved from their support.  This is the oracle; it reproduces the
+  commutator anomaly of the wedge-space operators exactly (up to the
+  stored orientation flags).  It costs O(|i|) per entry; only tests run it.
 * chi_sum: the same values in O(1) from _CHI_POLY, the exact polynomial
   form of the double sum (degree <= 2 in lam4..lam7, an odd cubic in the
   index at each level and parity).  The tests re-derive the table from
@@ -117,43 +117,17 @@ def pairing_residue_routes(j: int, k: int, cfg: TorusConfig) -> tuple[complex, c
 
 
 def _chi_literal(i: int, j: int, params: AlgebraParams) -> complex:
-    """Double sum (sum_A - sum_B) C_ik^l C_jl^k over the boundary split.
+    """Double sum (sum_A - sum_B) C_ik^l C_jl^k, C_ik^l = shifted_constants(i, k)[l].
 
-    A = {k < -1, l >= -1}, B = {k >= -1, l < -1}.  The k ranges follow
-    from the support window of the shifted constants:
-      in A: l >= -1 and l <= i+k+6 force k >= -i-7;
-      in B: l <= -2 and l >= i+k force k <= -i-2.
-    One extra k on each side is scanned and asserted to contribute zero.
+    A = {k < -1 <= l} and B = {l < -1 <= k}.  C_ik^l = 0 unless i+k <= l <= i+k+6, so
+    A-terms have -i-7 <= k <= -2 and B-terms -1 <= k <= -i-2: the k summed span both.
     """
-
-    def term_sum(k: int, l_lo: int, l_hi: int) -> complex:
-        first = shifted_constants(i, k, params)
-        if not first:
-            return 0j
-        total = 0j
-        for l, c_ikl in first.items():
-            if l < l_lo or l > l_hi:
-                continue
-            c_jlk = shifted_constants(j, l, params).get(k)
-            if c_jlk is not None:
-                total += c_ikl * c_jlk
-        return total
-
     total = 0j
-    # region A: k <= -2, l >= -1
-    k_lo = -i - 7
-    for k in range(k_lo - 1, -1):
-        contribution = term_sum(k, -1, k + 100000)  # upper bound inert; support caps l
-        if k < k_lo and contribution != 0:
-            raise AssertionError("cocycle sum window too small on the A side")
-        total += contribution
-    # region B: k >= -1, l <= -2
-    k_hi = -i - 2
-    for k in range(-1, k_hi + 2):
-        contribution = term_sum(k, -(10 ** 9), -2)
-        if k > k_hi and contribution != 0:
-            raise AssertionError("cocycle sum window too small on the B side")
-        total -= contribution
+    for k in range(min(-i - 7, -1), max(-1, -i - 1)):
+        for l, c_ikl in shifted_constants(i, k, params).items():
+            c_jlk = shifted_constants(j, l, params).get(k)
+            if c_jlk is not None and (k < -1) != (l < -1):
+                total += c_ikl * c_jlk if k < -1 else -(c_ikl * c_jlk)
     return total
 
 

@@ -18,6 +18,11 @@ EXCLUSION_RADIUS = 1e-4
 # per configuration while a process that runs many geometries keeps few
 CONFIG_CACHE_SIZE = 8
 
+# the largest Im t, t of reduced_basis, that the nome sum evaluates: at a
+# reduced point |u| <= exp(pi Im t), and the kernel of wp' cubes 1 - u,
+# which overflows at the cell's edge from ln(max float) / (3 pi) = 75.31 on
+MAX_IM_T = 75.0
+
 
 @dataclass(frozen=True)
 class TorusConfig:
@@ -26,7 +31,8 @@ class TorusConfig:
     The three punctures are 0 and 1/2 +- q (mod the lattice).  q = 0, stored as
     0j whatever the signs of its zeros, is the two-point torus: the q -> 0 end
     of the degeneration, where both out-punctures merge at 1/2.  Any other q
-    must stay farther than EXCLUSION_RADIUS from 0 and 1/2 mod the lattice.
+    must stay farther than EXCLUSION_RADIUS from 0, 1/2, tau/2 and (1+tau)/2
+    mod the lattice, and the lattice must have Im t <= MAX_IM_T.
     tol, in (0, 1e-4], is read only by propagation.level_line_samples.
     """
 
@@ -45,11 +51,17 @@ class TorusConfig:
         # half-period labels (an odd one would swap e2 and e3), and keeps
         # (1 + tau)/2 apart from tau/2 however large Re tau is
         object.__setattr__(self, "tau", tau - 2 * round(tau.real / 2))
+        t = reduced_basis(self.tau)[1]
+        if t.imag > MAX_IM_T:
+            raise ValueError(
+                f"tau={tau}: the reduced period ratio t has Im t = {t.imag:.6g} > "
+                f"{MAX_IM_T:g}; the series for wp' overflows from Im t = 75.31 on"
+            )
         object.__setattr__(self, "q", 0j if q == 0 else q)
         if not (0 < self.tol <= 1e-4):
             raise ValueError(f"tol must lie in (0, 1e-4], got {self.tol}")
         if not self.two_point:
-            for base in (0j, 0.5 + 0j):
+            for base in (0j, 0.5 + 0j, 0.5 * self.tau, 0.5 + 0.5 * self.tau):
                 d = lattice_distance(self.q - base, self.tau)
                 if d <= EXCLUSION_RADIUS:
                     raise ValueError(

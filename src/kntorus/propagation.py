@@ -224,8 +224,10 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         decide_by_scalar(z, sk, slack)
         s[k] = sk
 
-    # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for (k, k+side)
-    grid = s.reshape(side, side)
+    # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for
+    # (k, k+side); products of signs, which cannot overflow as those of s can
+    sign = np.sign(s)
+    grid = sign.reshape(side, side)
     crossing = np.zeros((side, side, 2), dtype=bool)
     crossing[:, :-1, 0] = grid[:, :-1] * grid[:, 1:] < 0
     crossing[:-1, :, 1] = grid[:-1, :] * grid[1:, :] < 0
@@ -234,14 +236,14 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     end = start + np.where(edge % 2, side, 1)
 
     ids = np.arange(edge.size)
-    z0, z1, s0 = node(start), node(end), s[start]
+    z0, z1, g0 = node(start), node(end), sign[start]
     found: dict[int, complex] = {}
     for _ in range(BISECTION_STEPS):
         if not ids.size:
             break
         zm = 0.5 * (z0 + z1)
         clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
-        ids, z0, z1, s0, zm = ids[clear], z0[clear], z1[clear], s0[clear], zm[clear]
+        ids, z0, z1, g0, zm = ids[clear], z0[clear], z1[clear], g0[clear], zm[clear]
         tm, slack = _time_array(zm, cfg)
         sm = tm - u
         done = np.zeros(ids.size, dtype=bool)
@@ -249,12 +251,13 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
             if abs(sm[i]) <= cfg.tol:
                 done[i] = True
                 found[int(ids[i])] = complex(zm[i])
-        lower = s0 * sm <= 0
+        gm = np.sign(sm)
+        lower = g0 * gm <= 0
         z1 = np.where(lower, zm, z1)
         z0 = np.where(lower, z0, zm)
-        s0 = np.where(lower, s0, sm)
+        g0 = np.where(lower, g0, gm)
         go = ~done
-        ids, z0, z1, s0, zm = ids[go], z0[go], z1[go], s0[go], zm[go]
+        ids, z0, z1, g0, zm = ids[go], z0[go], z1[go], g0[go], zm[go]
     if ids.size:
         bad = ids[0]
         residual = abs(time_coordinate(complex(zm[0]), cfg) - u)

@@ -340,31 +340,17 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
         worst = max(worst, abs(a - b))
     checks.append(_check("pairing_route_consistency", worst, 1e-8))
 
-    worst = 0.0
-    support_violation = 0.0
-    mixed_violation = 0.0
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            v = cocycle.chi_sum(i, j, params)
-            worst = max(worst, abs(v + cocycle.chi_sum(j, i, params)))
-            if v != 0 and (i + j) not in (0, -2, -4, -6, -8, -10, -12):
-                support_violation += 1
-            if v != 0 and (i % 2) != (j % 2):
-                mixed_violation += 1
+    table = cocycle.build_cocycle_table(params, window)
+    worst = max((abs(v + table.get((j, i), 0j)) for (i, j), v in table.items()), default=0.0)
     checks.append(_check("chi_antisymmetry", worst, 1e-12))
-    checks.append(_check("chi_support", support_violation, 0.0))
-    checks.append(_check("chi_mixed_parity", mixed_violation, 0.0))
+    off_support = sum(1 for i, j in table if i + j not in (0, -2, -4, -6, -8, -10, -12))
+    checks.append(_check("chi_support", float(off_support), 0.0))
+    mixed = sum(1 for i, j in table if i % 2 != j % 2)
+    checks.append(_check("chi_mixed_parity", float(mixed), 0.0))
 
-    worst = 0.0
-    for m in range(-8, 9):
-        expect = 13.0 / 6.0 * (m**3 - m)
-        worst = max(worst, abs(cocycle.chi_sum(m, -m, WITT_PARAMS) - expect))
-    off = max(
-        abs(cocycle.chi_sum(i, j, WITT_PARAMS))
-        for i in range(-8, 9)
-        for j in range(-8, 9)
-        if i + j != 0
-    )
+    witt = cocycle.build_cocycle_table(WITT_PARAMS, 8)
+    worst = max(abs(witt.get((m, -m), 0j) - 13.0 / 6.0 * (m**3 - m)) for m in range(-8, 9))
+    off = max((abs(v) for (i, j), v in witt.items() if i + j != 0), default=0.0)
     checks.append(_check("witt_cocycle_values", max(worst, off), 1e-9))
 
     triples = label_grid(4)
@@ -379,9 +365,8 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
     starred = max(abs(qv0[k]) for k in cocycle.STARRED_Q_KEYS)
     deep = max(
         (
-            abs(cocycle.chi_sum(i, j, params0))
-            for i in range(-window, window + 1)
-            for j in range(-window, window + 1)
+            abs(v)
+            for (i, j), v in cocycle.build_cocycle_table(params0, window).items()
             if i + j in (-10, -12) or (i + j == -6 and i % 2 != 0 and j % 2 != 0)
         ),
         default=0.0,

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_lams, label_lists
@@ -24,10 +24,14 @@ from kntorus.cocycle import (
     reconciliation_report,
     shifted_constants,
 )
+from kntorus.config import TorusConfig
 from kntorus.errors import BadContourError
 from kntorus.verify import label_grid
 
 LEVELS = (0, -2, -4, -6, -8, -10, -12)
+
+# lam4..lam7 derived at tau = i, q = 0.2
+SQUARE_LAMS = lambda_coefficients(TorusConfig(tau=1j, q=0.2)).as_tuple()
 
 
 def test_pairing_full_window(cfg_generic):
@@ -62,39 +66,6 @@ def test_shifted_constants(cfg_square):
         for k, c in shifted_constants(i, j, lam).items():
             assert i + j <= k <= i + j + 6
             assert bracket(i + 1, j + 1, lam)[k + 1] == c
-
-
-def _brute_force_chi(i, j, params, bound=40):
-    # transposed orientation, huge index window: independent of the derived
-    # summation bounds inside chi_sum
-    i, j = j, i
-    total = 0j
-    for k in range(-bound, bound + 1):
-        first = shifted_constants(i, k, params)
-        if not first:
-            continue
-        for l, c1 in first.items():
-            if abs(l) > bound + 10:
-                continue
-            c2 = shifted_constants(j, l, params).get(k)
-            if c2 is None:
-                continue
-            if k < -1 <= l:
-                total += c1 * c2
-            elif k >= -1 > l:
-                total -= c1 * c2
-    return total
-
-
-def test_chi_sum_matches_brute_force(cfg_square):
-    lam = lambda_coefficients(cfg_square)
-    rng = random.Random(55)
-    pairs = [(2, -2), (3, -5), (-4, 0), (1, -7), (5, -5), (0, -2)]
-    pairs += [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(10)]
-    for i, j in pairs:
-        expect = _brute_force_chi(i, j, lam)
-        got = chi_sum(i, j, lam)
-        assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
 def _literal_chi(i, j, params):
@@ -172,6 +143,13 @@ def test_chi_poly_rederived_from_double_sum():
     # every level of the support, both parities, and a margin outside it
     st.integers(-14, 2),
 )
+# (i, j) = (2, -2), (3, -5), (-4, 0), (1, -7), (5, -5), (0, -2) at tau = i, q = 0.2
+@example(SQUARE_LAMS, 2, 0)
+@example(SQUARE_LAMS, 3, -2)
+@example(SQUARE_LAMS, -4, -4)
+@example(SQUARE_LAMS, 1, -6)
+@example(SQUARE_LAMS, 5, 0)
+@example(SQUARE_LAMS, 0, -2)
 def test_chi_sum_matches_double_sum(lam, i, level):
     j = level - i
     assume(abs(j) <= 40)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close, fundamental_taus, theta_half_period_values, wp_oracle
-from kntorus.config import EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice, reduced_basis
+from kntorus.config import EXCLUSION_RADIUS, MAX_IM_T, TorusConfig, reduce_mod_lattice, reduced_basis
 from kntorus.elliptic import (
     WP_ARRAY_RTOL,
     _array_terms,
@@ -207,3 +207,18 @@ def test_series_terms_bounded_everywhere(tau):
     t = reduced_basis(tau)[1]
     assert t.imag > 0 and abs(t.real) <= 0.5 + 1e-12 and abs(t) >= 1 - 1e-12
     assert _array_terms(t) <= 9
+
+
+def test_thinnest_admitted_lattice_stays_finite():
+    # wp' cubes |u| <= exp(pi Im t) at a reduced point; beyond MAX_IM_T the
+    # config refuses the lattice instead of returning inf or nan
+    for tau in (80j, 0.01j, 1e5j):
+        with pytest.raises(ValueError) as err:
+            TorusConfig(tau=tau)
+        assert str(err.value).startswith(f"tau={tau}: "), err.value
+    cfg = TorusConfig(tau=MAX_IM_T * 1j)
+    assert cfg.tau == 75j
+    # the long side of the cell, where |u| is largest
+    z = 0.5 + np.linspace(-0.5, 0.5, 41) * cfg.tau
+    assert all(np.isfinite(values).all() for values in wp_pair_array(z, cfg))
+    assert all(cmath.isfinite(v) for w in z for v in wp_pair(complex(w), cfg))

@@ -62,10 +62,14 @@ def test_residue_bad_contour(cfg_square):
 
 
 def test_degenerate_moduli_error():
-    # q = tau/2 merges the out-punctures at (1+tau)/2, where wp equals e2
-    cfg = TorusConfig(tau=1j, q=0.5j)
+    # on this thin lattice e2 equals e1 = p to rounding
     with pytest.raises(DegenerateModuliError):
-        separation_time(cfg)
+        separation_time(TorusConfig(tau=0.06j))
+    # q = tau/2 or (1+tau)/2 would merge the out-punctures at the other half period
+    for q in (0.5j, 0.5 + 0.5j):
+        with pytest.raises(ValueError) as err:
+            TorusConfig(tau=1j, q=q)
+        assert str(err.value).startswith(f"q={q} is within"), err.value
 
 
 def test_pole_on_cycle_path():
@@ -231,6 +235,12 @@ def test_level_lines_resolution_guard(cfg_square):
 def test_level_lines_refuse_non_finite_u(cfg_square, u):
     with pytest.raises(ValueError, match="u must be finite"):
         level_line_samples(cfg_square, u, 16)
+
+
+def test_level_lines_far_level_has_no_crossing(cfg_square):
+    # t - u is about -+1e300 at every node: its sign decides, not an overflowing product
+    for u in (1e300, -1e300):
+        assert level_line_samples(cfg_square, u, 16).points == ()
 
 
 def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
