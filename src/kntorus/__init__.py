@@ -7,7 +7,7 @@ Library layout:
 * basis      -- punctures, the per-point frame (wp - p, w, w'), adapted
                 function basis and the lam4..lam7 scalars
 * propagation-- propagation differential, residues, string time, moduli
-* algebra    -- structure constants, bracket oracle, degenerations
+* algebra    -- structure constants and the bracket oracle
 * cocycle    -- duality pairing, central-extension cocycle (sum + closed form)
 * fock       -- semi-infinite wedge representation grounding the cocycle
 * verify     -- deterministic invariant batteries (also behind the CLI)

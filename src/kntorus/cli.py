@@ -25,6 +25,7 @@ MAX_SAMPLES); a larger value is a usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--lam5", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam6", type=finite_float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--lam7", type=finite_float, nargs=2, metavar=("RE", "IM"))
-    p_table.add_argument("--indexing", choices=("original", "shifted"), default="original")
+    p_table.add_argument("--indexing", choices=("original", "shifted"), default=None)  # brackets only
     add_output(p_table)
 
     p_level = sub.add_parser("levellines", help="sample a level line of the time function")
@@ -200,9 +201,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+def _require_finite(numbers) -> None:
+    """Refuse a table that would write a number overflowed from the lams."""
+    if not all(map(cmath.isfinite, numbers)):
+        raise ValueError("--lam5/--lam6/--lam7: the table would hold numbers that are not finite")
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     side = 2 * args.window + 1
     _check_range("--window", args.window, 1, MAX_TABLE_WINDOW, f"{side * side} table entries")
+    if args.kind == "cocycle" and args.indexing is not None:
+        raise ValueError("--indexing: table cocycle has no index basis")
     params = _formal_from_args(args)
     cfg = None
     if params is None:
@@ -210,7 +219,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         params = lambda_coefficients(cfg)
     header = {"window": args.window, "params": _lam_json(params)}
     if args.kind == "brackets":
+        args.indexing = args.indexing or "original"
         brackets = build_structure_table(params, args.window, indexing=args.indexing)
+        _require_finite(c for terms in brackets.values() for c in terms.values())
         pairs = sorted(brackets)
         _emit(
             args, cfg,
@@ -233,7 +244,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
         return 0
     chi = sorted(build_cocycle_table(params, args.window).items())
+    _require_finite(c for _, c in chi)
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
+
+    def reconciliation() -> list[dict]:
+        report = reconciliation_report(params, args.window)
+        _require_finite(e[key] for e in report for key in ("chi_sum", "chi_closed", "abs_diff"))
+        return [{**e, "chi_sum": _c(e["chi_sum"]), "chi_closed": _c(e["chi_closed"])} for e in report]
+
     _emit(
         args, cfg,
         lambda: {
@@ -241,8 +259,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "method": "sum",
             "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
             "entries": [{"i": i, "j": j, "chi": _c(c)} for (i, j), c in chi],
-            "reconciliation": [{**e, "chi_sum": _c(e["chi_sum"]), "chi_closed": _c(e["chi_closed"])}
-                               for e in reconciliation_report(params, args.window)],
+            "reconciliation": reconciliation(),
         },
         lambda: ["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)],
     )

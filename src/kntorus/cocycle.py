@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import bracket_slots, shifted_constants, slot_product
-from .basis import AlgebraParams, PunctureCircle, monomial, out_puncture_order, puncture_circles
+from .basis import AlgebraParams, PunctureCircle, monomial, puncture_circles
 from .config import TorusConfig
 from .errors import BadContourError
 from .quadrature import contour_residue
@@ -84,18 +84,10 @@ def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
     delta_j^k up to quadrature error.
     """
     if max(abs(j), abs(k)) > PAIRING_INDEX_BOUND:
-        raise BadContourError(
-            f"pairing indices |j|,|k| must be <= {PAIRING_INDEX_BOUND}"
-        )
+        raise BadContourError(f"pairing indices |j|,|k| must be <= {PAIRING_INDEX_BOUND}")
     i1, i2 = j + 1, -k - 2
-    n0 = i1 + i2  # the order at the in-point is the label itself
-    nq = out_puncture_order(i1, cfg.two_point) + out_puncture_order(i2, cfg.two_point)
-    if n0 >= -4:
+    if i1 + i2 >= -4:  # the order at the in-point is the label itself
         return _pairing_residue(puncture_circles(cfg)[0], i1, i2)
-    if nq < 0:
-        raise AssertionError(
-            f"order bookkeeping violated for pairing({j},{k}): n0={n0}, nq={nq}"
-        )
     return 0j
 
 

@@ -23,10 +23,6 @@ from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
-# offset of the period-cycle representatives, chosen to keep both segments
-# away from the punctures for every configuration used in the test matrix
-CYCLE_OFFSET = 0.17
-
 # the coarsest level-line grid, in nodes per side of the cell
 MIN_RESOLUTION = 16
 
@@ -68,37 +64,30 @@ def residue_at(s: complex, cfg: TorusConfig) -> complex:
     return contour_residue(circle.w, circle.nodes, circle.center)
 
 
-def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Pole-free representatives of the a- and b-cycle.
+def _widest_gap(coords: list[float]) -> tuple[float, float]:
+    """Middle and half width of the widest gap between coords mod 1 (a tie goes to the later gap)."""
+    xs = sorted(x % 1.0 for x in coords)
+    gaps = [(b - a, a) for a, b in zip(xs, [*xs[1:], xs[0] + 1.0])]
+    width, start = max(reversed(gaps), key=lambda gap: gap[0])
+    return (start + 0.5 * width) % 1.0, 0.5 * width
 
-    a-cycle: [d*tau, 1 + d*tau]; b-cycle: [d, d + tau], d = CYCLE_OFFSET.
+
+def _cycle_segments(cfg: TorusConfig) -> tuple[tuple[tuple[complex, complex], ...], float]:
+    """Representatives of the a- and b-cycle, and their distance to the punctures.
+
+    With z = a + b*tau, the a-cycle [d*tau, 1 + d*tau] is the line b = d and
+    the b-cycle [e, e + tau] the line a = e, where d and e are the middles of
+    the widest gaps between the punctures' b and a coordinates.  Each segment
+    spans one period of its line, so its distance to every puncture translate
+    is that of the line: half the b gap times Im tau, and half the a gap
+    times Im tau / |tau|.
     """
     tau = cfg.tau
-    d = CYCLE_OFFSET
-    return ((d * tau, 1.0 + d * tau), (complex(d), d + tau))
-
-
-def _min_distance_segment(z0: complex, z1: complex, cfg: TorusConfig) -> float:
-    """Exact distance from the segment [z0, z1] to the nearest puncture.
-
-    Measures every translate s + m + n*tau of every puncture s with (m, n)
-    within two cells of the segment's lattice coordinates seen from s, each
-    at the clamped projection onto the segment; that is exact for every
-    distance below min(Im tau, Im tau / |tau|), far above the radii it is compared with.
-    """
-    tau, punctures = cfg.tau, np.array(cfg.punctures())
-
-    def cell_range(x: np.ndarray) -> np.ndarray:
-        return np.arange(math.floor(x.min()) - 2, math.ceil(x.max()) + 3)
-
-    # the lattice coordinates of the segment's ends seen from each puncture
-    ends = np.array([z0, z1])[:, None] - punctures
-    b = ends.imag / tau.imag
-    lattice = (cell_range(ends.real - b * tau.real)[:, None] + cell_range(b)[None, :] * tau).ravel()
-    points = np.add.outer(punctures, lattice).ravel()
-    d = z1 - z0
-    t = np.clip(((points - z0) * d.conjugate()).real / max(abs(d) ** 2, 1e-300), 0.0, 1.0)
-    return float(np.abs(z0 + t * d - points).min())
+    b = [s.imag / tau.imag for s in cfg.punctures()]
+    d, half_b = _widest_gap(b)
+    e, half_a = _widest_gap([s.real - bs * tau.real for s, bs in zip(cfg.punctures(), b)])
+    clearance = min(half_b * tau.imag, half_a * tau.imag / abs(tau))
+    return ((d * tau, 1.0 + d * tau), (complex(e), e + tau)), clearance
 
 
 def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
@@ -106,17 +95,14 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
 
     Both vanish (to quadrature accuracy) because the propagation
     differential has purely imaginary periods.  The representatives are
-    the offset segments of _cycle_segments.
+    those of _cycle_segments; PoleOnPathError is raised when they pass
+    within 10 * EXCLUSION_RADIUS of a puncture.
     """
-    results = []
-    for z0, z1 in _cycle_segments(cfg):
-        if _min_distance_segment(z0, z1, cfg) <= 10.0 * EXCLUSION_RADIUS:
-            raise PoleOnPathError(
-                f"cycle segment [{z0}, {z1}] passes too close to a puncture"
-            )
-        val = segment_integral(lambda z: frame_array(z, cfg)[1], z0, z1, tol=1e-13)
-        results.append(val.real)
-    return results[0], results[1]
+    segments, clearance = _cycle_segments(cfg)
+    if clearance <= 10.0 * EXCLUSION_RADIUS:
+        raise PoleOnPathError(f"the cycle segments pass {clearance:.3g} from a puncture")
+    pa, pb = (segment_integral(lambda z: frame_array(z, cfg)[1], *seg, tol=1e-13).real for seg in segments)
+    return pa, pb
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)

@@ -67,6 +67,12 @@ def test_order_triples():
     ks = range(-6, 7)
     assert [out_puncture_order(k) for k in ks] == [3, 1, 2, 0, 1, -1, 0, -2, -1, -3, -2, -4, -3]
     assert [out_puncture_order(k, True) for k in ks] == [6, 3, 4, 1, 2, -1, 0, -3, -2, -5, -4, -7, -6]
+    # cocycle.pairing returns 0 when the in-point order i1 + i2 is below -4:
+    # the out-point orders then sum to at least 0, so no residue is lost
+    for two_point in (False, True):
+        for i1 in range(-60, 61):
+            for i2 in range(-60, -i1 - 4):
+                assert out_puncture_order(i1, two_point) + out_puncture_order(i2, two_point) >= 0
 
 
 def test_winding_rejects_bad_contour(cfg_square, monkeypatch):

@@ -155,6 +155,23 @@ def test_table_formal_lambdas(capsys):
         assert payload["results"]["window"] == 2 and payload["results"]["indexing"] == indexing
 
 
+def test_overflowing_tables_name_the_lams(capsys, monkeypatch):
+    # each lam is finite, but the entries formed from them are not
+    for argv in (
+        ("table", "cocycle", "--lam5", "1e200", "0", "--window", "4"),
+        ("table", "cocycle", "--lam5", "1e200", "0", "--window", "4", "--format", "csv"),
+        ("table", "brackets", "--lam5", "1e308", "1e308", "--format", "csv"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == "error: --lam5/--lam6/--lam7: the table would hold numbers that are not finite\n"
+    # a reconciliation entry is written too
+    entry = {"i": 2, "j": -2, "chi_sum": 1j, "chi_closed": complex(math.inf, 0), "abs_diff": math.inf}
+    monkeypatch.setattr(cli, "reconciliation_report", lambda params, window: [entry])
+    code, out, err = run_cli(capsys, "table", "cocycle", "--window", "2")
+    assert code == 2 and out == "" and err.startswith("error: --lam5/--lam6/--lam7: ")
+
+
 def test_levellines_csv(capsys):
     code, out, _ = run_cli(
         capsys, "levellines", "--u", "0.0", "--samples", "32", "--format", "csv",
@@ -218,6 +235,11 @@ def test_usage_errors(capsys):
     # verify writes JSON only and has no --format
     code, _, err = run_cli(capsys, "verify", "all", "--format", "csv")
     assert code == 2 and "--format" in err
+    # the cocycle has no index basis to choose; the brackets default to the original one
+    code, out, err = run_cli(capsys, "table", "cocycle", "--indexing", "shifted")
+    assert code == 2 and out == "" and err == "error: --indexing: table cocycle has no index basis\n"
+    code, out, _ = run_cli(capsys, "table", "brackets", "--window", "2")
+    assert code == 0 and json.loads(out)["results"]["indexing"] == "original"
 
 
 def test_verify_basis_at_small_q(capsys):

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import assert_close
 from kntorus import propagation, quadrature
@@ -72,29 +70,22 @@ def test_degenerate_moduli_error():
         assert str(err.value).startswith(f"q={q} is within"), err.value
 
 
-def test_pole_on_cycle_path():
-    # 1/2 + q sits on the b-cycle representative through 0.17
-    cfg = TorusConfig(tau=1j, q=-0.33)
-    with pytest.raises(PoleOnPathError):
+def test_cycles_avoid_every_puncture():
+    # at each of these q a puncture lies on the line a = 0.17 or b = 0.17
+    for q in (-0.33, 0.17j, 0.1 + 0.17j):
+        pa, pb = period_real_parts(TorusConfig(tau=1j, q=q))
+        assert abs(pa) < 1e-8 and abs(pb) < 1e-8
+    # on this thin lattice no line of either direction clears the punctures by 1e-3
+    cfg = TorusConfig(tau=0.5 + 0.0034j, q=0.1 + 0.0034j / 3)
+    with pytest.raises(PoleOnPathError, match="pass 0.000567 from a puncture"):
         period_real_parts(cfg)
-
-
-def test_pole_between_segment_samples(cfg_square, monkeypatch):
-    # the segment passes 5e-4 beside the puncture 0.7, which sits halfway
-    # between two of 65 equispaced points of the segment (~5e-3 from both)
-    x = 0.7 + 5e-4
-    y0 = -32.5 * 0.65 / 64
-    segment = (complex(x, y0), complex(x, y0 + 0.65))
-    monkeypatch.setattr(propagation, "_cycle_segments", lambda cfg: (segment, segment))
-    with pytest.raises(PoleOnPathError, match="passes too close to a puncture"):
-        period_real_parts(cfg_square)
 
 
 def test_period_cycle_override(cfg_square, monkeypatch):
     # other representatives of the same cycles give the same periods
     tau = cfg_square.tau
     segments = ((0.23 * tau, 1 + 0.23 * tau), (0.11 + 0j, 0.11 + tau))
-    monkeypatch.setattr(propagation, "_cycle_segments", lambda cfg: segments)
+    monkeypatch.setattr(propagation, "_cycle_segments", lambda cfg: (segments, 0.1))
     pa, pb = period_real_parts(cfg_square)
     assert abs(pa) < 1e-8 and abs(pb) < 1e-8
 
@@ -106,8 +97,6 @@ def test_time_reference_point(cfg_square):
 
 def test_time_logarithmic_near_in_point(cfg_square):
     # t ~ ln r + const on small circles around the in-point
-    import cmath
-
     vals = []
     for r in (1e-2, 2e-2):
         for theta in (0.3, 2.1, 4.4):
@@ -325,28 +314,3 @@ def test_segment_integral_raises_when_unconverged():
     assert "segment [0j, (1+0j)]" in message and "in 2048 panels" in message
     assert "estimates differ by" in message
     assert abs(err.value.estimate) > 1e3
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    tau=st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.05, 0.5)),
-    q=st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
-    z0=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    step=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-)
-@example(tau=0.125 + 0.0625j, q=0j, z0=0.5 + 0j, step=0j)
-def test_segment_distance_exact_on_skewed_lattices(tau, q, z0, step):
-    # against every translate with lattice coordinates up to 60, which holds
-    # the nearest one to every segment drawn: the search may not depend on
-    # which cell a reduction puts a puncture in
-    try:
-        cfg = TorusConfig(tau=tau, q=q)
-    except ValueError:
-        cfg = TorusConfig(tau=tau)
-    z1 = z0 + step
-    cells = np.arange(-60, 61)
-    points = np.add.outer(np.array(cfg.punctures()), (cells[:, None] + cells[None, :] * cfg.tau).ravel()).ravel()
-    t = np.clip(((points - z0) * step.conjugate()).real / max(abs(step) ** 2, 1e-300), 0.0, 1.0)
-    exact = float(np.abs(z0 + t * step - points).min())
-    if exact < 0.01:
-        assert math.isclose(propagation._min_distance_segment(z0, z1, cfg), exact, rel_tol=1e-9, abs_tol=1e-15)
