@@ -16,7 +16,7 @@ Library layout:
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params, lambda_coefficients
 from .config import TorusConfig
-from .elliptic import HalfPeriodValues, half_period_values, wp, wp_pair, wp_prime
+from .elliptic import HalfPeriodValues, half_period_values, wp, wp_pair
 from .errors import (
     BadContourError,
     BisectionError,
@@ -48,7 +48,6 @@ __all__ = [
     "lambda_coefficients",
     "wp",
     "wp_pair",
-    "wp_prime",
 ]
 
 __version__ = "0.1.0"

@@ -148,10 +148,6 @@ def wp(z: complex, cfg: TorusConfig) -> complex:
     return wp_pair(z, cfg)[0]
 
 
-def wp_prime(z: complex, cfg: TorusConfig) -> complex:
-    return wp_pair(z, cfg)[1]
-
-
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2 and g2, g3.

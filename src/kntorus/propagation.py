@@ -101,7 +101,11 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
     segments, clearance = _cycle_segments(cfg)
     if clearance <= 10.0 * EXCLUSION_RADIUS:
         raise PoleOnPathError(f"the cycle segments pass {clearance:.3g} from a puncture")
-    pa, pb = (segment_integral(lambda z: frame_array(z, cfg)[1], *seg, tol=1e-13).real for seg in segments)
+    outcomes = segment_integral(lambda z: frame_array(z, cfg)[1], segments, tol=1e-13)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    pa, pb = (value.real for value in outcomes)
     return pa, pb
 
 

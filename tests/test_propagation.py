@@ -124,25 +124,75 @@ def test_array_quadrature_matches_scalar_loops(cfg_generic):
         for t, w in zip(x, weights)
     ) * (z1 - z0) * 0.25
     # with tol = inf the doubling stops at its first refinement, 2 panels
-    value = segment_integral(lambda z: frame_array(z, cfg)[1], z0, z1, tol=math.inf)
+    (value,) = segment_integral(lambda z: frame_array(z, cfg)[1], [(z0, z1)], tol=math.inf)
     assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+# a segment of verify_differential at this geometry passes ~1e-3 from a
+# puncture: the panel doubling settles only at 2048 panels
+BESIDE_CFG = TorusConfig(
+    tau=0.13467594962923174 + 1.4250306337306076j,
+    q=0.22175815022078413 - 0.09734361074373614j,
+)
+BESIDE_SEGMENT = (0.28338005960397716 + 0.20631700547251255j, 0.250319941597631 - 0.43032708847071405j)
+
+
+def _counted_omega(cfg, calls):
+    def omega(z):
+        calls.append(z.size)
+        return frame_array(z, cfg)[1]
+
+    return omega
+
+
 def test_time_line_integral_beside_a_puncture(monkeypatch):
-    # a segment of verify_differential at this geometry passes ~1e-3 from a
-    # puncture: the panel doubling settles only at 2048 panels
-    cfg = TorusConfig(
-        tau=0.13467594962923174 + 1.4250306337306076j,
-        q=0.22175815022078413 - 0.09734361074373614j,
-    )
-    z0, z1 = 0.28338005960397716 + 0.20631700547251255j, 0.250319941597631 - 0.43032708847071405j
-    omega = lambda z: frame_array(z, cfg)[1]  # noqa: E731
+    z0, z1 = BESIDE_SEGMENT
+    omega = lambda z: frame_array(z, BESIDE_CFG)[1]  # noqa: E731
     with monkeypatch.context() as m:
         m.setattr(quadrature, "MAX_PANELS", 1024)
-        with pytest.raises(QuadratureError, match="in 1024 panels"):
-            segment_integral(omega, z0, z1)
-    lhs = time_coordinate(z1, cfg) - time_coordinate(z0, cfg)
-    assert abs(lhs - segment_integral(omega, z0, z1).real) < 1e-7
+        (unconverged,) = segment_integral(omega, [(z0, z1)])
+        assert isinstance(unconverged, QuadratureError) and "in 1024 panels" in str(unconverged)
+    lhs = time_coordinate(z1, BESIDE_CFG) - time_coordinate(z0, BESIDE_CFG)
+    assert abs(lhs - segment_integral(omega, [(z0, z1)])[0].real) < 1e-7
+
+
+def test_batched_segments_match_single_segments():
+    # the short segment settles at 2 panels, the other at 2048: packed into
+    # one call, each keeps its own value bit for bit, and the short one
+    # rides along in the long one's first two integrand calls
+    short = (0.1 + 0.3j, 0.5 + 0.6j)
+    alone, calls = [], []
+    for seg in (short, BESIDE_SEGMENT):
+        calls.append([])
+        alone.extend(segment_integral(_counted_omega(BESIDE_CFG, calls[-1]), [seg]))
+    # one call at each of 1 to 32 panels, then 64 panels (1024 nodes) per call up to 2048
+    assert len(calls[0]) == 2 and len(calls[1]) == 6 + 1 + 2 + 4 + 8 + 16 + 32
+    packed_calls = []
+    packed = segment_integral(_counted_omega(BESIDE_CFG, packed_calls), [short, BESIDE_SEGMENT])
+    assert packed == alone
+    assert len(packed_calls) == len(calls[1])
+    assert packed_calls[:2] == [32, 64] and max(packed_calls) == quadrature.GRID_CHUNK
+
+
+def test_batched_segments_keep_their_own_outcomes(monkeypatch):
+    # one call holds a segment passing 1e-5 from a puncture, inside its
+    # exclusion disk, the unconverged segment and a plain one
+    s = BESIDE_CFG.punctures()[2]
+    through = (s - 0.1 + 1e-5j, s + 0.1 + 1e-5j)
+    plain = (0.1 + 0.3j, 0.5 + 0.6j)
+    omega = lambda z: frame_array(z, BESIDE_CFG)[1]  # noqa: E731
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1024)
+    skipped, unconverged, value = segment_integral(omega, [through, BESIDE_SEGMENT, plain])
+    assert isinstance(skipped, PoleProximityError)
+    assert "inside a puncture exclusion disk" in str(skipped)
+    assert value == segment_integral(omega, [plain])[0]
+    # the message and estimate of the one-segment-at-a-time doubling
+    assert isinstance(unconverged, QuadratureError)
+    assert str(unconverged) == (
+        "segment [(0.28338005960397716+0.20631700547251255j), (0.250319941597631-0.43032708847071405j)] "
+        "did not converge in 1024 panels: the last two estimates differ by 2.84e-11 > 2.84e-12"
+    )
+    assert unconverged.estimate == -0.40549867980450166 - 2.8064082081917046j
 
 
 def test_time_between_interaction_points(cfg_square):
@@ -306,11 +356,11 @@ def test_level_lines_match_scalar_scan(cfg, levels, resolution):
         assert level_line_samples(cfg, u, resolution).points == expected
 
 
-def test_segment_integral_raises_when_unconverged():
+def test_segment_integral_reports_unconverged():
     # 1/(z - 0.3)^2 is not integrable across 0.3: refining never settles
-    with pytest.raises(QuadratureError) as err:
-        segment_integral(lambda z: 1.0 / (z - 0.3) ** 2, 0j, 1 + 0j)
-    message = str(err.value)
+    (err,) = segment_integral(lambda z: 1.0 / (z - 0.3) ** 2, [(0j, 1 + 0j)])
+    assert isinstance(err, QuadratureError)
+    message = str(err)
     assert "segment [0j, (1+0j)]" in message and "in 2048 panels" in message
     assert "estimates differ by" in message
-    assert abs(err.value.estimate) > 1e3
+    assert abs(err.estimate) > 1e3

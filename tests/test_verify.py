@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, suite_checks
 from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
+from kntorus.basis import frame_array
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
@@ -79,8 +80,9 @@ def test_time_check_passes_beside_a_puncture(tau, q):
 
 def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
     # the estimate is the converged value, so only the error can fail the checks
-    def unconverged(f, z0, z1, tol=1e-12):
-        raise QuadratureError("did not converge", estimate=segment_integral(f, z0, z1, tol))
+    def unconverged(f, segments, tol=1e-12):
+        return [QuadratureError("did not converge", estimate=value) if isinstance(value, complex) else value
+                for value in segment_integral(f, segments, tol)]
 
     expected = [c.name for c in verify_differential(cfg_square)]
     monkeypatch.setattr(verify, "segment_integral", unconverged)
@@ -92,6 +94,21 @@ def test_unconverged_quadrature_fails_its_check(cfg_square, monkeypatch):
         assert c.passed != unconverged_check, c
         assert c.max_residual <= c.tolerance, c
         assert c.detail == ("did not converge" if unconverged_check else ""), c
+
+
+def test_differential_suite_packs_its_segments(cfg_square, monkeypatch):
+    # the cycles and the time-check segments share their integrand calls at
+    # each refinement level; one call per segment and level made 77
+    calls = []
+
+    def counting(z, cfg):
+        calls.append(z.size)
+        return frame_array(z, cfg)
+
+    monkeypatch.setattr(basis, "frame_array", counting)
+    monkeypatch.setattr(propagation, "frame_array", counting)
+    assert all(c.passed for c in verify_differential(cfg_square))
+    assert len(calls) <= 20, calls
 
 
 def test_degenerate_two_point_time_fails_its_check(capsys):
