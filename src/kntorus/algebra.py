@@ -11,10 +11,15 @@ with t = 0..3.  The even-odd bracket follows by antisymmetry.  Every
 target index lies in [i+j-1, i+j+5] and shares the parity of i+j-1
 (almost-grading).  slot_coefficients is the one implementation of these
 formulas: bracket, shifted_constants and the slot table bracket_slots all
-read it.  bracket_numeric realizes the defining vector-field bracket
-pointwise from the frame of a point and serves as the independent oracle.
-build_structure_table returns the brackets over an index window as a plain
-dict {(i, j): terms}; cli.py alone writes it out.
+read it.  A slot depends only on the label difference j - i and the parity
+of i, so bracket_slots calls it once per (parity, difference) and gathers
+the rows x cols table from those values by index: every entry is still a
+slot_coefficients value, bit for bit.  bracket_numeric realizes the
+defining vector-field bracket pointwise from the frame of a point and
+serves as the independent oracle.  build_structure_table returns the
+nonzero structure constants over an index window as plain rows
+(i, j, k, c) in (i, j, k) order, read from one bracket_slots table;
+cli.py alone writes them out.
 
 jacobi_residual takes ints or broadcastable int arrays of labels: one call
 checks a whole grid of triples.  It reads every bracket from one
@@ -30,7 +35,7 @@ import numpy as np
 from .basis import AlgebraParams, monomial, monomial_derivative
 
 BracketTerms = dict[int, complex]
-StructureEntries = dict[tuple[int, int], BracketTerms]
+StructureRow = tuple[int, int, int, complex]
 
 
 def slot_coefficients(i: int, j: int, params: AlgebraParams) -> tuple[complex, ...]:
@@ -85,9 +90,18 @@ def bracket_eval(terms: BracketTerms, frame: tuple[complex, complex, complex]) -
 def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of slot_coefficients(a, b, params) for a in
     rows and b in cols, at [a - rows.start, b - cols.start, t] for the
-    target a + b - 1 + 2t (t = 0..3)."""
-    slots = np.array([[slot_coefficients(a, b, params) for b in cols] for a in rows])
-    return slots.real, slots.imag
+    target a + b - 1 + 2t (t = 0..3).
+
+    The rule is called once for each parity of a and each difference b - a
+    that occurs, and the table is gathered from those values.
+    """
+    first = cols.start - rows[-1]  # the least difference b - a
+    diffs = range(first, cols[-1] - rows.start + 1)
+    slots = np.array([[slot_coefficients(p, p + d, params) for d in diffs] for p in (0, 1)])
+    a = np.arange(rows.start, rows.stop)[:, None]
+    b = np.arange(cols.start, cols.stop)[None, :]
+    table = slots[a % 2, b - a - first]
+    return table.real, table.imag
 
 
 def slot_product(ar, ai, br, bi):
@@ -142,20 +156,31 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
 
 def build_structure_table(
     params: AlgebraParams, window: int, indexing: str = "original"
-) -> StructureEntries:
-    """The nonempty brackets over [-window, window]^2, keyed (i, j), in the
-    l basis ("original") or the shifted basis e_i = l_{i+1} ("shifted")."""
+) -> list[StructureRow]:
+    """The nonzero structure constants over [-window, window]^2 as rows
+    (i, j, k, c), c the coefficient of [l_i, l_j] at l_k, in (i, j, k)
+    order; in the l basis ("original") or the shifted basis e_i = l_{i+1}
+    ("shifted"), where the row carries shifted_constants(i, j)[k].
+
+    The coefficients come from one bracket_slots table, whose slot t sits
+    at k = i + j - 1 + 2t (original) or i + j + 2t (shifted), so slot order
+    is k order within each pair.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     if indexing not in ("original", "shifted"):
         raise ValueError(f"unknown indexing {indexing!r}")
-    terms_of = bracket if indexing == "original" else shifted_constants
-    entries: StructureEntries = {}
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            if i == j:
-                continue
-            terms = terms_of(i, j, params)
-            if terms:
-                entries[(i, j)] = terms
-    return entries
+    shift = 0 if indexing == "original" else 1
+    labels = range(-window, window + 1)
+    slot_labels = range(labels.start + shift, labels.stop + shift)
+    re, im = bracket_slots(params, slot_labels, slot_labels)
+    slots = np.empty(re.shape, complex)
+    slots.real, slots.imag = re, im
+    rows: list[StructureRow] = []
+    for x, i in enumerate(labels):
+        # the nonzero slots t of [l_i, l_j], j = labels[y], in (y, t) order
+        y, t = np.nonzero(slots[x])
+        j = y + labels.start
+        k = i + j - 1 + shift + 2 * t
+        rows.extend(zip([i] * y.size, j.tolist(), k.tolist(), slots[x, y, t].tolist()))
+    return rows

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
 
 from . import propagation
 from .algebra import build_structure_table
@@ -220,27 +221,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     header = {"window": args.window, "params": _lam_json(params)}
     if args.kind == "brackets":
         args.indexing = args.indexing or "original"
-        brackets = build_structure_table(params, args.window, indexing=args.indexing)
-        _require_finite(c for terms in brackets.values() for c in terms.values())
-        pairs = sorted(brackets)
+        rows = build_structure_table(params, args.window, indexing=args.indexing)
+        _require_finite(row[3] for row in rows)
         _emit(
             args, cfg,
             lambda: {
                 **header,
                 "indexing": args.indexing,
                 "entries": [
-                    {"i": i, "j": j, "terms": [{"k": k, "c": _c(c)} for k, c in sorted(brackets[i, j].items())]}
-                    for i, j in pairs
+                    {"i": i, "j": j, "terms": [{"k": k, "c": _c(c)} for *_, k, c in terms]}
+                    for (i, j), terms in groupby(rows, key=lambda row: row[:2])
                 ],
             },
-            lambda: [
-                "i,j,k,re,im",
-                *(
-                    f"{i},{j},{k},{c.real!r},{c.imag!r}"
-                    for i, j in pairs
-                    for k, c in sorted(brackets[i, j].items())
-                ),
-            ],
+            lambda: ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in rows)],
         )
         return 0
     chi = sorted(build_cocycle_table(params, args.window).items())

@@ -34,7 +34,9 @@ window, and gives every grid entry bit for bit the scalar call's value.
 
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
-convention and the reconciliation report.
+convention and the reconciliation report.  Both visit only the pairs on
+the levels i + j that the keys of _CHI_POLY, _ODD_TABLE and _EVEN_TABLE
+name, in (i, j) order: off those levels chi_sum and chi_closed are zero.
 """
 
 from __future__ import annotations
@@ -288,16 +290,26 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     return float(residual) if residual.ndim == 0 else residual
 
 
+def _support_pairs(window: int):
+    """The pairs (i, j) over [-window, window]^2, in (i, j) order, whose level
+    i + j is a key level of _CHI_POLY, _ODD_TABLE or _EVEN_TABLE: the only
+    pairs where chi_sum or chi_closed can be nonzero."""
+    levels = sorted({level for level, _ in _CHI_POLY}.union(_ODD_TABLE, _EVEN_TABLE))
+    for i in range(-window, window + 1):
+        for level in levels:
+            if -window <= level - i <= window:
+                yield i, level - i
+
+
 def build_cocycle_table(params: AlgebraParams, window: int) -> dict[tuple[int, int], complex]:
     """The nonzero chi_sum values over [-window, window]^2, keyed (i, j)."""
     if window < 1:
         raise ValueError("window must be >= 1")
     entries: dict[tuple[int, int], complex] = {}
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            value = chi_sum(i, j, params)
-            if value != 0:
-                entries[(i, j)] = value
+    for i, j in _support_pairs(window):
+        value = chi_sum(i, j, params)
+        if value != 0:
+            entries[(i, j)] = value
     return entries
 
 
@@ -309,19 +321,18 @@ def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
     whole window.
     """
     report: list[dict] = []
-    for i in range(-window, window + 1):
-        for j in range(-window, window + 1):
-            s = chi_sum(i, j, params)
-            c = chi_closed(i, j, params)
-            diff = abs(s - c)
-            if diff > RECONCILIATION_RTOL * max(1.0, abs(s)):
-                report.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "chi_sum": s,
-                        "chi_closed": c,
-                        "abs_diff": diff,
-                    }
-                )
+    for i, j in _support_pairs(window):
+        s = chi_sum(i, j, params)
+        c = chi_closed(i, j, params)
+        diff = abs(s - c)
+        if diff > RECONCILIATION_RTOL * max(1.0, abs(s)):
+            report.append(
+                {
+                    "i": i,
+                    "j": j,
+                    "chi_sum": s,
+                    "chi_closed": c,
+                    "abs_diff": diff,
+                }
+            )
     return report

@@ -143,14 +143,11 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
     rng = random.Random(201)
     pts = random_points(cfg, 50, seed=202)
 
-    worst = 0.0
-    for w in pts:
-        lhs = propagation.omega_hat(0.5 + w, cfg)
-        rhs = propagation.omega_hat(0.5 - w, cfg)
-        worst = max(worst, abs(lhs + rhs) / max(1.0, abs(lhs)))
-        lhs2 = propagation.omega_hat(-w, cfg)
-        rhs2 = propagation.omega_hat(w, cfg)
-        worst = max(worst, abs(lhs2 + rhs2) / max(1.0, abs(lhs2)))
+    # omega at 1/2 + w against 1/2 - w, and at -w against w, from one frame_array call
+    w = np.array(pts)
+    omega = basis.frame_array(np.array([0.5 + w, 0.5 - w, -w, w]), cfg)[1]
+    lhs, rhs = omega[0::2], omega[1::2]
+    worst = float((np.abs(lhs + rhs) / np.maximum(1.0, np.abs(lhs))).max())
     checks.append(_check("omega_antisymmetry", worst, IDENTITY_TOL))
 
     # residues (+1, -1/2, -1/2), or (+1, -1) at the merged out-puncture
@@ -287,18 +284,11 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
     )
     checks.append(_check("jacobi_identity", worst, 1e-9))
 
-    table = algebra.build_structure_table(params, window)
-    worst = 0.0
-    grading_violation = 0.0
-    parity_violation = 0.0
-    for (i, j), terms in table.items():
-        mirror = table.get((j, i), {})
-        for k, c in terms.items():
-            worst = max(worst, abs(c + mirror.get(k, 0j)))
-            if not (i + j - 1 <= k <= i + j + 5):
-                grading_violation += 1
-            if (k - (i + j - 1)) % 2 != 0:
-                parity_violation += 1
+    rows = algebra.build_structure_table(params, window)
+    table = {(i, j, k): c for i, j, k, c in rows}
+    worst = max((abs(c + table.get((j, i, k), 0j)) for (i, j, k), c in table.items()), default=0.0)
+    grading_violation = float(sum(not (i + j - 1 <= k <= i + j + 5) for i, j, k, _ in rows))
+    parity_violation = float(sum((k - (i + j - 1)) % 2 != 0 for i, j, k, _ in rows))
     checks.append(_check("table_antisymmetry", worst, 1e-12))
     checks.append(_check("grading_window", grading_violation, 0.0))
     checks.append(_check("support_parity", parity_violation, 0.0))
@@ -341,9 +331,16 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
     table = cocycle.build_cocycle_table(params, window)
     worst = max((abs(v + table.get((j, i), 0j)) for (i, j), v in table.items()), default=0.0)
     checks.append(_check("chi_antisymmetry", worst, 1e-12))
-    off_support = sum(1 for i, j in table if i + j not in (0, -2, -4, -6, -8, -10, -12))
+    # the table visits the support alone, so these two scan the whole window
+    nonzero = [
+        (i, j)
+        for i in range(-window, window + 1)
+        for j in range(-window, window + 1)
+        if cocycle.chi_sum(i, j, params) != 0
+    ]
+    off_support = sum(1 for i, j in nonzero if i + j not in (0, -2, -4, -6, -8, -10, -12))
     checks.append(_check("chi_support", float(off_support), 0.0))
-    mixed = sum(1 for i, j in table if i % 2 != j % 2)
+    mixed = sum(1 for i, j in nonzero if i % 2 != j % 2)
     checks.append(_check("chi_mixed_parity", float(mixed), 0.0))
 
     witt = cocycle.build_cocycle_table(WITT_PARAMS, 8)

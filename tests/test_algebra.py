@@ -1,5 +1,7 @@
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_lams, label_lists
@@ -11,8 +13,17 @@ from kntorus.algebra import (
     build_structure_table,
     jacobi_residual,
     shifted_constants,
+    slot_coefficients,
 )
-from kntorus.basis import WITT_PARAMS, basis_value, formal_params, frame, lambda_coefficients
+from kntorus.basis import (
+    WITT_PARAMS,
+    AlgebraParams,
+    basis_value,
+    formal_params,
+    frame,
+    lambda_coefficients,
+)
+from kntorus.config import TorusConfig
 from kntorus.verify import random_formal_sets, random_points
 
 
@@ -96,6 +107,50 @@ def test_one_slot_rule_bit_for_bit():
                 assert {k: _bits(c) for k, c in shifted_constants(a, b, params).items()} == shifted
 
 
+# the slot rule's parameter sets: the Witt algebra, derived at two
+# geometries, seeded formal sets, an integer probe with lam4 != 1, and lams
+# whose slots overflow
+SLOT_PARAMS = (
+    WITT_PARAMS,
+    lambda_coefficients(TorusConfig(tau=1j, q=0.2)),
+    lambda_coefficients(TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)),
+    *random_formal_sets(2, seed=405),
+    AlgebraParams(2, 3, -1, 5),
+    formal_params(complex(1e308, 1e308)),
+)
+label_ranges = st.builds(lambda start, size: range(start, start + size), st.integers(-12, 12), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SLOT_PARAMS), label_ranges, label_ranges)
+@example(WITT_PARAMS, range(3, 4), range(-4, 5))
+@example(AlgebraParams(2, 3, -1, 5), range(-12, -3), range(6, 13))
+@example(formal_params(complex(1e308, 1e308)), range(-1, 0), range(-12, 13))
+def test_slot_table_gathers_the_slot_rule(params, rows, cols):
+    # rows and cols start and end at either parity, may hold one label, and
+    # need not overlap; every entry is the slot rule's own value, signed zeros too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        re, im = bracket_slots(params, rows, cols)
+    assert re.shape == im.shape == (len(rows), len(cols), 4)
+    for x, a in enumerate(rows):
+        for y, b in enumerate(cols):
+            for t, c in enumerate(slot_coefficients(a, b, params)):
+                assert (re[x, y, t].hex(), im[x, y, t].hex()) == _bits(c), (a, b, t)
+
+
+def test_overflowing_lams_fill_the_tables_without_warning():
+    # the CLI refuses such tables by their non-finite entries; the tables
+    # themselves are filled without an escaping RuntimeWarning
+    params = formal_params(complex(1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        re, im = bracket_slots(params, range(-8, 9), range(-8, 9))
+        rows = build_structure_table(params, 8)
+    assert not np.isfinite(re).all() and not np.isfinite(im).all()
+    assert any(not np.isfinite(c) for *_, c in rows)
+
+
 labels = st.integers(-12, 12)
 
 
@@ -137,16 +192,27 @@ def test_jacobi_grid_equals_scalar_calls(lam, i, j, k):
         assert type(scalar) is float and value == scalar
 
 
+def _by_pair(rows):
+    """build_structure_table's rows as {(i, j): {k: c}}."""
+    pairs = {}
+    for i, j, k, c in rows:
+        pairs.setdefault((i, j), {})[k] = c
+    return pairs
+
+
 def test_structure_table_entries(cfg_square):
     # the CSV and JSON round trips of the table are in test_cli
-    table = build_structure_table(lambda_coefficients(cfg_square), 4)
+    rows = build_structure_table(lambda_coefficients(cfg_square), 4)
+    assert [row[:3] for row in rows] == sorted(row[:3] for row in rows)
+    assert all(c != 0 for *_, c in rows)
+    table = _by_pair(rows)
     assert table[(2, 4)] == {5: 2 + 0j}
     assert (1, 1) not in table
 
 
 def test_shifted_table_indexing(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    shifted = build_structure_table(lam, 3, indexing="shifted")
+    shifted = _by_pair(build_structure_table(lam, 3, indexing="shifted"))
     # [e_1, e_3] = [l_2, l_4] = 2 l_5 = 2 e_4
     assert shifted[(1, 3)] == {4: 2 + 0j}
 
@@ -155,7 +221,7 @@ def test_degeneration_two_point_values(cfg_two_point):
     from kntorus.elliptic import half_period_values
 
     hp = half_period_values(cfg_two_point)
-    table = build_structure_table(lambda_coefficients(cfg_two_point), 4)
+    table = _by_pair(build_structure_table(lambda_coefficients(cfg_two_point), 4))
     terms = table[(1, 3)]
     assert abs(terms[3] - 2.0) < 1e-12
     assert abs(terms[5] - 2 * 3 * hp.e1) < 1e-9
@@ -164,7 +230,7 @@ def test_degeneration_two_point_values(cfg_two_point):
 
 
 def test_degeneration_witt():
-    table = build_structure_table(WITT_PARAMS, 3)
+    table = _by_pair(build_structure_table(WITT_PARAMS, 3))
     assert table[(1, 2)] == {2: 1 + 0j}
     for (i, j), terms in table.items():
         assert set(terms) == {i + j - 1}

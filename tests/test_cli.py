@@ -80,7 +80,7 @@ def _bits(c: complex) -> tuple[str, str]:
 
 
 def test_table_brackets_csv(capsys):
-    # the rows read back to build_structure_table's entries bit for bit
+    # the lines read back to build_structure_table's rows bit for bit, in order
     lam = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
     for indexing in ("original", "shifted"):
         code, out, _ = run_cli(
@@ -91,12 +91,12 @@ def test_table_brackets_csv(capsys):
         assert lines[0] == "i,j,k,re,im"
         keys = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
         assert keys == sorted(keys)
-        table: dict = {}
+        table = []
         for line in lines[1:]:
             i, j, k, re, im = line.split(",")
-            table.setdefault((int(i), int(j)), {})[int(k)] = (float(re).hex(), float(im).hex())
+            table.append((int(i), int(j), int(k), (float(re).hex(), float(im).hex())))
         expect = build_structure_table(lam, 2, indexing=indexing)
-        assert table == {key: {k: _bits(c) for k, c in terms.items()} for key, terms in expect.items()}
+        assert table == [(i, j, k, _bits(c)) for i, j, k, c in expect]
 
 
 def test_table_cocycle_witt(capsys):

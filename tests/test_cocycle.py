@@ -14,6 +14,7 @@ from kntorus.algebra import bracket
 from kntorus.basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
 from kntorus.cocycle import (
     _CHI_POLY,
+    RECONCILIATION_RTOL,
     _chi_literal,
     build_cocycle_table,
     chi_closed,
@@ -26,7 +27,7 @@ from kntorus.cocycle import (
 )
 from kntorus.config import TorusConfig
 from kntorus.errors import BadContourError
-from kntorus.verify import label_grid
+from kntorus.verify import label_grid, random_formal_sets
 
 LEVELS = (0, -2, -4, -6, -8, -10, -12)
 
@@ -328,3 +329,20 @@ def test_cocycle_table(cfg_square):
         assert table[(j, i)] == -value
     with pytest.raises(ValueError):
         build_cocycle_table(lam, 0)
+
+
+@pytest.mark.parametrize("window", (1, 2, 8, 33))
+def test_tables_match_the_full_window(window, cfg_generic):
+    # the tables visit the support levels alone; a double loop over every
+    # pair of the window gives the same items in the same order
+    for params in (WITT_PARAMS, lambda_coefficients(cfg_generic), *random_formal_sets(2, seed=406)):
+        table, report = {}, []
+        for i in range(-window, window + 1):
+            for j in range(-window, window + 1):
+                s, c = chi_sum(i, j, params), chi_closed(i, j, params)
+                if s != 0:
+                    table[(i, j)] = s
+                if abs(s - c) > RECONCILIATION_RTOL * max(1.0, abs(s)):
+                    report.append({"i": i, "j": j, "chi_sum": s, "chi_closed": c, "abs_diff": abs(s - c)})
+        assert list(build_cocycle_table(params, window).items()) == list(table.items())
+        assert reconciliation_report(params, window) == report

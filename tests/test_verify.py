@@ -56,6 +56,22 @@ def test_wedge_state_canonical_sees_a_shifted_view(cfg_square, monkeypatch):
     assert not check.passed and check.max_residual >= 1.0, check
 
 
+@pytest.mark.parametrize(
+    "pair, failing",
+    [((1, 3), {"chi_support"}), ((1, 2), {"chi_support", "chi_mixed_parity"})],
+)
+def test_cocycle_support_checks_see_the_whole_window(cfg_square, monkeypatch, pair, failing):
+    # a chi_sum value off the support levels, or at mixed parity, which the
+    # support-only cocycle table never visits
+    chi_sum = cocycle.chi_sum
+    monkeypatch.setattr(
+        cocycle, "chi_sum", lambda i, j, params: 1j if (i, j) == pair else chi_sum(i, j, params)
+    )
+    checks = {c.name: c for c in verify.verify_cocycle(cfg_square, 4)}
+    assert {name for name in ("chi_support", "chi_mixed_parity") if not checks[name].passed} == failing
+    assert checks["chi_support"].max_residual == 1.0
+
+
 def test_check_result_passed_property():
     good = CheckResult(name="x", status="pass", max_residual=0.0, tolerance=1.0)
     bad = CheckResult(name="x", status="fail", max_residual=2.0, tolerance=1.0)
