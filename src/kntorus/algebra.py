@@ -92,8 +92,9 @@ def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.n
     rows and b in cols, at [a - rows.start, b - cols.start, t] for the
     target a + b - 1 + 2t (t = 0..3).
 
-    The rule is called once for each parity of a and each difference b - a
-    that occurs, and the table is gathered from those values.
+    The rule is called once for each parity of a (both) and each
+    difference b - a that occurs, and the table is gathered from those
+    values.
     """
     first = cols.start - rows[-1]  # the least difference b - a
     diffs = range(first, cols[-1] - rows.start + 1)
