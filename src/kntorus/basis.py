@@ -37,7 +37,7 @@ from .config import (
     reduced_basis,
 )
 from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
-from .errors import BadContourError, NonIntegerWindingError, PoleProximityError
+from .errors import BadContourError, DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
 
 # a puncture circle's radius, as a fraction of the distance from the
@@ -164,9 +164,15 @@ def puncture_circle(s: complex, cfg: TorusConfig) -> PunctureCircle:
     raise ValueError(f"{s} is not a puncture of {cfg}; the punctures are {cfg.punctures()}")
 
 
-def check_away_from_punctures(z: complex, cfg: TorusConfig) -> None:
-    """Raise PoleProximityError inside a puncture exclusion disk."""
-    if cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
+def check_away_from_punctures(z, cfg: TorusConfig) -> None:
+    """Raise PoleProximityError when z, a complex or a complex array, lies
+    inside a puncture exclusion disk; for an array the first such entry is
+    named."""
+    if isinstance(z, np.ndarray):
+        inside = z[distance_to_points_array(z, cfg.punctures(), cfg.tau) <= EXCLUSION_RADIUS]
+        if inside.size:
+            raise PoleProximityError(f"z={complex(inside[0])} is inside a puncture exclusion disk")
+    elif cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
         raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
 
 
@@ -196,18 +202,24 @@ def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray
     Raises PoleProximityError, naming the first such entry, when any entry
     lies inside a puncture exclusion disk.
     """
-    near = np.flatnonzero(distance_to_points_array(z, cfg.punctures(), cfg.tau) <= EXCLUSION_RADIUS)
-    if near.size:
-        raise PoleProximityError(f"z={complex(z.flat[near[0]])} is inside a puncture exclusion disk")
+    check_away_from_punctures(z, cfg)
     return _frame_from(*wp_pair_array(z, cfg), cfg)
 
 
 def monomial(k: int, base, w):
     """A_k from the pole factor base = wp - p and the differential scalar w
-    (scalars or arrays)."""
-    if k % 2 == 0:
-        return base ** (-k // 2)
-    return w * base ** (-(k + 1) // 2)
+    (scalars or arrays).
+
+    Raises DegenerateModuliError, naming k, where a scalar power of base
+    overflows or divides by zero: on a thin lattice wp - p can come within
+    1e-52 of 0 at a sample point.
+    """
+    try:
+        if k % 2 == 0:
+            return base ** (-k // 2)
+        return w * base ** (-(k + 1) // 2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DegenerateModuliError(f"wp - p vanished or overflowed for label k={k}: {exc}") from exc
 
 
 def monomial_derivative(k: int, base, w, w_prime):

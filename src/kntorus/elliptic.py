@@ -10,8 +10,9 @@ N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 The sum takes two entry shapes: ``wp_pair`` gives wp and wp' at one point
 in Python complex arithmetic; ``wp_array`` (wp alone, for the level-line
 scans) and ``wp_pair_array`` (for the array basis frame: circles and
-segments) give them on a numpy array.  The array values agree with wp_pair
-within WP_ARRAY_RTOL * max(1, |value|) (tested).  No path evaluates wp'':
+segments) give them on a numpy array.  No caller compares the two routes;
+WP_ARRAY_RTOL bounds them only in the test that the array values agree with
+wp_pair within WP_ARRAY_RTOL * max(1, |value|).  No path evaluates wp'':
 the basis frame takes it from the algebraic identity
 wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
@@ -37,8 +38,8 @@ from .errors import PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
 
-# bound on |wp_array - wp| / max(1, |wp|), the two paths' rounding
-# differences (measured worst 2.4e-15, exclusion-disk edges included)
+# the tested bound on |wp_array - wp| / max(1, |wp|), the two paths'
+# rounding differences (measured worst 2.4e-15, exclusion-disk edges included)
 WP_ARRAY_RTOL = 1e-13
 
 

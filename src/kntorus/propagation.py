@@ -6,7 +6,10 @@ imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
 fixed by t((1+tau)/4) = 0.  The punctures, p and w itself come from the
 basis frame (``basis.frame`` and ``basis.frame_array``); residues and
-periods integrate w from the array frame.
+periods integrate w from the array frame.  The time function has one
+evaluation, from wp_array: ``time_coordinate`` takes a point or an array,
+and the level-line scan decides every sign and every accepted point from
+the same array values.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .basis import check_away_from_punctures, frame, frame_array, pole_parameter, puncture_circle
 from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
-from .elliptic import WP_ARRAY_RTOL, half_period_values, wp, wp_array
+from .elliptic import half_period_values, wp, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
@@ -115,14 +118,20 @@ def _reference_constant(cfg: TorusConfig) -> float:
     return 0.5 * math.log(abs(wp(ref, cfg) - pole_parameter(cfg)))
 
 
-def time_coordinate(z: complex, cfg: TorusConfig) -> float:
+def time_coordinate(z, cfg: TorusConfig):
     """Harmonic time t(z) = -(1/2) ln|wp(z) - p| + C with t((1+tau)/4) = 0.
 
     t -> -inf at the in-point 0 and +inf at the out-points 1/2 +- q,
-    matching the residue signs (+1, -1/2, -1/2).
+    matching the residue signs (+1, -1/2, -1/2).  z is a complex, giving a
+    float, or a complex array, giving an array of its shape.  A complex is
+    evaluated as a one-entry array, so its value is the one its entry gets
+    in any array call, level_line_samples' included.  Raises
+    PoleProximityError inside a puncture exclusion disk.
     """
     check_away_from_punctures(z, cfg)
-    return -0.5 * math.log(abs(wp(z, cfg) - pole_parameter(cfg))) + _reference_constant(cfg)
+    if isinstance(z, np.ndarray):
+        return _time_array(z, cfg)
+    return float(_time_array(np.array([z], dtype=complex), cfg)[0])
 
 
 def separation_time(cfg: TorusConfig) -> float:
@@ -146,19 +155,10 @@ def mu_modulus(cfg: TorusConfig) -> MuModulus:
     return MuModulus(mu, abs(mu), -0.5 * math.log(abs(mu)))
 
 
-def _time_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray]:
-    """time_coordinate at every entry of a complex array, from wp_array, and a
-    bound on each value's distance from the scalar time_coordinate.
-
-    The bound carries wp_array's error, WP_ARRAY_RTOL * max(1, |wp|), through
-    the logarithm with twice its first-order factor 1/2, and adds
-    1e-14 * max(1, |t|) for the rounding of t.
-    """
-    w = wp_array(z, cfg)
-    gap = np.abs(w - pole_parameter(cfg))
-    t = -0.5 * np.log(gap) + _reference_constant(cfg)
-    slack = WP_ARRAY_RTOL * np.maximum(1.0, np.abs(w)) / gap + 1e-14 * np.maximum(1.0, np.abs(t))
-    return t, slack
+def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
+    # time_coordinate at every entry of a complex array, without its puncture check
+    t = -0.5 * np.log(np.abs(wp_array(z, cfg) - pole_parameter(cfg)))
+    return t + _reference_constant(cfg)
 
 
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
@@ -170,12 +170,10 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     t - u along a grid edge is bisected, all edges in lockstep with one
     array evaluation per halving, until |t - u| <= cfg.tol, or
     BisectionError is raised; an edge whose midpoint falls inside a
-    puncture exclusion disk gives no point.  Wherever the array value of
-    t - u lies within its error bound of the decision being taken (a grid
-    node's sign, a midpoint's acceptance), the scalar time_coordinate
-    decides instead.  So every returned point meets |t - u| <= cfg.tol by
-    time_coordinate, and while wp_array meets its bound the points equal
-    those of a point-by-point scalar scan.  Points come in edge order:
+    puncture exclusion disk gives no point.  Node signs and midpoint
+    acceptance are decided from these array values, which are
+    time_coordinate's bit for bit, so every returned point meets
+    |time_coordinate - u| <= cfg.tol.  Points come in edge order:
     row-major by start node, horizontal edge first.  Raises ValueError for
     a u that is not finite.
     """
@@ -195,24 +193,13 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         z.imag = cb * tau.imag
         return z
 
-    def decide_by_scalar(z: np.ndarray, s: np.ndarray, band: np.ndarray) -> list[int]:
-        # replace s = t - u by the scalar value wherever |s| <= band
-        near = np.flatnonzero(np.abs(s) <= band)
-        for i in near:
-            s[i] = time_coordinate(complex(z[i]), cfg) - u
-        return near.tolist()
-
     # t - u at every node, NaN where skipped
     s = np.full(side * side, np.nan)
     for first in range(0, side * side, GRID_CHUNK):
         k = np.arange(first, min(first + GRID_CHUNK, side * side))
         z = node(k)
         clear = distance_to_points_array(z, punctures, tau) > 4.0 * EXCLUSION_RADIUS
-        k, z = k[clear], z[clear]
-        t, slack = _time_array(z, cfg)
-        sk = t - u
-        decide_by_scalar(z, sk, slack)
-        s[k] = sk
+        s[k[clear]] = _time_array(z[clear], cfg) - u
 
     # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for
     # (k, k+side); products of signs, which cannot overflow as those of s can
@@ -234,26 +221,21 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         zm = 0.5 * (z0 + z1)
         clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
         ids, z0, z1, g0, zm = ids[clear], z0[clear], z1[clear], g0[clear], zm[clear]
-        tm, slack = _time_array(zm, cfg)
-        sm = tm - u
-        done = np.zeros(ids.size, dtype=bool)
-        for i in decide_by_scalar(zm, sm, cfg.tol + slack):
-            if abs(sm[i]) <= cfg.tol:
-                done[i] = True
-                found[int(ids[i])] = complex(zm[i])
+        sm = _time_array(zm, cfg) - u
+        done = np.abs(sm) <= cfg.tol
+        found.update(zip(ids[done].tolist(), zm[done].tolist()))
         gm = np.sign(sm)
         lower = g0 * gm <= 0
         z1 = np.where(lower, zm, z1)
         z0 = np.where(lower, z0, zm)
         g0 = np.where(lower, g0, gm)
         go = ~done
-        ids, z0, z1, g0, zm = ids[go], z0[go], z1[go], g0[go], zm[go]
+        ids, z0, z1, g0, sm = ids[go], z0[go], z1[go], g0[go], sm[go]
     if ids.size:
         bad = ids[0]
-        residual = abs(time_coordinate(complex(zm[0]), cfg) - u)
         raise BisectionError(
             f"level line t = {u!r} on the grid edge [{complex(node(start[bad]))}, "
             f"{complex(node(end[bad]))}] did not converge in {BISECTION_STEPS} halvings: "
-            f"|t - u| = {residual:.3g} > tol = {cfg.tol:.3g}"
+            f"|t - u| = {abs(sm[0]):.3g} > tol = {cfg.tol:.3g}"
         )
     return LevelLineSample(u=u, points=tuple(found[i] for i in sorted(found)))

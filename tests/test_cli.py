@@ -266,6 +266,15 @@ def test_non_finite_circle_frame_names_q_and_tau(capsys):
     assert err.startswith("error: q=(0.2+0j), tau=0.04j: ") and "not finite" in err, err
 
 
+def test_vanishing_pole_factor_names_the_label(capsys):
+    # on these thin lattices |wp - p| falls to about 1e-52 at a sample point,
+    # so a power of it overflows (0.02) or its inverse divides by zero (0.025)
+    for tau_im in ("0.02", "0.025"):
+        code, out, err = run_cli(capsys, "verify", "basis", "--tau-im", tau_im)
+        assert code == 2 and out == ""
+        assert err.startswith("error: wp - p vanished or overflowed for label k="), (tau_im, err)
+
+
 def test_levellines_samples_floor_names_flag(capsys):
     code, out, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "8")
     assert code == 2 and out == ""

@@ -286,7 +286,7 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
     # a sign change with no zero: the bisection narrows onto Re z = 0.1 but
     # |t - u| stays 1, so it must report the edge instead of returning it
     monkeypatch.setattr(
-        propagation, "time_coordinate", lambda z, cfg: 1.0 if z.real > 0.1 else -1.0
+        propagation, "_time_array", lambda z, cfg: np.where(z.real > 0.1, 1.0, -1.0)
     )
     with pytest.raises(BisectionError) as err:
         level_line_samples(cfg_square, 0.0, 16)
@@ -295,9 +295,10 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
 
 
 def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[complex, ...]:
-    """The scan point by point: time_coordinate at every grid node, then each
-    crossing edge bisected on its own, in row-major order, horizontal edge
-    first.  The oracle for level_line_samples."""
+    """The scan edge by edge: time_coordinate at every grid node from one
+    array call, then each crossing edge bisected on its own with scalar
+    calls, in row-major order, horizontal edge first.  The oracle for
+    level_line_samples."""
     tau = cfg.tau
     n = resolution
     coords = [-0.5 + k / n for k in range(n + 1)]
@@ -305,12 +306,14 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     def node(ai: int, bi: int) -> complex:
         return complex(coords[ai] + coords[bi] * tau.real, coords[bi] * tau.imag)
 
-    tvals = {}
-    for bi in range(n + 1):
-        for ai in range(n + 1):
-            z = node(ai, bi)
-            if cfg.distance_to_punctures(z) > 4.0 * EXCLUSION_RADIUS:
-                tvals[(ai, bi)] = time_coordinate(z, cfg)
+    keys = [
+        (ai, bi)
+        for bi in range(n + 1)
+        for ai in range(n + 1)
+        if cfg.distance_to_punctures(node(ai, bi)) > 4.0 * EXCLUSION_RADIUS
+    ]
+    times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
+    tvals = dict(zip(keys, times.tolist()))
 
     def bisect(z0, t0, z1):
         for _ in range(propagation.BISECTION_STEPS):
@@ -339,21 +342,39 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     return tuple(points)
 
 
+LEVEL_LINE_CFGS = (
+    TorusConfig(tau=1j, q=0.2),
+    TorusConfig(tau=-0.4 + 0.93j, q=0.15 + 0.05j),
+    TorusConfig(tau=0.3 + 1.1j, q=0),
+)
+LEVEL_LINE_IDS = ("square", "skewed", "two_point")
+
+
 @pytest.mark.parametrize("resolution", [32, 64])
 @pytest.mark.parametrize(
     "cfg, levels",
-    [
-        (TorusConfig(tau=1j, q=0.2), (-0.45, 0.3)),
-        (TorusConfig(tau=-0.4 + 0.93j, q=0.15 + 0.05j), (-0.2, 0.6)),
-        (TorusConfig(tau=0.3 + 1.1j, q=0), (0.0, 0.8)),
-    ],
-    ids=["square", "skewed", "two_point"],
+    list(zip(LEVEL_LINE_CFGS, ((-0.45, 0.3), (-0.2, 0.6), (0.0, 0.8)))),
+    ids=LEVEL_LINE_IDS,
 )
 def test_level_lines_match_scalar_scan(cfg, levels, resolution):
     for u in levels:
         expected = _level_lines_scalar(cfg, u, resolution)
         assert expected
         assert level_line_samples(cfg, u, resolution).points == expected
+
+
+@pytest.mark.parametrize("cfg", LEVEL_LINE_CFGS, ids=LEVEL_LINE_IDS)
+def test_time_coordinate_is_its_array_entry(cfg):
+    # a complex goes through a one-entry array: its time equals its entry in
+    # array calls of length 1, 7 and 1025 bit for bit
+    pts = np.array(random_points(cfg, 1025, seed=7))
+    times = time_coordinate(pts, cfg)
+    assert times.shape == pts.shape
+    for short in (pts[:1], pts[:7]):
+        assert time_coordinate(short, cfg).tolist() == times[: short.size].tolist()
+    scalars = [time_coordinate(complex(z), cfg) for z in pts]
+    assert all(type(t) is float for t in scalars)
+    assert scalars == times.tolist()
 
 
 def test_segment_integral_reports_unconverged():
