@@ -24,8 +24,8 @@ cli.py alone writes them out.
 jacobi_residual takes ints or broadcastable int arrays of labels: one call
 checks a whole grid of triples.  It reads every bracket from one
 bracket_slots table and forms each complex product from real arrays
-(slot_product) so that every grid entry is bit for bit the scalar call's
-value.
+(config.complex_product) so that every grid entry is bit for bit the
+scalar call's value.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import AlgebraParams, monomial, monomial_derivative
+from .config import complex_product
 
 BracketTerms = dict[int, complex]
 StructureRow = tuple[int, int, int, complex]
@@ -105,13 +106,6 @@ def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.n
     return table.real, table.imag
 
 
-def slot_product(ar, ai, br, bi):
-    """(re, im) of (ar + i ai) * (br + i bi), rounded as Python's complex
-    product: separate real multiplies, so no fused multiply-add (numpy's
-    complex multiply may fuse and differ in the last bit)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def jacobi_residual(i, j, k, params: AlgebraParams):
     """Max-norm of the cyclic Jacobi sum, normalized by the parameter scale.
 
@@ -143,7 +137,7 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
         for t1 in range(4):
             # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
             m = a + b - 1 + 2 * t1 - rows.start
-            p_re, p_im = slot_product(
+            p_re, p_im = complex_product(
                 re[x, y, t1][..., None], im[x, y, t1][..., None], re[m, n], im[m, n]
             )
             term_re[..., t1 : t1 + 4] += p_re

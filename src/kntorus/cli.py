@@ -13,7 +13,8 @@ values; _emit writes them as CSV rows (--format csv) or as the JSON
 envelope {"config", "results", "checks"}, to stdout or to --output.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
-still written), 2 usage or configuration error, 141 standard output was
+still written), 2 usage or configuration error or an --output path that
+cannot be written, 141 standard output was
 closed before all output was written (the status a SIGPIPE death reports;
 e.g. `kntorus table cocycle --format csv | head` under `set -o pipefail`).
 Output is byte-identical across repeated runs with identical arguments.
@@ -158,8 +159,11 @@ def _emit(args: argparse.Namespace, cfg: TorusConfig | None, results, csv_rows, 
     if args.output is None:
         print(text, flush=True)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(f"--output {args.output}: {exc.strerror or exc}") from exc
 
 
 def _cmd_params(args: argparse.Namespace) -> int:

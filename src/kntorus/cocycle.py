@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import bracket_slots, shifted_constants, slot_product
+from .algebra import bracket_slots, shifted_constants
 from .basis import AlgebraParams, PunctureCircle, monomial, puncture_circles
-from .config import TorusConfig
+from .config import TorusConfig, complex_product
 from .errors import BadContourError
 from .quadrature import contour_residue
 
@@ -281,7 +281,7 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
         x, y = b - lo, c - lo
         for t in range(4):
             m = b + c + 2 * t - seconds.start
-            p_re, p_im = slot_product(
+            p_re, p_im = complex_product(
                 c_re[x, y, t], c_im[x, y, t], chi_re[a - lo, m], chi_im[a - lo, m]
             )
             total_re = total_re + p_re

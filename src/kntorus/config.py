@@ -108,6 +108,13 @@ def reduced_basis(tau: complex) -> tuple[complex, complex]:
     return w1, t if t.imag > 0 else -t
 
 
+def complex_product(ar, ai, br, bi):
+    """(re, im) of (ar + i ai) * (br + i bi), rounded as Python's complex
+    product: separate real multiplies, so no fused multiply-add (numpy's
+    complex multiply may fuse and differ in the last bit)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _reduced_parts(z, tau: complex, floor):
     # (re, im) of z reduced mod the lattice to a*w1 + b*w1*t with a, b in
     # [-1/2, 1/2), by real operations only: a Python complex (floor =
@@ -116,14 +123,14 @@ def _reduced_parts(z, tau: complex, floor):
     x, y = z.real, z.imag
     if w1 != 1.0:
         c = 1 / w1
-        x, y = x * c.real - y * c.imag, x * c.imag + y * c.real
+        x, y = complex_product(x, y, c.real, c.imag)
     b = y / t.imag
     a = x - b * t.real
     a -= floor(a + 0.5)
     b -= floor(b + 0.5)
     x, y = a + b * t.real, b * t.imag
     if w1 != 1.0:
-        x, y = x * w1.real - y * w1.imag, x * w1.imag + y * w1.real
+        x, y = complex_product(x, y, w1.real, w1.imag)
     return x, y
 
 

@@ -30,6 +30,7 @@ from .config import (
     CONFIG_CACHE_SIZE,
     EXCLUSION_RADIUS,
     TorusConfig,
+    complex_product,
     reduce_mod_lattice,
     reduce_mod_lattice_array,
     reduced_basis,
@@ -120,13 +121,12 @@ def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndar
         raise PoleProximityError(
             f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
         )
-    # k * zr by real operations, rounded as wp_pair's Python complex product:
-    # near a pole 1 - u cancels, and numpy's product can differ in the last bit
+    # k * zr rounded as wp_pair's Python complex product: near a pole 1 - u
+    # cancels, and numpy's product can differ in the last bit
     constants = _series_constants(cfg.tau)
     k = constants[0]
     arg = np.empty(zr.shape, dtype=complex)
-    arg.real = k.real * zr.real - k.imag * zr.imag
-    arg.imag = k.real * zr.imag + k.imag * zr.real
+    arg.real, arg.imag = complex_product(k.real, k.imag, zr.real, zr.imag)
     return _nome_sum(np.exp(arg), constants, prime)
 
 

@@ -88,6 +88,11 @@ def assert_close(actual, expected, tol, label=""):
     assert err <= tol, f"{label}: |{actual} - {expected}| = {err} > {tol}"
 
 
+def bits(c: complex) -> tuple[str, str]:
+    # float.hex tells 0.0 from -0.0
+    return c.real.hex(), c.imag.hex()
+
+
 LN2_OVER_2 = math.log(2.0) / 2.0
 
 # hypothesis strategies shared between test modules

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_lams, label_lists
+from conftest import bits, complex_lams, label_lists
 from kntorus.algebra import (
     bracket,
     bracket_eval,
@@ -81,11 +81,6 @@ def test_jacobi_examples(cfg_square):
     assert jacobi_residual(1, -1, 3, lam) <= 1e-9
 
 
-def _bits(c: complex) -> tuple[str, str]:
-    # float.hex tells 0.0 from -0.0
-    return c.real.hex(), c.imag.hex()
-
-
 def test_one_slot_rule_bit_for_bit():
     # lams with negative, zero and negative-zero parts; labels -12..12 cover
     # all four parity classes
@@ -102,9 +97,9 @@ def test_one_slot_rule_bit_for_bit():
                 terms = bracket(a, b, params)
                 for t in range(4):
                     slot = complex(re[x, y, t], im[x, y, t])
-                    assert _bits(slot) == _bits(terms.get(a + b - 1 + 2 * t, 0j)), (a, b, t)
-                shifted = {k - 1: _bits(c) for k, c in bracket(a + 1, b + 1, params).items()}
-                assert {k: _bits(c) for k, c in shifted_constants(a, b, params).items()} == shifted
+                    assert bits(slot) == bits(terms.get(a + b - 1 + 2 * t, 0j)), (a, b, t)
+                shifted = {k - 1: bits(c) for k, c in bracket(a + 1, b + 1, params).items()}
+                assert {k: bits(c) for k, c in shifted_constants(a, b, params).items()} == shifted
 
 
 # the slot rule's parameter sets: the Witt algebra, derived at two
@@ -136,7 +131,7 @@ def test_slot_table_gathers_the_slot_rule(params, rows, cols):
     for x, a in enumerate(rows):
         for y, b in enumerate(cols):
             for t, c in enumerate(slot_coefficients(a, b, params)):
-                assert (re[x, y, t].hex(), im[x, y, t].hex()) == _bits(c), (a, b, t)
+                assert (re[x, y, t].hex(), im[x, y, t].hex()) == bits(c), (a, b, t)
 
 
 def test_overflowing_lams_fill_the_tables_without_warning():

@@ -5,6 +5,9 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
+from conftest import bits
 from kntorus import cli
 from kntorus.algebra import build_structure_table
 from kntorus.basis import lambda_coefficients
@@ -74,11 +77,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert [c.get("detail") for c in payload["checks"]] == [None, "segment did not converge"]
 
 
-def _bits(c: complex) -> tuple[str, str]:
-    # float.hex tells 0.0 from -0.0
-    return c.real.hex(), c.imag.hex()
-
-
 def test_table_brackets_csv(capsys):
     # the lines read back to build_structure_table's rows bit for bit, in order
     lam = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
@@ -96,7 +94,7 @@ def test_table_brackets_csv(capsys):
             i, j, k, re, im = line.split(",")
             table.append((int(i), int(j), int(k), (float(re).hex(), float(im).hex())))
         expect = build_structure_table(lam, 2, indexing=indexing)
-        assert table == [(i, j, k, _bits(c)) for i, j, k, c in expect]
+        assert table == [(i, j, k, bits(c)) for i, j, k, c in expect]
 
 
 def test_table_cocycle_witt(capsys):
@@ -140,7 +138,7 @@ def test_table_cocycle_derived_reports(capsys):
         table[int(i), int(j)] = (float(re).hex(), float(im).hex())
     expect = build_cocycle_table(lambda_coefficients(TorusConfig(tau=1j, q=0.2)), 6)
     assert list(table) == sorted(expect)
-    assert table == {key: _bits(c) for key, c in expect.items()}
+    assert table == {key: bits(c) for key, c in expect.items()}
 
 
 def test_table_formal_lambdas(capsys):
@@ -207,6 +205,16 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert "results" in payload
+
+
+@pytest.mark.parametrize("argv", [("params",), ("verify", "elliptic")], ids="-".join)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # exit 1 is verify's "a check failed", so a path that cannot be opened
+    # is an error naming the flag, not a traceback
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 2 and out == "", path
+        assert err.startswith(f"error: --output {path}: ") and err.count("\n") == 1, err
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, suite_checks
@@ -70,6 +71,39 @@ def test_cocycle_support_checks_see_the_whole_window(cfg_square, monkeypatch, pa
     checks = {c.name: c for c in verify.verify_cocycle(cfg_square, 4)}
     assert {name for name in ("chi_support", "chi_mixed_parity") if not checks[name].passed} == failing
     assert checks["chi_support"].max_residual == 1.0
+
+
+def test_check_reduces_its_residuals():
+    # the maximum of any collection, 0.0 when there is none
+    assert verify._check("x", [], 0.0) == CheckResult("x", "pass", 0.0, 0.0)
+    assert verify._check("x", (r for r in ()), 0.0).passed
+    assert verify._check("x", (r for r in (0.5, 2.0, 1.0)), 1.0).max_residual == 2.0
+    # a NaN anywhere fails, however the residuals come
+    nan = math.nan
+    for residuals in ([nan, 0.5], (r for r in (0.5, nan)), np.array([[0.5, 0.1], [nan, 0.2]])):
+        check = verify._check("x", residuals, 1.0)
+        assert check.status == "fail" and math.isnan(check.max_residual), check
+    # an error fails whatever the residuals, and is the detail
+    check = verify._check("x", [0.0], 1.0, "did not converge")
+    assert check.status == "fail" and check.detail == "did not converge"
+    # numpy residuals are reported as a plain float
+    for residuals in ([np.float64(0.25)], np.float64(0.25), np.full((2, 3), 0.25)):
+        check = verify._check("x", residuals, 1.0)
+        assert type(check.max_residual) is float and check.max_residual == 0.25
+
+
+def test_nan_commutator_residual_fails_its_check(cfg_square, monkeypatch):
+    # a worst-value loop kept max(worst, nan) == worst and passed
+    residual, calls = fock.commutator_residual, []
+
+    def nan_second(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 2 else residual(*args)
+
+    monkeypatch.setattr(fock, "commutator_residual", nan_second)
+    check = {c.name: c for c in verify.verify_fock(cfg_square)}["commutator_relation"]
+    assert len(calls) == 10
+    assert check.status == "fail" and math.isnan(check.max_residual), check
 
 
 def test_check_result_passed_property():
