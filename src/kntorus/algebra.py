@@ -15,17 +15,24 @@ read it.  A slot depends only on the label difference j - i and the parity
 of i, so bracket_slots calls it once per (parity, difference) and gathers
 the rows x cols table from those values by index: every entry is still a
 slot_coefficients value, bit for bit.  bracket_numeric realizes the
-defining vector-field bracket pointwise from the frame of a point and
-serves as the independent oracle.  build_structure_table returns the
-nonzero structure constants over an index window as plain rows
-(i, j, k, c) in (i, j, k) order, read from one bracket_slots table;
-cli.py alone writes them out.
+defining vector-field bracket A_i A_j' - A_j A_i' from the values and
+derivatives of two basis functions, at a point or on arrays, and serves as
+the independent oracle.  bracket_oracle evaluates both sides of that
+oracle at many drawn (pair, point) entries from shared tables: one frame
+array of the points, one table of basis.monomial and one of
+basis.monomial_derivative over the labels, and one bracket_slots table.
+build_structure_table returns the nonzero structure constants over an
+index window as plain rows (i, j, k, c) in (i, j, k) order, read from one
+bracket_slots table; cli.py alone writes them out.
 
 jacobi_residual takes ints or broadcastable int arrays of labels: one call
 checks a whole grid of triples.  It reads every bracket from one
-bracket_slots table and forms each complex product from real arrays
-(config.complex_product) so that every grid entry is bit for bit the
-scalar call's value.
+bracket_slots table, forms the cyclic term once over the cube of the
+labels that occur (label_positions) and reads the other two cyclic terms
+from it with its axes rotated.  Each complex product is formed from real
+arrays (config.complex_product) and the sums run in the scalar
+definition's order, so every grid entry is bit for bit the scalar call's
+value.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 from .basis import AlgebraParams, monomial, monomial_derivative
 from .config import complex_product
+from .errors import DegenerateModuliError
 
 BracketTerms = dict[int, complex]
 StructureRow = tuple[int, int, int, complex]
@@ -68,24 +76,15 @@ def shifted_constants(i: int, j: int, params: AlgebraParams) -> BracketTerms:
     return {i + j + 2 * t: c for t, c in enumerate(slot_coefficients(i + 1, j + 1, params)) if c}
 
 
-def bracket_numeric(i: int, j: int, frame: tuple[complex, complex, complex]) -> complex:
-    """Pointwise vector-field bracket A_i * A_j' - A_j * A_i' from the frame
-    (base, w, w') of a point, as basis.frame returns it.
+def bracket_numeric(value_i, derivative_i, value_j, derivative_j):
+    """Pointwise vector-field bracket A_i * A_j' - A_j * A_i' from the values
+    and derivatives of A_i and A_j (basis.monomial and
+    basis.monomial_derivative), at a point or at arrays of points alike.
 
     Truth oracle for bracket(): the closed-form constants must reproduce
     this value when contracted with the basis functions.
     """
-    base, w, w_prime = frame
-    return monomial(i, base, w) * monomial_derivative(j, base, w, w_prime) - monomial(
-        j, base, w
-    ) * monomial_derivative(i, base, w, w_prime)
-
-
-def bracket_eval(terms: BracketTerms, frame: tuple[complex, complex, complex]) -> complex:
-    """Contract bracket terms (as bracket() returns them) with the basis
-    functions at the point of frame."""
-    base, w, _ = frame
-    return sum(c * monomial(k, base, w) for k, c in terms.items())
+    return value_i * derivative_j - value_j * derivative_i
 
 
 def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +105,64 @@ def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.n
     return table.real, table.imag
 
 
+def bracket_oracle(
+    params: AlgebraParams, labels: range, frame: tuple[np.ndarray, np.ndarray, np.ndarray], draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the bracket oracle at drawn points: the slot contraction
+    sum_t C_t A_{i+j-1+2t} and bracket_numeric(A_i, A_i', A_j, A_j'), for
+    i = labels[x], j = labels[y] at the point draws[x, y, ...] of frame
+    (as basis.frame_array returns it), in the shape of draws.
+
+    A_k is read from one table of basis.monomial over [2 lo - 1, 2 hi + 5]
+    and A_k' from one of basis.monomial_derivative over labels, and the
+    slots from one bracket_slots table; a zero slot adds no term, as
+    bracket() drops it.  Raises DegenerateModuliError, naming the least
+    such label, where a value that a draw reads is not finite: on a thin
+    lattice wp - p can come so close to 0 that its power vanishes or
+    overflows.
+    """
+    base, w, w_prime = frame
+    targets = range(2 * labels.start - 1, 2 * labels[-1] + 6)
+    re, im = bracket_slots(params, labels, labels)
+    x, y = np.indices(draws.shape)[:2]
+    i, j = x + labels.start, y + labels.start
+    k = (i + j - 1)[..., None] + 2 * np.arange(4)  # the targets of [l_i, l_j]
+    slots = np.empty(re.shape, complex)
+    slots.real, slots.imag = re, im
+    slots = slots[x, y]
+    with np.errstate(all="ignore"):
+        values = np.array([monomial(t, base, w) for t in targets])
+        derivatives = np.array([monomial_derivative(t, base, w, w_prime) for t in labels])
+        terms = np.where(slots != 0, values[k - targets.start, draws[..., None]], 0)
+        value_i, value_j = values[i - targets.start, draws], values[j - targets.start, draws]
+        contraction = (slots * terms).sum(axis=-1)
+        numeric = bracket_numeric(value_i, derivatives[x, draws], value_j, derivatives[y, draws])
+    degenerate = np.concatenate(
+        [k[~np.isfinite(terms)], i[~np.isfinite(value_i)], j[~np.isfinite(value_j)]]
+    )
+    if degenerate.size:
+        label = degenerate.min()
+        raise DegenerateModuliError(
+            f"wp - p vanished or overflowed for label k={label}: A_{label} is not finite at a sample point"
+        )
+    return contraction, numeric
+
+
+def label_positions(i, j, k) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """U, the sorted labels that occur in the int arrays i, j, k, and the
+    position in U of every entry of each.
+
+    U comes from a presence mask over [min, max] (np.unique would sort and
+    cost more memory for the same answer).
+    """
+    lo = int(min(i.min(), j.min(), k.min()))
+    present = np.zeros(int(max(i.max(), j.max(), k.max())) - lo + 1, bool)
+    for a in (i, j, k):
+        present[a - lo] = True
+    position = np.cumsum(present) - 1
+    return np.flatnonzero(present) + lo, tuple(position[a - lo] for a in (i, j, k))
+
+
 def jacobi_residual(i, j, k, params: AlgebraParams):
     """Max-norm of the cyclic Jacobi sum, normalized by the parameter scale.
 
@@ -114,38 +171,38 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
     floating-point noise well below 1e-9.
 
     i, j, k are ints (the result is a float) or broadcastable int arrays
-    (an array of the broadcast shape).  Both brackets of each term are read
-    from one bracket_slots table, so from the slot rule bracket() reads.
+    (an array of the broadcast shape).  Both brackets are read from one
+    bracket_slots table, so from the slot rule bracket() reads.
     [[l_a, l_b], l_c] has its targets at a + b + c - 2 + 2s, s = 0..6, the
-    same for all three cyclic terms.  Each term sums its products from zero
-    with the outer slot ascending, and the terms add in the order (i, j, k),
+    same for all three cyclic terms.  The term T[a, b, c] is formed once
+    for every a, b, c in U, the labels that occur: its products add from
+    zero with the outer slot ascending.  The terms (j, k, i) and (k, i, j)
+    are T with its axes rotated, and the three add in the order (i, j, k),
     (j, k, i), (k, i, j): the summation order of the scalar definition, so
     the value does not depend on the shape of the call.
     """
-    i, j, k = np.broadcast_arrays(i, j, k)
-    lo = int(min(i.min(), j.min(), k.min()))
-    hi = int(max(i.max(), j.max(), k.max()))
+    labels, positions = label_positions(*np.broadcast_arrays(i, j, k))
+    lo, hi = int(labels[0]), int(labels[-1])
     # [l_a, l_b] lands on m in [2lo - 1, 2hi + 5], which [l_m, l_c] reads again
     rows, cols = range(min(lo, 2 * lo - 1), max(hi, 2 * hi + 5) + 1), range(lo, hi + 1)
     re, im = bracket_slots(params, rows, cols)
-    total_re = np.zeros(i.shape + (7,))
-    total_im = np.zeros_like(total_re)
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        x, y, n = a - rows.start, b - cols.start, c - cols.start
-        term_re = np.zeros_like(total_re)
-        term_im = np.zeros_like(total_re)
-        for t1 in range(4):
-            # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
-            m = a + b - 1 + 2 * t1 - rows.start
-            p_re, p_im = complex_product(
-                re[x, y, t1][..., None], im[x, y, t1][..., None], re[m, n], im[m, n]
-            )
-            term_re[..., t1 : t1 + 4] += p_re
-            term_im[..., t1 : t1 + 4] += p_im
-        total_re += term_re
-        total_im += term_im
+    a, b, c = np.ix_(labels, labels, labels)
+    x, y, n = a - rows.start, b - cols.start, c - cols.start
+    term_re = np.zeros((labels.size,) * 3 + (7,))
+    term_im = np.zeros_like(term_re)
+    for t1 in range(4):
+        # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
+        m = a + b - 1 + 2 * t1 - rows.start
+        p_re, p_im = complex_product(
+            re[x, y, t1][..., None], im[x, y, t1][..., None], re[m, n], im[m, n]
+        )
+        term_re[..., t1 : t1 + 4] += p_re
+        term_im[..., t1 : t1 + 4] += p_im
+    total_re, total_im = (
+        t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3) for t in (term_re, term_im)
+    )
     scale = params.scale()
-    residual = np.hypot(total_re, total_im).max(axis=-1) / (scale * scale)
+    residual = np.hypot(total_re, total_im).max(axis=-1)[positions] / (scale * scale)
     return float(residual) if residual.ndim == 0 else residual
 
 

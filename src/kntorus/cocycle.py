@@ -30,7 +30,10 @@ cocycle_identity_residual checks the two-cocycle identity of chi_sum on
 ints or on a whole grid of label triples in one call: it reads the
 structure constants from one algebra.bracket_slots table, filled from the
 slot rule that shifted_constants reads, and chi_sum from one table over the
-window, and gives every grid entry bit for bit the scalar call's value.
+window.  It forms the four products C_bc^m chi_am (m = b + c + 2t) once
+over the cube of the labels that occur and reads the other two cyclic
+terms from them with their axes rotated, adding in the scalar definition's
+order, so every grid entry is bit for bit the scalar call's value.
 
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import bracket_slots, shifted_constants
+from .algebra import bracket_slots, label_positions, shifted_constants
 from .basis import AlgebraParams, PunctureCircle, monomial, puncture_circles
 from .config import TorusConfig, complex_product
 from .errors import BadContourError
@@ -261,32 +264,37 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     (an array of the broadcast shape).  C_bc^m is slot t of
     algebra.slot_coefficients(b + 1, c + 1), read from one bracket_slots
     table, at m = b + c + 2t (the shifted_constants key), and chi_sum is
-    read from one table over the window; the products add into one running
-    sum, t ascending within each cyclic term and the terms in the order
-    (i, j, k), (j, k, i), (k, i, j), as the scalar definition does, so the
-    value does not depend on the shape of the call.
+    read from one table over the window.  The products
+    Q_t[a, b, c] = C_bc^m chi_am are formed once for every a, b, c in U,
+    the labels that occur; the term (j, k, i) is Q_t with its axes rotated,
+    and likewise (k, i, j).  They add into one running sum, t ascending
+    within each cyclic term and the terms in the order (i, j, k),
+    (j, k, i), (k, i, j), as the scalar definition does, so the value does
+    not depend on the shape of the call.
     """
-    i, j, k = np.broadcast_arrays(i, j, k)
-    lo = int(min(i.min(), j.min(), k.min()))
-    hi = int(max(i.max(), j.max(), k.max()))
+    labels, positions = label_positions(*np.broadcast_arrays(i, j, k))
+    lo, hi = int(labels[0]), int(labels[-1])
     # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
     shifted = range(lo + 1, hi + 2)
     c_re, c_im = bracket_slots(params, shifted, shifted)
     seconds = range(2 * lo, 2 * hi + 7)
     chi = np.array([[chi_sum(a, m, params) for m in seconds] for a in range(lo, hi + 1)])
     chi_re, chi_im = chi.real, chi.imag
-    total_re = np.zeros(i.shape)
-    total_im = np.zeros(i.shape)
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        x, y = b - lo, c - lo
-        for t in range(4):
-            m = b + c + 2 * t - seconds.start
-            p_re, p_im = complex_product(
-                c_re[x, y, t], c_im[x, y, t], chi_re[a - lo, m], chi_im[a - lo, m]
-            )
-            total_re = total_re + p_re
-            total_im = total_im + p_im
-    residual = np.hypot(total_re, total_im) / (params.scale() ** 3)
+    # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over every a, b, c in U;
+    # the index arrays are labels - lo, so m - seconds.start is b + c + 2t
+    a, b, c = np.ix_(labels - lo, labels - lo, labels - lo)
+    products = []
+    for t in range(4):
+        m = b + c + 2 * t
+        products.append(complex_product(c_re[b, c, t], c_im[b, c, t], chi_re[a, m], chi_im[a, m]))
+    total_re = np.zeros((labels.size,) * 3)
+    total_im = np.zeros_like(total_re)
+    # the term (j, k, i) of the triple (i, j, k) is Q_t at (j, k, i): Q_t with its axes rotated
+    for axes in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+        for p_re, p_im in products:
+            total_re = total_re + p_re.transpose(axes)
+            total_im = total_im + p_im.transpose(axes)
+    residual = np.hypot(total_re, total_im)[positions] / (params.scale() ** 3)
     return float(residual) if residual.ndim == 0 else residual
 
 

@@ -1,14 +1,16 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, complex_lams, label_lists
+from kntorus import basis
 from kntorus.algebra import (
     bracket,
-    bracket_eval,
     bracket_numeric,
+    bracket_oracle,
     bracket_slots,
     build_structure_table,
     jacobi_residual,
@@ -22,9 +24,11 @@ from kntorus.basis import (
     formal_params,
     frame,
     lambda_coefficients,
+    monomial,
+    monomial_derivative,
 )
 from kntorus.config import TorusConfig
-from kntorus.verify import random_formal_sets, random_points
+from kntorus.verify import label_grid, random_formal_sets, random_points
 
 
 def test_bracket_even_even(cfg_square):
@@ -49,14 +53,26 @@ def test_bracket_odd_even_pattern(cfg_square):
     assert terms[8] == -2 * lam.lam7
 
 
+def _numeric(i, j, fr):
+    """bracket_numeric of the labels i, j at the scalar frame fr."""
+    return bracket_numeric(
+        monomial(i, *fr[:2]), monomial_derivative(i, *fr), monomial(j, *fr[:2]), monomial_derivative(j, *fr)
+    )
+
+
+def _contraction(terms, fr):
+    """The terms of bracket() contracted with the basis functions at the scalar frame fr."""
+    return sum(c * monomial(k, *fr[:2]) for k, c in terms.items())
+
+
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
     z = random_points(cfg_square, 1, seed=41)[0]
-    assert bracket_numeric(3, 3, frame(z, cfg_square)) == 0j
+    assert _numeric(3, 3, frame(z, cfg_square)) == 0j
 
 
 def test_bracket_numeric_even_pair(cfg_square):
     for z in random_points(cfg_square, 5, seed=42):
-        lhs = bracket_numeric(2, 4, frame(z, cfg_square))
+        lhs = _numeric(2, 4, frame(z, cfg_square))
         rhs = 2 * basis_value(5, z, cfg_square)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
@@ -65,9 +81,25 @@ def test_bracket_numeric_mixed_pair(cfg_square):
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 5, seed=43):
         fr = frame(z, cfg_square)
-        lhs = bracket_numeric(1, -1, fr)
-        rhs = bracket_eval(bracket(1, -1, lam), fr)
+        lhs = _numeric(1, -1, fr)
+        rhs = _contraction(bracket(1, -1, lam), fr)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("cfg", [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)])
+def test_bracket_oracle_tables_are_the_scalar_oracle(cfg):
+    # drawn at every point, each entry of both tables is the scalar
+    # contraction and the scalar bracket_numeric there, to rounding
+    params = lambda_coefficients(cfg)
+    pts = random_points(cfg, 25, seed=402)
+    labels = range(-6, 7)
+    draws = np.tile(np.arange(len(pts)), (len(labels), len(labels), 1))
+    contraction, numeric = bracket_oracle(params, labels, basis.frame_array(np.array(pts), cfg), draws)
+    assert contraction.shape == numeric.shape == draws.shape
+    for (x, y, d), p in np.ndenumerate(draws):
+        i, j, fr = labels[x], labels[y], frame(pts[p], cfg)
+        for value, ref in ((contraction, _contraction(bracket(i, j, params), fr)), (numeric, _numeric(i, j, fr))):
+            assert abs(value[x, y, d] - ref) <= 1e-13 * max(1.0, abs(ref)), (i, j, p)
 
 
 def test_jacobi_examples(cfg_square):
@@ -156,10 +188,7 @@ def test_bracket_antisymmetry_random_lam(lam, i, j):
     assert bracket(j, i, params) == {k: -c for k, c in bracket(i, j, params).items()}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.tuples(complex_lams, complex_lams, complex_lams), labels, labels, labels)
-def test_jacobi_random_lam(lam, i, j, k):
-    params = formal_params(*lam)
+def _jacobi_by_loop(i: int, j: int, k: int, params) -> float:
     # the cyclic sum straight from bracket(), with no reuse of brackets, in
     # jacobi_residual's order of summation
     total = {}
@@ -171,9 +200,28 @@ def test_jacobi_random_lam(lam, i, j, k):
         for target, value in term.items():
             total[target] = total.get(target, 0j) + value
     scale = params.scale()
-    direct = max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
+    return max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), labels, labels, labels)
+def test_jacobi_random_lam(lam, i, j, k):
+    params = formal_params(*lam)
+    direct = _jacobi_by_loop(i, j, k, params)
     assert jacobi_residual(i, j, k, params) == direct
     assert direct <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "params", [random_formal_sets(1, seed=403)[0], lambda_coefficients(TorusConfig(tau=1j, q=0.2))]
+)
+def test_jacobi_verify_grids_are_the_definition(params):
+    # the [-5, 5]^3 grid of verify algebra and a grid with gaps, entry by entry
+    gaps = np.array([-12, 0, 7])
+    for grid in (label_grid(5), np.meshgrid(gaps, gaps, gaps, indexing="ij", sparse=True)):
+        residual = jacobi_residual(*grid, params)
+        for index, value in np.ndenumerate(residual):
+            assert value == _jacobi_by_loop(*(int(g[index]) for g in np.broadcast_arrays(*grid)), params)
 
 
 @settings(max_examples=25, deadline=None)

@@ -283,6 +283,22 @@ def test_vanishing_pole_factor_names_the_label(capsys):
         assert err.startswith("error: wp - p vanished or overflowed for label k="), (tau_im, err)
 
 
+def test_thin_lattice_algebra_outcomes(capsys):
+    # |wp - p| falls to 1.7e-71 at a sample point at tau = 0.015i, so the fifth
+    # power that A_9 inverts vanishes; at 0.02 to 0.03 the oracle's drawn
+    # values overflow (to a NaN at 0.02) and fail its check, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "verify", "algebra", "--tau-im", "0.015")
+        assert code == 2 and out == ""
+        assert err.startswith("error: wp - p vanished or overflowed for label k=9:"), err
+        for tau_im in ("0.02", "0.025", "0.03"):
+            code, out, err = run_cli(capsys, "verify", "algebra", "--tau-im", tau_im)
+            check = {c["name"]: c for c in json.loads(out)["checks"]}["bracket_oracle_equivalence"]
+            assert code == 1 and err == "" and check["status"] == "fail", tau_im
+            assert math.isnan(check["max_residual"]) == (tau_im == "0.02"), tau_im
+
+
 def test_levellines_samples_floor_names_flag(capsys):
     code, out, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "8")
     assert code == 2 and out == ""

@@ -295,6 +295,18 @@ def test_identity_grid_equals_scalar_calls(lam, i, j, k):
         assert value == scalar == _identity_by_loop(i[a], j[b], k[c], params)
 
 
+@pytest.mark.parametrize(
+    "params", [random_formal_sets(1, seed=404)[0], lambda_coefficients(TorusConfig(tau=1j, q=0.2))]
+)
+def test_identity_verify_grids_are_the_definition(params):
+    # the [-4, 4]^3 grid of verify cocycle and a grid with gaps, entry by entry
+    gaps = np.array([-12, 0, 7])
+    for grid in (label_grid(4), np.meshgrid(gaps, gaps, gaps, indexing="ij", sparse=True)):
+        residual = cocycle_identity_residual(*grid, params)
+        for index, value in np.ndenumerate(residual):
+            assert value == _identity_by_loop(*(int(g[index]) for g in np.broadcast_arrays(*grid)), params)
+
+
 def test_identity_trivial_cases(cfg_square):
     lam = lambda_coefficients(cfg_square)
     assert cocycle_identity_residual(2, -1, -1, WITT_PARAMS) <= 1e-12
