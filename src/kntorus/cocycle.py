@@ -292,8 +292,8 @@ def cocycle_identity_residual(i, j, k, params: AlgebraParams):
     # the term (j, k, i) of the triple (i, j, k) is Q_t at (j, k, i): Q_t with its axes rotated
     for axes in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
         for p_re, p_im in products:
-            total_re = total_re + p_re.transpose(axes)
-            total_im = total_im + p_im.transpose(axes)
+            total_re += p_re.transpose(axes)
+            total_im += p_im.transpose(axes)
     residual = np.hypot(total_re, total_im)[positions] / (params.scale() ** 3)
     return float(residual) if residual.ndim == 0 else residual
 
