@@ -25,14 +25,12 @@ build_structure_table returns the nonzero structure constants over an
 index window as plain rows (i, j, k, c) in (i, j, k) order, read from one
 bracket_slots table; cli.py alone writes them out.
 
-jacobi_residual takes ints or broadcastable int arrays of labels: one call
-checks a whole grid of triples.  It reads every bracket from one
-bracket_slots table, forms the cyclic term once over the cube of the
-labels that occur (label_positions) and reads the other two cyclic terms
-from it with its axes rotated.  Each complex product is formed from real
-arrays (config.complex_product) and the sums run in the scalar
-definition's order, so every grid entry is bit for bit the scalar call's
-value.
+jacobi_residual(bound, params) checks the Jacobi identity on every label
+triple of the cube [-bound, bound]^3 in one call.  It reads every bracket
+from one bracket_slots table, forms the cyclic term once over the cube and
+reads the other two cyclic terms from it with its axes rotated.  Each
+complex product is formed from real arrays (config.complex_product) and
+the sums run in the order of the cyclic sum's definition.
 """
 
 from __future__ import annotations
@@ -87,10 +85,10 @@ def bracket_numeric(value_i, derivative_i, value_j, derivative_j):
     return value_i * derivative_j - value_j * derivative_i
 
 
-def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of slot_coefficients(a, b, params) for a in
-    rows and b in cols, at [a - rows.start, b - cols.start, t] for the
-    target a + b - 1 + 2t (t = 0..3).
+def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> np.ndarray:
+    """slot_coefficients(a, b, params) for a in rows and b in cols, as one
+    complex array, at [a - rows.start, b - cols.start, t] for the target
+    a + b - 1 + 2t (t = 0..3).
 
     The rule is called once for each parity of a (both) and each
     difference b - a that occurs, and the table is gathered from those
@@ -101,8 +99,7 @@ def bracket_slots(params: AlgebraParams, rows: range, cols: range) -> tuple[np.n
     slots = np.array([[slot_coefficients(p, p + d, params) for d in diffs] for p in (0, 1)])
     a = np.arange(rows.start, rows.stop)[:, None]
     b = np.arange(cols.start, cols.stop)[None, :]
-    table = slots[a % 2, b - a - first]
-    return table.real, table.imag
+    return slots[a % 2, b - a - first]
 
 
 def bracket_oracle(
@@ -123,13 +120,10 @@ def bracket_oracle(
     """
     base, w, w_prime = frame
     targets = range(2 * labels.start - 1, 2 * labels[-1] + 6)
-    re, im = bracket_slots(params, labels, labels)
     x, y = np.indices(draws.shape)[:2]
     i, j = x + labels.start, y + labels.start
     k = (i + j - 1)[..., None] + 2 * np.arange(4)  # the targets of [l_i, l_j]
-    slots = np.empty(re.shape, complex)
-    slots.real, slots.imag = re, im
-    slots = slots[x, y]
+    slots = bracket_slots(params, labels, labels)[x, y]
     with np.errstate(all="ignore"):
         values = np.array([monomial(t, base, w) for t in targets])
         derivatives = np.array([monomial_derivative(t, base, w, w_prime) for t in labels])
@@ -148,47 +142,33 @@ def bracket_oracle(
     return contraction, numeric
 
 
-def label_positions(i, j, k) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """U, the sorted labels that occur in the int arrays i, j, k, and the
-    position in U of every entry of each.
-
-    U comes from a presence mask over [min, max] (np.unique would sort and
-    cost more memory for the same answer).
-    """
-    lo = int(min(i.min(), j.min(), k.min()))
-    present = np.zeros(int(max(i.max(), j.max(), k.max())) - lo + 1, bool)
-    for a in (i, j, k):
-        present[a - lo] = True
-    position = np.cumsum(present) - 1
-    return np.flatnonzero(present) + lo, tuple(position[a - lo] for a in (i, j, k))
-
-
-def jacobi_residual(i, j, k, params: AlgebraParams):
-    """Max-norm of the cyclic Jacobi sum, normalized by the parameter scale.
+def jacobi_residual(bound: int, params: AlgebraParams) -> np.ndarray:
+    """Max-norm of the cyclic Jacobi sum, normalized by the parameter scale,
+    for every label triple (i, j, k) in [-bound, bound]^3, at
+    [i + bound, j + bound, k + bound].
 
     The double brackets are quadratic in lam4..lam7, so the residual is
     divided by max(1, max|lam|)^2; an exact Lie algebra leaves only
     floating-point noise well below 1e-9.
 
-    i, j, k are ints (the result is a float) or broadcastable int arrays
-    (an array of the broadcast shape).  Both brackets are read from one
-    bracket_slots table, so from the slot rule bracket() reads.
-    [[l_a, l_b], l_c] has its targets at a + b + c - 2 + 2s, s = 0..6, the
-    same for all three cyclic terms.  The term T[a, b, c] is formed once
-    for every a, b, c in U, the labels that occur: its products add from
+    Both brackets are read from one bracket_slots table, so from the slot
+    rule bracket() reads.  [[l_a, l_b], l_c] has its targets at
+    a + b + c - 2 + 2s, s = 0..6, the same for all three cyclic terms.  The
+    term T[a, b, c] is formed once over the cube: its products add from
     zero with the outer slot ascending.  The terms (j, k, i) and (k, i, j)
     are T with its axes rotated, and the three add in the order (i, j, k),
-    (j, k, i), (k, i, j): the summation order of the scalar definition, so
-    the value does not depend on the shape of the call.
+    (j, k, i), (k, i, j).
     """
-    labels, positions = label_positions(*np.broadcast_arrays(i, j, k))
-    lo, hi = int(labels[0]), int(labels[-1])
-    # [l_a, l_b] lands on m in [2lo - 1, 2hi + 5], which [l_m, l_c] reads again
-    rows, cols = range(min(lo, 2 * lo - 1), max(hi, 2 * hi + 5) + 1), range(lo, hi + 1)
-    re, im = bracket_slots(params, rows, cols)
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    labels = range(-bound, bound + 1)
+    # [l_a, l_b] lands on m in [-2 bound - 1, 2 bound + 5], which [l_m, l_c] reads again
+    rows = range(-2 * bound - 1, 2 * bound + 6)
+    slots = bracket_slots(params, rows, labels)
+    re, im = slots.real, slots.imag
     a, b, c = np.ix_(labels, labels, labels)
-    x, y, n = a - rows.start, b - cols.start, c - cols.start
-    term_re = np.zeros((labels.size,) * 3 + (7,))
+    x, y, n = a - rows.start, b - labels.start, c - labels.start
+    term_re = np.zeros((len(labels),) * 3 + (7,))
     term_im = np.zeros_like(term_re)
     for t1 in range(4):
         # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
@@ -202,8 +182,7 @@ def jacobi_residual(i, j, k, params: AlgebraParams):
         t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3) for t in (term_re, term_im)
     )
     scale = params.scale()
-    residual = np.hypot(total_re, total_im).max(axis=-1)[positions] / (scale * scale)
-    return float(residual) if residual.ndim == 0 else residual
+    return np.hypot(total_re, total_im).max(axis=-1) / (scale * scale)
 
 
 def build_structure_table(
@@ -225,9 +204,7 @@ def build_structure_table(
     shift = 0 if indexing == "original" else 1
     labels = range(-window, window + 1)
     slot_labels = range(labels.start + shift, labels.stop + shift)
-    re, im = bracket_slots(params, slot_labels, slot_labels)
-    slots = np.empty(re.shape, complex)
-    slots.real, slots.imag = re, im
+    slots = bracket_slots(params, slot_labels, slot_labels)
     rows: list[StructureRow] = []
     for x, i in enumerate(labels):
         # the nonzero slots t of [l_i, l_j], j = labels[y], in (y, t) order

@@ -26,14 +26,14 @@ connect the two:
 The tests ground the flags exactly: at integer parameter probes the
 wedge vacuum gives -chi_sum bit for bit.
 
-cocycle_identity_residual checks the two-cocycle identity of chi_sum on
-ints or on a whole grid of label triples in one call: it reads the
-structure constants from one algebra.bracket_slots table, filled from the
-slot rule that shifted_constants reads, and chi_sum from one table over the
-window.  It forms the four products C_bc^m chi_am (m = b + c + 2t) once
-over the cube of the labels that occur and reads the other two cyclic
-terms from them with their axes rotated, adding in the scalar definition's
-order, so every grid entry is bit for bit the scalar call's value.
+cocycle_identity_residual(bound, params) checks the two-cocycle identity
+of chi_sum on every label triple of the cube [-bound, bound]^3 in one
+call: it reads the structure constants from one algebra.bracket_slots
+table, filled from the slot rule that shifted_constants reads, and chi_sum
+from one table over the window.  It forms the four products C_bc^m chi_am
+(m = b + c + 2t) once over the cube and reads the other two cyclic terms
+from them with their axes rotated, adding in the order of the cyclic sum's
+definition.
 
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import bracket_slots, label_positions, shifted_constants
+from .algebra import bracket_slots, shifted_constants
 from .basis import AlgebraParams, PunctureCircle, monomial, puncture_circles
 from .config import TorusConfig, complex_product
 from .errors import BadContourError
@@ -254,54 +254,57 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
 # identities, tables, reconciliation
 
 
-def cocycle_identity_residual(i, j, k, params: AlgebraParams):
-    """Two-cocycle identity residual, normalized by the cubic parameter scale.
+def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
+    """Two-cocycle identity residual, normalized by the cubic parameter
+    scale, for every label triple (i, j, k) in [-bound, bound]^3, at
+    [i + bound, j + bound, k + bound].
 
     Cyclic sum over (i, j, k) of sum_m C_jk^m chi_im; zero for any valid
     cocycle, in either orientation (the identity is linear in chi and C).
 
-    i, j, k are ints (the result is a float) or broadcastable int arrays
-    (an array of the broadcast shape).  C_bc^m is slot t of
-    algebra.slot_coefficients(b + 1, c + 1), read from one bracket_slots
-    table, at m = b + c + 2t (the shifted_constants key), and chi_sum is
-    read from one table over the window.  The products
-    Q_t[a, b, c] = C_bc^m chi_am are formed once for every a, b, c in U,
-    the labels that occur; the term (j, k, i) is Q_t with its axes rotated,
-    and likewise (k, i, j).  They add into one running sum, t ascending
-    within each cyclic term and the terms in the order (i, j, k),
-    (j, k, i), (k, i, j), as the scalar definition does, so the value does
-    not depend on the shape of the call.
+    C_bc^m is slot t of algebra.slot_coefficients(b + 1, c + 1), read from
+    one bracket_slots table, at m = b + c + 2t (the shifted_constants key),
+    and chi_sum is read from one table over the window.  The products
+    Q_t[a, b, c] = C_bc^m chi_am are formed once over the cube; the term
+    (j, k, i) is Q_t with its axes rotated, and likewise (k, i, j).  They
+    add into one running sum, t ascending within each cyclic term and the
+    terms in the order (i, j, k), (j, k, i), (k, i, j).
     """
-    labels, positions = label_positions(*np.broadcast_arrays(i, j, k))
-    lo, hi = int(labels[0]), int(labels[-1])
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    labels = range(-bound, bound + 1)
     # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
-    shifted = range(lo + 1, hi + 2)
-    c_re, c_im = bracket_slots(params, shifted, shifted)
-    seconds = range(2 * lo, 2 * hi + 7)
-    chi = np.array([[chi_sum(a, m, params) for m in seconds] for a in range(lo, hi + 1)])
+    shifted = range(1 - bound, bound + 2)
+    slots = bracket_slots(params, shifted, shifted)
+    c_re, c_im = slots.real, slots.imag
+    seconds = range(-2 * bound, 2 * bound + 7)
+    chi = np.array([[chi_sum(a, m, params) for m in seconds] for a in labels])
     chi_re, chi_im = chi.real, chi.imag
-    # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over every a, b, c in U;
-    # the index arrays are labels - lo, so m - seconds.start is b + c + 2t
-    a, b, c = np.ix_(labels - lo, labels - lo, labels - lo)
+    # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over the cube; the index
+    # arrays are the labels + bound, so m - seconds.start is b + c + 2t
+    index = range(len(labels))
+    a, b, c = np.ix_(index, index, index)
     products = []
     for t in range(4):
         m = b + c + 2 * t
         products.append(complex_product(c_re[b, c, t], c_im[b, c, t], chi_re[a, m], chi_im[a, m]))
-    total_re = np.zeros((labels.size,) * 3)
+    total_re = np.zeros((len(labels),) * 3)
     total_im = np.zeros_like(total_re)
     # the term (j, k, i) of the triple (i, j, k) is Q_t at (j, k, i): Q_t with its axes rotated
     for axes in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
         for p_re, p_im in products:
             total_re += p_re.transpose(axes)
             total_im += p_im.transpose(axes)
-    residual = np.hypot(total_re, total_im)[positions] / (params.scale() ** 3)
-    return float(residual) if residual.ndim == 0 else residual
+    return np.hypot(total_re, total_im) / (params.scale() ** 3)
 
 
 def _support_pairs(window: int):
     """The pairs (i, j) over [-window, window]^2, in (i, j) order, whose level
     i + j is a key level of _CHI_POLY, _ODD_TABLE or _EVEN_TABLE: the only
-    pairs where chi_sum or chi_closed can be nonzero."""
+    pairs where chi_sum or chi_closed can be nonzero.  Raises ValueError
+    for window < 1 when iterated."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
     levels = sorted({level for level, _ in _CHI_POLY}.union(_ODD_TABLE, _EVEN_TABLE))
     for i in range(-window, window + 1):
         for level in levels:
@@ -311,8 +314,6 @@ def _support_pairs(window: int):
 
 def build_cocycle_table(params: AlgebraParams, window: int) -> dict[tuple[int, int], complex]:
     """The nonzero chi_sum values over [-window, window]^2, keyed (i, j)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
     entries: dict[tuple[int, int], complex] = {}
     for i, j in _support_pairs(window):
         value = chi_sum(i, j, params)

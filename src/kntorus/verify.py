@@ -7,6 +7,11 @@ identical inputs produce identical reports.
 Every check hands its residuals to _check, the one place that reduces them:
 max_residual is their maximum, 0.0 when there are none, and NaN when any
 residual is NaN, which fails the check.
+
+The suites in WINDOWED_SUITES sweep a label window [-window, window], and
+verify_suite refuses a window that is missing or below 1 for them.  The
+identity checks of verify algebra and verify cocycle read one residual
+cube per parameter set, over [-5, 5]^3 (Jacobi) and [-4, 4]^3 (cocycle).
 """
 
 from __future__ import annotations
@@ -93,14 +98,6 @@ def random_formal_sets(count: int, seed: int) -> list[basis.AlgebraParams]:
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
     return [formal_params(c(), c(), c()) for _ in range(count)]
-
-
-def label_grid(bound: int) -> list[np.ndarray]:
-    """Every label triple (i, j, k) in [-bound, bound]^3, as the broadcastable
-    arrays that algebra.jacobi_residual and cocycle.cocycle_identity_residual
-    take."""
-    labels = np.arange(-bound, bound + 1)
-    return np.meshgrid(labels, labels, labels, indexing="ij", sparse=True)
 
 
 def random_wedge_state(rng: random.Random, depth: tuple[int, int] = (1, 5)) -> fock.WedgeState:
@@ -262,9 +259,8 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
         relative = np.abs(contraction - numeric) / np.maximum(1.0, np.abs(numeric))
     checks = [_check("bracket_oracle_equivalence", relative, 1e-7)]
 
-    triples = label_grid(5)
     formal = (params, *random_formal_sets(3, seed=403))
-    residuals = [algebra.jacobi_residual(*triples, ps) for ps in formal]
+    residuals = [algebra.jacobi_residual(5, ps) for ps in formal]
     checks.append(_check("jacobi_identity", residuals, 1e-9))
 
     rows = algebra.build_structure_table(params, window)
@@ -280,12 +276,12 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
         # largest slot difference over [-6, 6]^2 from the two-point constants,
         # relative to max(1, their largest magnitude)
         labels = range(-6, 7)
-        ref_re, ref_im = algebra.bracket_slots(lambda_coefficients(cfg.two_point_limit()), labels, labels)
-        ref = max(1.0, float(np.hypot(ref_re, ref_im).max()))
+        ref = algebra.bracket_slots(lambda_coefficients(cfg.two_point_limit()), labels, labels)
+        scale = max(1.0, float(np.hypot(ref.real, ref.imag).max()))
         gaps = []
         for qq in (1e-1, 1e-2, 1e-3):
-            re, im = algebra.bracket_slots(lambda_coefficients(replace(cfg, q=qq)), labels, labels)
-            gaps.append(np.hypot(re - ref_re, im - ref_im) / ref)
+            slots = algebra.bracket_slots(lambda_coefficients(replace(cfg, q=qq)), labels, labels)
+            gaps.append(np.hypot(slots.real - ref.real, slots.imag - ref.imag) / scale)
         monotone = 0.0 if gaps[0].max() > gaps[1].max() > gaps[2].max() else 1.0
         checks.append(_check("degeneration_monotone", monotone, 0.0))
         # the relative gap at q = 1e-3 is P'(e1)*1e-6 ~ (0.9..1.1)e-4 over the
@@ -329,9 +325,8 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
         *(abs(v) for (i, j), v in witt.items() if i + j != 0),
     ], 1e-9))
 
-    triples = label_grid(4)
     formal = (WITT_PARAMS, params, *random_formal_sets(1, seed=404))
-    residuals = [cocycle.cocycle_identity_residual(*triples, ps) for ps in formal]
+    residuals = [cocycle.cocycle_identity_residual(4, ps) for ps in formal]
     checks.append(_check("two_cocycle_identity", residuals, 1e-9))
 
     params0 = lambda_coefficients(cfg.two_point_limit())
@@ -429,9 +424,11 @@ WINDOWED_SUITES = ("all", "algebra", "cocycle")
 
 
 def verify_suite(suite: str, cfg: TorusConfig, window: int | None) -> list[CheckResult]:
-    """The checks of one suite, or of all; only WINDOWED_SUITES read window."""
-    if suite == "all":
-        return [check for name in SUITES for check in _RUNNERS[name](cfg, window)]
-    if suite not in _RUNNERS:
+    """The checks of one suite, or of all; only WINDOWED_SUITES read window,
+    which they require to be an int >= 1."""
+    if suite != "all" and suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}")
-    return _RUNNERS[suite](cfg, window)
+    if suite in WINDOWED_SUITES and (window is None or window < 1):
+        raise ValueError(f"verify {suite} needs a window >= 1, got {window!r}")
+    names = SUITES if suite == "all" else (suite,)
+    return [check for name in names for check in _RUNNERS[name](cfg, window)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, complex_lams, label_lists
+from conftest import bits, complex_lams, label_triples
 from kntorus import basis
 from kntorus.algebra import (
     bracket,
@@ -28,7 +28,7 @@ from kntorus.basis import (
     monomial_derivative,
 )
 from kntorus.config import TorusConfig
-from kntorus.verify import label_grid, random_formal_sets, random_points
+from kntorus.verify import random_formal_sets, random_points
 
 
 def test_bracket_even_even(cfg_square):
@@ -105,12 +105,18 @@ def test_bracket_oracle_tables_are_the_scalar_oracle(cfg):
 def test_jacobi_examples(cfg_square):
     lam = lambda_coefficients(cfg_square)
     # even triple: the intermediate odd index still drags lambda terms in,
-    # so cancellation is exact only up to round-off
-    assert jacobi_residual(2, 4, 6, lam) <= 1e-12
-    assert jacobi_residual(2, 4, 6, WITT_PARAMS) == 0.0
+    # so cancellation is exact only up to round-off; (i, j, k) sits at
+    # [i + 6, j + 6, k + 6] of the bound-6 cube
+    assert jacobi_residual(6, lam)[8, 10, 12] <= 1e-12
+    assert jacobi_residual(6, WITT_PARAMS)[8, 10, 12] == 0.0
     for seed in range(5):
-        assert jacobi_residual(1, 3, 2, random_formal_sets(1, seed)[0]) <= 1e-9
-    assert jacobi_residual(1, -1, 3, lam) <= 1e-9
+        assert jacobi_residual(6, random_formal_sets(1, seed)[0])[7, 9, 8] <= 1e-9
+    assert jacobi_residual(6, lam)[7, 5, 9] <= 1e-9
+
+
+def test_jacobi_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="bound"):
+        jacobi_residual(-1, WITT_PARAMS)
 
 
 def test_one_slot_rule_bit_for_bit():
@@ -122,7 +128,8 @@ def test_one_slot_rule_bit_for_bit():
         formal_params(0j, 0.75 - 1j, complex(-3.0, -0.0)),
         WITT_PARAMS,
     ):
-        re, im = bracket_slots(params, window, window)
+        table = bracket_slots(params, window, window)
+        re, im = table.real, table.imag
         assert not np.signbit(re[re == 0]).any() and not np.signbit(im[im == 0]).any()
         for x, a in enumerate(window):
             for y, b in enumerate(window):
@@ -158,12 +165,12 @@ def test_slot_table_gathers_the_slot_rule(params, rows, cols):
     # need not overlap; every entry is the slot rule's own value, signed zeros too
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        re, im = bracket_slots(params, rows, cols)
-    assert re.shape == im.shape == (len(rows), len(cols), 4)
+        table = bracket_slots(params, rows, cols)
+    assert table.shape == (len(rows), len(cols), 4)
     for x, a in enumerate(rows):
         for y, b in enumerate(cols):
             for t, c in enumerate(slot_coefficients(a, b, params)):
-                assert (re[x, y, t].hex(), im[x, y, t].hex()) == bits(c), (a, b, t)
+                assert bits(table[x, y, t]) == bits(c), (a, b, t)
 
 
 def test_overflowing_lams_fill_the_tables_without_warning():
@@ -172,9 +179,9 @@ def test_overflowing_lams_fill_the_tables_without_warning():
     params = formal_params(complex(1e308, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        re, im = bracket_slots(params, range(-8, 9), range(-8, 9))
+        table = bracket_slots(params, range(-8, 9), range(-8, 9))
         rows = build_structure_table(params, 8)
-    assert not np.isfinite(re).all() and not np.isfinite(im).all()
+    assert not np.isfinite(table.real).all() and not np.isfinite(table.imag).all()
     assert any(not np.isfinite(c) for *_, c in rows)
 
 
@@ -203,36 +210,24 @@ def _jacobi_by_loop(i: int, j: int, k: int, params) -> float:
     return max((abs(v) for v in total.values()), default=0.0) / (scale * scale)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.tuples(complex_lams, complex_lams, complex_lams), labels, labels, labels)
-def test_jacobi_random_lam(lam, i, j, k):
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(complex_lams, complex_lams, complex_lams), label_triples)
+def test_jacobi_random_lam(lam, triples):
     params = formal_params(*lam)
-    direct = _jacobi_by_loop(i, j, k, params)
-    assert jacobi_residual(i, j, k, params) == direct
-    assert direct <= 1e-9
+    residual = jacobi_residual(12, params)
+    assert residual.max() <= 1e-9
+    for i, j, k in triples:
+        assert residual[i + 12, j + 12, k + 12] == _jacobi_by_loop(i, j, k, params), (i, j, k)
 
 
 @pytest.mark.parametrize(
     "params", [random_formal_sets(1, seed=403)[0], lambda_coefficients(TorusConfig(tau=1j, q=0.2))]
 )
 def test_jacobi_verify_grids_are_the_definition(params):
-    # the [-5, 5]^3 grid of verify algebra and a grid with gaps, entry by entry
-    gaps = np.array([-12, 0, 7])
-    for grid in (label_grid(5), np.meshgrid(gaps, gaps, gaps, indexing="ij", sparse=True)):
-        residual = jacobi_residual(*grid, params)
-        for index, value in np.ndenumerate(residual):
-            assert value == _jacobi_by_loop(*(int(g[index]) for g in np.broadcast_arrays(*grid)), params)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.tuples(complex_lams, complex_lams, complex_lams), label_lists, label_lists, label_lists)
-def test_jacobi_grid_equals_scalar_calls(lam, i, j, k):
-    params = formal_params(*lam)
-    grid = jacobi_residual(*np.meshgrid(i, j, k, indexing="ij"), params)
-    assert grid.shape == (len(i), len(j), len(k))
-    for (a, b, c), value in np.ndenumerate(grid):
-        scalar = jacobi_residual(i[a], j[b], k[c], params)
-        assert type(scalar) is float and value == scalar
+    # the [-5, 5]^3 cube of verify algebra, entry by entry
+    residual = jacobi_residual(5, params)
+    for (x, y, z), value in np.ndenumerate(residual):
+        assert value == _jacobi_by_loop(x - 5, y - 5, z - 5, params)
 
 
 def _by_pair(rows):

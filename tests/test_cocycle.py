@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_lams, label_lists
+from conftest import complex_lams, label_triples
 from kntorus.algebra import bracket
 from kntorus.basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
 from kntorus.cocycle import (
@@ -27,7 +27,7 @@ from kntorus.cocycle import (
 )
 from kntorus.config import TorusConfig
 from kntorus.errors import BadContourError
-from kntorus.verify import label_grid, random_formal_sets
+from kntorus.verify import random_formal_sets
 
 LEVELS = (0, -2, -4, -6, -8, -10, -12)
 
@@ -269,7 +269,7 @@ def test_two_cocycle_identity_exact_at_integer_probes(lams):
     # and cocycle value is an exact small integer, so the identity holds
     # bit for bit, not only to round-off
     params = formal_params(*(complex(x) for x in lams))
-    residual = cocycle_identity_residual(*label_grid(6), params)
+    residual = cocycle_identity_residual(6, params)
     assert not residual.any(), np.argwhere(residual) - 6
 
 
@@ -284,37 +284,44 @@ def _identity_by_loop(i: int, j: int, k: int, params: AlgebraParams) -> float:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.tuples(complex_lams, complex_lams, complex_lams), label_lists, label_lists, label_lists)
-def test_identity_grid_equals_scalar_calls(lam, i, j, k):
+@given(st.tuples(complex_lams, complex_lams, complex_lams), label_triples)
+def test_identity_random_lam(lam, triples):
     params = formal_params(*lam)
-    grid = cocycle_identity_residual(*np.meshgrid(i, j, k, indexing="ij"), params)
-    assert grid.shape == (len(i), len(j), len(k))
-    for (a, b, c), value in np.ndenumerate(grid):
-        scalar = cocycle_identity_residual(i[a], j[b], k[c], params)
-        assert type(scalar) is float
-        assert value == scalar == _identity_by_loop(i[a], j[b], k[c], params)
+    residual = cocycle_identity_residual(12, params)
+    assert residual.max() <= 1e-9
+    for i, j, k in triples:
+        assert residual[i + 12, j + 12, k + 12] == _identity_by_loop(i, j, k, params), (i, j, k)
 
 
 @pytest.mark.parametrize(
     "params", [random_formal_sets(1, seed=404)[0], lambda_coefficients(TorusConfig(tau=1j, q=0.2))]
 )
 def test_identity_verify_grids_are_the_definition(params):
-    # the [-4, 4]^3 grid of verify cocycle and a grid with gaps, entry by entry
-    gaps = np.array([-12, 0, 7])
-    for grid in (label_grid(4), np.meshgrid(gaps, gaps, gaps, indexing="ij", sparse=True)):
-        residual = cocycle_identity_residual(*grid, params)
-        for index, value in np.ndenumerate(residual):
-            assert value == _identity_by_loop(*(int(g[index]) for g in np.broadcast_arrays(*grid)), params)
+    # the [-4, 4]^3 cube of verify cocycle, entry by entry
+    residual = cocycle_identity_residual(4, params)
+    for (x, y, z), value in np.ndenumerate(residual):
+        assert value == _identity_by_loop(x - 4, y - 4, z - 4, params)
 
 
 def test_identity_trivial_cases(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    assert cocycle_identity_residual(2, -1, -1, WITT_PARAMS) <= 1e-12
-    assert cocycle_identity_residual(3, 3, 1, lam) <= 1e-9
+    # (i, j, k) sits at [i + 3, j + 3, k + 3] of the bound-3 cube
+    assert cocycle_identity_residual(3, WITT_PARAMS)[5, 2, 2] <= 1e-12
+    assert cocycle_identity_residual(3, lam)[6, 6, 4] <= 1e-9
+
+
+def test_identity_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="bound"):
+        cocycle_identity_residual(-1, WITT_PARAMS)
 
 
 def test_reconciliation_witt_agrees():
     assert reconciliation_report(WITT_PARAMS, 8) == []
+
+
+def test_reconciliation_report_refuses_a_small_window():
+    with pytest.raises(ValueError, match="window"):
+        reconciliation_report(WITT_PARAMS, 0)
 
 
 def test_reconciliation_report_structure(cfg_square):

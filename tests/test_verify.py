@@ -10,7 +10,7 @@ from kntorus.basis import frame_array
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
-from kntorus.verify import SUITES, CheckResult, verify_differential, verify_suite
+from kntorus.verify import SUITES, WINDOWED_SUITES, CheckResult, verify_differential, verify_suite
 
 
 # checks of laws that hold exactly in floating point: the residual is 0.0
@@ -45,6 +45,13 @@ def test_all_suite_aggregates(cfg_square):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         verify_suite("bogus", TorusConfig(tau=1j, q=0.2), 6)
+
+
+@pytest.mark.parametrize("suite", WINDOWED_SUITES)
+@pytest.mark.parametrize("window", (None, 0, -1))
+def test_windowed_suites_refuse_a_missing_or_small_window(suite, window):
+    with pytest.raises(ValueError, match="window"):
+        verify_suite(suite, TorusConfig(tau=1j, q=0.2), window)
 
 
 def test_wedge_state_canonical_sees_a_shifted_view(cfg_square, monkeypatch):
