@@ -1,5 +1,8 @@
 """Duality pairing and the central-extension cocycle.
 
+pairing(cfg, window) is the duality pairing <e_j, O_k> as one matrix over
+[-window, window]^2, one stacked contour residue per row.
+
 The cocycle is computed three ways:
 
 * _chi_literal: the finite double sum over products of shifted structure
@@ -67,33 +70,37 @@ RECONCILIATION_RTOL = 1e-8
 # duality pairing by contour quadrature
 
 
-def _pairing_residue(circle: PunctureCircle, i1: int, i2: int) -> complex:
-    """Residue of A_{i1} * A_{i2} from the cached frame of a puncture circle."""
-    values = monomial(i1, circle.base, circle.w) * monomial(i2, circle.base, circle.w)
-    return contour_residue(values, circle.nodes, circle.center)
+def _residue_table(circle: PunctureCircle, firsts, seconds) -> np.ndarray:
+    """Residues around circle of A_a * A_b at [x, y], a = firsts[x] and b = seconds[y],
+    from one monomial table per side, one row of products at a time."""
+    left, right = (np.array([monomial(a, circle.base, circle.w) for a in side]) for side in (firsts, seconds))
+    return np.array([contour_residue(row * right, circle.nodes, circle.center) for row in left])
 
 
-def pairing(j: int, k: int, cfg: TorusConfig) -> complex:
-    """Dual pairing of the vector field e_j with the quadratic form O_k.
+def pairing(cfg: TorusConfig, window: int) -> np.ndarray:
+    """Dual pairing of the vector field e_j with the quadratic form O_k, at
+    [j + window, k + window] for j, k in [-window, window].
 
     The integrand is the scalar A_{j+1} * A_{-k-2}; its integral over any
     level line equals the residue at the in-point and minus the sum of the
     residues at the out-points.  The in-point quadrature is used whenever
-    the pole there is mild (order <= 4).  A deeper in-point pole forces,
-    by conservation of the total vanishing order, a holomorphic integrand
-    at both out-points, whose residues vanish identically; the level-line
-    value is then an exact zero.  The underlying vanishing orders are
-    certified separately by argument-principle quadrature.  Each residue is
-    a trapezoid sum of monomials in the cached basis.puncture_circles frame
-    of its puncture, so the pairing evaluates nothing itself.  Returns
-    delta_j^k up to quadrature error.
+    the pole there is mild (order j - k - 1 >= -4).  A deeper in-point pole
+    forces, by conservation of the total vanishing order, a holomorphic
+    integrand at both out-points, whose residues vanish identically; the
+    entry is then an exact zero.  The underlying vanishing orders are
+    certified separately by argument-principle quadrature.  Returns the
+    identity up to quadrature error; refuses a negative window (ValueError)
+    and one above PAIRING_INDEX_BOUND (BadContourError).
     """
-    if max(abs(j), abs(k)) > PAIRING_INDEX_BOUND:
-        raise BadContourError(f"pairing indices |j|,|k| must be <= {PAIRING_INDEX_BOUND}")
-    i1, i2 = j + 1, -k - 2
-    if i1 + i2 >= -4:  # the order at the in-point is the label itself
-        return _pairing_residue(puncture_circles(cfg)[0], i1, i2)
-    return 0j
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    if window > PAIRING_INDEX_BOUND:
+        raise BadContourError(f"pairing window must be <= {PAIRING_INDEX_BOUND}")
+    # the in-point order of A_{j+1} * A_{-k-2} is j - k - 1, as its labels are its orders there
+    labels = range(-window, window + 1)
+    table = _residue_table(puncture_circles(cfg)[0], [j + 1 for j in labels], [-k - 2 for k in labels])
+    j, k = np.indices(table.shape)
+    return np.where(j - k - 1 >= -4, table, 0j)
 
 
 def pairing_residue_routes(j: int, k: int, cfg: TorusConfig) -> tuple[complex, complex]:
@@ -102,11 +109,8 @@ def pairing_residue_routes(j: int, k: int, cfg: TorusConfig) -> tuple[complex, c
     Both routes are homologous to a level line, so they agree whenever both
     are numerically benign (mild pole orders on each side).
     """
-    i1, i2 = j + 1, -k - 2
-    circles = puncture_circles(cfg)
-    a = _pairing_residue(circles[0], i1, i2)
-    b = -sum(_pairing_residue(circle, i1, i2) for circle in circles[1:])
-    return a, b
+    a, *out = (complex(_residue_table(circle, [j + 1], [-k - 2])[0, 0]) for circle in puncture_circles(cfg))
+    return a, -sum(out)
 
 
 # ---------------------------------------------------------------------------

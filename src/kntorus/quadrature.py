@@ -1,9 +1,9 @@
 """Contour and segment quadrature used by the residue/period/pairing code.
 
 Circles use the periodic trapezoid rule, which converges exponentially for
-integrands analytic in an annulus around the contour.  It reads values
-already evaluated at circle_nodes: each circle is one of
-``basis.puncture_circles``, with its frame evaluated once per configuration.
+integrands analytic in an annulus around the contour.  It reads values,
+one integrand or a stack of them, already evaluated at circle_nodes: each
+circle is one of ``basis.puncture_circles``, evaluated once per configuration.
 Straight segments use composite Gauss-Legendre with panel doubling until
 two refinements agree, or report QuadratureError once MAX_PANELS is
 reached.  One segment_integral call takes a list of segments and refines
@@ -38,13 +38,15 @@ def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
     return center + radius * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def contour_residue(values: np.ndarray, nodes: np.ndarray, center: complex) -> complex:
+def contour_residue(values: np.ndarray, nodes: np.ndarray, center: complex) -> complex | np.ndarray:
     """(1/2*pi*i) * contour integral from values f(z_k) at the circle_nodes z_k.
 
     The trapezoid rule collapses to mean(f(z_k) * (z_k - center)), i.e. the
-    Cauchy coefficient extractor.
+    Cauchy coefficient extractor, over the last axis of values: a complex
+    for one integrand, for a stack each row's own residue bit for bit.
     """
-    return complex(np.mean(values * (nodes - center)))
+    residues = np.mean(values * (nodes - center), axis=-1)
+    return complex(residues) if residues.ndim == 0 else residues
 
 
 def segment_integral(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close
+from conftest import assert_close, bits
 from kntorus import basis
 from kntorus.basis import (
     CIRCLE_NODES,
@@ -13,6 +13,7 @@ from kntorus.basis import (
     frame,
     frame_array,
     lambda_coefficients,
+    monomial,
     out_puncture_order,
     pole_parameter,
     puncture_circle,
@@ -24,7 +25,7 @@ from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair, wp_pair_array
 from kntorus.errors import NonIntegerWindingError
 from kntorus.propagation import omega_hat, residue_at
-from kntorus.quadrature import circle_nodes
+from kntorus.quadrature import circle_nodes, contour_residue
 from kntorus.verify import random_points
 
 
@@ -111,6 +112,15 @@ def test_puncture_circles(cfg_square, cfg_two_point):
                 cached[0] = 0
 
 
+def test_stacked_contour_residue_is_its_rows(cfg_square):
+    # a stack of integrands gives each row's own residue bit for bit
+    c = puncture_circles(cfg_square)[0]
+    stack = np.array([monomial(k, c.base, c.w) for k in range(-6, 7)])
+    rows = [contour_residue(row, c.nodes, c.center) for row in stack]
+    assert all(type(r) is complex for r in rows)
+    assert list(map(bits, contour_residue(stack, c.nodes, c.center).tolist())) == list(map(bits, rows))
+
+
 def test_one_frame_evaluation_per_puncture(monkeypatch):
     # every winding order, residue and pairing of a fresh configuration
     # reads the cached frame of its puncture circle
@@ -126,9 +136,9 @@ def test_one_frame_evaluation_per_puncture(monkeypatch):
         for k in range(-6, 7):
             winding_order(k, s, cfg)
         residue_at(s, cfg)
+    pairing(cfg, 6)
     for j in range(-6, 7):
         for k in range(-6, 7):
-            pairing(j, k, cfg)
             pairing_residue_routes(j, k, cfg)
     assert calls == [CIRCLE_NODES] * len(cfg.punctures())
 

@@ -285,13 +285,20 @@ def test_vanishing_pole_factor_names_the_label(capsys):
 
 def test_thin_lattice_algebra_outcomes(capsys):
     # |wp - p| falls to 1.7e-71 at a sample point at tau = 0.015i, so the fifth
-    # power that A_9 inverts vanishes; at 0.02 to 0.03 the oracle's drawn
-    # values overflow (to a NaN at 0.02) and fail its check, without a warning
+    # power that A_9 inverts vanishes and the oracle fails its own check,
+    # naming the label; at 0.02 to 0.03 its drawn values overflow (to a NaN
+    # at 0.02) and fail the check, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, "verify", "algebra", "--tau-im", "0.015")
-        assert code == 2 and out == ""
-        assert err.startswith("error: wp - p vanished or overflowed for label k=9:"), err
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        failed = sorted(name for name, c in checks.items() if c["status"] == "fail")
+        assert code == 1 and err == "" and len(checks) == 7
+        assert failed == ["bracket_oracle_equivalence", "degeneration_monotone"]
+        assert checks["bracket_oracle_equivalence"]["max_residual"] == 0.0
+        assert checks["bracket_oracle_equivalence"]["detail"].startswith(
+            "wp - p vanished or overflowed for label k=9:"
+        )
         for tau_im in ("0.02", "0.025", "0.03"):
             code, out, err = run_cli(capsys, "verify", "algebra", "--tau-im", tau_im)
             check = {c["name"]: c for c in json.loads(out)["checks"]}["bracket_oracle_equivalence"]

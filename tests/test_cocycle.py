@@ -35,26 +35,24 @@ LEVELS = (0, -2, -4, -6, -8, -10, -12)
 SQUARE_LAMS = lambda_coefficients(TorusConfig(tau=1j, q=0.2)).as_tuple()
 
 
-def test_pairing_full_window(cfg_generic):
-    # acceptance criterion 5 sweeps the same window at tau = i, q = 0.2
-    for j in range(-10, 11):
-        for k in range(-10, 11):
-            expect = 1.0 if j == k else 0.0
-            assert abs(pairing(j, k, cfg_generic) - expect) < 1e-8
+@pytest.mark.parametrize("fixture, window", [("cfg_generic", 10), ("cfg_two_point", 8)])
+def test_pairing_matrix(fixture, window, request):
+    # acceptance criterion 5 sweeps the same window at tau = i, q = 0.2;
+    # duality survives the merged out-puncture of q = 0 (double zero of the
+    # pole factor, simple differential pole)
+    p = pairing(request.getfixturevalue(fixture), window)
+    assert p.shape == (2 * window + 1,) * 2
+    assert np.abs(p - np.eye(2 * window + 1)).max() < 1e-8
+    # a deep in-point pole, order j - k - 1 < -4, gives an exact zero
+    j, k = np.indices(p.shape)
+    assert not p[j - k - 1 < -4].any()
 
 
 def test_pairing_index_bound(cfg_square):
     with pytest.raises(BadContourError):
-        pairing(13, 0, cfg_square)
-
-
-def test_pairing_two_point_mode(cfg_two_point):
-    # duality survives the merged out-puncture (double zero of the pole
-    # factor, simple differential pole)
-    for j in range(-8, 9):
-        for k in range(-8, 9):
-            expect = 1.0 if j == k else 0.0
-            assert abs(pairing(j, k, cfg_two_point) - expect) < 1e-8
+        pairing(cfg_square, 13)
+    with pytest.raises(ValueError, match="window"):
+        pairing(cfg_square, -1)
 
 
 def test_shifted_constants(cfg_square):

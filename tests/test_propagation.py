@@ -296,9 +296,10 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
 
 def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[complex, ...]:
     """The scan edge by edge: time_coordinate at every grid node from one
-    array call, then each crossing edge bisected on its own with scalar
-    calls, in row-major order, horizontal edge first.  The oracle for
-    level_line_samples."""
+    array call, then each crossing edge bisected by its own scalar
+    recurrence, the open edges' midpoints timed by one array call per
+    halving; points in row-major order, horizontal edge first.  The oracle
+    for level_line_samples."""
     tau = cfg.tau
     n = resolution
     coords = [-0.5 + k / n for k in range(n + 1)]
@@ -314,32 +315,30 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     ]
     times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
     tvals = dict(zip(keys, times.tolist()))
-
-    def bisect(z0, t0, z1):
-        for _ in range(propagation.BISECTION_STEPS):
-            zm = 0.5 * (z0 + z1)
-            if cfg.distance_to_punctures(zm) <= EXCLUSION_RADIUS:
-                return None
-            tm = time_coordinate(zm, cfg) - u
+    # each crossing edge's (z0, t0, z1), in scan order
+    edges = [
+        (node(ai, bi), tvals[ai, bi], node(aj, bj))
+        for bi in range(n + 1)
+        for ai in range(n + 1)
+        for aj, bj in ((ai + 1, bi), (ai, bi + 1))
+        if (ai, bi) in tvals and (aj, bj) in tvals and (tvals[ai, bi] - u) * (tvals[aj, bj] - u) < 0
+    ]
+    points: dict[int, complex] = {}
+    open_ = dict(enumerate(edges))
+    for _ in range(propagation.BISECTION_STEPS):
+        mids = {i: 0.5 * (z0 + z1) for i, (z0, _, z1) in open_.items()}
+        open_ = {i: e for i, e in open_.items() if cfg.distance_to_punctures(mids[i]) > EXCLUSION_RADIUS}
+        tms = time_coordinate(np.array([mids[i] for i in open_]), cfg).tolist() if open_ else []
+        for (i, (z0, t0, z1)), t in zip(list(open_.items()), tms):
+            tm, zm = t - u, mids[i]
             if abs(tm) <= cfg.tol:
-                return zm
-            if (t0 - u) * tm <= 0:
-                z1 = zm
+                points[i] = zm
+                del open_[i]
             else:
-                z0, t0 = zm, tm + u
-        raise BisectionError(f"edge [{z0}, {z1}] did not converge")
-
-    points = []
-    for bi in range(n + 1):
-        for ai in range(n + 1):
-            t0 = tvals.get((ai, bi))
-            for aj, bj in ((ai + 1, bi), (ai, bi + 1)):
-                t1 = tvals.get((aj, bj))
-                if t0 is not None and t1 is not None and (t0 - u) * (t1 - u) < 0:
-                    pt = bisect(node(ai, bi), t0, node(aj, bj))
-                    if pt is not None:
-                        points.append(pt)
-    return tuple(points)
+                open_[i] = (z0, t0, zm) if (t0 - u) * tm <= 0 else (zm, tm + u, z1)
+    if open_:
+        raise BisectionError(f"edge {open_[min(open_)]} did not converge")
+    return tuple(points[i] for i in sorted(points))
 
 
 LEVEL_LINE_CFGS = (

@@ -201,7 +201,7 @@ def test_config_caches_stay_bounded():
         basis.lambda_coefficients(cfg)
         propagation.residue_at(0j, cfg)
         propagation.time_coordinate(0.3 + 0.2j, cfg)
-        cocycle.pairing(0, 0, cfg)
+        cocycle.pairing(cfg, 0)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == CONFIG_CACHE_SIZE, cache
