@@ -253,22 +253,28 @@ def out_puncture_order(k: int, two_point: bool = False) -> int:
     return -k // 2 if k % 2 == 0 else (-k - 3) // 2
 
 
-def winding_order(k: int, s: complex, cfg: TorusConfig) -> int:
-    """Argument-principle order of basis function k at the puncture s.
+def winding_order(cfg: TorusConfig, window: int) -> np.ndarray:
+    """Argument-principle orders of A_k, k in [-window, window], as an int
+    array: the order at cfg.punctures()[i] at [i, k + window].
 
     Sums the log-derivative A_k'/A_k, k*w for even k and w'/w + (k+1)*w for
-    odd k, over the cached frame of the puncture_circle around s and rounds;
-    raises NonIntegerWindingError when the sum is further than 1e-3 from an
-    integer, or not finite.  s must be one of cfg.punctures().
+    odd k, over each puncture circle's cached frame in one stacked
+    contour_residue, and rounds; raises NonIntegerWindingError, naming the
+    first (k, puncture) in label order whose sum is further than 1e-3 from
+    an integer, or not finite.
     """
-    c = puncture_circle(s, cfg)
-    logderiv = k * c.w if k % 2 == 0 else c.w_prime / c.w + (k + 1) * c.w
-    val = contour_residue(logderiv, c.nodes, c.center)
-    if cmath.isfinite(val) and abs(val - round(val.real)) <= 1e-3:
-        return round(val.real)
-    raise NonIntegerWindingError(
-        f"winding quadrature {val} for k={k} around {s} is not close to an integer"
-    )
+    labels = range(-window, window + 1)
+    residues = []
+    for c in puncture_circles(cfg):
+        logderiv = np.array([k * c.w if k % 2 == 0 else c.w_prime / c.w + (k + 1) * c.w for k in labels])
+        residues.append(contour_residue(logderiv, c.nodes, c.center).tolist())
+    for k, column in zip(labels, zip(*residues)):
+        for s, val in zip(cfg.punctures(), column):
+            if not (cmath.isfinite(val) and abs(val - round(val.real)) <= 1e-3):
+                raise NonIntegerWindingError(
+                    f"winding quadrature {val} for k={k} around {s} is not close to an integer"
+                )
+    return np.rint(np.real(residues)).astype(int)
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)

@@ -98,8 +98,8 @@ def test_state_round_trips_through_its_slot_views(state):
 
 
 @settings(max_examples=300, deadline=None)
-@given(state=wedge_states, k=slots, i=slots)
-def test_clifford_relations_random_states(state, k, i):
+@given(state=wedge_states, i=slots)
+def test_clifford_relations_random_states(state, i):
     assert clifford_residual(state, 12) == 0.0
     base = {state: 1.0 + 0j}
     # the Koszul sign counts the occupied slots above the index

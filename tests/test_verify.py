@@ -168,6 +168,17 @@ def test_differential_suite_packs_its_segments(cfg_square, monkeypatch):
     assert len(calls) <= 20, calls
 
 
+def test_basis_suite_reads_one_frame_array(cfg_square, monkeypatch):
+    # the samples, their negatives and z +- h in one call, and no scalar frame
+    basis.puncture_circles(cfg_square)  # the winding orders' circle frames, cached
+    calls = []
+    monkeypatch.setattr(basis, "frame_array", lambda z, cfg: calls.append(z.size) or frame_array(z, cfg))
+    for name in ("frame", "basis_value"):
+        monkeypatch.setattr(basis, name, lambda *args: pytest.fail("a scalar frame evaluation"))
+    assert all(c.passed for c in verify.verify_basis(cfg_square))
+    assert calls == [4 * 40]
+
+
 def test_degenerate_two_point_time_fails_its_check(capsys):
     # on this thin lattice e1 and e2 agree to rounding, so the two-point
     # separation time is degenerate: the check fails, the run goes on
