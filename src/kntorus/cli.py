@@ -227,6 +227,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
         args.indexing = args.indexing or "original"
         rows = build_structure_table(params, args.window, indexing=args.indexing)
         _require_finite(row[3] for row in rows)
+
+        def csv_rows() -> list[str]:
+            # C_ij^k depends only on the parity of i, j - i and the slot, so
+            # few values fill many rows: each distinct one is formatted once.
+            # A complex key is exact: slot_coefficients adds 0j, so no zero
+            # part is -0.0, and _require_finite has refused NaN, so values
+            # that compare equal repr alike.
+            text = {c: f"{c.real!r},{c.imag!r}" for c in {row[3] for row in rows}}
+            return ["i,j,k,re,im", *(f"{i},{j},{k},{text[c]}" for i, j, k, c in rows)]
+
         _emit(
             args, cfg,
             lambda: {
@@ -237,7 +247,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     for (i, j), terms in groupby(rows, key=lambda row: row[:2])
                 ],
             },
-            lambda: ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in rows)],
+            csv_rows,
         )
         return 0
     chi = sorted(build_cocycle_table(params, args.window).items())
@@ -271,10 +281,11 @@ def _cmd_levellines(args: argparse.Namespace) -> int:
         f"{side * side} time evaluations",
     )
     sample = propagation.level_line_samples(cfg, args.u, args.samples)
+    u = repr(sample.u)
     _emit(
         args, cfg,
         lambda: {"u": sample.u, "count": len(sample.points), "points": [_c(p) for p in sample.points]},
-        lambda: ["u,re,im", *(f"{sample.u!r},{p.real!r},{p.imag!r}" for p in sample.points)],
+        lambda: ["u,re,im", *(f"{u},{p.real!r},{p.imag!r}" for p in sample.points)],
     )
     return 0
 

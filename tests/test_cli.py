@@ -10,7 +10,7 @@ import pytest
 from conftest import bits
 from kntorus import cli
 from kntorus.algebra import build_structure_table
-from kntorus.basis import lambda_coefficients
+from kntorus.basis import formal_params, lambda_coefficients
 from kntorus.cocycle import build_cocycle_table
 from kntorus.config import TorusConfig
 from kntorus.verify import CheckResult
@@ -78,23 +78,43 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_table_brackets_csv(capsys):
-    # the lines read back to build_structure_table's rows bit for bit, in order
-    lam = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
-    for indexing in ("original", "shifted"):
+    # the text equals the per-row formatting of build_structure_table's rows;
+    # the signed-zero lams pin that no zero part of a constant is -0.0, on
+    # which the writer's one repr per distinct value relies
+    derived = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
+    generic = ["--tau-re", "0.1", "--tau-im", "1.1", "--q-re", "0.2", "--q-im", "0.05"]
+    signed = ["--lam5", "-1.5", "-0.0", "--lam6", "-0.0", "2", "--lam7", "-3", "-0.0"]
+    signed_params = formal_params(complex(-1.5, -0.0), complex(-0.0, 2), complex(-3, -0.0))
+    cases = [
+        (2, "original", [], derived),
+        (2, "shifted", [], derived),
+        (32, "original", [], derived),
+        (32, "shifted", [], derived),
+        (32, "original", generic, lambda_coefficients(TorusConfig(tau=0.1 + 1.1j, q=0.2 + 0.05j))),
+        (8, "original", ["--lam5", "0", "0"], formal_params()),
+        (8, "original", signed, signed_params),
+        (8, "shifted", signed, signed_params),
+    ]
+    for window, indexing, argv, params in cases:
         code, out, _ = run_cli(
-            capsys, "table", "brackets", "--window", "2", "--indexing", indexing, "--format", "csv",
+            capsys, "table", "brackets", *argv, "--window", str(window), "--indexing", indexing,
+            "--format", "csv",
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "i,j,k,re,im"
-        keys = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
-        assert keys == sorted(keys)
-        table = []
-        for line in lines[1:]:
-            i, j, k, re, im = line.split(",")
-            table.append((int(i), int(j), int(k), (float(re).hex(), float(im).hex())))
-        expect = build_structure_table(lam, 2, indexing=indexing)
-        assert table == [(i, j, k, bits(c)) for i, j, k, c in expect]
+        expect = build_structure_table(params, window, indexing=indexing)
+        assert out == "\n".join(
+            ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in expect)]
+        ) + "\n"
+        if window == 2:
+            # the lines read back to the rows bit for bit, in order
+            lines = out.strip().splitlines()
+            keys = [tuple(int(x) for x in line.split(",")[:3]) for line in lines[1:]]
+            assert keys == sorted(keys)
+            table = []
+            for line in lines[1:]:
+                i, j, k, re, im = line.split(",")
+                table.append((int(i), int(j), int(k), (float(re).hex(), float(im).hex())))
+            assert table == [(i, j, k, bits(c)) for i, j, k, c in expect]
 
 
 def test_table_cocycle_witt(capsys):
