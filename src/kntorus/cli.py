@@ -45,7 +45,7 @@ from .verify import SUITES, WINDOWED_SUITES, verify_suite
 
 # cost bounds: verify evaluates 5 (2W+1)^2 pointwise brackets, a table has
 # (2W+1)^2 entries, a level-line scan evaluates wp on (R+1)^2 grid nodes (in
-# array chunks) and then bisects O(R) crossing edges in lockstep
+# array chunks) and then refines O(R) crossing edges in lockstep
 MAX_VERIFY_WINDOW = 32
 MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512

@@ -26,7 +26,7 @@ class NonIntegerWindingError(KNTorusError):
 
 
 class BisectionError(KNTorusError):
-    """A bisection ended without meeting its tolerance."""
+    """A bracketed root search ended without meeting its tolerance."""
 
 
 class QuadratureError(KNTorusError):

@@ -9,7 +9,9 @@ basis frame (``basis.frame`` and ``basis.frame_array``); residues and
 periods integrate w from the array frame.  The time function has one
 evaluation, from wp_array: ``time_coordinate`` takes a point or an array,
 and the level-line scan decides every sign and every accepted point from
-the same array values.
+the same array values.  The scan refines each crossing edge by bracketed
+false position (the Illinois variant), all edges in lockstep, so every
+point stays on its own grid edge.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 # the coarsest level-line grid, in nodes per side of the cell
 MIN_RESOLUTION = 16
 
-# halvings of a level-line grid edge before the bisection gives up; far
+# steps on a level-line grid edge before its root search gives up; far
 # more than double precision can resolve on an edge of the unit cell
 BISECTION_STEPS = 80
 
@@ -167,15 +169,20 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     A (resolution x resolution) grid of the fundamental cell is evaluated
     with wp_array in chunks of GRID_CHUNK nodes; nodes within
     4 * EXCLUSION_RADIUS of a puncture are skipped.  Each sign change of
-    t - u along a grid edge is bisected, all edges in lockstep with one
-    array evaluation per halving, until |t - u| <= cfg.tol, or
-    BisectionError is raised; an edge whose midpoint falls inside a
-    puncture exclusion disk gives no point.  Node signs and midpoint
-    acceptance are decided from these array values, which are
-    time_coordinate's bit for bit, so every returned point meets
-    |time_coordinate - u| <= cfg.tol.  Points come in edge order:
-    row-major by start node, horizontal edge first.  Raises ValueError for
-    a u that is not finite.
+    f = t - u along a grid edge [z0, z1] is refined by bracketed false
+    position, all edges in lockstep with one array evaluation per step:
+    the trial point is z0 + w (z1 - z0) with w = f0 / (f0 - f1), formed on
+    the real and imaginary parts apart (so a horizontal edge keeps its
+    row's Im z exactly), and w = 1/2 where it is not strictly inside
+    (0, 1).  The trial point replaces the end whose sign it shares, and an
+    end kept twice in a row has its f halved (the Illinois rule), until
+    |t - u| <= cfg.tol, or BisectionError is raised after BISECTION_STEPS
+    steps; an edge whose trial point falls inside a puncture exclusion
+    disk gives no point.  Node signs, kept ends and accepted trial points
+    are decided from these array values, which are time_coordinate's bit
+    for bit, so every returned point meets |time_coordinate - u| <=
+    cfg.tol.  Points come in edge order: row-major by start node,
+    horizontal edge first.  Raises ValueError for a u that is not finite.
     """
     if not math.isfinite(u):
         raise ValueError(f"u must be finite, got {u}")
@@ -185,13 +192,15 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     side = resolution + 1
     coords = -0.5 + np.arange(side) / resolution
 
+    def plane(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
     def node(k: np.ndarray) -> np.ndarray:
         # node k = ai + side*bi is coords[ai] + coords[bi]*tau
         ca, cb = coords[k % side], coords[k // side]
-        z = np.empty(k.shape, dtype=complex)
-        z.real = ca + cb * tau.real
-        z.imag = cb * tau.imag
-        return z
+        return plane(ca + cb * tau.real, cb * tau.imag)
 
     # t - u at every node, NaN where skipped
     s = np.full(side * side, np.nan)
@@ -212,30 +221,37 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     start = edge // 2
     end = start + np.where(edge % 2, side, 1)
 
+    # each open edge's ends, their t - u and the end kept at the previous
+    # step (0 the start, 1 the end, -1 before the first)
     ids = np.arange(edge.size)
-    z0, z1, g0 = node(start), node(end), sign[start]
+    z0, z1, f0, f1 = node(start), node(end), s[start], s[end]
+    kept = np.full(edge.size, -1)
     found: dict[int, complex] = {}
     for _ in range(BISECTION_STEPS):
         if not ids.size:
             break
-        zm = 0.5 * (z0 + z1)
+        w = f0 / (f0 - f1)
+        w = np.where((w > 0.0) & (w < 1.0), w, 0.5)
+        zm = plane(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
         clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
-        ids, z0, z1, g0, zm = ids[clear], z0[clear], z1[clear], g0[clear], zm[clear]
-        sm = _time_array(zm, cfg) - u
-        done = np.abs(sm) <= cfg.tol
+        ids, z0, z1, f0, f1, kept, zm = (a[clear] for a in (ids, z0, z1, f0, f1, kept, zm))
+        fm = _time_array(zm, cfg) - u
+        done = np.abs(fm) <= cfg.tol
         found.update(zip(ids[done].tolist(), zm[done].tolist()))
-        gm = np.sign(sm)
-        lower = g0 * gm <= 0
-        z1 = np.where(lower, zm, z1)
-        z0 = np.where(lower, z0, zm)
-        g0 = np.where(lower, g0, gm)
+        # keep the end of the other sign; halve f at an end kept twice in a row
+        keep0 = np.sign(fm) != np.sign(f0)
+        f0 = np.where(keep0, np.where(kept == 0, 0.5 * f0, f0), fm)
+        f1 = np.where(keep0, fm, np.where(kept == 1, 0.5 * f1, f1))
+        z0 = np.where(keep0, z0, zm)
+        z1 = np.where(keep0, zm, z1)
+        kept = np.where(keep0, 0, 1)
         go = ~done
-        ids, z0, z1, g0, sm = ids[go], z0[go], z1[go], g0[go], sm[go]
+        ids, z0, z1, f0, f1, kept, fm = (a[go] for a in (ids, z0, z1, f0, f1, kept, fm))
     if ids.size:
         bad = ids[0]
         raise BisectionError(
             f"level line t = {u!r} on the grid edge [{complex(node(start[bad]))}, "
-            f"{complex(node(end[bad]))}] did not converge in {BISECTION_STEPS} halvings: "
-            f"|t - u| = {abs(sm[0]):.3g} > tol = {cfg.tol:.3g}"
+            f"{complex(node(end[bad]))}] did not converge in {BISECTION_STEPS} steps: "
+            f"|t - u| = {abs(fm[0]):.3g} > tol = {cfg.tol:.3g}"
         )
     return LevelLineSample(u=u, points=tuple(found[i] for i in sorted(found)))

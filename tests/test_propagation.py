@@ -294,12 +294,25 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
     assert "grid edge [" in message and "|t - u| = 1 >" in message
 
 
+def test_level_line_weight_off_the_edge_falls_back_to_its_middle(cfg_square, monkeypatch):
+    # f = -1 left of Re z = 0.1 and 1e-20 right of it: w = 1 / (1 + 1e-20)
+    # rounds to 1, which would put the trial point on the right node; the
+    # edge [0.0625, 0.125] is halved instead, twice
+    monkeypatch.setattr(
+        propagation, "_time_array", lambda z, cfg: np.where(z.real > 0.1, 1e-20, -1.0)
+    )
+    points = level_line_samples(cfg_square, 0.0, 16).points
+    assert len(points) == 17
+    assert {p.real for p in points} == {0.109375}
+
+
 def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[complex, ...]:
     """The scan edge by edge: time_coordinate at every grid node from one
-    array call, then each crossing edge bisected by its own scalar
-    recurrence, the open edges' midpoints timed by one array call per
-    halving; points in row-major order, horizontal edge first.  The oracle
-    for level_line_samples."""
+    array call, then each crossing edge refined by its own scalar Illinois
+    false position recurrence on (z0, f0, z1, f1, kept end) with f = t - u,
+    the open edges' trial points timed by one array call per step; points
+    in row-major order, horizontal edge first.  The oracle for
+    level_line_samples."""
     tau = cfg.tau
     n = resolution
     coords = [-0.5 + k / n for k in range(n + 1)]
@@ -314,28 +327,34 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
         if cfg.distance_to_punctures(node(ai, bi)) > 4.0 * EXCLUSION_RADIUS
     ]
     times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
-    tvals = dict(zip(keys, times.tolist()))
-    # each crossing edge's (z0, t0, z1), in scan order
+    fvals = {key: t - u for key, t in zip(keys, times.tolist())}
+    # each crossing edge's (z0, f0, z1, f1, kept end), in scan order
     edges = [
-        (node(ai, bi), tvals[ai, bi], node(aj, bj))
+        (node(ai, bi), fvals[ai, bi], node(aj, bj), fvals[aj, bj], None)
         for bi in range(n + 1)
         for ai in range(n + 1)
         for aj, bj in ((ai + 1, bi), (ai, bi + 1))
-        if (ai, bi) in tvals and (aj, bj) in tvals and (tvals[ai, bi] - u) * (tvals[aj, bj] - u) < 0
+        if (ai, bi) in fvals and (aj, bj) in fvals and fvals[ai, bi] * fvals[aj, bj] < 0
     ]
     points: dict[int, complex] = {}
     open_ = dict(enumerate(edges))
     for _ in range(propagation.BISECTION_STEPS):
-        mids = {i: 0.5 * (z0 + z1) for i, (z0, _, z1) in open_.items()}
-        open_ = {i: e for i, e in open_.items() if cfg.distance_to_punctures(mids[i]) > EXCLUSION_RADIUS}
-        tms = time_coordinate(np.array([mids[i] for i in open_]), cfg).tolist() if open_ else []
-        for (i, (z0, t0, z1)), t in zip(list(open_.items()), tms):
-            tm, zm = t - u, mids[i]
-            if abs(tm) <= cfg.tol:
+        trials = {}
+        for i, (z0, f0, z1, f1, _) in open_.items():
+            w = f0 / (f0 - f1)
+            w = w if 0.0 < w < 1.0 else 0.5
+            trials[i] = complex(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
+        open_ = {i: e for i, e in open_.items() if cfg.distance_to_punctures(trials[i]) > EXCLUSION_RADIUS}
+        fms = (time_coordinate(np.array([trials[i] for i in open_]), cfg) - u).tolist() if open_ else []
+        for (i, (z0, f0, z1, f1, kept)), fm in zip(list(open_.items()), fms):
+            zm = trials[i]
+            if abs(fm) <= cfg.tol:
                 points[i] = zm
                 del open_[i]
+            elif (fm > 0) == (f0 > 0):
+                open_[i] = (zm, fm, z1, 0.5 * f1 if kept == 1 else f1, 1)
             else:
-                open_[i] = (z0, t0, zm) if (t0 - u) * tm <= 0 else (zm, tm + u, z1)
+                open_[i] = (z0, 0.5 * f0 if kept == 0 else f0, zm, fm, 0)
     if open_:
         raise BisectionError(f"edge {open_[min(open_)]} did not converge")
     return tuple(points[i] for i in sorted(points))
@@ -347,19 +366,53 @@ LEVEL_LINE_CFGS = (
     TorusConfig(tau=0.3 + 1.1j, q=0),
 )
 LEVEL_LINE_IDS = ("square", "skewed", "two_point")
+LEVEL_LINE_CASES = list(zip(LEVEL_LINE_CFGS, ((-0.45, 0.3), (-0.2, 0.6), (0.0, 0.8))))
 
 
 @pytest.mark.parametrize("resolution", [32, 64])
-@pytest.mark.parametrize(
-    "cfg, levels",
-    list(zip(LEVEL_LINE_CFGS, ((-0.45, 0.3), (-0.2, 0.6), (0.0, 0.8)))),
-    ids=LEVEL_LINE_IDS,
-)
+@pytest.mark.parametrize("cfg, levels", LEVEL_LINE_CASES, ids=LEVEL_LINE_IDS)
 def test_level_lines_match_scalar_scan(cfg, levels, resolution):
     for u in levels:
         expected = _level_lines_scalar(cfg, u, resolution)
         assert expected
         assert level_line_samples(cfg, u, resolution).points == expected
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+@pytest.mark.parametrize("cfg, levels", LEVEL_LINE_CASES, ids=LEVEL_LINE_IDS)
+def test_level_lines_step_budget(cfg, levels, resolution, monkeypatch):
+    # false position settles every edge in a few lockstep steps, where
+    # halving a grid edge down to |t - u| <= 1e-10 takes about 30
+    calls = []
+    time_array = propagation._time_array
+
+    def counted(z, c):
+        calls.append(z.size)
+        return time_array(z, c)
+
+    monkeypatch.setattr(propagation, "_time_array", counted)
+    chunks = -(-((resolution + 1) ** 2) // quadrature.GRID_CHUNK)
+    for u in levels:
+        calls.clear()
+        assert level_line_samples(cfg, u, resolution).points
+        assert len(calls) <= chunks + 12, (u, len(calls) - chunks)
+
+
+@pytest.mark.parametrize("cfg", LEVEL_LINE_CFGS, ids=LEVEL_LINE_IDS)
+def test_level_line_points_lie_on_grid_edges(cfg):
+    # a point on a horizontal edge keeps its row's Im z exactly; one on a
+    # vertical edge keeps its column's lattice coordinate Re z - Im z Re tau / Im tau
+    n = 64
+    tau = cfg.tau
+    rows = {(-0.5 + k / n) * tau.imag for k in range(n + 1)}
+    columns = np.array([-0.5 + k / n for k in range(n + 1)])
+    for u in (-0.45, 0.0, 0.6):
+        points = level_line_samples(cfg, u, n).points
+        assert points
+        for p in points:
+            if p.imag not in rows:
+                a = p.real - p.imag * tau.real / tau.imag
+                assert np.min(np.abs(a - columns)) <= 1e-12, p
 
 
 @pytest.mark.parametrize("cfg", LEVEL_LINE_CFGS, ids=LEVEL_LINE_IDS)
