@@ -56,7 +56,14 @@ def slot_coefficients(i: int, j: int, params: AlgebraParams) -> tuple[complex, .
     if i % 2 == 0 and j % 2 == 0:
         return complex(j - i), 0j, 0j, 0j
     step = j % 2 - i % 2
-    return tuple(complex(j - i + step * t) * lam + 0j for t, lam in enumerate(params.as_tuple()))
+    d = j - i
+    lam4, lam5, lam6, lam7 = params.as_tuple()
+    return (
+        complex(d) * lam4 + 0j,
+        complex(d + step) * lam5 + 0j,
+        complex(d + 2 * step) * lam6 + 0j,
+        complex(d + 3 * step) * lam7 + 0j,
+    )
 
 
 def bracket(i: int, j: int, params: AlgebraParams) -> BracketTerms:

@@ -18,10 +18,15 @@ s >= -1; for s < -1, of all of hi plus the -2 - s slots in (s, -1) minus
 the bits of lo below the slot's bit (the vacant ones among them).
 
 Every operator is defined once on a basis state, where it gives one state
-and a sign or zero: _flip is b or c, _normal_ordered is :b_k c^j:
-(normal ordering switching at j = -1), and _linear extends either to a
-FockVector.  The current operators L_i = sum_{j,k} C_ij^k :b_k c^j:
-(shifted structure constants) realize the centrally extended algebra.
+and a sign or zero: _flip is b or c, _then composes two flips (the one
+rule that _normal_ordered, clifford_residual and l_operator compose by),
+_normal_ordered is :b_k c^j: (normal ordering switching at j = -1), and
+_linear extends either to a FockVector.  The current operators
+L_i = sum_{j,k} C_ij^k :b_k c^j: (shifted structure constants) realize
+the centrally extended algebra.  l_operator takes each first flip once
+per state and reads its constants from a table that one commutator
+builds and shares among its calls, so each C_ij^k is built once per
+commutator; no table outlives the call that made it.
 Their commutator connects the abstract cocycle chi_sum to the operator
 anomaly through the sign convention (sigma_c, sigma_chi), the constant
 cocycle.DEFAULT_SIGN_CONVENTION; the tests ground it exactly, at integer
@@ -111,6 +116,9 @@ VACUUM = WedgeState()
 FockVector = dict[WedgeState, complex]
 # a basis-state operator: the image state and its sign, or None for zero
 StateImage = tuple[WedgeState, int] | None
+# (i, j) -> the items of shifted_constants(i, j, params): the constants of
+# one commutator, shared by its l_operator calls and dropped with it
+ConstantTable = dict[tuple[int, int], tuple[tuple[int, complex], ...]]
 
 
 def _accumulate(vec: FockVector, state: WedgeState, coeff: complex) -> None:
@@ -142,6 +150,13 @@ def _flip(slot: int, state: WedgeState, occupied: bool) -> StateImage:
     return _masks(WedgeState, (hi, lo ^ bit)), -1 if above & 1 else 1
 
 
+def _then(first: StateImage, slot: int, occupied: bool) -> StateImage:
+    """_flip(slot, ., occupied) after the image `first`: zero if either is
+    zero, else the final state and the product of the two signs."""
+    second = first and _flip(slot, first[0], occupied)
+    return second and (second[0], first[1] * second[1])
+
+
 def _normal_ordered(k: int, j: int, state: WedgeState) -> StateImage:
     """:b_k c^j: on a basis state, read right to left.
 
@@ -149,12 +164,9 @@ def _normal_ordered(k: int, j: int, state: WedgeState) -> StateImage:
     is applied.  This switch makes every vacuum expectation value vanish.
     """
     if j < -1:
-        first = _flip(j, state, False)
-        second = first and _flip(k, first[0], True)
-        return second and (second[0], first[1] * second[1])
-    first = _flip(k, state, True)
-    second = first and _flip(j, first[0], False)
-    return second and (second[0], -first[1] * second[1])
+        return _then(_flip(j, state, False), k, True)
+    image = _then(_flip(k, state, True), j, False)
+    return image and (image[0], -image[1])
 
 
 def _linear(op: Callable[[WedgeState], StateImage], vec: FockVector) -> FockVector:
@@ -212,28 +224,37 @@ def clifford_residual(state: WedgeState, bound: int) -> float:
     created = {i: _flip(i, state, False) for i in labels}
     removed = {k: _flip(k, state, True) for k in labels}
 
-    def then(first: StateImage, slot: int, occupied: bool) -> StateImage:
-        second = first and _flip(slot, first[0], occupied)
-        return second and (second[0], first[1] * second[1])
-
     def opposite(xy: StateImage, yx: StateImage) -> bool:
         return xy == (yx and (yx[0], -yx[1]))
 
     for k in labels:
         for i in labels:  # b_k c^i and c^i b_k
-            xy, yx = then(created[i], k, True), then(removed[k], i, False)
+            xy, yx = _then(created[i], k, True), _then(removed[k], i, False)
             if not ({xy, yx} == {None, (state, 1)} if k == i else opposite(xy, yx)):
                 return 1.0
     for images, occupied in ((removed, True), (created, False)):
         slots = [s for s in labels if images[s]]
         for n, k in enumerate(slots):
             for i in slots[n:]:
-                if not opposite(then(images[i], k, occupied), then(images[k], i, occupied)):
+                if not opposite(_then(images[i], k, occupied), _then(images[k], i, occupied)):
                     return 1.0
     return 0.0
 
 
-def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
+def _constants(
+    table: ConstantTable, i: int, j: int, params: AlgebraParams
+) -> tuple[tuple[int, complex], ...]:
+    """The items (k, C_ij^k) of shifted_constants(i, j, params), in k order,
+    built into `table` on first use."""
+    terms = table.get((i, j))
+    if terms is None:
+        terms = table[i, j] = tuple(shifted_constants(i, j, params).items())
+    return terms
+
+
+def l_operator(
+    i: int, v: FockVector, params: AlgebraParams, table: ConstantTable | None = None
+) -> FockVector:
     """Apply L_i = sum_{j,k} C_ij^k :b_k c^j: with C the shifted constants.
 
     Finiteness of the sum, per input state:
@@ -243,22 +264,37 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
         k >= i + j (support window) bounds j <= max_occupied - i.
     Two extra j values beyond the derived upper bound are scanned; any
     nonzero contribution there raises WindowViolationError.
+
+    Each term is :b_k c^j: on the state, as _normal_ordered gives it, with
+    the first flip taken once per state: c^j once for all k when j < -1,
+    b_k once per k when j >= -1; _then applies the second.  The constants
+    come from `table`, which one commutator shares among its calls;
+    without one the call builds its own.
     """
+    if table is None:
+        table = {}
     out: FockVector = {}
-    constants: dict[int, dict[int, complex]] = {}  # j -> C_ij^k, built once per call
     for state, coeff in v.items():
         j_hi = state.hi.bit_length() - 2 - i  # the highest occupied slot, minus i
+        removed: dict[int, StateImage] = {}  # k -> b_k on this state
         for j in (*state.vacant_below, *range(-1, j_hi + 3)):
-            terms = constants.get(j)
-            if terms is None:
-                terms = constants[j] = shifted_constants(i, j, params)
+            terms = _constants(table, i, j, params)
+            if j < -1:
+                created = _flip(j, state, False)
+                for k, c in terms:
+                    image = _then(created, k, True)
+                    if image is not None:
+                        _accumulate(out, image[0], c * (coeff * image[1]))
+                continue
             contributed = False
-            for k, c in terms.items():
-                image = _normal_ordered(k, j, state)
+            for k, c in terms:
+                if k not in removed:
+                    removed[k] = _flip(k, state, True)
+                image = _then(removed[k], j, False)
                 if image is not None:
-                    _accumulate(out, image[0], c * (coeff * image[1]))
+                    _accumulate(out, image[0], c * (coeff * -image[1]))
                     contributed = True
-            if contributed and j >= -1 and j > j_hi:
+            if contributed and j > j_hi:
                 raise WindowViolationError(
                     f"L_{i} produced a contribution at j={j} beyond the "
                     f"derived bound {j_hi}"
@@ -266,11 +302,13 @@ def l_operator(i: int, v: FockVector, params: AlgebraParams) -> FockVector:
     return out
 
 
-def _commutator(i: int, j: int, v: FockVector, params: AlgebraParams) -> FockVector:
-    """(L_i L_j - L_j L_i) v."""
+def _commutator(
+    i: int, j: int, v: FockVector, params: AlgebraParams, table: ConstantTable
+) -> FockVector:
+    """(L_i L_j - L_j L_i) v, every l_operator call reading one table."""
     return vec_add(
-        l_operator(i, l_operator(j, v, params), params),
-        vec_scale(l_operator(j, l_operator(i, v, params), params), -1),
+        l_operator(i, l_operator(j, v, params, table), params, table),
+        vec_scale(l_operator(j, l_operator(i, v, params, table), params, table), -1),
     )
 
 
@@ -286,14 +324,16 @@ def commutator_residual(
     Compares (L_i L_j - L_j L_i) v against
     sigma_c * sum_k C_ij^k L_k v + sigma_chi * chi_sum(i, j) * v and
     normalizes by the squared parameter scale times the vector norm.
+    One constant table serves every l_operator call and C_ij^k itself.
     """
     sigma_c, sigma_chi = convention
+    table: ConstantTable = {}
     rhs: FockVector = vec_scale(v, sigma_chi * chi_sum(i, j, params))
-    for k, c in shifted_constants(i, j, params).items():
+    for k, c in _constants(table, i, j, params):
         factor = sigma_c * c
-        for state, coeff in l_operator(k, v, params).items():
+        for state, coeff in l_operator(k, v, params, table).items():
             _accumulate(rhs, state, coeff * factor)
-    diff = vec_add(_commutator(i, j, v, params), vec_scale(rhs, -1))
+    diff = vec_add(_commutator(i, j, v, params, table), vec_scale(rhs, -1))
     scale = params.scale()
     return vec_norm(diff) / (scale * scale * max(1.0, vec_norm(v)))
 
@@ -301,7 +341,7 @@ def commutator_residual(
 def extract_vacuum_cocycle(i: int, j: int, params: AlgebraParams) -> complex:
     """Coefficient of the vacuum in (L_i L_j - L_j L_i)|0> minus the
     structure-constant part (which has no vacuum component)."""
-    return _commutator(i, j, {VACUUM: 1.0 + 0j}, params).get(VACUUM, 0j)
+    return _commutator(i, j, {VACUUM: 1.0 + 0j}, params, {}).get(VACUUM, 0j)
 
 
 def determine_sign_convention() -> tuple[int, int]:

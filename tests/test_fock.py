@@ -10,7 +10,8 @@ from hypothesis import strategies as hs
 from kntorus.algebra import shifted_constants
 from kntorus.basis import WITT_PARAMS, formal_params, lambda_coefficients
 from kntorus.cocycle import DEFAULT_SIGN_CONVENTION, chi_sum
-from kntorus import fock
+from kntorus.errors import WindowViolationError
+from kntorus import fock, verify
 from kntorus.fock import (
     VACUUM,
     WedgeState,
@@ -155,6 +156,96 @@ def test_l_operator_equals_brute_force_sum(states, i, lam):
             brute = vec_add(brute, vec_scale(composed_bc(k, j, v), c))
     diff = vec_add(l_operator(i, v, params), vec_scale(brute, -1))
     assert vec_norm(diff) <= 1e-14 * max(1.0, vec_norm(brute))
+
+
+def l_operator_by_terms(i, v, params):
+    """L_i v term by term: :b_k c^j: per (state, j, k) in l_operator's order,
+    each constant built once per call, and the same product."""
+    out = {}
+    constants = {}
+    for state, coeff in v.items():
+        j_hi = state.hi.bit_length() - 2 - i
+        for j in (*state.vacant_below, *range(-1, j_hi + 3)):
+            if j not in constants:
+                constants[j] = shifted_constants(i, j, params)
+            for k, c in constants[j].items():
+                image = fock._normal_ordered(k, j, state)
+                if image is not None:
+                    fock._accumulate(out, image[0], c * (coeff * image[1]))
+    return out
+
+
+# zero parts of either sign drawn often; the tests compare reprs, which see
+# the order of the items and the bits of each part, signed zeros included
+signed_parts = hs.sampled_from((0.0, -0.0)) | hs.floats(-2.0, 2.0)
+signed_complex = hs.builds(complex, signed_parts, signed_parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    states=hs.lists(wedge_states, min_size=1, max_size=3, unique=True),
+    coeffs=hs.lists(signed_complex, min_size=3, max_size=3),
+    i=hs.integers(-6, 6),
+    lam=hs.tuples(signed_complex, signed_complex, signed_complex),
+)
+def test_l_operator_is_the_term_loop_bit_for_bit(states, coeffs, i, lam):
+    params = formal_params(*lam)
+    v = dict(zip(states, coeffs))
+    expect = repr(list(l_operator_by_terms(i, v, params).items()))
+    assert repr(list(l_operator(i, v, params).items())) == expect
+    # a table shared with another current, empty and then already filled
+    table = {}
+    for _ in range(2):
+        l_operator(1 - i, v, params, table)
+        assert repr(list(l_operator(i, v, params, table).items())) == expect
+
+
+def test_one_commutator_builds_each_constant_once(cfg_square, monkeypatch):
+    # the (i, j) pairs each commutator requests from shifted_constants; the
+    # l_operator calls of verify fock outside a commutator record under None
+    requests = {None: []}
+    scope = [None]
+    built = fock.shifted_constants
+
+    def recorded(i, j, params):
+        requests[scope[-1]].append((i, j))
+        return built(i, j, params)
+
+    def scoped(fn):
+        def call(*args):
+            scope.append(len(requests))
+            requests[scope[-1]] = []
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+
+        return call
+
+    monkeypatch.setattr(fock, "shifted_constants", recorded)
+    monkeypatch.setattr(fock, "commutator_residual", scoped(fock.commutator_residual))
+    monkeypatch.setattr(fock, "extract_vacuum_cocycle", scoped(fock.extract_vacuum_cocycle))
+    deformed = formal_params(0.31 + 0.07j, -0.22 + 0.11j, 0.05 - 0.13j)
+    excited = apply_c(1, apply_b(-3, VAC))
+    probes = ((2, -2, VAC, WITT_PARAMS), (2, 0, excited, WITT_PARAMS), (1, -3, excited, deformed))
+    for i, j, v, params in probes:
+        fock.commutator_residual(i, j, v, params, DEFAULT_SIGN_CONVENTION)
+    verify.verify_fock(cfg_square)
+    commutators = [pairs for scope_id, pairs in requests.items() if scope_id is not None]
+    assert len(commutators) == 3 + 10 + 11  # the probes, then verify fock's
+    for pairs in commutators:
+        assert pairs and len(set(pairs)) == len(pairs), sorted(pairs)
+
+
+def test_window_violation_names_the_current_and_j(monkeypatch):
+    # a constant at the occupied slot 3 for every j: b_3 then c^j reaches
+    # the vacant j = 2 beyond the bound j <= 3 - i = 1 of L_2
+    built = fock.shifted_constants
+    monkeypatch.setattr(fock, "shifted_constants", lambda i, j, params: {**built(i, j, params), 3: 1.0 + 0j})
+    state = {WedgeState((3,), ()): 1.0 + 0j}
+    message = r"^L_2 produced a contribution at j=2 beyond the derived bound 1$"
+    with pytest.raises(WindowViolationError, match=message):
+        l_operator(2, state, WITT_PARAMS)
 
 
 def test_l_operator_on_vacuum_witt():
