@@ -13,11 +13,12 @@ in the Weierstrass equation.  Those four scalars determine the whole Lie
 algebra and its cocycle.
 
 Every A_k and its derivative are monomials in the frame of a point,
-(base, w, w') with base = wp - p: ``frame`` computes it at one point (one
-puncture check, one wp_pair call) and ``frame_array`` at every entry of an
-array (one wp_pair_array call), so a point costs one elliptic evaluation
-however many labels are read from it.  ``puncture_circles`` caches the
-array frame on each puncture's quadrature circle, once per configuration.
+(base, w, w') with base = wp - p: ``frame_array`` computes it at every
+entry of an array (one puncture check, one wp_pair_array call), so a point
+costs one elliptic evaluation however many labels are read from it, and
+``basis_value`` reads one point as a one-entry array.  ``puncture_circles``
+caches the frame on each puncture's quadrature circle, once per
+configuration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .config import (
     lattice_distance,
     reduced_basis,
 )
-from .elliptic import half_period_values, wp, wp_pair, wp_pair_array
+from .elliptic import half_period_values, wp, wp_pair_array
 from .errors import BadContourError, DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
 
@@ -164,46 +165,29 @@ def puncture_circle(s: complex, cfg: TorusConfig) -> PunctureCircle:
     raise ValueError(f"{s} is not a puncture of {cfg}; the punctures are {cfg.punctures()}")
 
 
-def check_away_from_punctures(z, cfg: TorusConfig) -> None:
-    """Raise PoleProximityError when z, a complex or a complex array, lies
-    inside a puncture exclusion disk; for an array the first such entry is
-    named."""
-    if isinstance(z, np.ndarray):
-        inside = z[distance_to_points_array(z, cfg.punctures(), cfg.tau) <= EXCLUSION_RADIUS]
-        if inside.size:
-            raise PoleProximityError(f"z={complex(inside[0])} is inside a puncture exclusion disk")
-    elif cfg.distance_to_punctures(z) <= EXCLUSION_RADIUS:
-        raise PoleProximityError(f"z={z} is inside a puncture exclusion disk")
-
-
-def _frame_from(p, dp, cfg: TorusConfig):
-    # (base, w, w') from wp and wp', scalars or arrays alike; the derivative
-    # of w = -(1/2) wp'/base takes wp'' = 6 wp^2 - g2/2 from the same wp
-    base = p - pole_parameter(cfg)
-    w = -0.5 * dp / base
-    ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
-    w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
-    return base, w, w_prime
-
-
-def frame(z: complex, cfg: TorusConfig) -> tuple[complex, complex, complex]:
-    """(base, w, w') at z: base = wp(z) - p, the differential scalar
-    w = -(1/2) wp'(z)/base and its derivative w'.
-
-    Raises PoleProximityError inside a puncture exclusion disk.
-    """
-    check_away_from_punctures(z, cfg)
-    return _frame_from(*wp_pair(z, cfg), cfg)
+def check_away_from_punctures(z: np.ndarray, cfg: TorusConfig) -> None:
+    """Raise PoleProximityError, naming the first such entry, when an entry
+    of the complex array z lies inside a puncture exclusion disk."""
+    inside = z[distance_to_points_array(z, cfg.punctures(), cfg.tau) <= EXCLUSION_RADIUS]
+    if inside.size:
+        raise PoleProximityError(f"z={complex(inside[0])} is inside a puncture exclusion disk")
 
 
 def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """frame at every entry of a complex array, from one wp_pair_array call.
+    """(base, w, w') at every entry of a complex array from one wp_pair_array
+    call: base = wp(z) - p, w = -(1/2) wp'(z)/base and w', whose wp'' =
+    6 wp^2 - g2/2 comes from the same wp.
 
     Raises PoleProximityError, naming the first such entry, when any entry
     lies inside a puncture exclusion disk.
     """
     check_away_from_punctures(z, cfg)
-    return _frame_from(*wp_pair_array(z, cfg), cfg)
+    p, dp = wp_pair_array(z, cfg)
+    base = p - pole_parameter(cfg)
+    w = -0.5 * dp / base
+    ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
+    w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
+    return base, w, w_prime
 
 
 def monomial(k: int, base, w):
@@ -230,14 +214,19 @@ def monomial_derivative(k: int, base, w, w_prime):
     return (w_prime + (k + 1) * w * w) * monomial(k + 1, base, w)
 
 
+def _point_frame(z: complex, cfg: TorusConfig) -> list[complex]:
+    # frame_array at the one point z, read back as Python complexes
+    return [a.item() for a in frame_array(np.array([z], dtype=complex), cfg)]
+
+
 def basis_value(k: int, z: complex, cfg: TorusConfig) -> complex:
-    """Evaluate the basis function with label k at z."""
-    return monomial(k, *frame(z, cfg)[:2])
+    """Evaluate the basis function with label k at z (a one-entry frame_array)."""
+    return monomial(k, *_point_frame(z, cfg)[:2])
 
 
 def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
-    """d/dz of the basis function with label k at z."""
-    return monomial_derivative(k, *frame(z, cfg))
+    """d/dz of the basis function with label k at z (a one-entry frame_array)."""
+    return monomial_derivative(k, *_point_frame(z, cfg))
 
 
 def out_puncture_order(k: int, two_point: bool = False) -> int:

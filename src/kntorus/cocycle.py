@@ -268,7 +268,8 @@ def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
 
     C_bc^m is slot t of algebra.slot_coefficients(b + 1, c + 1), read from
     one bracket_slots table, at m = b + c + 2t (the shifted_constants key),
-    and chi_sum is read from one table over the window.  The products
+    and chi_sum is read from one table over the window, called only where
+    a + m is a _CHI_POLY level and an exact 0j elsewhere.  The products
     Q_t[a, b, c] = C_bc^m chi_am are formed once over the cube; the term
     (j, k, i) is Q_t with its axes rotated, and likewise (k, i, j).  They
     add into one running sum, t ascending within each cyclic term and the
@@ -282,7 +283,8 @@ def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
     slots = bracket_slots(params, shifted, shifted)
     c_re, c_im = slots.real, slots.imag
     seconds = range(-2 * bound, 2 * bound + 7)
-    chi = np.array([[chi_sum(a, m, params) for m in seconds] for a in labels])
+    levels = {level for level, _ in _CHI_POLY}
+    chi = np.array([[chi_sum(a, m, params) if a + m in levels else 0j for m in seconds] for a in labels])
     chi_re, chi_im = chi.real, chi.imag
     # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over the cube; the index
     # arrays are the labels + bound, so m - seconds.start is b + c + 2t

@@ -1,4 +1,8 @@
-"""Torus geometry configuration and the lattice arithmetic shared by every module."""
+"""Torus geometry configuration and the lattice arithmetic shared by every module.
+
+Distances to the punctures are taken over arrays alone
+(distance_to_points_array), a single point as a one-entry array.
+"""
 
 from __future__ import annotations
 
@@ -84,10 +88,6 @@ class TorusConfig:
         """This lattice with both out-punctures merged at 1/2 (q = 0)."""
         return replace(self, q=0j)
 
-    def distance_to_punctures(self, z: complex) -> float:
-        """Distance from z to the nearest puncture mod the lattice (see distance_to_points)."""
-        return distance_to_points(z, self.punctures(), self.tau)
-
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def reduced_basis(tau: complex) -> tuple[complex, complex]:
@@ -146,21 +146,15 @@ def reduce_mod_lattice_array(z: np.ndarray, tau: complex) -> np.ndarray:
     return out
 
 
-def distance_to_points(z: complex, points: tuple[complex, ...], tau: complex) -> float:
-    """min |reduce_mod_lattice(z - s)| over the points: one reduction each.
+def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: complex) -> np.ndarray:
+    """min |reduce_mod_lattice(z - s)| over the points at every entry of a
+    complex array, bit for bit: one reduction per point.
 
     The reduced cell keeps sqrt(3)/4 * |w1| from every nonzero lattice
     point, so the value is exact below ~0.43 * |w1|, far above any
-    exclusion radius it is compared with.
-    """
-    return min(abs(reduce_mod_lattice(z - s, tau)) for s in points)
-
-
-def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: complex) -> np.ndarray:
-    """distance_to_points of every entry of a complex array, bit for bit.
-
-    np.hypot is the C library hypot that abs(complex) calls; np.abs of a
-    complex array rounds differently in about a third of the entries.
+    exclusion radius it is compared with.  np.hypot is the C library hypot
+    that abs(complex) calls; np.abs of a complex array rounds differently
+    in about a third of the entries.
     """
     return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau, np.floor)) for s in points])
 

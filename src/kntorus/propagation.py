@@ -4,14 +4,14 @@ The differential is w(z) dz with w = -(1/2) wp'(z) / (wp(z) - p) where
 p = wp(1/2 + q).  It has residues +1 at 0 and -1/2 at 1/2 +- q, purely
 imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
-fixed by t((1+tau)/4) = 0.  The punctures, p and w itself come from the
-basis frame (``basis.frame`` and ``basis.frame_array``); residues and
-periods integrate w from the array frame.  The time function has one
-evaluation, from wp_array: ``time_coordinate`` takes a point or an array,
-and the level-line scan decides every sign and every accepted point from
-the same array values.  The scan refines each crossing edge by bracketed
-false position (the Illinois variant), all edges in lockstep, so every
-point stays on its own grid edge.
+fixed by t((1+tau)/4) = 0.  The punctures, p and w itself come from
+``basis.frame_array``; residues and periods integrate w from it, and
+``omega_hat`` reads one point as a one-entry array.  The time function has
+one evaluation, from wp_array: ``time_coordinate`` takes a point or an
+array, and the level-line scan decides every sign and every accepted point
+from the same array values.  The scan refines each crossing edge by
+bracketed false position (the Illinois variant), all edges in lockstep, so
+every point stays on its own grid edge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import check_away_from_punctures, frame, frame_array, pole_parameter, puncture_circle
+from .basis import check_away_from_punctures, frame_array, pole_parameter, puncture_circle
 from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
 from .elliptic import half_period_values, wp, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
@@ -54,8 +54,8 @@ class MuModulus:
 
 
 def omega_hat(z: complex, cfg: TorusConfig) -> complex:
-    """Scalar part of the propagation differential."""
-    return frame(z, cfg)[1]
+    """Scalar part of the propagation differential (a one-entry frame_array)."""
+    return frame_array(np.array([z], dtype=complex), cfg)[1].item()
 
 
 def residue_at(s: complex, cfg: TorusConfig) -> complex:
@@ -130,10 +130,9 @@ def time_coordinate(z, cfg: TorusConfig):
     in any array call, level_line_samples' included.  Raises
     PoleProximityError inside a puncture exclusion disk.
     """
-    check_away_from_punctures(z, cfg)
-    if isinstance(z, np.ndarray):
-        return _time_array(z, cfg)
-    return float(_time_array(np.array([z], dtype=complex), cfg)[0])
+    zs = z if isinstance(z, np.ndarray) else np.array([z], dtype=complex)
+    check_away_from_punctures(zs, cfg)
+    return _time_array(zs, cfg) if zs is z else float(_time_array(zs, cfg)[0])
 
 
 def separation_time(cfg: TorusConfig) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra, basis, cocycle, elliptic, fock, propagation
 from .basis import WITT_PARAMS, formal_params, lambda_coefficients
-from .config import TorusConfig, distance_to_points, reduce_mod_lattice
+from .config import TorusConfig, distance_to_points_array, reduce_mod_lattice
 from .errors import DegenerateModuliError, PoleProximityError, QuadratureError
 from .quadrature import segment_integral
 
@@ -78,16 +78,17 @@ def _relative(value: complex, ref: complex) -> float:
 
 
 def random_points(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
-    """Deterministic sample of cell points away from punctures and lattice."""
+    """Deterministic sample of cell points away from punctures and lattice:
+    a one-at-a-time rejection loop, each batch of candidates as large as
+    the number of points still missing."""
     rng = random.Random(seed)
     tau = cfg.tau
-    points = []
+    marks = (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau)
+    points: list[complex] = []
     while len(points) < count:
-        a = rng.uniform(-0.5, 0.5)
-        b = rng.uniform(-0.5, 0.5)
-        z = complex(a + b * tau.real, b * tau.imag)
-        if distance_to_points(z, (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau), tau) > SAMPLE_MARGIN:
-            points.append(z)
+        ab = [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(count - len(points))]
+        z = np.array([complex(a + b * tau.real, b * tau.imag) for a, b in ab])
+        points += z[distance_to_points_array(z, marks, tau) > SAMPLE_MARGIN].tolist()
     return points
 
 
@@ -170,12 +171,10 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
     except QuadratureError as exc:
         checks.append(_check("period_real_parts", abs(exc.estimate.real), 1e-8, str(exc)))
 
-    segments = []
-    for _ in range(20):
-        z0, z1 = rng.choice(pts), rng.choice(pts)
-        # skip a segment near a puncture here, and one passing where frame_array raises below
-        if z0 != z1 and cfg.distance_to_punctures(0.5 * (z0 + z1)) >= 0.05:
-            segments.append((z0, z1))
+    # skip a segment near a puncture here, and one passing where frame_array raises below
+    draws = [(rng.choice(pts), rng.choice(pts)) for _ in range(20)]
+    mids = distance_to_points_array(np.array([0.5 * (z0 + z1) for z0, z1 in draws]), cfg.punctures(), cfg.tau)
+    segments = [(z0, z1) for (z0, z1), d in zip(draws, mids.tolist()) if z0 != z1 and d >= 0.05]
     residuals, unconverged = [], ""
     integrals = segment_integral(lambda z: basis.frame_array(z, cfg)[1], segments)
     # one array call for every segment's ends costs less than two scalar calls

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 from hypothesis import strategies as st
 
-from kntorus.config import TorusConfig
+from kntorus.config import TorusConfig, reduce_mod_lattice
 from kntorus.verify import CheckResult, verify_suite
 
 mp.mp.dps = 30
@@ -91,6 +91,11 @@ def assert_close(actual, expected, tol, label=""):
 def bits(c: complex) -> tuple[str, str]:
     # float.hex tells 0.0 from -0.0
     return c.real.hex(), c.imag.hex()
+
+
+def reduced_distance(z: complex, marks, tau: complex) -> float:
+    """min |reduce_mod_lattice(z - s)| over the marks, one scalar reduction each."""
+    return min(abs(reduce_mod_lattice(z - s, tau)) for s in marks)
 
 
 LN2_OVER_2 = math.log(2.0) / 2.0

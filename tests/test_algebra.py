@@ -20,9 +20,9 @@ from kntorus.algebra import (
 from kntorus.basis import (
     WITT_PARAMS,
     AlgebraParams,
+    _point_frame,
     basis_value,
     formal_params,
-    frame,
     lambda_coefficients,
     monomial,
     monomial_derivative,
@@ -54,25 +54,25 @@ def test_bracket_odd_even_pattern(cfg_square):
 
 
 def _numeric(i, j, fr):
-    """bracket_numeric of the labels i, j at the scalar frame fr."""
+    """bracket_numeric of the labels i, j at the frame fr of one point."""
     return bracket_numeric(
         monomial(i, *fr[:2]), monomial_derivative(i, *fr), monomial(j, *fr[:2]), monomial_derivative(j, *fr)
     )
 
 
 def _contraction(terms, fr):
-    """The terms of bracket() contracted with the basis functions at the scalar frame fr."""
+    """The terms of bracket() contracted with the basis functions at the frame fr of one point."""
     return sum(c * monomial(k, *fr[:2]) for k, c in terms.items())
 
 
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
     z = random_points(cfg_square, 1, seed=41)[0]
-    assert _numeric(3, 3, frame(z, cfg_square)) == 0j
+    assert _numeric(3, 3, _point_frame(z, cfg_square)) == 0j
 
 
 def test_bracket_numeric_even_pair(cfg_square):
     for z in random_points(cfg_square, 5, seed=42):
-        lhs = _numeric(2, 4, frame(z, cfg_square))
+        lhs = _numeric(2, 4, _point_frame(z, cfg_square))
         rhs = 2 * basis_value(5, z, cfg_square)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
@@ -80,7 +80,7 @@ def test_bracket_numeric_even_pair(cfg_square):
 def test_bracket_numeric_mixed_pair(cfg_square):
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 5, seed=43):
-        fr = frame(z, cfg_square)
+        fr = _point_frame(z, cfg_square)
         lhs = _numeric(1, -1, fr)
         rhs = _contraction(bracket(1, -1, lam), fr)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
@@ -97,7 +97,7 @@ def test_bracket_oracle_tables_are_the_scalar_oracle(cfg):
     contraction, numeric = bracket_oracle(params, labels, basis.frame_array(np.array(pts), cfg), draws)
     assert contraction.shape == numeric.shape == draws.shape
     for (x, y, d), p in np.ndenumerate(draws):
-        i, j, fr = labels[x], labels[y], frame(pts[p], cfg)
+        i, j, fr = labels[x], labels[y], _point_frame(pts[p], cfg)
         for value, ref in ((contraction, _contraction(bracket(i, j, params), fr)), (numeric, _numeric(i, j, fr))):
             assert abs(value[x, y, d] - ref) <= 1e-13 * max(1.0, abs(ref)), (i, j, p)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,14 @@ from kntorus.basis import (
     CIRCLE_NODES,
     WITT_PARAMS,
     PunctureCircle,
+    _point_frame,
     basis_derivative,
     basis_value,
     formal_params,
-    frame,
     frame_array,
     lambda_coefficients,
     monomial,
+    monomial_derivative,
     out_puncture_order,
     pole_parameter,
     puncture_circle,
@@ -23,8 +26,8 @@ from kntorus.basis import (
 from kntorus.cocycle import pairing, pairing_residue_routes
 from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair, wp_pair_array
-from kntorus.errors import NonIntegerWindingError
-from kntorus.propagation import omega_hat, residue_at
+from kntorus.errors import NonIntegerWindingError, PoleProximityError
+from kntorus.propagation import _time_array, omega_hat, residue_at, time_coordinate
 from kntorus.quadrature import circle_nodes, contour_residue
 from kntorus.verify import random_points
 
@@ -41,15 +44,17 @@ def test_derivative_constant_is_zero(cfg_square):
 
 
 def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
-    # A_k and A_k' as computed before the frame: wp'' from a second wp call
+    # A_k and A_k' as computed before the frame: wp'' from a second wp call,
+    # the frame formulas over the arrays, the monomials on each entry
     for cfg in (cfg_square, cfg_generic):
         p_q, g2 = pole_parameter(cfg), half_period_values(cfg).g2
-        for z in random_points(cfg, 10, seed=41):
-            p, dp = wp_pair(z, cfg)
-            base = p - p_q
-            w = -0.5 * dp / base
-            p2 = wp_pair(z, cfg)[0]
-            w_prime = -0.5 * ((6.0 * p2 * p2 - 0.5 * g2) * base - dp * dp) / (base * base)
+        pts = random_points(cfg, 10, seed=41)
+        p, dp = wp_pair_array(np.array(pts), cfg)
+        bases = p - p_q
+        ws = -0.5 * dp / bases
+        p2 = wp_pair_array(np.array(pts), cfg)[0]
+        w_primes = -0.5 * ((6.0 * p2 * p2 - 0.5 * g2) * bases - dp * dp) / (bases * bases)
+        for z, base, w, w_prime in zip(pts, bases.tolist(), ws.tolist(), w_primes.tolist()):
             for k in range(-8, 9):
                 if k % 2 == 0:
                     value = base ** (-k // 2)
@@ -57,8 +62,37 @@ def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
                 else:
                     value = w * base ** (-(k + 1) // 2)
                     derivative = (w_prime + (k + 1) * w * w) * base ** (-(k + 1) // 2)
-                assert basis_value(k, z, cfg) == value
-                assert basis_derivative(k, z, cfg) == derivative
+                assert bits(basis_value(k, z, cfg)) == bits(value)
+                assert bits(basis_derivative(k, z, cfg)) == bits(derivative)
+
+
+@pytest.mark.parametrize("cfg", [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)])
+def test_point_views_are_their_array_entries(cfg):
+    # each point function reads its point as a one-entry array, so it gives
+    # the entry the point gets inside a larger array call, bit for bit
+    pts = random_points(cfg, 25, seed=43)
+    frames = list(zip(*(a.tolist() for a in frame_array(np.array(pts), cfg))))
+    times = _time_array(np.array(pts), cfg).tolist()
+    for z, (base, w, w_prime), t in zip(pts, frames, times):
+        assert bits(omega_hat(z, cfg)) == bits(w)
+        assert time_coordinate(z, cfg).hex() == t.hex()
+        for k in range(-6, 7):
+            assert bits(basis_value(k, z, cfg)) == bits(monomial(k, base, w))
+            assert bits(basis_derivative(k, z, cfg)) == bits(monomial_derivative(k, base, w, w_prime))
+
+
+def test_point_views_refuse_a_point_near_a_puncture(cfg_square):
+    views = (
+        lambda z: basis_value(1, z, cfg_square),
+        lambda z: basis_derivative(2, z, cfg_square),
+        lambda z: omega_hat(z, cfg_square),
+        lambda z: time_coordinate(z, cfg_square),
+    )
+    # beside 0, beside 1/2 + q and beside a lattice translate of 1/2 - q
+    for z in (1e-6j, 0.7 + 1e-6j, 0.3 - 1e-5 + 1j):
+        for view in views:
+            with pytest.raises(PoleProximityError, match=re.escape(f"z={z} is inside a puncture exclusion disk")):
+                view(z)
 
 
 def test_order_triples():
@@ -180,7 +214,7 @@ def test_omega_prime_expansion(cfg_square):
     # w' = -lam4*A_-2 + lam6*A_2 + 2*lam7*A_4 (factor-2 consistent with (w^2)' = 2ww')
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 20, seed=40):
-        lhs = frame(z, cfg_square)[2]
+        lhs = _point_frame(z, cfg_square)[2]
         rhs = (
             -lam.lam4 * basis_value(-2, z, cfg_square)
             + lam.lam6 * basis_value(2, z, cfg_square)

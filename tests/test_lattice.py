@@ -6,10 +6,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fundamental_taus
+from conftest import fundamental_taus, reduced_distance
 from kntorus.config import (
     TorusConfig,
-    distance_to_points,
     distance_to_points_array,
     lattice_distance,
     reduce_mod_lattice,
@@ -53,7 +52,7 @@ def test_puncture_distance_exact_near_punctures(z, tau, q):
         cfg = TorusConfig(tau=tau, q=q)
     except ValueError:
         cfg = TorusConfig(tau=tau)
-    per_point = cfg.distance_to_punctures(z)
+    per_point = float(distance_to_points_array(np.array([z]), cfg.punctures(), tau)[0])
     exact = min(lattice_distance(z - s, tau) for s in cfg.punctures())
     if min(per_point, exact) < 0.25 * abs(reduced_basis(tau)[0]):
         assert math.isclose(per_point, exact, rel_tol=1e-12, abs_tol=1e-15)
@@ -74,9 +73,7 @@ def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
     # the level-line skip masks rest on this equality, not on closeness
     z = np.array(zs)
     assert [complex(w) for w in reduce_mod_lattice_array(z, tau)] == [reduce_mod_lattice(w, tau) for w in zs]
-    assert distance_to_points_array(z, tuple(marks), tau).tolist() == [
-        distance_to_points(w, tuple(marks), tau) for w in zs
-    ]
+    assert distance_to_points_array(z, tuple(marks), tau).tolist() == [reduced_distance(w, marks, tau) for w in zs]
 
 
 def test_config_shifts_re_tau_by_even_integers():

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close
+from conftest import assert_close, reduced_distance
 from kntorus import propagation, quadrature
-from kntorus.basis import CIRCLE_NODES, frame, frame_array, pole_parameter, puncture_circle
+from kntorus.basis import CIRCLE_NODES, _point_frame, frame_array, pole_parameter, puncture_circle
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -48,7 +48,7 @@ def test_omega_prime_vs_finite_difference(cfg_square):
     h = 1e-5
     for z in random_points(cfg_square, 6, seed=23):
         fd = (omega_hat(z + h, cfg_square) - omega_hat(z - h, cfg_square)) / (2 * h)
-        assert abs(frame(z, cfg_square)[2] - fd) <= 1e-5 * max(1.0, abs(fd))
+        assert abs(_point_frame(z, cfg_square)[2] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_residue_bad_contour(cfg_square):
@@ -313,7 +313,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     the open edges' trial points timed by one array call per step; points
     in row-major order, horizontal edge first.  The oracle for
     level_line_samples."""
-    tau = cfg.tau
+    tau, punctures = cfg.tau, cfg.punctures()
     n = resolution
     coords = [-0.5 + k / n for k in range(n + 1)]
 
@@ -324,7 +324,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
         (ai, bi)
         for bi in range(n + 1)
         for ai in range(n + 1)
-        if cfg.distance_to_punctures(node(ai, bi)) > 4.0 * EXCLUSION_RADIUS
+        if reduced_distance(node(ai, bi), punctures, tau) > 4.0 * EXCLUSION_RADIUS
     ]
     times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
     fvals = {key: t - u for key, t in zip(keys, times.tolist())}
@@ -344,7 +344,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
             w = f0 / (f0 - f1)
             w = w if 0.0 < w < 1.0 else 0.5
             trials[i] = complex(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
-        open_ = {i: e for i, e in open_.items() if cfg.distance_to_punctures(trials[i]) > EXCLUSION_RADIUS}
+        open_ = {i: e for i, e in open_.items() if reduced_distance(trials[i], punctures, tau) > EXCLUSION_RADIUS}
         fms = (time_coordinate(np.array([trials[i] for i in open_]), cfg) - u).tolist() if open_ else []
         for (i, (z0, f0, z1, f1, kept)), fm in zip(list(open_.items()), fms):
             zm = trials[i]

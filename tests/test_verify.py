@@ -1,16 +1,25 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_CONFIGS, suite_checks
+from conftest import ACCEPTANCE_CONFIGS, bits, reduced_distance, suite_checks
 from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
 from kntorus.basis import frame_array
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
-from kntorus.verify import SUITES, WINDOWED_SUITES, CheckResult, verify_differential, verify_suite
+from kntorus.verify import (
+    SAMPLE_MARGIN,
+    SUITES,
+    WINDOWED_SUITES,
+    CheckResult,
+    random_points,
+    verify_differential,
+    verify_suite,
+)
 
 
 # checks of laws that hold exactly in floating point: the residual is 0.0
@@ -168,13 +177,43 @@ def test_differential_suite_packs_its_segments(cfg_square, monkeypatch):
     assert len(calls) <= 20, calls
 
 
+def _random_points_one_at_a_time(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
+    """The rejection loop that random_points batches: one candidate a + b*tau
+    at a time, kept when farther than SAMPLE_MARGIN from the punctures and
+    both half periods tau/2 and (1 + tau)/2."""
+    rng = random.Random(seed)
+    tau = cfg.tau
+    marks = (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau)
+    points = []
+    while len(points) < count:
+        a, b = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        z = complex(a + b * tau.real, b * tau.imag)
+        if reduced_distance(z, marks, tau) > SAMPLE_MARGIN:
+            points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("count", [1, 25, 1025])
+@pytest.mark.parametrize(
+    "cfg", [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.06j), TorusConfig(tau=20j, q=0.4)],
+    ids=lambda c: f"tau={c.tau},q={c.q}",
+)
+def test_random_points_are_the_rejection_loop(cfg, count):
+    points = random_points(cfg, count, seed=302)
+    expected = _random_points_one_at_a_time(cfg, count, seed=302)
+    assert all(type(z) is complex for z in points)
+    assert list(map(bits, points)) == list(map(bits, expected))
+    marks = (*cfg.punctures(), 0.5 * cfg.tau, 0.5 + 0.5 * cfg.tau)
+    assert min(reduced_distance(z, marks, cfg.tau) for z in points) > SAMPLE_MARGIN
+
+
 def test_basis_suite_reads_one_frame_array(cfg_square, monkeypatch):
-    # the samples, their negatives and z +- h in one call, and no scalar frame
+    # the samples, their negatives and z +- h in one call, and no one-point view
     basis.puncture_circles(cfg_square)  # the winding orders' circle frames, cached
     calls = []
     monkeypatch.setattr(basis, "frame_array", lambda z, cfg: calls.append(z.size) or frame_array(z, cfg))
-    for name in ("frame", "basis_value"):
-        monkeypatch.setattr(basis, name, lambda *args: pytest.fail("a scalar frame evaluation"))
+    for name in ("basis_value", "basis_derivative"):
+        monkeypatch.setattr(basis, name, lambda *args: pytest.fail("a one-point frame evaluation"))
     assert all(c.passed for c in verify.verify_basis(cfg_square))
     assert calls == [4 * 40]
 
