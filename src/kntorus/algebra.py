@@ -29,8 +29,9 @@ jacobi_residual(bound, params) checks the Jacobi identity on every label
 triple of the cube [-bound, bound]^3 in one call.  It reads every bracket
 from one bracket_slots table, forms the cyclic term once over the cube and
 reads the other two cyclic terms from it with its axes rotated.  Each
-complex product is formed from real arrays (config.complex_product) and
-the sums run in the order of the cyclic sum's definition.
+complex product and modulus is rounded as Python's (config.complex_multiply
+and config.complex_abs) and the sums run in the order of the cyclic sum's
+definition.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import AlgebraParams, monomial, monomial_derivative
-from .config import complex_product
+from .config import complex_abs, complex_multiply
 from .errors import DegenerateModuliError
 
 BracketTerms = dict[int, complex]
@@ -172,24 +173,16 @@ def jacobi_residual(bound: int, params: AlgebraParams) -> np.ndarray:
     # [l_a, l_b] lands on m in [-2 bound - 1, 2 bound + 5], which [l_m, l_c] reads again
     rows = range(-2 * bound - 1, 2 * bound + 6)
     slots = bracket_slots(params, rows, labels)
-    re, im = slots.real, slots.imag
     a, b, c = np.ix_(labels, labels, labels)
     x, y, n = a - rows.start, b - labels.start, c - labels.start
-    term_re = np.zeros((len(labels),) * 3 + (7,))
-    term_im = np.zeros_like(term_re)
+    term = np.zeros((len(labels),) * 3 + (7,), dtype=complex)
     for t1 in range(4):
         # slot t1 of [l_a, l_b], at m, times the four slots of [l_m, l_c]
         m = a + b - 1 + 2 * t1 - rows.start
-        p_re, p_im = complex_product(
-            re[x, y, t1][..., None], im[x, y, t1][..., None], re[m, n], im[m, n]
-        )
-        term_re[..., t1 : t1 + 4] += p_re
-        term_im[..., t1 : t1 + 4] += p_im
-    total_re, total_im = (
-        t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3) for t in (term_re, term_im)
-    )
+        term[..., t1 : t1 + 4] += complex_multiply(slots[x, y, t1][..., None], slots[m, n])
+    total = term + term.transpose(2, 0, 1, 3) + term.transpose(1, 2, 0, 3)
     scale = params.scale()
-    return np.hypot(total_re, total_im).max(axis=-1) / (scale * scale)
+    return complex_abs(total).max(axis=-1) / (scale * scale)
 
 
 def build_structure_table(

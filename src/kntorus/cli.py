@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import os
 import sys
 from itertools import groupby
@@ -59,15 +58,6 @@ def _check_range(flag: str, value: int, floor: int, cap: int, work: str) -> None
         raise ValueError(f"{flag}: must be at least {floor}, got {value}")
     if value > cap:
         raise ValueError(f"{flag} {value} exceeds the cap {cap}: it would take {work}")
-
-
-def finite_float(text: str) -> float:
-    """argparse type of the flags no config field checks: a float that is
-    neither NaN nor infinite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
 
 
 def _c(value: complex) -> list[float]:
@@ -106,15 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=("brackets", "cocycle"))
     add_geometry(p_table)
     p_table.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p_table.add_argument("--lam5", type=finite_float, nargs=2, metavar=("RE", "IM"))
-    p_table.add_argument("--lam6", type=finite_float, nargs=2, metavar=("RE", "IM"))
-    p_table.add_argument("--lam7", type=finite_float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam5", type=float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam6", type=float, nargs=2, metavar=("RE", "IM"))
+    p_table.add_argument("--lam7", type=float, nargs=2, metavar=("RE", "IM"))
     p_table.add_argument("--indexing", choices=("original", "shifted"), default=None)  # brackets only
     add_output(p_table)
 
     p_level = sub.add_parser("levellines", help="sample a level line of the time function")
     add_geometry(p_level)
-    p_level.add_argument("--u", type=finite_float, required=True)
+    p_level.add_argument("--u", type=float, required=True)
     p_level.add_argument("--samples", type=int, default=64)
     p_level.add_argument("--tol", type=float, default=TorusConfig.tol, help="target |t - u| of each point")
     add_output(p_level)

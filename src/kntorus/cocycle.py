@@ -51,7 +51,7 @@ import numpy as np
 
 from .algebra import bracket_slots, shifted_constants
 from .basis import AlgebraParams, PunctureCircle, monomial, puncture_circles
-from .config import TorusConfig, complex_product
+from .config import TorusConfig, complex_abs, complex_multiply
 from .errors import BadContourError
 from .quadrature import contour_residue
 
@@ -281,27 +281,20 @@ def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
     # shifted_constants(b, c) is bracket(b + 1, c + 1) with targets shifted by -1
     shifted = range(1 - bound, bound + 2)
     slots = bracket_slots(params, shifted, shifted)
-    c_re, c_im = slots.real, slots.imag
     seconds = range(-2 * bound, 2 * bound + 7)
     levels = {level for level, _ in _CHI_POLY}
     chi = np.array([[chi_sum(a, m, params) if a + m in levels else 0j for m in seconds] for a in labels])
-    chi_re, chi_im = chi.real, chi.imag
     # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over the cube; the index
     # arrays are the labels + bound, so m - seconds.start is b + c + 2t
     index = range(len(labels))
     a, b, c = np.ix_(index, index, index)
-    products = []
-    for t in range(4):
-        m = b + c + 2 * t
-        products.append(complex_product(c_re[b, c, t], c_im[b, c, t], chi_re[a, m], chi_im[a, m]))
-    total_re = np.zeros((len(labels),) * 3)
-    total_im = np.zeros_like(total_re)
+    products = [complex_multiply(slots[b, c, t], chi[a, b + c + 2 * t]) for t in range(4)]
+    total = np.zeros((len(labels),) * 3, dtype=complex)
     # the term (j, k, i) of the triple (i, j, k) is Q_t at (j, k, i): Q_t with its axes rotated
     for axes in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-        for p_re, p_im in products:
-            total_re += p_re.transpose(axes)
-            total_im += p_im.transpose(axes)
-    return np.hypot(total_re, total_im) / (params.scale() ** 3)
+        for product in products:
+            total += product.transpose(axes)
+    return complex_abs(total) / (params.scale() ** 3)
 
 
 def _support_pairs(window: int):

@@ -2,6 +2,10 @@
 
 Distances to the punctures are taken over arrays alone
 (distance_to_points_array), a single point as a one-entry array.
+
+Where a Python definition pins a complex array bit for bit, its products
+and moduli round here alone: complex_multiply and complex_abs round as
+Python's complex * and abs, which numpy's may not.
 """
 
 from __future__ import annotations
@@ -115,6 +119,25 @@ def complex_product(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with exactly the parts re and im, of one shape."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def complex_multiply(x, y) -> np.ndarray:
+    """x * y entry by entry, rounded as Python's complex product; either
+    factor may be a Python complex, and the arrays broadcast."""
+    return complex_array(*complex_product(x.real, x.imag, y.real, y.imag))
+
+
+def complex_abs(x: np.ndarray) -> np.ndarray:
+    """abs of every entry of a complex array as abs(complex) rounds it:
+    np.hypot of the parts is the C library hypot that abs(complex) calls."""
+    return np.hypot(x.real, x.imag)
+
+
 def _reduced_parts(z, tau: complex, floor):
     # (re, im) of z reduced mod the lattice to a*w1 + b*w1*t with a, b in
     # [-1/2, 1/2), by real operations only: a Python complex (floor =
@@ -141,9 +164,7 @@ def reduce_mod_lattice(z: complex, tau: complex) -> complex:
 
 def reduce_mod_lattice_array(z: np.ndarray, tau: complex) -> np.ndarray:
     """reduce_mod_lattice of every entry of a complex array, bit for bit."""
-    out = np.empty(z.shape, dtype=complex)
-    out.real, out.imag = _reduced_parts(z, tau, np.floor)
-    return out
+    return complex_array(*_reduced_parts(z, tau, np.floor))
 
 
 def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: complex) -> np.ndarray:
@@ -152,9 +173,8 @@ def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: co
 
     The reduced cell keeps sqrt(3)/4 * |w1| from every nonzero lattice
     point, so the value is exact below ~0.43 * |w1|, far above any
-    exclusion radius it is compared with.  np.hypot is the C library hypot
-    that abs(complex) calls; np.abs of a complex array rounds differently
-    in about a third of the entries.
+    exclusion radius it is compared with.  The modulus is complex_abs's,
+    taken on the reduced parts before they are assembled.
     """
     return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau, np.floor)) for s in points])
 

@@ -10,7 +10,9 @@ N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 The sum takes two entry shapes: ``wp_pair`` gives wp and wp' at one point
 in Python complex arithmetic; ``wp_array`` (wp alone, for the level-line
 scans) and ``wp_pair_array`` (for the array basis frame: circles and
-segments) give them on a numpy array.  No caller compares the two routes;
+segments) give them on a numpy array, with |zr| and k*zr rounded as the Python
+complex route rounds them (config.complex_abs and
+config.complex_multiply).  No caller compares the two routes;
 WP_ARRAY_RTOL bounds them only in the test that the array values agree with
 wp_pair within WP_ARRAY_RTOL * max(1, |value|).  No path evaluates wp'':
 the basis frame takes it from the algebraic identity
@@ -30,7 +32,8 @@ from .config import (
     CONFIG_CACHE_SIZE,
     EXCLUSION_RADIUS,
     TorusConfig,
-    complex_product,
+    complex_abs,
+    complex_multiply,
     reduce_mod_lattice,
     reduce_mod_lattice_array,
     reduced_basis,
@@ -115,8 +118,8 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
 def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # _nome_sum at every entry; raises on the first entry inside a pole's disk
     zr = reduce_mod_lattice_array(z, cfg.tau)
-    # np.hypot rounds as abs(complex) does, so the disk is wp_pair's
-    near = np.flatnonzero(np.hypot(zr.real, zr.imag) <= EXCLUSION_RADIUS)
+    # complex_abs rounds as abs(complex) does, so the disk is wp_pair's
+    near = np.flatnonzero(complex_abs(zr) <= EXCLUSION_RADIUS)
     if near.size:
         raise PoleProximityError(
             f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
@@ -124,10 +127,7 @@ def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndar
     # k * zr rounded as wp_pair's Python complex product: near a pole 1 - u
     # cancels, and numpy's product can differ in the last bit
     constants = _series_constants(cfg.tau)
-    k = constants[0]
-    arg = np.empty(zr.shape, dtype=complex)
-    arg.real, arg.imag = complex_product(k.real, k.imag, zr.real, zr.imag)
-    return _nome_sum(np.exp(arg), constants, prime)
+    return _nome_sum(np.exp(complex_multiply(constants[0], zr)), constants, prime)
 
 
 def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import check_away_from_punctures, frame_array, pole_parameter, puncture_circle
-from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, complex_array, distance_to_points_array
 from .elliptic import half_period_values, wp, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
@@ -171,8 +171,9 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     f = t - u along a grid edge [z0, z1] is refined by bracketed false
     position, all edges in lockstep with one array evaluation per step:
     the trial point is z0 + w (z1 - z0) with w = f0 / (f0 - f1), formed on
-    the real and imaginary parts apart (so a horizontal edge keeps its
-    row's Im z exactly), and w = 1/2 where it is not strictly inside
+    the real and imaginary parts apart and assembled by
+    config.complex_array (so a horizontal edge keeps its row's Im z
+    exactly), and w = 1/2 where it is not strictly inside
     (0, 1).  The trial point replaces the end whose sign it shares, and an
     end kept twice in a row has its f halved (the Illinois rule), until
     |t - u| <= cfg.tol, or BisectionError is raised after BISECTION_STEPS
@@ -191,15 +192,10 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     side = resolution + 1
     coords = -0.5 + np.arange(side) / resolution
 
-    def plane(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        z = np.empty(re.shape, dtype=complex)
-        z.real, z.imag = re, im
-        return z
-
     def node(k: np.ndarray) -> np.ndarray:
         # node k = ai + side*bi is coords[ai] + coords[bi]*tau
         ca, cb = coords[k % side], coords[k // side]
-        return plane(ca + cb * tau.real, cb * tau.imag)
+        return complex_array(ca + cb * tau.real, cb * tau.imag)
 
     # t - u at every node, NaN where skipped
     s = np.full(side * side, np.nan)
@@ -231,7 +227,7 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
             break
         w = f0 / (f0 - f1)
         w = np.where((w > 0.0) & (w < 1.0), w, 0.5)
-        zm = plane(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
+        zm = complex_array(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
         clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
         ids, z0, z1, f0, f1, kept, zm = (a[clear] for a in (ids, z0, z1, f0, f1, kept, zm))
         fm = _time_array(zm, cfg) - u

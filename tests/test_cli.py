@@ -333,14 +333,14 @@ def test_levellines_samples_floor_names_flag(capsys):
 
 
 def test_flags_name_themselves(capsys):
-    # non-finite values of the flags that no config field checks, and
-    # values below a flag's floor
+    # non-finite values of the flags that no config field holds, refused by
+    # level_line_samples and formal_params, and values below a flag's floor
     for argv, message in (
-        (("levellines", "--u", "nan", "--samples", "16"), "argument --u: must be finite"),
-        (("levellines", "--u", "inf", "--samples", "8"), "argument --u: must be finite"),
-        (("table", "cocycle", "--lam5", "nan", "0", "--window", "2"), "argument --lam5: must be finite"),
-        (("table", "brackets", "--lam6", "inf", "0", "--format", "csv"), "argument --lam6: must be finite"),
-        (("table", "brackets", "--lam7", "0", "nan"), "argument --lam7: must be finite"),
+        (("levellines", "--u", "nan", "--samples", "16"), "error: u must be finite, got nan"),
+        (("levellines", "--u", "inf", "--samples", "16"), "error: u must be finite, got inf"),
+        (("table", "cocycle", "--lam5", "nan", "0", "--window", "2"), "error: lam5 must be finite, got (nan+0j)"),
+        (("table", "brackets", "--lam6", "inf", "0", "--format", "csv"), "error: lam6 must be finite, got (inf+0j)"),
+        (("table", "brackets", "--lam7", "0", "nan"), "error: lam7 must be finite, got nanj"),
         (("verify", "algebra", "--window", "0"), "error: --window: must be at least 1, got 0"),
         # only verify all, algebra and cocycle sweep a label window
         (("verify", "fock", "--window", "4"), "error: --window: verify fock has no label window"),

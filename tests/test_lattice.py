@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from conftest import fundamental_taus, reduced_distance
 from kntorus.config import (
     TorusConfig,
+    complex_abs,
+    complex_array,
+    complex_multiply,
     distance_to_points_array,
     lattice_distance,
     reduce_mod_lattice,
@@ -74,6 +77,32 @@ def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
     z = np.array(zs)
     assert [complex(w) for w in reduce_mod_lattice_array(z, tau)] == [reduce_mod_lattice(w, tau) for w in zs]
     assert distance_to_points_array(z, tuple(marks), tau).tolist() == [reduced_distance(w, marks, tau) for w in zs]
+
+
+# finite parts, signed zeros included, small enough that no product or
+# modulus overflows
+parts = st.floats(-1e150, 1e150)
+
+
+def hexes(values) -> list[tuple[str, str]]:
+    return [(w.real.hex(), w.imag.hex()) for w in map(complex, values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.tuples(parts, parts, parts, parts), min_size=1, max_size=30), k=st.tuples(parts, parts))
+@example(entries=[(-0.0, 0.0, 0.0, -0.0), (-0.0, -0.0, -0.0, -0.0)], k=(-0.0, 0.0))
+def test_complex_helpers_round_as_python(entries, k):
+    # entry by entry, bit for bit: the Jacobi and two-cocycle cubes and the
+    # wp array path rest on this equality
+    re, im, re2, im2 = (np.array(column) for column in zip(*entries))
+    xs = [complex(a, b) for a, b, _, _ in entries]
+    ys = [complex(c, d) for _, _, c, d in entries]
+    k = complex(*k)
+    x, y = complex_array(re, im), complex_array(re2, im2)
+    assert hexes(x) == hexes(xs) and hexes(y) == hexes(ys)
+    assert hexes(complex_multiply(x, y)) == hexes(a * b for a, b in zip(xs, ys))
+    assert hexes(complex_multiply(k, y)) == hexes(k * b for b in ys)
+    assert [v.hex() for v in complex_abs(x).tolist()] == [abs(a).hex() for a in xs]
 
 
 def test_config_shifts_re_tau_by_even_integers():
