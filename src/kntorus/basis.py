@@ -274,15 +274,18 @@ def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
     P(X) = (X-e1)(X-e2)(X-e3) around X = p = wp(1/2+q):
 
         lam4 = 1, lam5 = P''(p)/2 = 3p,
-        lam6 = P'(p) = 3p^2 - (e2^2 + e2*e3 + e3^2),
-        lam7 = P(p)  = (1/4) wp'(1/2+q)^2.
+        lam6 = P'(p) = d1*d2 + d1*d3 + d2*d3,
+        lam7 = P(p)  = d1*d2*d3 = (1/4) wp'(1/2+q)^2,
 
-    At q = 0 (the two-point torus) p = e1 exactly, so lam7 = 0j and
-    lam6 = (e1-e2)(e1-e3).
+    from the differences d_k = p - e_k, which do not cancel where p is
+    large against them, as 3p^2 - (e2^2 + e2*e3 + e3^2) does on a thin
+    lattice.  At q = 0 (the two-point torus) p = e1 exactly, so lam7 = 0j
+    and lam6 = (e1-e2)(e1-e3).
     """
     hp = half_period_values(cfg)
     p = pole_parameter(cfg)
-    lam5 = 3.0 * p
-    lam6 = 3.0 * p * p - (hp.e2 * hp.e2 + hp.e2 * hp.e3 + hp.e3 * hp.e3)
-    lam7 = 0j if cfg.two_point else (p - hp.e1) * (p - hp.e2) * (p - hp.e3)
-    return AlgebraParams(1.0, lam5, lam6, lam7, provenance="derived")
+    d1, d2, d3 = p - hp.e1, p - hp.e2, p - hp.e3
+    lam6 = d1 * d2 + d1 * d3 + d2 * d3
+    # d1 = 0 at q = 0, but a product with it can carry a signed zero
+    lam7 = 0j if cfg.two_point else d1 * d2 * d3
+    return AlgebraParams(1.0, 3.0 * p, lam6, lam7, provenance="derived")
