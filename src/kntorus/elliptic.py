@@ -10,8 +10,8 @@ N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 The sum takes two entry shapes: ``wp_pair`` gives wp and wp' at one point
 in Python complex arithmetic; ``wp_array`` (wp alone, for the level-line
 scans) and ``wp_pair_array`` (for the array basis frame: circles and
-segments) give them on a numpy array, with |zr| and k*zr rounded as the Python
-complex route rounds them (config.complex_abs and
+segments) give them on a numpy array, with |zr| and k*zr rounded as the
+Python complex route rounds them (config.complex_abs and
 config.complex_multiply).  No caller compares the two routes;
 WP_ARRAY_RTOL bounds them only in the test that the array values agree with
 wp_pair within WP_ARRAY_RTOL * max(1, |value|).  No path evaluates wp'':

@@ -173,12 +173,12 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     the trial point is z0 + w (z1 - z0) with w = f0 / (f0 - f1), formed on
     the real and imaginary parts apart and assembled by
     config.complex_array (so a horizontal edge keeps its row's Im z
-    exactly), and w = 1/2 where it is not strictly inside
-    (0, 1).  The trial point replaces the end whose sign it shares, and an
-    end kept twice in a row has its f halved (the Illinois rule), until
-    |t - u| <= cfg.tol, or BisectionError is raised after BISECTION_STEPS
-    steps; an edge whose trial point falls inside a puncture exclusion
-    disk gives no point.  Node signs, kept ends and accepted trial points
+    exactly), and w = 1/2 where it is not strictly inside (0, 1).  The
+    trial point replaces the end whose sign it shares, and an end kept
+    twice in a row has its f halved (the Illinois rule), until |t - u| <=
+    cfg.tol, or BisectionError is raised after BISECTION_STEPS steps; an
+    edge whose trial point falls inside a puncture exclusion disk gives
+    no point.  Node signs, kept ends and accepted trial points
     are decided from these array values, which are time_coordinate's bit
     for bit, so every returned point meets |time_coordinate - u| <=
     cfg.tol.  Points come in edge order: row-major by start node,
