@@ -55,8 +55,8 @@ class AlgebraParams:
 
     provenance is "derived" when computed from a torus configuration and
     "formal" for hand-injected values (degeneration studies).  Derived
-    values satisfy lam4 = 1, lam5 = 3p, lam6 = 3p^2 - (e2^2+e2*e3+e3^2),
-    lam7 = (1/4) wp'(1/2+q)^2 with p = wp(1/2+q).
+    values satisfy lam4 = 1, lam5 = 3p, lam6 = P'(p) = d1*d2 + d1*d3 + d2*d3
+    with d_k = p - e_k, lam7 = (1/4) wp'(1/2+q)^2 with p = wp(1/2+q).
     """
 
     lam4: complex

@@ -10,7 +10,12 @@ Subcommands:
 
 This is the only module that writes output.  The library returns plain
 values; _emit writes them as CSV rows (--format csv) or as the JSON
-envelope {"config", "results", "checks"}, to stdout or to --output.
+envelope {"config", "results", "checks"}, to stdout or to --output.  The
+JSON is written in one pass by _write_json, which appends every token to
+one list that is joined once.  Its text is byte for byte what json.dumps
+writes with sorted keys and an indent of 2; json.dumps itself runs its
+slower pure-Python encoder whenever it indents.  The argument parser is
+built once per process, on the first call of main.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
 still written), 2 usage or configuration error or an --output path that
@@ -27,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
+import math
 import os
 import sys
+from functools import cache
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 
 from . import propagation
 from .algebra import build_structure_table
@@ -64,6 +71,7 @@ def _c(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kntorus",
@@ -132,6 +140,59 @@ def _lam_json(params: AlgebraParams) -> dict:
     return {**dict(zip(LAM_NAMES, map(_c, params.as_tuple()))), "provenance": params.provenance}
 
 
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _write_json(value, out: list[str], newline: str = "\n") -> None:
+    """Append the JSON text of value to out, as json.dumps writes it with
+    sorted keys and an indent of 2; newline is the line break and indent
+    that the value's own lines start with.
+
+    Types are tested as the json module tests them: bool before int, and a
+    subclass of float or int (np.float64) as its base.  Keys must be str.
+    NaN and the infinities are written as json writes them by default.
+    """
+    if isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        else:
+            out.append(_INFINITIES.get(value) or float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            sep = "," + inner
+            _write_json(item, out, inner)
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, cfg: TorusConfig | None, results, csv_rows, checks=()) -> None:
     """Write a command's output to --output, or to stdout: its CSV rows, or
     the JSON envelope {"config", "results", "checks"}.  results and
@@ -144,8 +205,9 @@ def _emit(args: argparse.Namespace, cfg: TorusConfig | None, results, csv_rows, 
             config.update({"tau": _c(cfg.tau), "q": _c(cfg.q), "two_point": cfg.two_point, "tol": cfg.tol})
         if getattr(args, "window", None) is not None:
             config["window"] = args.window
-        envelope = {"config": config, "results": results(), "checks": list(checks)}
-        text = json.dumps(envelope, sort_keys=True, indent=2)
+        out: list[str] = []
+        _write_json({"config": config, "results": results(), "checks": list(checks)}, out)
+        text = "".join(out)
     if args.output is None:
         print(text, flush=True)
     else:

@@ -38,7 +38,7 @@ from .config import (
     reduce_mod_lattice_array,
     reduced_basis,
 )
-from .errors import PoleProximityError
+from .errors import DegenerateModuliError, PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
 
@@ -154,7 +154,8 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2 and g2, g3.
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
-    so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|).
+    so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|),
+    and a larger sum raises DegenerateModuliError naming tau.
     """
     tau = cfg.tau
     e1 = wp(0.5 + 0j, cfg)
@@ -163,7 +164,7 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:
-        raise ArithmeticError(
+        raise DegenerateModuliError(
             f"half-period values violate e1+e2+e3=0 by {abs(s)} at tau={tau}"
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)

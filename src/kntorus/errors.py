@@ -18,7 +18,8 @@ class PoleOnPathError(KNTorusError):
 
 
 class DegenerateModuliError(KNTorusError):
-    """A moduli expression degenerates (division by a vanishing difference)."""
+    """A moduli expression degenerates: a division by a vanishing difference,
+    or half-period values whose sum e1 + e2 + e3 does not vanish."""
 
 
 class NonIntegerWindingError(KNTorusError):

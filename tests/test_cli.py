@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import bits
@@ -13,7 +14,7 @@ from kntorus.algebra import build_structure_table
 from kntorus.basis import formal_params, lambda_coefficients
 from kntorus.cocycle import build_cocycle_table
 from kntorus.config import TorusConfig
-from kntorus.verify import CheckResult
+from kntorus.verify import SUITES, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +209,83 @@ def test_levellines_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["count"] == len(payload["results"]["points"])
+
+
+def _stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_stdlib_on_every_envelope(capsys, monkeypatch):
+    # the stdlib encoder is the oracle: every envelope the CLI writes is
+    # written as json.dumps writes it, the NaN residual at tau = 0.02i too
+    envelopes = []
+    write = cli._write_json
+
+    def record(value, out, newline="\n"):
+        if newline == "\n":  # the top level; nested values start further in
+            envelopes.append(value)
+        write(value, out, newline)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    for argv in (
+        ("params",),
+        *(("verify", suite) for suite in (*SUITES, "all")),
+        ("verify", "algebra", "--tau-im", "0.02"),
+        ("table", "brackets", "--window", "4", "--indexing", "original"),
+        ("table", "brackets", "--window", "4", "--indexing", "shifted"),
+        ("table", "cocycle", "--window", "8"),
+        ("levellines", "--u", "0.3", "--samples", "32"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1), argv
+        (envelope,) = envelopes
+        envelopes.clear()
+        assert out == _stdlib_json(envelope) + "\n", argv
+
+
+def test_json_writer_matches_stdlib_on_edge_values():
+    def written(value) -> str:
+        out = []
+        cli._write_json(value, out)
+        return "".join(out)
+
+    obj = {
+        "empty": {},
+        "nested_empty": {"list": [], "dict": {}, "deeper": [[], [{}], {"x": []}]},
+        "flags": [True, False, None],
+        "ints": [0, -7, 2**70],
+        "floats": [-0.0, 1e300, 5e-324, 0.1, math.nan, math.inf, -math.inf, np.float64(-2.5)],
+        "strings": ['a "quote"', "back\\slash", "new\nline", "non-ASCII \u00e9 \u03c4 \U0001F600", ""],
+        "tuple": (1, 2.5),
+        "\u00e9": 1,
+        "Z": 2,
+    }
+    for value in (obj, [], {}, [[]], "top", -0.0, math.nan, None, 3):
+        assert written(value) == _stdlib_json(value), value
+    # what json cannot write, the writer refuses alike
+    for value in ([1j], {"x": np.int64(3)}, [np.bool_(True)], {"s": {1}}):
+        with pytest.raises(TypeError):
+            _stdlib_json(value)
+        with pytest.raises(TypeError):
+            written(value)
+    # json would coerce a non-str key; no envelope has one, and the writer refuses it
+    with pytest.raises(TypeError, match="keys must be str"):
+        written({1: 2})
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # the parser is built once per process; each call on it gives what the
+    # same call gives on a freshly built parser, after a usage error and
+    # after verify algebra has set args.window
+    calls = (("verify", "fock", "--window", "4"), ("verify", "algebra"), ("verify", "fock"), ("table", "cocycle"))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is parser
+    assert [code for code, *_ in reused] == [2, 0, 0, 0]
+    for argv, result in zip(calls, reused):
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == result, argv
 
 
 def test_deterministic_output(tmp_path):

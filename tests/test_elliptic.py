@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close, fundamental_taus, theta_half_period_values, wp_oracle
+from kntorus import elliptic
 from kntorus.config import EXCLUSION_RADIUS, MAX_IM_T, TorusConfig, reduce_mod_lattice, reduced_basis
 from kntorus.elliptic import (
     WP_ARRAY_RTOL,
@@ -18,7 +19,7 @@ from kntorus.elliptic import (
     wp_pair,
     wp_pair_array,
 )
-from kntorus.errors import PoleProximityError
+from kntorus.errors import DegenerateModuliError, PoleProximityError
 from kntorus.verify import random_points
 
 
@@ -83,6 +84,14 @@ def test_half_period_sum_and_invariants(cfg_generic):
     assert abs(hp.e1 + hp.e2 + hp.e3) <= 1e-10 * max(1.0, abs(hp.e1))
     assert_close(hp.g2, -4 * (hp.e1 * hp.e2 + hp.e1 * hp.e3 + hp.e2 * hp.e3), 1e-12 * abs(hp.g2))
     assert_close(hp.g3, 4 * hp.e1 * hp.e2 * hp.e3, 1e-10 * max(1.0, abs(hp.g3)))
+
+
+def test_half_period_sum_violation_names_tau(monkeypatch):
+    # a wp that takes one value at the three half periods cannot sum to zero there
+    monkeypatch.setattr(elliptic, "wp", lambda z, cfg: 1 + 0j)
+    cfg = TorusConfig(tau=0.1 + 1.2j, q=0.2)
+    with pytest.raises(DegenerateModuliError, match=re.escape("e1+e2+e3=0 by 3.0 at tau=(0.1+1.2j)")):
+        half_period_values.__wrapped__(cfg)  # past the cache
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5 + 0.8j, 0.5 + 1.3j])
