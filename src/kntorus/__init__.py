@@ -3,7 +3,8 @@
 Library layout:
 
 * config     -- TorusConfig (lattice, punctures, level-line target)
-* elliptic   -- Weierstrass wp, wp' (scalar and array), half-period values
+* elliptic   -- Weierstrass wp, wp' over arrays (a point as a one-entry
+                array), half-period values
 * basis      -- punctures, the per-point frame (wp - p, w, w'), adapted
                 function basis and the lam4..lam7 scalars
 * propagation-- propagation differential, residues, string time, moduli
@@ -16,7 +17,7 @@ Library layout:
 
 from .basis import AlgebraParams, WITT_PARAMS, formal_params, lambda_coefficients
 from .config import TorusConfig
-from .elliptic import HalfPeriodValues, half_period_values, wp, wp_pair
+from .elliptic import HalfPeriodValues, half_period_values, wp_pair
 from .errors import (
     BadContourError,
     BisectionError,
@@ -46,7 +47,6 @@ __all__ = [
     "formal_params",
     "half_period_values",
     "lambda_coefficients",
-    "wp",
     "wp_pair",
 ]
 

@@ -37,7 +37,7 @@ from .config import (
     lattice_distance,
     reduced_basis,
 )
-from .elliptic import half_period_values, wp, wp_pair_array
+from .elliptic import half_period_values, wp_array, wp_pair_array
 from .errors import BadContourError, DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
 
@@ -92,8 +92,8 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def pole_parameter(cfg: TorusConfig) -> complex:
     """p = wp(1/2 + q), the value the pole factor wp - p subtracts; at q = 0 the
-    same call as half_period_values(cfg).e1, so p = e1 bit for bit."""
-    return wp(0.5 + cfg.q, cfg)
+    same point as half_period_values(cfg).e1 (a one-entry wp_array)."""
+    return wp_array(np.array([0.5 + cfg.q]), cfg).item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +131,12 @@ def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
     tau, punctures = cfg.tau, cfg.punctures()
     half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
     period = abs(reduced_basis(tau)[0])  # the shortest period
+    # row i: from puncture i to each half period, then to each puncture
+    rows = lattice_distance(np.subtract.outer(punctures, (*half_periods, *punctures)), tau).tolist()
     radii = []
-    for s in punctures:
+    for i, (s, row) in enumerate(zip(punctures, rows)):
         # a half period at distance 0 is the merged out-puncture itself
-        near = [d for d in (lattice_distance(s - h, tau) for h in half_periods) if d > 0]
-        near += [lattice_distance(s - t, tau) for t in punctures if t != s]
+        near = [d for d in row[:3] if d > 0] + [d for j, d in enumerate(row[3:]) if j != i]
         radius = CIRCLE_FRACTION * min(period, *near)
         if radius <= 2.0 * EXCLUSION_RADIUS:
             raise BadContourError(

@@ -1,7 +1,7 @@
 """Torus geometry configuration and the lattice arithmetic shared by every module.
 
-Distances to the punctures are taken over arrays alone
-(distance_to_points_array), a single point as a one-entry array.
+The lattice reduction and the distances to the lattice and to the
+punctures are taken over arrays alone, a single point as a one-entry array.
 
 Where a Python definition pins a complex array bit for bit, its products
 and moduli round here alone: complex_multiply and complex_abs round as
@@ -11,7 +11,6 @@ Python's complex * and abs, which numpy's may not.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -69,8 +68,8 @@ class TorusConfig:
         if not (0 < self.tol <= 1e-4):
             raise ValueError(f"tol must lie in (0, 1e-4], got {self.tol}")
         if not self.two_point:
-            for base in (0j, 0.5 + 0j, 0.5 * self.tau, 0.5 + 0.5 * self.tau):
-                d = lattice_distance(self.q - base, self.tau)
+            bases = (0j, 0.5 + 0j, 0.5 * self.tau, 0.5 + 0.5 * self.tau)
+            for base, d in zip(bases, lattice_distance(self.q - np.array(bases), self.tau).tolist()):
                 if d <= EXCLUSION_RADIUS:
                     raise ValueError(
                         f"q={self.q} is within {EXCLUSION_RADIUS} of {base} mod the "
@@ -138,10 +137,9 @@ def complex_abs(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real, x.imag)
 
 
-def _reduced_parts(z, tau: complex, floor):
+def _reduced_parts(z: np.ndarray, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     # (re, im) of z reduced mod the lattice to a*w1 + b*w1*t with a, b in
-    # [-1/2, 1/2), by real operations only: a Python complex (floor =
-    # math.floor) and a complex array (np.floor) round alike, entry by entry
+    # [-1/2, 1/2), by real operations only
     w1, t = reduced_basis(tau)
     x, y = z.real, z.imag
     if w1 != 1.0:
@@ -149,42 +147,40 @@ def _reduced_parts(z, tau: complex, floor):
         x, y = complex_product(x, y, c.real, c.imag)
     b = y / t.imag
     a = x - b * t.real
-    a -= floor(a + 0.5)
-    b -= floor(b + 0.5)
+    a -= np.floor(a + 0.5)
+    b -= np.floor(b + 0.5)
     x, y = a + b * t.real, b * t.imag
     if w1 != 1.0:
         x, y = complex_product(x, y, w1.real, w1.imag)
     return x, y
 
 
-def reduce_mod_lattice(z: complex, tau: complex) -> complex:
-    """z mod Z + tau*Z as a*w1 + b*w1*t with a, b in [-1/2, 1/2), (w1, t) = reduced_basis(tau)."""
-    return complex(*_reduced_parts(z, tau, math.floor))
-
-
 def reduce_mod_lattice_array(z: np.ndarray, tau: complex) -> np.ndarray:
-    """reduce_mod_lattice of every entry of a complex array, bit for bit."""
-    return complex_array(*_reduced_parts(z, tau, np.floor))
+    """Every entry of a complex array mod Z + tau*Z, as a*w1 + b*w1*t with a, b
+    in [-1/2, 1/2), (w1, t) = reduced_basis(tau)."""
+    return complex_array(*_reduced_parts(z, tau))
 
 
 def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: complex) -> np.ndarray:
-    """min |reduce_mod_lattice(z - s)| over the points at every entry of a
-    complex array, bit for bit: one reduction per point.
+    """min |reduce_mod_lattice_array(z - s)| over the points at every entry of
+    a complex array: one reduction per point.
 
     The reduced cell keeps sqrt(3)/4 * |w1| from every nonzero lattice
     point, so the value is exact below ~0.43 * |w1|, far above any
     exclusion radius it is compared with.  The modulus is complex_abs's,
     taken on the reduced parts before they are assembled.
     """
-    return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau, np.floor)) for s in points])
+    return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau)) for s in points])
 
 
-def lattice_distance(z: complex, tau: complex) -> float:
+def lattice_distance(z, tau: complex):
     """Exact distance from z to the nearest point of Z + tau*Z, for any tau.
 
-    In the reduced basis the nearest lattice point is a corner of the cell
-    holding the reduced point, so the 3x3 neighbours of the cell suffice.
+    z is a complex, giving a float, or a complex array, giving an array of
+    its shape.  In the reduced basis the nearest lattice point is a corner
+    of the cell holding the reduced point, so the 3x3 neighbours of the
+    cell suffice.
     """
     w1, t = reduced_basis(tau)
-    zr, w2 = reduce_mod_lattice(z, tau), w1 * t
-    return min(abs(zr + da * w1 + db * w2) for da in (-1.0, 0.0, 1.0) for db in (-1.0, 0.0, 1.0))
+    zr, w2 = reduce_mod_lattice_array(np.asarray(z, dtype=complex), tau), w1 * t
+    return np.min([np.abs(zr + da * w1 + db * w2) for da in (-1.0, 0.0, 1.0) for db in (-1.0, 0.0, 1.0)], axis=0)

@@ -7,15 +7,12 @@ z, where its terms decay at least like |q|**(n - 1/2).  Since t lies in
 the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
 N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
-The sum takes two entry shapes: ``wp_pair`` gives wp and wp' at one point
-in Python complex arithmetic; ``wp_array`` (wp alone, for the level-line
-scans) and ``wp_pair_array`` (for the array basis frame: circles and
-segments) give them on a numpy array, with |zr| and k*zr rounded as the
-Python complex route rounds them (config.complex_abs and
-config.complex_multiply).  No caller compares the two routes;
-WP_ARRAY_RTOL bounds them only in the test that the array values agree with
-wp_pair within WP_ARRAY_RTOL * max(1, |value|).  No path evaluates wp'':
-the basis frame takes it from the algebraic identity
+Every evaluation is an array call in numpy arithmetic: ``wp_array`` (wp
+alone, for the level-line scans and the half periods) and
+``wp_pair_array`` (wp and wp', for the array basis frame: circles and
+segments).  ``wp_pair`` reads one point as a one-entry wp_pair_array
+call, so it is that point's entry of any array call, bit for bit.  No
+path evaluates wp'': the basis frame takes it from the algebraic identity
 wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
 
@@ -28,23 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (
-    CONFIG_CACHE_SIZE,
-    EXCLUSION_RADIUS,
-    TorusConfig,
-    complex_abs,
-    complex_multiply,
-    reduce_mod_lattice,
-    reduce_mod_lattice_array,
-    reduced_basis,
-)
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice_array, reduced_basis
 from .errors import DegenerateModuliError, PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
-
-# the tested bound on |wp_array - wp| / max(1, |wp|), the two paths'
-# rounding differences (measured worst 2.4e-15, exclusion-disk edges included)
-WP_ARRAY_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -83,10 +67,18 @@ def _series_constants(tau: complex) -> tuple[complex, complex, int]:
     return _TWO_PI_I / w1, cmath.exp(_TWO_PI_I * t), _array_terms(t)
 
 
-def _nome_sum(u, constants: tuple[complex, complex, int], prime: bool):
-    # (wp, wp' or None) from u = exp(k*zr) at the reduced zr, a Python complex
-    # or an ndarray alike: the sums on Z + t*Z, scaled by w1**-2 and w1**-3
-    k, q, terms = constants
+def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    # (wp, wp' or None) at every entry from u = exp(k*zr) at the reduced zr:
+    # the sums on Z + t*Z, scaled by w1**-2 and w1**-3; raises on the first
+    # entry inside a pole's disk
+    zr = reduce_mod_lattice_array(z, cfg.tau)
+    near = np.flatnonzero(np.abs(zr) <= EXCLUSION_RADIUS)
+    if near.size:
+        raise PoleProximityError(
+            f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
+        )
+    k, q, terms = _series_constants(cfg.tau)
+    u = np.exp(k * zr)
     total = 1.0 / 12.0 + _f_wp(u)
     deriv = _g_wp(u) if prime else None
     qn = 1.0 + 0j
@@ -101,41 +93,13 @@ def _nome_sum(u, constants: tuple[complex, complex, int], prime: bool):
     return k2 * total, k2 * k * deriv if prime else None
 
 
-def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
-    """Return (wp(z), wp'(z)).
-
-    Raises PoleProximityError inside the exclusion disk of a lattice point.
-    The error is at rounding level away from the poles; accuracy
-    degrades like the function itself (|wp| ~ |z|**-2) as z approaches one.
-    """
-    zr = reduce_mod_lattice(z, cfg.tau)
-    if abs(zr) <= EXCLUSION_RADIUS:
-        raise PoleProximityError(f"z={z} is within {EXCLUSION_RADIUS} of a lattice point")
-    constants = _series_constants(cfg.tau)
-    return _nome_sum(cmath.exp(constants[0] * zr), constants, True)
-
-
-def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # _nome_sum at every entry; raises on the first entry inside a pole's disk
-    zr = reduce_mod_lattice_array(z, cfg.tau)
-    # complex_abs rounds as abs(complex) does, so the disk is wp_pair's
-    near = np.flatnonzero(complex_abs(zr) <= EXCLUSION_RADIUS)
-    if near.size:
-        raise PoleProximityError(
-            f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
-        )
-    # k * zr rounded as wp_pair's Python complex product: near a pole 1 - u
-    # cancels, and numpy's product can differ in the last bit
-    constants = _series_constants(cfg.tau)
-    return _nome_sum(np.exp(complex_multiply(constants[0], zr)), constants, prime)
-
-
 def wp_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     """wp at every entry of a complex array, without the cost of wp'.
 
-    The same nome sum as wp_pair.  Raises PoleProximityError, naming the
-    first such entry, when any entry lies inside the exclusion disk of a
-    lattice point.
+    Raises PoleProximityError, naming the first such entry, when any entry
+    lies inside the exclusion disk of a lattice point.  The error is at
+    rounding level away from the poles; accuracy degrades like the function
+    itself (|wp| ~ |z|**-2) as z approaches one.
     """
     return _series_array(z, cfg, prime=False)[0]
 
@@ -145,8 +109,10 @@ def wp_pair_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarr
     return _series_array(z, cfg, prime=True)
 
 
-def wp(z: complex, cfg: TorusConfig) -> complex:
-    return wp_pair(z, cfg)[0]
+def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
+    """(wp(z), wp'(z)) at one point (a one-entry wp_pair_array)."""
+    p, dp = wp_pair_array(np.array([z], dtype=complex), cfg)
+    return p.item(), dp.item()
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
@@ -158,9 +124,7 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     and a larger sum raises DegenerateModuliError naming tau.
     """
     tau = cfg.tau
-    e1 = wp(0.5 + 0j, cfg)
-    e2 = wp(0.5 + 0.5 * tau, cfg)
-    e3 = wp(0.5 * tau, cfg)
+    e1, e2, e3 = wp_array(np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau]), cfg).tolist()
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:

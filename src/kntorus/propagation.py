@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import check_away_from_punctures, frame_array, pole_parameter, puncture_circle
 from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, complex_array, distance_to_points_array
-from .elliptic import half_period_values, wp, wp_array
+from .elliptic import half_period_values, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
@@ -116,8 +116,9 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def _reference_constant(cfg: TorusConfig) -> float:
-    ref = 0.25 * (1.0 + cfg.tau)
-    return 0.5 * math.log(abs(wp(ref, cfg) - pole_parameter(cfg)))
+    # t((1+tau)/4) = 0, from a one-entry wp_array
+    ref = wp_array(np.array([0.25 * (1.0 + cfg.tau)]), cfg).item()
+    return 0.5 * math.log(abs(ref - pole_parameter(cfg)))
 
 
 def time_coordinate(z, cfg: TorusConfig):
@@ -150,8 +151,14 @@ def separation_time(cfg: TorusConfig) -> float:
 
 
 def mu_modulus(cfg: TorusConfig) -> MuModulus:
-    """mu = (e2 - e1)/(e3 - e1); |mu| = 1 marks Re tau = +-1/2 lattices."""
+    """mu = (e2 - e1)/(e3 - e1); |mu| = 1 marks Re tau = +-1/2 lattices.
+
+    Raises DegenerateModuliError when e2 and e1 agree to 1e-13 of
+    max(1, |e1|), where ln|mu| is rounding noise or undefined.
+    """
     hp = half_period_values(cfg)
+    if abs(hp.e2 - hp.e1) < 1e-13 * max(1.0, abs(hp.e1)):
+        raise DegenerateModuliError("e2 coincides with e1")
     mu = (hp.e2 - hp.e1) / (hp.e3 - hp.e1)
     return MuModulus(mu, abs(mu), -0.5 * math.log(abs(mu)))
 

@@ -12,7 +12,8 @@ The suites in WINDOWED_SUITES sweep a label window [-window, window], and
 verify_suite refuses a window that is missing or below 1 for them.  The
 identity checks of verify algebra and verify cocycle read one residual
 cube per parameter set, over [-5, 5]^3 (Jacobi) and [-4, 4]^3 (cocycle);
-verify basis reads one frame_array call over every point it evaluates.
+verify basis reads one frame_array call over every point it evaluates,
+and verify elliptic one wp_pair_array and one wp_array call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import algebra, basis, cocycle, elliptic, fock, propagation
 from .basis import WITT_PARAMS, formal_params, lambda_coefficients
-from .config import TorusConfig, complex_abs, distance_to_points_array, reduce_mod_lattice
+from .config import TorusConfig, complex_abs, distance_to_points_array, reduce_mod_lattice_array
 from .errors import DegenerateModuliError, PoleProximityError, QuadratureError
 from .quadrature import segment_integral
 
@@ -121,26 +122,26 @@ def verify_elliptic(cfg: TorusConfig) -> list[CheckResult]:
     pts = random_points(cfg, 30, seed=101)
     rng = random.Random(102)
     hp = elliptic.half_period_values(cfg)
-    refs = [(z, elliptic.wp(z, cfg)) for z in pts[:10]]
-    pairs = [(elliptic.wp_pair(z, cfg), elliptic.wp_pair(-z, cfg)) for z in pts[:15]]
-    shifted = [z + 2 + cfg.tau for z in pts[:10]]
+    tau = cfg.tau
+    # one wp_pair_array call at the points and the negated first 15; one
+    # wp_array call at lattice shifts of the first 10 and at their reductions
+    values, primes = elliptic.wp_pair_array(np.array([*pts, *(-z for z in pts[:15])]), cfg)
+    p, dp, p_neg, dp_neg = values[:30], primes[:30], values[30:], primes[30:]
+    periodic = [z + rng.randint(-3, 3) + rng.randint(-3, 3) * tau for z in pts[:10] for _ in range(3)]
+    shifted = np.array([z + 2 + tau for z in pts[:10]])
+    moved = elliptic.wp_array(np.concatenate([periodic, shifted, reduce_mod_lattice_array(shifted, tau)]), cfg)
+
+    def relative(value: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        return np.abs(value - ref) / np.maximum(1.0, np.abs(ref))
+
     scale = max(1.0, abs(hp.e1), abs(hp.e2), abs(hp.e3))
     return [
-        _check("wp_periodicity", (
-            _relative(elliptic.wp(z + rng.randint(-3, 3) + rng.randint(-3, 3) * cfg.tau, cfg), ref)
-            for z, ref in refs for _ in range(3)
-        ), 10 * IDENTITY_TOL),
-        _check("wp_parity", [
-            (_relative(p2, p1), _relative(-d2, d1)) for (p1, d1), (p2, d2) in pairs
-        ], IDENTITY_TOL),
-        _check("wp_differential_equation", (
-            abs(dp * dp - 4.0 * (p - hp.e1) * (p - hp.e2) * (p - hp.e3)) / (1.0 + abs(p) ** 3)
-            for p, dp in (elliptic.wp_pair(z, cfg) for z in pts)
-        ), IDENTITY_TOL),
-        _check("wp_reduction_consistency", (
-            _relative(elliptic.wp(reduce_mod_lattice(z, cfg.tau), cfg), elliptic.wp(z, cfg))
-            for z in shifted
-        ), IDENTITY_TOL),
+        _check("wp_periodicity", relative(moved[:30], np.repeat(p[:10], 3)), 10 * IDENTITY_TOL),
+        _check("wp_parity", [relative(p_neg, p[:15]), relative(-dp_neg, dp[:15])], IDENTITY_TOL),
+        _check("wp_differential_equation",
+               np.abs(dp * dp - 4.0 * (p - hp.e1) * (p - hp.e2) * (p - hp.e3)) / (1.0 + np.abs(p) ** 3),
+               IDENTITY_TOL),
+        _check("wp_reduction_consistency", relative(moved[40:], moved[30:40]), IDENTITY_TOL),
         _check("half_period_sum", abs(hp.e1 + hp.e2 + hp.e3) / scale, IDENTITY_TOL),
     ]
 
@@ -187,9 +188,9 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
         residuals.append(abs(t1 - t0 - rhs.real))
     checks.append(_check("time_vs_line_integral", residuals, 1e-7, unconverged))
 
-    mu = propagation.mu_modulus(cfg)
     try:
         sep0 = propagation.separation_time(cfg.two_point_limit())
+        mu = propagation.mu_modulus(cfg)
         checks.append(_check("mu_vs_separation_time", abs(mu.separation_time_two_point - sep0), 1e-10))
     except DegenerateModuliError as exc:
         checks.append(_check("mu_vs_separation_time", 0.0, 1e-10, str(exc)))

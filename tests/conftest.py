@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kntorus.config import TorusConfig, reduce_mod_lattice
+from kntorus.config import TorusConfig, distance_to_points_array, reduced_basis
 from kntorus.verify import CheckResult, verify_suite
 
 mp.mp.dps = 30
@@ -94,8 +95,24 @@ def bits(c: complex) -> tuple[str, str]:
 
 
 def reduced_distance(z: complex, marks, tau: complex) -> float:
-    """min |reduce_mod_lattice(z - s)| over the marks, one scalar reduction each."""
-    return min(abs(reduce_mod_lattice(z - s, tau)) for s in marks)
+    """min |reduce_mod_lattice_array(z - s)| over the marks at one point (a
+    one-entry distance_to_points_array)."""
+    return float(distance_to_points_array(np.array([z], dtype=complex), tuple(marks), tau)[0])
+
+
+def assert_reduced(z: np.ndarray, zr: np.ndarray, tau: complex) -> None:
+    """zr is z reduced mod Z + tau*Z: in the reduced basis (w1, w1*t) both
+    coordinates of zr lie in [-1/2, 1/2) (to rounding), and z - zr is
+    within 1e-12 of a lattice vector."""
+    w1, t = reduced_basis(tau)
+    for w, wr in zip(z.tolist(), zr.tolist()):
+        b = (wr / w1).imag / t.imag
+        a = (wr / w1).real - b * t.real
+        assert -0.5 - 1e-12 <= a < 0.5 + 1e-12 and -0.5 - 1e-12 <= b < 0.5 + 1e-12, (w, wr, a, b)
+        d = w - wr
+        n = round(d.imag / tau.imag)
+        m = round(d.real - n * tau.real)
+        assert abs(d - m - n * tau) <= 1e-12, (w, wr, d)
 
 
 LN2_OVER_2 = math.log(2.0) / 2.0

@@ -315,6 +315,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
         assert err.startswith(f"error: --output {path}: ") and err.count("\n") == 1, err
 
 
+def test_coincident_e1_e2_exits_2(capsys):
+    # on this thin lattice e2 and e1 agree to rounding, so mu = (e2 - e1)/(e3 - e1)
+    # is noise: params names the coincidence instead of a math domain error
+    code, out, err = run_cli(capsys, "params", "--tau-im", "0.0134")
+    assert code == 2 and out == "" and err == "error: e2 coincides with e1\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "params", "--tau-im", "-1")
     assert code == 2 and "tau" in err

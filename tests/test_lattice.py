@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fundamental_taus, reduced_distance
+from conftest import assert_reduced, fundamental_taus, reduced_distance
 from kntorus.config import (
     TorusConfig,
     complex_abs,
@@ -14,7 +14,6 @@ from kntorus.config import (
     complex_multiply,
     distance_to_points_array,
     lattice_distance,
-    reduce_mod_lattice,
     reduce_mod_lattice_array,
     reduced_basis,
 )
@@ -72,11 +71,15 @@ def test_lattice_distance_finishes_on_extreme_tau():
     tau=st.one_of(skewed_taus, fundamental_taus),
     marks=st.lists(points, min_size=1, max_size=3),
 )
-def test_array_twins_equal_scalar_bit_for_bit(zs, tau, marks):
-    # the level-line skip masks rest on this equality, not on closeness
+def test_array_reduction_meets_its_definition(zs, tau, marks):
     z = np.array(zs)
-    assert [complex(w) for w in reduce_mod_lattice_array(z, tau)] == [reduce_mod_lattice(w, tau) for w in zs]
-    assert distance_to_points_array(z, tuple(marks), tau).tolist() == [reduced_distance(w, marks, tau) for w in zs]
+    assert_reduced(z, reduce_mod_lattice_array(z, tau), tau)
+    # the level-line skip masks rest on these equalities, not on closeness:
+    # the distance is the complex_abs of the reduction, and a point's
+    # distance is its entry of any array call
+    distances = distance_to_points_array(z, tuple(marks), tau).tolist()
+    assert distances == np.minimum.reduce([complex_abs(reduce_mod_lattice_array(z - s, tau)) for s in marks]).tolist()
+    assert distances == [reduced_distance(w, marks, tau) for w in zs]
 
 
 # finite parts, signed zeros included, small enough that no product or

@@ -192,7 +192,7 @@ def test_batched_segments_keep_their_own_outcomes(monkeypatch):
         "segment [(0.28338005960397716+0.20631700547251255j), (0.250319941597631-0.43032708847071405j)] "
         "did not converge in 1024 panels: the last two estimates differ by 2.84e-11 > 2.84e-12"
     )
-    assert unconverged.estimate == -0.40549867980450166 - 2.8064082081917046j
+    assert unconverged.estimate == -0.4054986798045016 - 2.806408208191705j
 
 
 def test_time_between_interaction_points(cfg_square):
