@@ -37,7 +37,7 @@ from .config import (
     lattice_distance,
     reduced_basis,
 )
-from .elliptic import half_period_values, wp_array, wp_pair_array
+from .elliptic import half_period_values, wp_pair_array
 from .errors import BadContourError, DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
 
@@ -87,13 +87,6 @@ def formal_params(lam5: complex = 0j, lam6: complex = 0j, lam7: complex = 0j) ->
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     return AlgebraParams(1.0, lam5, lam6, lam7, provenance="formal")
-
-
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def pole_parameter(cfg: TorusConfig) -> complex:
-    """p = wp(1/2 + q), the value the pole factor wp - p subtracts; at q = 0 the
-    same point as half_period_values(cfg).e1 (a one-entry wp_array)."""
-    return wp_array(np.array([0.5 + cfg.q]), cfg).item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +176,11 @@ def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray
     lies inside a puncture exclusion disk.
     """
     check_away_from_punctures(z, cfg)
+    hp = half_period_values(cfg)
     p, dp = wp_pair_array(z, cfg)
-    base = p - pole_parameter(cfg)
+    base = p - hp.p
     w = -0.5 * dp / base
-    ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
+    ddp = 6.0 * p * p - 0.5 * hp.g2
     w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
     return base, w, w_prime
 
@@ -284,7 +278,7 @@ def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
     and lam6 = (e1-e2)(e1-e3).
     """
     hp = half_period_values(cfg)
-    p = pole_parameter(cfg)
+    p = hp.p
     d1, d2, d3 = p - hp.e1, p - hp.e2, p - hp.e3
     lam6 = d1 * d2 + d1 * d3 + d2 * d3
     # d1 = 0 at q = 0, but a product with it can carry a signed zero

@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import propagation
 from .algebra import build_structure_table
-from .basis import AlgebraParams, formal_params, lambda_coefficients, pole_parameter
+from .basis import AlgebraParams, formal_params, lambda_coefficients
 from .cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
 from .config import TorusConfig
 from .elliptic import half_period_values
@@ -224,7 +224,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     lam = lambda_coefficients(cfg)
     mu = propagation.mu_modulus(cfg)
     points = {"e1": hp.e1, "e2": hp.e2, "e3": hp.e3, "g2": hp.g2, "g3": hp.g3,
-              "p_q": pole_parameter(cfg), "mu": mu.mu}
+              "p_q": hp.p, "mu": mu.mu}
     reals = {"abs_mu": mu.abs_mu, "separation_time": propagation.separation_time(cfg)}
     lams = dict(zip(LAM_NAMES, lam.as_tuple()))
     _emit(

@@ -8,7 +8,7 @@ the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
 N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
 Every evaluation is an array call in numpy arithmetic: ``wp_array`` (wp
-alone, for the level-line scans and the half periods) and
+alone, for the level-line scans, the half periods and p) and
 ``wp_pair_array`` (wp and wp', for the array basis frame: circles and
 segments).  ``wp_pair`` reads one point as a one-entry wp_pair_array
 call, so it is that point's entry of any array call, bit for bit.  No
@@ -33,13 +33,18 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HalfPeriodValues:
-    """Values of wp at the half periods plus the cubic invariants."""
+    """Values of wp at the half periods and at 1/2 + q, plus the cubic invariants.
+
+    p = wp(1/2 + q) is the value the basis pole factor wp - p subtracts; at
+    q = 0 it is e1 bit for bit.
+    """
 
     e1: complex
     e2: complex
     e3: complex
     g2: complex
     g3: complex
+    p: complex
 
 
 def _f_wp(x: complex) -> complex:
@@ -60,13 +65,6 @@ def _array_terms(t: complex) -> int:
     return math.ceil(math.log(1e-18) / (-2.0 * math.pi * t.imag)) + 1
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _series_constants(tau: complex) -> tuple[complex, complex, int]:
-    # k = 2*pi*i/w1, the nome exp(2*pi*i*t) and the term count of reduced_basis(tau)
-    w1, t = reduced_basis(tau)
-    return _TWO_PI_I / w1, cmath.exp(_TWO_PI_I * t), _array_terms(t)
-
-
 def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # (wp, wp' or None) at every entry from u = exp(k*zr) at the reduced zr:
     # the sums on Z + t*Z, scaled by w1**-2 and w1**-3; raises on the first
@@ -77,12 +75,13 @@ def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndar
         raise PoleProximityError(
             f"z={complex(z.flat[near[0]])} is within {EXCLUSION_RADIUS} of a lattice point"
         )
-    k, q, terms = _series_constants(cfg.tau)
+    w1, t = reduced_basis(cfg.tau)
+    k, q = _TWO_PI_I / w1, cmath.exp(_TWO_PI_I * t)
     u = np.exp(k * zr)
     total = 1.0 / 12.0 + _f_wp(u)
     deriv = _g_wp(u) if prime else None
     qn = 1.0 + 0j
-    for _ in range(terms):
+    for _ in range(_array_terms(t)):
         qn *= q
         a = qn * u
         b = qn / u
@@ -117,14 +116,15 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
-    """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2 and g2, g3.
+    """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2, p at 1/2 + q
+    (one four-entry wp_array call) and g2, g3.
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
     so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|),
     and a larger sum raises DegenerateModuliError naming tau.
     """
     tau = cfg.tau
-    e1, e2, e3 = wp_array(np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau]), cfg).tolist()
+    e1, e2, e3, p = wp_array(np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q]), cfg).tolist()
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:
@@ -133,4 +133,4 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return HalfPeriodValues(e1=e1, e2=e2, e3=e3, g2=g2, g3=g3)
+    return HalfPeriodValues(e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, p=p)

@@ -4,10 +4,10 @@ The differential is w(z) dz with w = -(1/2) wp'(z) / (wp(z) - p) where
 p = wp(1/2 + q).  It has residues +1 at 0 and -1/2 at 1/2 +- q, purely
 imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
-fixed by t((1+tau)/4) = 0.  The punctures, p and w itself come from
-``basis.frame_array``; residues and periods integrate w from it, and
-``omega_hat`` reads one point as a one-entry array.  The time function has
-one evaluation, from wp_array: ``time_coordinate`` takes a point or an
+fixed by t((1+tau)/4) = 0.  p comes from ``elliptic.half_period_values``
+and w from ``basis.frame_array``; residues and periods integrate w from
+it, and ``omega_hat`` reads one point as a one-entry array.  The time
+function has one evaluation, from wp_array: ``time_coordinate`` takes a point or an
 array, and the level-line scan decides every sign and every accepted point
 from the same array values.  The scan refines each crossing edge by
 bracketed false position (the Illinois variant), all edges in lockstep, so
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import check_away_from_punctures, frame_array, pole_parameter, puncture_circle
+from .basis import check_away_from_punctures, frame_array, puncture_circle
 from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, complex_array, distance_to_points_array
 from .elliptic import half_period_values, wp_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
@@ -118,7 +118,7 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
 def _reference_constant(cfg: TorusConfig) -> float:
     # t((1+tau)/4) = 0, from a one-entry wp_array
     ref = wp_array(np.array([0.25 * (1.0 + cfg.tau)]), cfg).item()
-    return 0.5 * math.log(abs(ref - pole_parameter(cfg)))
+    return 0.5 * math.log(abs(ref - half_period_values(cfg).p))
 
 
 def time_coordinate(z, cfg: TorusConfig):
@@ -143,7 +143,7 @@ def separation_time(cfg: TorusConfig) -> float:
     becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
     """
     hp = half_period_values(cfg)
-    p_q = pole_parameter(cfg)
+    p_q = hp.p
     denom = hp.e2 - p_q
     if abs(denom) < 1e-13 * max(1.0, abs(hp.e2)):
         raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
@@ -165,7 +165,7 @@ def mu_modulus(cfg: TorusConfig) -> MuModulus:
 
 def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     # time_coordinate at every entry of a complex array, without its puncture check
-    t = -0.5 * np.log(np.abs(wp_array(z, cfg) - pole_parameter(cfg)))
+    t = -0.5 * np.log(np.abs(wp_array(z, cfg) - half_period_values(cfg).p))
     return t + _reference_constant(cfg)
 
 

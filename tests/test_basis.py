@@ -18,7 +18,6 @@ from kntorus.basis import (
     monomial,
     monomial_derivative,
     out_puncture_order,
-    pole_parameter,
     puncture_circle,
     puncture_circles,
     winding_order,
@@ -47,7 +46,8 @@ def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
     # A_k and A_k' as computed before the frame: wp'' from a second wp call,
     # the frame formulas over the arrays, the monomials on each entry
     for cfg in (cfg_square, cfg_generic):
-        p_q, g2 = pole_parameter(cfg), half_period_values(cfg).g2
+        hp = half_period_values(cfg)
+        p_q, g2 = hp.p, hp.g2
         pts = random_points(cfg, 10, seed=41)
         p, dp = wp_pair_array(np.array(pts), cfg)
         bases = p - p_q
@@ -176,8 +176,8 @@ def test_one_frame_evaluation_per_puncture(monkeypatch):
 
 def test_lambda_derived_values(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    p_q = pole_parameter(cfg_square)
     hp = half_period_values(cfg_square)
+    p_q = hp.p
     assert lam.lam4 == 1.0
     assert_close(lam.lam5, 3 * p_q, 1e-12 * abs(p_q))
     assert_close(

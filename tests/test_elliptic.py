@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import assert_close, assert_reduced, bits, fundamental_taus, theta_half_period_values, wp_oracle
 from kntorus import elliptic
-from kntorus.basis import pole_parameter
 from kntorus.config import EXCLUSION_RADIUS, MAX_IM_T, TorusConfig, reduce_mod_lattice_array, reduced_basis
 from kntorus.elliptic import _array_terms, half_period_values, wp_array, wp_pair, wp_pair_array
 from kntorus.errors import DegenerateModuliError, PoleProximityError
@@ -99,7 +98,7 @@ def test_half_periods_against_theta_oracle(tau):
     for value, ref in zip((hp.e1, hp.e2, hp.e3), theta_half_period_values(tau)):
         assert_close(value, ref, tol, label=f"e at tau={tau}")
     for q in (0.2, 0.17 + 0.05j):
-        assert_close(pole_parameter(TorusConfig(tau=tau, q=q)), wp_oracle(0.5 + q, tau), tol, label=f"p at q={q}")
+        assert_close(half_period_values(TorusConfig(tau=tau, q=q)).p, wp_oracle(0.5 + q, tau), tol, label=f"p at q={q}")
 
 
 def test_wp_second_via_finite_differences(cfg_square):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, reduced_distance
+from conftest import assert_close, bits, reduced_distance
 from kntorus import propagation, quadrature
-from kntorus.basis import CIRCLE_NODES, _point_frame, frame_array, pole_parameter, puncture_circle
+from kntorus.basis import CIRCLE_NODES, _point_frame, frame_array, puncture_circle
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -222,8 +222,10 @@ def test_mu_square_lattice(cfg_two_point):
 
 
 def test_pole_parameter(cfg_square, cfg_two_point):
-    assert_close(pole_parameter(cfg_square), wp_pair(0.7, cfg_square)[0], 1e-12)
-    assert pole_parameter(cfg_two_point) == half_period_values(cfg_two_point).e1
+    # p = wp(1/2 + q) from the half-period call; at q = 0 it is e1 bit for bit
+    assert_close(half_period_values(cfg_square).p, wp_pair(0.7, cfg_square)[0], 1e-12)
+    hp = half_period_values(cfg_two_point)
+    assert bits(hp.p) == bits(hp.e1)
 
 
 def test_pole_proximity(cfg_square):

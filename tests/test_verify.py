@@ -243,9 +243,7 @@ def test_config_caches_stay_bounded():
     # of each per-configuration cache
     caches = (
         config.reduced_basis,
-        elliptic._series_constants,
         elliptic.half_period_values,
-        basis.pole_parameter,
         basis.puncture_circles,
         basis.lambda_coefficients,
         propagation._reference_constant,
