@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import AlgebraParams, monomial, monomial_derivative
+from .basis import AlgebraParams, monomial, monomial_derivative, require_finite
 from .config import complex_abs, complex_multiply
-from .errors import DegenerateModuliError
 
 BracketTerms = dict[int, complex]
 StructureRow = tuple[int, int, int, complex]
@@ -121,10 +120,11 @@ def bracket_oracle(
     A_k is read from one table of basis.monomial over [2 lo - 1, 2 hi + 5]
     and A_k' from one of basis.monomial_derivative over labels, and the
     slots from one bracket_slots table; a zero slot adds no term, as
-    bracket() drops it.  Raises DegenerateModuliError, naming the least
-    such label, where a value that a draw reads is not finite: on a thin
-    lattice wp - p can come so close to 0 that its power vanishes or
-    overflows.
+    bracket() drops it.  The terms and the values of A_i and A_j that the
+    draws read pass through basis.require_finite, which raises
+    DegenerateModuliError naming the least label whose value is not
+    finite: on a thin lattice wp - p can come so close to 0 that its power
+    vanishes or overflows.
     """
     base, w, w_prime = frame
     targets = range(2 * labels.start - 1, 2 * labels[-1] + 6)
@@ -139,14 +139,7 @@ def bracket_oracle(
         value_i, value_j = values[i - targets.start, draws], values[j - targets.start, draws]
         contraction = (slots * terms).sum(axis=-1)
         numeric = bracket_numeric(value_i, derivatives[x, draws], value_j, derivatives[y, draws])
-    degenerate = np.concatenate(
-        [k[~np.isfinite(terms)], i[~np.isfinite(value_i)], j[~np.isfinite(value_j)]]
-    )
-    if degenerate.size:
-        label = degenerate.min()
-        raise DegenerateModuliError(
-            f"wp - p vanished or overflowed for label k={label}: A_{label} is not finite at a sample point"
-        )
+    require_finite((k, terms), (i, value_i), (j, value_j))
     return contraction, numeric
 
 

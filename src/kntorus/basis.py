@@ -16,9 +16,12 @@ Every A_k and its derivative are monomials in the frame of a point,
 (base, w, w') with base = wp - p: ``frame_array`` computes it at every
 entry of an array (one puncture check, one wp_pair_array call), so a point
 costs one elliptic evaluation however many labels are read from it, and
-``basis_value`` reads one point as a one-entry array.  ``puncture_circles``
-caches the frame on each puncture's quadrature circle, once per
-configuration.
+``basis_value`` reads one point as a one-entry array.  ``monomial`` and
+``monomial_derivative`` work entry by entry on arrays, and
+``require_finite`` is the one rule for a read value that is not finite
+(a power of a vanishing wp - p), shared by verify basis and the bracket
+oracle.  ``puncture_circles`` caches the frame on each puncture's
+quadrature circle, once per configuration.
 """
 
 from __future__ import annotations
@@ -186,19 +189,16 @@ def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray
 
 
 def monomial(k: int, base, w):
-    """A_k from the pole factor base = wp - p and the differential scalar w
-    (scalars or arrays).
+    """A_k from the pole factor base = wp - p and the differential scalar w,
+    entry by entry over arrays (a point is a one-entry array).
 
-    Raises DegenerateModuliError, naming k, where a scalar power of base
-    overflows or divides by zero: on a thin lattice wp - p can come within
-    1e-52 of 0 at a sample point.
+    On a thin lattice wp - p can come within 1e-52 of 0 at a sample point,
+    so that a power vanishes or overflows and an entry is not finite; a
+    caller passes the entries it reads to require_finite.
     """
-    try:
-        if k % 2 == 0:
-            return base ** (-k // 2)
-        return w * base ** (-(k + 1) // 2)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DegenerateModuliError(f"wp - p vanished or overflowed for label k={k}: {exc}") from exc
+    if k % 2 == 0:
+        return base ** (-k // 2)
+    return w * base ** (-(k + 1) // 2)
 
 
 def monomial_derivative(k: int, base, w, w_prime):
@@ -209,19 +209,29 @@ def monomial_derivative(k: int, base, w, w_prime):
     return (w_prime + (k + 1) * w * w) * monomial(k + 1, base, w)
 
 
-def _point_frame(z: complex, cfg: TorusConfig) -> list[complex]:
-    # frame_array at the one point z, read back as Python complexes
-    return [a.item() for a in frame_array(np.array([z], dtype=complex), cfg)]
+def require_finite(*reads: tuple) -> None:
+    """Raise DegenerateModuliError, naming the least such label, when a value
+    that a check reads is not finite.
+
+    Each read is (labels, values): values of A_k or A_k' and the label k of
+    each entry, an array or a number that broadcasts to their shape.
+    """
+    degenerate = np.concatenate([np.broadcast_to(k, v.shape)[~np.isfinite(v)] for k, v in reads])
+    if degenerate.size:
+        label = degenerate.min()
+        raise DegenerateModuliError(
+            f"wp - p vanished or overflowed for label k={label}: A_{label} is not finite at a sample point"
+        )
 
 
 def basis_value(k: int, z: complex, cfg: TorusConfig) -> complex:
     """Evaluate the basis function with label k at z (a one-entry frame_array)."""
-    return monomial(k, *_point_frame(z, cfg)[:2])
+    return monomial(k, *frame_array(np.array([z], dtype=complex), cfg)[:2]).item()
 
 
 def basis_derivative(k: int, z: complex, cfg: TorusConfig) -> complex:
     """d/dz of the basis function with label k at z (a one-entry frame_array)."""
-    return monomial_derivative(k, *_point_frame(z, cfg))
+    return monomial_derivative(k, *frame_array(np.array([z], dtype=complex), cfg)).item()
 
 
 def out_puncture_order(k: int, two_point: bool = False) -> int:

@@ -358,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (KNTorusError, ValueError, ArithmeticError) as exc:
+    except (KNTorusError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BrokenPipeError:

@@ -33,11 +33,8 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HalfPeriodValues:
-    """Values of wp at the half periods and at 1/2 + q, plus the cubic invariants.
-
-    p = wp(1/2 + q) is the value the basis pole factor wp - p subtracts; at
-    q = 0 it is e1 bit for bit.
-    """
+    """Values of wp at the half periods and at 1/2 + q (p, which the pole
+    factor wp - p subtracts; e1 bit for bit at q = 0), plus g2 and g3."""
 
     e1: complex
     e2: complex

@@ -7,11 +7,11 @@ is the harmonic "time" of string propagation.  The additive constant is
 fixed by t((1+tau)/4) = 0.  p comes from ``elliptic.half_period_values``
 and w from ``basis.frame_array``; residues and periods integrate w from
 it, and ``omega_hat`` reads one point as a one-entry array.  The time
-function has one evaluation, from wp_array: ``time_coordinate`` takes a point or an
-array, and the level-line scan decides every sign and every accepted point
-from the same array values.  The scan refines each crossing edge by
-bracketed false position (the Illinois variant), all edges in lockstep, so
-every point stays on its own grid edge.
+function has one evaluation, from wp_array: ``time_coordinate`` takes a
+point or an array, and the level-line scan decides every sign and every
+accepted point from the same array values.  The scan refines each
+crossing edge by bracketed false position (the Illinois variant), all
+edges in lockstep, so every point stays on its own grid edge.
 """
 
 from __future__ import annotations
@@ -143,11 +143,10 @@ def separation_time(cfg: TorusConfig) -> float:
     becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
     """
     hp = half_period_values(cfg)
-    p_q = hp.p
-    denom = hp.e2 - p_q
+    denom = hp.e2 - hp.p
     if abs(denom) < 1e-13 * max(1.0, abs(hp.e2)):
         raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
-    return 0.5 * math.log(abs((hp.e3 - p_q) / denom))
+    return 0.5 * math.log(abs((hp.e3 - hp.p) / denom))
 
 
 def mu_modulus(cfg: TorusConfig) -> MuModulus:

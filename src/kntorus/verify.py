@@ -73,9 +73,10 @@ def _check(name: str, residuals, tol: float, error: str = "") -> CheckResult:
     )
 
 
-def _relative(value: complex, ref: complex) -> float:
-    """|value - ref| relative to max(1, |ref|)."""
-    return abs(value - ref) / max(1.0, abs(ref))
+def _relative(value, ref):
+    """|value - ref| relative to max(1, |ref|), of two numbers or entry by
+    entry of two arrays."""
+    return abs(value - ref) / np.maximum(1.0, abs(ref))
 
 
 def random_points(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
@@ -131,17 +132,14 @@ def verify_elliptic(cfg: TorusConfig) -> list[CheckResult]:
     shifted = np.array([z + 2 + tau for z in pts[:10]])
     moved = elliptic.wp_array(np.concatenate([periodic, shifted, reduce_mod_lattice_array(shifted, tau)]), cfg)
 
-    def relative(value: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        return np.abs(value - ref) / np.maximum(1.0, np.abs(ref))
-
     scale = max(1.0, abs(hp.e1), abs(hp.e2), abs(hp.e3))
     return [
-        _check("wp_periodicity", relative(moved[:30], np.repeat(p[:10], 3)), 10 * IDENTITY_TOL),
-        _check("wp_parity", [relative(p_neg, p[:15]), relative(-dp_neg, dp[:15])], IDENTITY_TOL),
+        _check("wp_periodicity", _relative(moved[:30], np.repeat(p[:10], 3)), 10 * IDENTITY_TOL),
+        _check("wp_parity", [_relative(p_neg, p[:15]), _relative(-dp_neg, dp[:15])], IDENTITY_TOL),
         _check("wp_differential_equation",
                np.abs(dp * dp - 4.0 * (p - hp.e1) * (p - hp.e2) * (p - hp.e3)) / (1.0 + np.abs(p) ** 3),
                IDENTITY_TOL),
-        _check("wp_reduction_consistency", relative(moved[40:], moved[30:40]), IDENTITY_TOL),
+        _check("wp_reduction_consistency", _relative(moved[40:], moved[30:40]), IDENTITY_TOL),
         _check("half_period_sum", abs(hp.e1 + hp.e2 + hp.e3) / scale, IDENTITY_TOL),
     ]
 
@@ -200,46 +198,50 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
 def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     rng = random.Random(301)
     pts = random_points(cfg, 40, seed=302)
-    lams = lambda_coefficients(cfg).as_tuple()
+    n, lams = len(pts), lambda_coefficients(cfg).as_tuple()
     h = 1e-5  # the finite-difference step
-    zs = [*pts, *(-z for z in pts), *(z + h for z in pts), *(z - h for z in pts)]
-    # Python complexes, so that monomial names the label of a vanishing wp - p
-    frames = dict(zip(zs, zip(*(a.tolist() for a in basis.frame_array(np.array(zs), cfg)))))
+    z = np.array(pts)
+    # point d at frame entry d, its negative at d + n and z +- h at d + 2n, d + 3n
+    frame = basis.frame_array(np.concatenate([z, -z, z + h, z - h]), cfg)
+    reads = []  # (labels, values) of every entry a check reads, for require_finite
 
-    def value(k: int, z: complex) -> complex:
-        return basis.monomial(k, *frames[z][:2])
+    def value(k, d):
+        # A_k, k in [-16, 20], at the frame entries d
+        read = values[k + 16, d]
+        reads.append((k, read))
+        return read
 
-    def expansion(k: int, z: complex) -> complex:
-        # lam4 A_k + lam5 A_{k+2} + lam6 A_{k+4} + lam7 A_{k+6} at z
-        return sum(lam * value(k + 2 * t, z) for t, lam in enumerate(lams))
+    def expansion(k, d):
+        # lam4 A_k + lam5 A_{k+2} + lam6 A_{k+4} + lam7 A_{k+6} at the frame entries d
+        return sum(lam * value(k + 2 * t, d) for t, lam in enumerate(lams))
 
-    # each check draws its points and labels from rng before the next one
-    even = [(rng.choice(pts), 2 * rng.randint(-4, 4), rng.randint(-8, 8)) for _ in range(100)]
-    checks = [_check("even_product_law", (
-        _relative(value(i, z) * value(j, z), value(i + j, z)) for z, i, j in even
-    ), 1e-8)]
-    odd = [(rng.choice(pts), 2 * rng.randint(-4, 3) + 1, 2 * rng.randint(-4, 3) + 1) for _ in range(60)]
-    checks.append(_check("odd_product_law", (
-        _relative(value(i, z) * value(j, z), expansion(i + j, z)) for z, i, j in odd
-    ), 1e-8))
-    parity = [(k, rng.choice(pts)) for k in range(-5, 6)]
-    checks.append(_check("basis_parity", (
-        _relative(value(k, -z), (1.0 if k % 2 == 0 else -1.0) * value(k, z)) for k, z in parity
-    ), 1e-8))
-    derivative = [(k, rng.choice(pts)) for k in range(-6, 7) for _ in range(3)]
-    checks.append(_check("derivative_vs_finite_difference", (
-        _relative((value(k, z + h) - value(k, z - h)) / (2 * h), basis.monomial_derivative(k, *frames[z]))
-        for k, z in derivative
-    ), 1e-6))
+    # each check draws its points and labels from rng before the next one;
+    # randrange(n) draws the index of the point that choice(pts) drew
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        values = np.array([basis.monomial(k, *frame[:2]) for k in range(-16, 21)])
+        d, i, j = np.array([(rng.randrange(n), 2 * rng.randint(-4, 4), rng.randint(-8, 8)) for _ in range(100)]).T
+        checks = [_check("even_product_law", _relative(value(i, d) * value(j, d), value(i + j, d)), 1e-8)]
+        d, i, j = np.array([
+            (rng.randrange(n), 2 * rng.randint(-4, 3) + 1, 2 * rng.randint(-4, 3) + 1) for _ in range(60)
+        ]).T
+        checks.append(_check("odd_product_law", _relative(value(i, d) * value(j, d), expansion(i + j, d)), 1e-8))
+        k, d = np.array([(k, rng.randrange(n)) for k in range(-5, 6)]).T
+        parity = _relative(value(k, d + n), np.where(k % 2 == 0, 1.0, -1.0) * value(k, d))
+        checks.append(_check("basis_parity", parity, 1e-8))
+        k, d = np.array([(k, rng.randrange(n)) for k in range(-6, 7) for _ in range(3)]).T
+        derivative = np.array([basis.monomial_derivative(m, *frame) for m in range(-6, 7)])[k + 6, d]
+        reads.append((k, derivative))
+        difference = (value(k, d + 2 * n) - value(k, d + 3 * n)) / (2 * h)
+        checks.append(_check("derivative_vs_finite_difference", _relative(difference, derivative), 1e-6))
+        omega_squared = np.abs(frame[1][:n] ** 2 - expansion(-2, np.arange(n)))
+    basis.require_finite(*reads)
 
     # order k at the in-point and out_puncture_order(k) at each out-puncture
     outs = [basis.out_puncture_order(k, cfg.two_point) for k in range(-6, 7)]
     expected = np.array([range(-6, 7), *[outs] * (len(cfg.punctures()) - 1)])
     mismatches = (basis.winding_order(cfg, 6) != expected).any(axis=0).sum()
     checks.append(_check("order_triples_vs_winding", mismatches, 0.0))
-    checks.append(_check("omega_squared_expansion", (
-        abs(frames[z][1] ** 2 - expansion(-2, z)) for z in pts
-    ), 1e-8))
+    checks.append(_check("omega_squared_expansion", omega_squared, 1e-8))
     return checks
 
 
@@ -255,7 +257,7 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
             params, labels, basis.frame_array(np.array(pts), cfg), draws.reshape(len(labels), len(labels), 5)
         )
         with np.errstate(all="ignore"):  # a thin lattice's overflow fails the check, as NaN or inf
-            relative = np.abs(contraction - numeric) / np.maximum(1.0, np.abs(numeric))
+            relative = _relative(contraction, numeric)
         checks = [_check("bracket_oracle_equivalence", relative, 1e-7)]
     except DegenerateModuliError as exc:  # a power of wp - p that a draw reads is not finite
         checks = [_check("bracket_oracle_equivalence", 0.0, 1e-7, str(exc))]

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from kntorus.basis import frame_array
 from kntorus.config import TorusConfig, distance_to_points_array, reduced_basis
 from kntorus.verify import CheckResult, verify_suite
 
@@ -92,6 +93,12 @@ def assert_close(actual, expected, tol, label=""):
 def bits(c: complex) -> tuple[str, str]:
     # float.hex tells 0.0 from -0.0
     return c.real.hex(), c.imag.hex()
+
+
+def point_frame(z: complex, cfg: TorusConfig) -> list[complex]:
+    """(wp - p, w, w') at the one point z as Python complexes: the entries of
+    a one-entry frame_array, for scalar reference formulas."""
+    return [a.item() for a in frame_array(np.array([z], dtype=complex), cfg)]
 
 
 def reduced_distance(z: complex, marks, tau: complex) -> float:

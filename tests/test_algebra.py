@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, complex_lams, label_triples
+from conftest import bits, complex_lams, label_triples, point_frame
 from kntorus import basis
 from kntorus.algebra import (
     bracket,
@@ -20,7 +20,6 @@ from kntorus.algebra import (
 from kntorus.basis import (
     WITT_PARAMS,
     AlgebraParams,
-    _point_frame,
     basis_value,
     formal_params,
     lambda_coefficients,
@@ -67,12 +66,12 @@ def _contraction(terms, fr):
 
 def test_bracket_numeric_vanishes_on_diagonal(cfg_square):
     z = random_points(cfg_square, 1, seed=41)[0]
-    assert _numeric(3, 3, _point_frame(z, cfg_square)) == 0j
+    assert _numeric(3, 3, point_frame(z, cfg_square)) == 0j
 
 
 def test_bracket_numeric_even_pair(cfg_square):
     for z in random_points(cfg_square, 5, seed=42):
-        lhs = _numeric(2, 4, _point_frame(z, cfg_square))
+        lhs = _numeric(2, 4, point_frame(z, cfg_square))
         rhs = 2 * basis_value(5, z, cfg_square)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
@@ -80,7 +79,7 @@ def test_bracket_numeric_even_pair(cfg_square):
 def test_bracket_numeric_mixed_pair(cfg_square):
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 5, seed=43):
-        fr = _point_frame(z, cfg_square)
+        fr = point_frame(z, cfg_square)
         lhs = _numeric(1, -1, fr)
         rhs = _contraction(bracket(1, -1, lam), fr)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
@@ -97,7 +96,7 @@ def test_bracket_oracle_tables_are_the_scalar_oracle(cfg):
     contraction, numeric = bracket_oracle(params, labels, basis.frame_array(np.array(pts), cfg), draws)
     assert contraction.shape == numeric.shape == draws.shape
     for (x, y, d), p in np.ndenumerate(draws):
-        i, j, fr = labels[x], labels[y], _point_frame(pts[p], cfg)
+        i, j, fr = labels[x], labels[y], point_frame(pts[p], cfg)
         for value, ref in ((contraction, _contraction(bracket(i, j, params), fr)), (numeric, _numeric(i, j, fr))):
             assert abs(value[x, y, d] - ref) <= 1e-13 * max(1.0, abs(ref)), (i, j, p)
 

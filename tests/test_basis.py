@@ -3,13 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_close, bits
+from conftest import assert_close, bits, point_frame
 from kntorus import basis
 from kntorus.basis import (
     CIRCLE_NODES,
     WITT_PARAMS,
     PunctureCircle,
-    _point_frame,
     basis_derivative,
     basis_value,
     formal_params,
@@ -20,12 +19,13 @@ from kntorus.basis import (
     out_puncture_order,
     puncture_circle,
     puncture_circles,
+    require_finite,
     winding_order,
 )
 from kntorus.cocycle import pairing, pairing_residue_routes
 from kntorus.config import TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair, wp_pair_array
-from kntorus.errors import NonIntegerWindingError, PoleProximityError
+from kntorus.errors import DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from kntorus.propagation import _time_array, omega_hat, residue_at, time_coordinate
 from kntorus.quadrature import circle_nodes, contour_residue
 from kntorus.verify import random_points
@@ -44,7 +44,7 @@ def test_derivative_constant_is_zero(cfg_square):
 
 def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
     # A_k and A_k' as computed before the frame: wp'' from a second wp call,
-    # the frame formulas over the arrays, the monomials on each entry
+    # then the frame formulas and the monomials over the arrays
     for cfg in (cfg_square, cfg_generic):
         hp = half_period_values(cfg)
         p_q, g2 = hp.p, hp.g2
@@ -54,14 +54,14 @@ def test_frame_is_bit_identical_to_direct_formulas(cfg_square, cfg_generic):
         ws = -0.5 * dp / bases
         p2 = wp_pair_array(np.array(pts), cfg)[0]
         w_primes = -0.5 * ((6.0 * p2 * p2 - 0.5 * g2) * bases - dp * dp) / (bases * bases)
-        for z, base, w, w_prime in zip(pts, bases.tolist(), ws.tolist(), w_primes.tolist()):
-            for k in range(-8, 9):
-                if k % 2 == 0:
-                    value = base ** (-k // 2)
-                    derivative = k * w * value
-                else:
-                    value = w * base ** (-(k + 1) // 2)
-                    derivative = (w_prime + (k + 1) * w * w) * base ** (-(k + 1) // 2)
+        for k in range(-8, 9):
+            if k % 2 == 0:
+                values = bases ** (-k // 2)
+                derivatives = k * ws * values
+            else:
+                values = ws * bases ** (-(k + 1) // 2)
+                derivatives = (w_primes + (k + 1) * ws * ws) * bases ** (-(k + 1) // 2)
+            for z, value, derivative in zip(pts, values.tolist(), derivatives.tolist()):
                 assert bits(basis_value(k, z, cfg)) == bits(value)
                 assert bits(basis_derivative(k, z, cfg)) == bits(derivative)
 
@@ -71,14 +71,16 @@ def test_point_views_are_their_array_entries(cfg):
     # each point function reads its point as a one-entry array, so it gives
     # the entry the point gets inside a larger array call, bit for bit
     pts = random_points(cfg, 25, seed=43)
-    frames = list(zip(*(a.tolist() for a in frame_array(np.array(pts), cfg))))
+    frame = frame_array(np.array(pts), cfg)
     times = _time_array(np.array(pts), cfg).tolist()
-    for z, (base, w, w_prime), t in zip(pts, frames, times):
+    for z, w, t in zip(pts, frame[1].tolist(), times):
         assert bits(omega_hat(z, cfg)) == bits(w)
         assert time_coordinate(z, cfg).hex() == t.hex()
-        for k in range(-6, 7):
-            assert bits(basis_value(k, z, cfg)) == bits(monomial(k, base, w))
-            assert bits(basis_derivative(k, z, cfg)) == bits(monomial_derivative(k, base, w, w_prime))
+    for k in range(-6, 7):
+        values, derivatives = monomial(k, *frame[:2]).tolist(), monomial_derivative(k, *frame).tolist()
+        for z, value, derivative in zip(pts, values, derivatives):
+            assert bits(basis_value(k, z, cfg)) == bits(value)
+            assert bits(basis_derivative(k, z, cfg)) == bits(derivative)
 
 
 def test_point_views_refuse_a_point_near_a_puncture(cfg_square):
@@ -93,6 +95,17 @@ def test_point_views_refuse_a_point_near_a_puncture(cfg_square):
         for view in views:
             with pytest.raises(PoleProximityError, match=re.escape(f"z={z} is inside a puncture exclusion disk")):
                 view(z)
+
+
+def test_require_finite_names_the_least_label():
+    # the least label among the values that are not finite, whatever the
+    # order of the reads; a finite value at a lower label is not named
+    labels = np.array([[3, 5], [4, 6]])
+    values = np.array([[1.0, np.inf], [complex(0.0, np.nan), 2.0]])
+    with pytest.raises(DegenerateModuliError, match=re.escape("for label k=4: A_4 is not finite")):
+        require_finite((7, np.array([np.inf + 0j])), (labels, values))
+    # a label broadcasts to the shape of its values
+    require_finite((labels, np.ones((2, 2), dtype=complex)), (-9, np.zeros(3, dtype=complex)))
 
 
 def test_order_triples():
@@ -214,7 +227,7 @@ def test_omega_prime_expansion(cfg_square):
     # w' = -lam4*A_-2 + lam6*A_2 + 2*lam7*A_4 (factor-2 consistent with (w^2)' = 2ww')
     lam = lambda_coefficients(cfg_square)
     for z in random_points(cfg_square, 20, seed=40):
-        lhs = _point_frame(z, cfg_square)[2]
+        lhs = point_frame(z, cfg_square)[2]
         rhs = (
             -lam.lam4 * basis_value(-2, z, cfg_square)
             + lam.lam6 * basis_value(2, z, cfg_square)

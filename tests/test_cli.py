@@ -14,6 +14,7 @@ from kntorus.algebra import build_structure_table
 from kntorus.basis import formal_params, lambda_coefficients
 from kntorus.cocycle import build_cocycle_table
 from kntorus.config import TorusConfig
+from kntorus.errors import DegenerateModuliError
 from kntorus.verify import SUITES, CheckResult
 
 
@@ -381,11 +382,46 @@ def test_non_finite_circle_frame_names_q_and_tau(capsys):
 
 def test_vanishing_pole_factor_names_the_label(capsys):
     # on these thin lattices |wp - p| falls to about 1e-52 at a sample point,
-    # so a power of it overflows (0.02) or its inverse divides by zero (0.025)
-    for tau_im in ("0.02", "0.025"):
-        code, out, err = run_cli(capsys, "verify", "basis", "--tau-im", tau_im)
-        assert code == 2 and out == ""
-        assert err.startswith("error: wp - p vanished or overflowed for label k="), (tau_im, err)
+    # so a power of it overflows; the error names the least label whose
+    # value a check reads and is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tau_im, label in (("0.02", 12), ("0.025", 16)):
+            code, out, err = run_cli(capsys, "verify", "basis", "--tau-im", tau_im)
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: wp - p vanished or overflowed for label k={label}: "
+                f"A_{label} is not finite at a sample point\n"
+            ), (tau_im, err)
+
+
+@pytest.mark.parametrize("suite", ["basis", "differential"])
+def test_tall_lattice_fails_its_checks_without_a_warning(capsys, suite):
+    # at tau = 20i, q = 0.4 the sample points spread over a tall cell: the
+    # product and finite-difference checks (basis) and a time-check segment
+    # (differential) fail, and the run reports them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "verify", suite, "--tau-im", "20", "--q-re", "0.4")
+    assert code == 1 and err == "", err
+    assert json.loads(out)["results"]["all_passed"] is False
+
+
+def test_only_library_and_usage_errors_exit_2(capsys, monkeypatch):
+    # a Python arithmetic error is a fault of the program, not of its input:
+    # it propagates with its traceback instead of passing for a usage error
+    def raising(exc):
+        def layer(cfg):
+            raise exc
+
+        return layer
+
+    monkeypatch.setattr(cli, "lambda_coefficients", raising(ZeroDivisionError("stray")))
+    with pytest.raises(ZeroDivisionError, match="stray"):
+        cli.main(["params"])
+    monkeypatch.setattr(cli, "lambda_coefficients", raising(DegenerateModuliError("degenerate")))
+    code, out, err = run_cli(capsys, "params")
+    assert code == 2 and out == "" and err == "error: degenerate\n"
 
 
 def test_thin_lattice_algebra_outcomes(capsys):

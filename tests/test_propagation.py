@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, bits, reduced_distance
+from conftest import assert_close, bits, point_frame, reduced_distance
 from kntorus import propagation, quadrature
-from kntorus.basis import CIRCLE_NODES, _point_frame, frame_array, puncture_circle
+from kntorus.basis import CIRCLE_NODES, frame_array, puncture_circle
 from kntorus.config import EXCLUSION_RADIUS, TorusConfig
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
@@ -48,7 +48,7 @@ def test_omega_prime_vs_finite_difference(cfg_square):
     h = 1e-5
     for z in random_points(cfg_square, 6, seed=23):
         fd = (omega_hat(z + h, cfg_square) - omega_hat(z - h, cfg_square)) / (2 * h)
-        assert abs(_point_frame(z, cfg_square)[2] - fd) <= 1e-5 * max(1.0, abs(fd))
+        assert abs(point_frame(z, cfg_square)[2] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_residue_bad_contour(cfg_square):
