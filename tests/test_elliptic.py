@@ -98,7 +98,8 @@ def test_half_periods_against_theta_oracle(tau):
     for value, ref in zip((hp.e1, hp.e2, hp.e3), theta_half_period_values(tau)):
         assert_close(value, ref, tol, label=f"e at tau={tau}")
     for q in (0.2, 0.17 + 0.05j):
-        assert_close(half_period_values(TorusConfig(tau=tau, q=q)).p, wp_oracle(0.5 + q, tau), tol, label=f"p at q={q}")
+        p = half_period_values(TorusConfig(tau=tau, q=q)).p
+        assert_close(p, wp_oracle(0.5 + q, tau), tol, label=f"p at q={q}")
 
 
 def test_wp_second_via_finite_differences(cfg_square):
