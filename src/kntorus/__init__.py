@@ -3,8 +3,8 @@
 Library layout:
 
 * config     -- TorusConfig (lattice, punctures, level-line target)
-* elliptic   -- Weierstrass wp, wp' over arrays (a point as a one-entry
-                array), half-period values
+* elliptic   -- Weierstrass wp, wp' and the pole factor wp - p over arrays
+                (a point as a one-entry array), half-period values
 * basis      -- punctures, the per-point frame (wp - p, w, w'), adapted
                 function basis and the lam4..lam7 scalars
 * propagation-- propagation differential, residues, string time, moduli

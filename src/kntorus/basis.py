@@ -14,14 +14,15 @@ algebra and its cocycle.
 
 Every A_k and its derivative are monomials in the frame of a point,
 (base, w, w') with base = wp - p: ``frame_array`` computes it at every
-entry of an array (one puncture check, one wp_pair_array call), so a point
-costs one elliptic evaluation however many labels are read from it, and
-``basis_value`` reads one point as a one-entry array.  ``monomial`` and
-``monomial_derivative`` work entry by entry on arrays, and
-``require_finite`` is the one rule for a read value that is not finite
-(a power of a vanishing wp - p), shared by verify basis and the bracket
-oracle.  ``puncture_circles`` caches the frame on each puncture's
-quadrature circle, once per configuration.
+entry of an array (one puncture check, one elliptic.pole_factor_array
+call, which forms base), so a point costs one elliptic evaluation
+however many labels are read from it, and ``basis_value`` reads one
+point as a one-entry array.  ``monomial`` and ``monomial_derivative``
+work entry by entry on arrays, and ``require_finite`` is the one rule
+for a read value that is not finite (a power of a vanishing wp - p),
+shared by verify basis and the bracket oracle.  ``puncture_circles``
+caches the frame on each puncture's quadrature circle, once per
+configuration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .config import (
     lattice_distance,
     reduced_basis,
 )
-from .elliptic import half_period_values, wp_pair_array
+from .elliptic import half_period_values, pole_factor_array
 from .errors import BadContourError, DegenerateModuliError, NonIntegerWindingError, PoleProximityError
 from .quadrature import circle_nodes, contour_residue
 
@@ -171,19 +172,17 @@ def check_away_from_punctures(z: np.ndarray, cfg: TorusConfig) -> None:
 
 
 def frame_array(z: np.ndarray, cfg: TorusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(base, w, w') at every entry of a complex array from one wp_pair_array
-    call: base = wp(z) - p, w = -(1/2) wp'(z)/base and w', whose wp'' =
-    6 wp^2 - g2/2 comes from the same wp.
+    """(base, w, w') at every entry of a complex array from one
+    pole_factor_array call: base = wp(z) - p, w = -(1/2) wp'(z)/base and w',
+    whose wp'' = 6 wp^2 - g2/2 comes from the same wp.
 
     Raises PoleProximityError, naming the first such entry, when any entry
     lies inside a puncture exclusion disk.
     """
     check_away_from_punctures(z, cfg)
-    hp = half_period_values(cfg)
-    p, dp = wp_pair_array(z, cfg)
-    base = p - hp.p
+    base, p, dp = pole_factor_array(z, cfg, prime=True)
     w = -0.5 * dp / base
-    ddp = 6.0 * p * p - 0.5 * hp.g2
+    ddp = 6.0 * p * p - 0.5 * half_period_values(cfg).g2
     w_prime = -0.5 * (ddp * base - dp * dp) / (base * base)
     return base, w, w_prime
 
@@ -282,15 +281,14 @@ def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
         lam6 = P'(p) = d1*d2 + d1*d3 + d2*d3,
         lam7 = P(p)  = d1*d2*d3 = (1/4) wp'(1/2+q)^2,
 
-    from the differences d_k = p - e_k, which do not cancel where p is
-    large against them, as 3p^2 - (e2^2 + e2*e3 + e3^2) does on a thin
-    lattice.  At q = 0 (the two-point torus) p = e1 exactly, so lam7 = 0j
-    and lam6 = (e1-e2)(e1-e3).
+    from the differences d_k = p - e_k of half_period_values, which do not
+    cancel where p is large against them, as 3p^2 - (e2^2 + e2*e3 + e3^2)
+    does on a thin lattice.  At q = 0 (the two-point torus) p = e1 exactly,
+    so lam7 = 0j and lam6 = (e1-e2)(e1-e3).
     """
     hp = half_period_values(cfg)
-    p = hp.p
-    d1, d2, d3 = p - hp.e1, p - hp.e2, p - hp.e3
+    d1, d2, d3 = hp.d
     lam6 = d1 * d2 + d1 * d3 + d2 * d3
     # d1 = 0 at q = 0, but a product with it can carry a signed zero
     lam7 = 0j if cfg.two_point else d1 * d2 * d3
-    return AlgebraParams(1.0, 3.0 * p, lam6, lam7, provenance="derived")
+    return AlgebraParams(1.0, 3.0 * hp.p, lam6, lam7, provenance="derived")

@@ -224,8 +224,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
     lam = lambda_coefficients(cfg)
     mu = propagation.mu_modulus(cfg)
     points = {"e1": hp.e1, "e2": hp.e2, "e3": hp.e3, "g2": hp.g2, "g3": hp.g3,
-              "p_q": hp.p, "mu": mu.mu}
-    reals = {"abs_mu": mu.abs_mu, "separation_time": propagation.separation_time(cfg)}
+              "p_q": hp.p, "mu": mu}
+    reals = {"abs_mu": abs(mu), "separation_time": propagation.separation_time(cfg)}
     lams = dict(zip(LAM_NAMES, lam.as_tuple()))
     _emit(
         args, cfg,

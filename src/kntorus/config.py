@@ -166,8 +166,9 @@ def distance_to_points_array(z: np.ndarray, points: tuple[complex, ...], tau: co
     a complex array: one reduction per point.
 
     The reduced cell keeps sqrt(3)/4 * |w1| from every nonzero lattice
-    point, so the value is exact below ~0.43 * |w1|, far above any
-    exclusion radius it is compared with.  The modulus is complex_abs's,
+    point, so the value is exact below sqrt(3)/4 * |w1| (0.43 at w1 = 1),
+    above the exclusion radii it is compared with wherever Im tau >= 1e-4;
+    a larger margin needs lattice_distance.  The modulus is complex_abs's,
     taken on the reduced parts before they are assembled.
     """
     return np.minimum.reduce([np.hypot(*_reduced_parts(z - s, tau)) for s in points])

@@ -7,13 +7,14 @@ z, where its terms decay at least like |q|**(n - 1/2).  Since t lies in
 the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
 N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
-Every evaluation is an array call in numpy arithmetic: ``wp_array`` (wp
-alone, for the level-line scans, the half periods and p) and
-``wp_pair_array`` (wp and wp', for the array basis frame: circles and
-segments).  ``wp_pair`` reads one point as a one-entry wp_pair_array
-call, so it is that point's entry of any array call, bit for bit.  No
-path evaluates wp'': the basis frame takes it from the algebraic identity
-wp'' = 6*wp**2 - g2/2 at the wp it already has.
+Every evaluation is an array call in numpy arithmetic; ``wp_pair`` reads
+one point as a one-entry wp_pair_array call, so it is that point's entry
+of any array call, bit for bit.  The pole factor X = wp(z) - p, p =
+wp(1/2 + q), is formed here alone: ``pole_factor_array`` gives (X, wp,
+wp') for the basis frame and the time function, and
+``half_period_values`` the d_k = p - e_k and X at the time reference
+point (1+tau)/4.  No path evaluates wp'': the basis frame takes it from
+the algebraic identity wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HalfPeriodValues:
-    """Values of wp at the half periods and at 1/2 + q (p, which the pole
-    factor wp - p subtracts; e1 bit for bit at q = 0), plus g2 and g3."""
+    """Values of wp at the half periods and at 1/2 + q (p; e1 bit for bit at
+    q = 0), g2, g3, d = (p - e1, p - e2, p - e3) and x_ref = wp((1+tau)/4) - p."""
 
     e1: complex
     e2: complex
@@ -42,6 +43,8 @@ class HalfPeriodValues:
     g2: complex
     g3: complex
     p: complex
+    d: tuple[complex, complex, complex]
+    x_ref: complex
 
 
 def _f_wp(x: complex) -> complex:
@@ -111,17 +114,25 @@ def wp_pair(z: complex, cfg: TorusConfig) -> tuple[complex, complex]:
     return p.item(), dp.item()
 
 
+def pole_factor_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple:
+    """(X, wp, wp') at every entry of a complex array, X = wp(z) - p the pole
+    factor, from one series call; wp' is None unless prime.  Raises as wp_array."""
+    wp, dp = _series_array(z, cfg, prime)
+    return wp - half_period_values(cfg).p, wp, dp
+
+
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
-    """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2, p at 1/2 + q
-    (one four-entry wp_array call) and g2, g3.
+    """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2, p at 1/2 + q and
+    wp at (1+tau)/4 (one five-entry wp_array call), g2, g3, d and x_ref.
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
     so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|),
     and a larger sum raises DegenerateModuliError naming tau.
     """
     tau = cfg.tau
-    e1, e2, e3, p = wp_array(np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q]), cfg).tolist()
+    points = np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q, 0.25 * (1.0 + tau)])
+    e1, e2, e3, p, ref = wp_array(points, cfg).tolist()
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:
@@ -130,4 +141,4 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return HalfPeriodValues(e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, p=p)
+    return HalfPeriodValues(e1, e2, e3, g2, g3, p, d=(p - e1, p - e2, p - e3), x_ref=ref - p)

@@ -101,11 +101,6 @@ class WedgeState(tuple):
         lo = self.lo
         return tuple(-2 - b for b in range(lo.bit_length() - 1, -1, -1) if lo >> b & 1)
 
-    def is_occupied(self, slot: int) -> bool:
-        if slot >= -1:
-            return bool(self.hi >> (slot + 1) & 1)
-        return not self.lo >> (-2 - slot) & 1
-
 
 # builds a WedgeState straight from its masks, as the operators do
 _masks = tuple.__new__

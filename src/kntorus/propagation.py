@@ -4,10 +4,10 @@ The differential is w(z) dz with w = -(1/2) wp'(z) / (wp(z) - p) where
 p = wp(1/2 + q).  It has residues +1 at 0 and -1/2 at 1/2 +- q, purely
 imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
-fixed by t((1+tau)/4) = 0.  p comes from ``elliptic.half_period_values``
-and w from ``basis.frame_array``; residues and periods integrate w from
-it, and ``omega_hat`` reads one point as a one-entry array.  The time
-function has one evaluation, from wp_array: ``time_coordinate`` takes a
+fixed by t((1+tau)/4) = 0.  wp - p comes from ``elliptic`` and w from
+``basis.frame_array``; residues and periods integrate w from it, and
+``omega_hat`` reads one point as a one-entry array.  The time function
+has one evaluation, from pole_factor_array: ``time_coordinate`` takes a
 point or an array, and the level-line scan decides every sign and every
 accepted point from the same array values.  The scan refines each
 crossing edge by bracketed false position (the Illinois variant), all
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import check_away_from_punctures, frame_array, puncture_circle
-from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, complex_array, distance_to_points_array
-from .elliptic import half_period_values, wp_array
+from .config import EXCLUSION_RADIUS, TorusConfig, complex_array, distance_to_points_array
+from .elliptic import half_period_values, pole_factor_array
 from .errors import BisectionError, DegenerateModuliError, PoleOnPathError
 from .quadrature import GRID_CHUNK, contour_residue, segment_integral
 
@@ -42,15 +41,6 @@ class LevelLineSample:
 
     u: float
     points: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class MuModulus:
-    """Level-2 moduli parameter mu = (e2-e1)/(e3-e1) and derived quantities."""
-
-    mu: complex
-    abs_mu: float
-    separation_time_two_point: float
 
 
 def omega_hat(z: complex, cfg: TorusConfig) -> complex:
@@ -114,13 +104,6 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
     return pa, pb
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _reference_constant(cfg: TorusConfig) -> float:
-    # t((1+tau)/4) = 0, from a one-entry wp_array
-    ref = wp_array(np.array([0.25 * (1.0 + cfg.tau)]), cfg).item()
-    return 0.5 * math.log(abs(ref - half_period_values(cfg).p))
-
-
 def time_coordinate(z, cfg: TorusConfig):
     """Harmonic time t(z) = -(1/2) ln|wp(z) - p| + C with t((1+tau)/4) = 0.
 
@@ -129,7 +112,8 @@ def time_coordinate(z, cfg: TorusConfig):
     float, or a complex array, giving an array of its shape.  A complex is
     evaluated as a one-entry array, so its value is the one its entry gets
     in any array call, level_line_samples' included.  Raises
-    PoleProximityError inside a puncture exclusion disk.
+    PoleProximityError inside a puncture exclusion disk, and
+    DegenerateModuliError, naming q, where (1+tau)/4 is an out-puncture.
     """
     zs = z if isinstance(z, np.ndarray) else np.array([z], dtype=complex)
     check_away_from_punctures(zs, cfg)
@@ -139,18 +123,20 @@ def time_coordinate(z, cfg: TorusConfig):
 def separation_time(cfg: TorusConfig) -> float:
     """Time between the two interaction points tau/2 and (1+tau)/2.
 
-    Equals (1/2) ln|(e3 - p)/(e2 - p)| with p = wp(1/2 + q); at q = 0 this
-    becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
+    Equals (1/2) ln|d3/d2| with d_k = p - e_k, p = wp(1/2 + q); at q = 0
+    this becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
     """
     hp = half_period_values(cfg)
-    denom = hp.e2 - hp.p
-    if abs(denom) < 1e-13 * max(1.0, abs(hp.e2)):
+    d2, d3 = hp.d[1:]
+    if abs(d2) < 1e-13 * max(1.0, abs(hp.e2)):
         raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
-    return 0.5 * math.log(abs((hp.e3 - hp.p) / denom))
+    return 0.5 * math.log(abs(d3 / d2))
 
 
-def mu_modulus(cfg: TorusConfig) -> MuModulus:
-    """mu = (e2 - e1)/(e3 - e1); |mu| = 1 marks Re tau = +-1/2 lattices.
+def mu_modulus(cfg: TorusConfig) -> complex:
+    """The level-2 moduli parameter mu = (e2 - e1)/(e3 - e1); |mu| = 1 marks
+    Re tau = +-1/2 lattices, and -(1/2) ln|mu| is the two-point separation
+    time.
 
     Raises DegenerateModuliError when e2 and e1 agree to 1e-13 of
     max(1, |e1|), where ln|mu| is rounding noise or undefined.
@@ -158,21 +144,25 @@ def mu_modulus(cfg: TorusConfig) -> MuModulus:
     hp = half_period_values(cfg)
     if abs(hp.e2 - hp.e1) < 1e-13 * max(1.0, abs(hp.e1)):
         raise DegenerateModuliError("e2 coincides with e1")
-    mu = (hp.e2 - hp.e1) / (hp.e3 - hp.e1)
-    return MuModulus(mu, abs(mu), -0.5 * math.log(abs(mu)))
+    return (hp.e2 - hp.e1) / (hp.e3 - hp.e1)
 
 
 def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     # time_coordinate at every entry of a complex array, without its puncture check
-    t = -0.5 * np.log(np.abs(wp_array(z, cfg) - half_period_values(cfg).p))
-    return t + _reference_constant(cfg)
+    x_ref = half_period_values(cfg).x_ref
+    if x_ref == 0:
+        raise DegenerateModuliError(
+            f"q={cfg.q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes"
+        )
+    t = -0.5 * np.log(np.abs(pole_factor_array(z, cfg, prime=False)[0]))
+    return t + 0.5 * math.log(abs(x_ref))
 
 
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
     """Points where the time function crosses the level u.
 
     A (resolution x resolution) grid of the fundamental cell is evaluated
-    with wp_array in chunks of GRID_CHUNK nodes; nodes within
+    with pole_factor_array in chunks of GRID_CHUNK nodes; nodes within
     4 * EXCLUSION_RADIUS of a puncture are skipped.  Each sign change of
     f = t - u along a grid edge [z0, z1] is refined by bracketed false
     position, all edges in lockstep with one array evaluation per step:

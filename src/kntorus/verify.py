@@ -18,6 +18,7 @@ and verify elliptic one wp_pair_array and one wp_array call.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -26,14 +27,15 @@ import numpy as np
 
 from . import algebra, basis, cocycle, elliptic, fock, propagation
 from .basis import WITT_PARAMS, formal_params, lambda_coefficients
-from .config import TorusConfig, complex_abs, distance_to_points_array, reduce_mod_lattice_array
+from .config import TorusConfig, complex_abs, lattice_distance, reduce_mod_lattice_array
 from .errors import DegenerateModuliError, PoleProximityError, QuadratureError
 from .quadrature import segment_integral
 
 # gate of the pointwise wp identities and omega_antisymmetry (wp_periodicity: ten times it)
 IDENTITY_TOL = 1e-10
-# least distance of a random sample point from a puncture or from the
-# half periods tau/2 and (1 + tau)/2
+# least exact distance of a random sample point from a puncture or from the
+# half periods tau/2 and (1 + tau)/2; on a thin skewed lattice it exceeds
+# the range where config.distance_to_points_array is exact
 SAMPLE_MARGIN = 0.08
 
 
@@ -90,7 +92,8 @@ def random_points(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
     while len(points) < count:
         ab = [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(count - len(points))]
         z = np.array([complex(a + b * tau.real, b * tau.imag) for a, b in ab])
-        points += z[distance_to_points_array(z, marks, tau) > SAMPLE_MARGIN].tolist()
+        clear = lattice_distance(np.subtract.outer(z, marks), tau).min(axis=1) > SAMPLE_MARGIN
+        points += z[clear].tolist()
     return points
 
 
@@ -172,8 +175,9 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
 
     # skip a segment near a puncture here, and one passing where frame_array raises below
     draws = [(rng.choice(pts), rng.choice(pts)) for _ in range(20)]
-    mids = distance_to_points_array(np.array([0.5 * (z0 + z1) for z0, z1 in draws]), cfg.punctures(), cfg.tau)
-    segments = [(z0, z1) for (z0, z1), d in zip(draws, mids.tolist()) if z0 != z1 and d >= 0.05]
+    mids = np.array([0.5 * (z0 + z1) for z0, z1 in draws])
+    clearance = lattice_distance(np.subtract.outer(mids, cfg.punctures()), cfg.tau).min(axis=1)
+    segments = [(z0, z1) for (z0, z1), d in zip(draws, clearance.tolist()) if z0 != z1 and d >= 0.05]
     residuals, unconverged = [], ""
     integrals = segment_integral(lambda z: basis.frame_array(z, cfg)[1], segments)
     # one array call for every segment's ends costs less than two scalar calls
@@ -189,7 +193,7 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
     try:
         sep0 = propagation.separation_time(cfg.two_point_limit())
         mu = propagation.mu_modulus(cfg)
-        checks.append(_check("mu_vs_separation_time", abs(mu.separation_time_two_point - sep0), 1e-10))
+        checks.append(_check("mu_vs_separation_time", abs(-0.5 * math.log(abs(mu)) - sep0), 1e-10))
     except DegenerateModuliError as exc:
         checks.append(_check("mu_vs_separation_time", 0.0, 1e-10, str(exc)))
     return checks

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kntorus.basis import frame_array
-from kntorus.config import TorusConfig, distance_to_points_array, reduced_basis
+from kntorus.config import TorusConfig, distance_to_points_array, lattice_distance, reduced_basis
 from kntorus.verify import CheckResult, verify_suite
 
 mp.mp.dps = 30
@@ -105,6 +105,11 @@ def reduced_distance(z: complex, marks, tau: complex) -> float:
     """min |reduce_mod_lattice_array(z - s)| over the marks at one point (a
     one-entry distance_to_points_array)."""
     return float(distance_to_points_array(np.array([z], dtype=complex), tuple(marks), tau)[0])
+
+
+def mark_distance(z: complex, marks, tau: complex) -> float:
+    """Exact distance from one point to the nearest mark mod the lattice."""
+    return min(float(lattice_distance(z - s, tau)) for s in marks)
 
 
 def assert_reduced(z: np.ndarray, zr: np.ndarray, tau: complex) -> None:

@@ -70,7 +70,7 @@ def test_criterion_03_separation_time_and_mu():
     sep = separation_time(TorusConfig(tau=1j, q=0))
     sep_err = abs(sep - LN2_OVER_2)
     mu_err = max(
-        abs(mu_modulus(TorusConfig(tau=0.5 + 1j * y, q=0)).abs_mu - 1.0)
+        abs(abs(mu_modulus(TorusConfig(tau=0.5 + 1j * y, q=0))) - 1.0)
         for y in (0.8, 1.0, 1.3)
     )
     _report(

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -24,9 +25,9 @@ from kntorus.basis import (
 )
 from kntorus.cocycle import pairing, pairing_residue_routes
 from kntorus.config import TorusConfig
-from kntorus.elliptic import half_period_values, wp_pair, wp_pair_array
+from kntorus.elliptic import half_period_values, pole_factor_array, wp_pair, wp_pair_array
 from kntorus.errors import DegenerateModuliError, NonIntegerWindingError, PoleProximityError
-from kntorus.propagation import _time_array, omega_hat, residue_at, time_coordinate
+from kntorus.propagation import _time_array, omega_hat, residue_at, separation_time, time_coordinate
 from kntorus.quadrature import circle_nodes, contour_residue
 from kntorus.verify import random_points
 
@@ -81,6 +82,33 @@ def test_point_views_are_their_array_entries(cfg):
         for z, value, derivative in zip(pts, values, derivatives):
             assert bits(basis_value(k, z, cfg)) == bits(value)
             assert bits(basis_derivative(k, z, cfg)) == bits(derivative)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j), TorusConfig(tau=0.2j, q=0.001)],
+)
+def test_every_pole_factor_is_pole_factor_array(cfg):
+    # the frame's base, the time function, the d_k of the algebra's scalars
+    # and the separation time read the one X = wp - p of pole_factor_array,
+    # at the sample points and at the half periods, bit for bit
+    tau = cfg.tau
+    pts = random_points(cfg, 25, seed=43)
+    marks = [0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q, 0.25 * (1.0 + tau)]
+    x, wp, _ = pole_factor_array(np.array([*pts, *marks]), cfg, prime=True)
+    x_pts, wp_at_q, x_ref = x[:25], wp[28].item(), x[29].item()
+    assert list(map(bits, frame_array(np.array(pts), cfg)[0].tolist())) == list(map(bits, x_pts.tolist()))
+    assert list(map(bits, pole_factor_array(np.array(pts), cfg, prime=False)[0].tolist())) == list(
+        map(bits, x_pts.tolist())
+    )
+    times = (-0.5 * np.log(np.abs(x_pts)) + 0.5 * math.log(abs(x_ref))).tolist()
+    assert [time_coordinate(z, cfg).hex() for z in pts] == [t.hex() for t in times]
+    d1, d2, d3 = (-x[25:28]).tolist()
+    lam = lambda_coefficients(cfg)
+    assert bits(lam.lam5) == bits(3.0 * wp_at_q)
+    assert bits(lam.lam6) == bits(d1 * d2 + d1 * d3 + d2 * d3)
+    assert bits(lam.lam7) == bits(d1 * d2 * d3)
+    assert separation_time(cfg).hex() == (0.5 * math.log(abs(d3 / d2))).hex()
 
 
 def test_point_views_refuse_a_point_near_a_puncture(cfg_square):
@@ -171,11 +199,11 @@ def test_one_frame_evaluation_per_puncture(monkeypatch):
     # reads the cached frame of its puncture circle
     calls = []
 
-    def counting(z, cfg):
+    def counting(z, cfg, prime):
         calls.append(z.size)
-        return wp_pair_array(z, cfg)
+        return pole_factor_array(z, cfg, prime)
 
-    monkeypatch.setattr(basis, "wp_pair_array", counting)
+    monkeypatch.setattr(basis, "pole_factor_array", counting)
     cfg = TorusConfig(tau=0.07 + 1.13j, q=0.19 + 0.02j)
     winding_order(cfg, 6)
     for s in cfg.punctures():

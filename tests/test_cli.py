@@ -323,6 +323,26 @@ def test_coincident_e1_e2_exits_2(capsys):
     assert code == 2 and out == "" and err == "error: e2 coincides with e1\n"
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [("--q-re", "-0.25", "--q-im", "0.25"), ("--tau-re", "0.3", "--tau-im", "1.1", "--q-re", "-0.175", "--q-im", "0.275")],
+    ids=["tau=i", "tau=0.3+1.1i"],
+)
+def test_time_reference_at_an_out_puncture_names_q(capsys, geometry):
+    # at q = (tau - 1)/4 the reference point (1+tau)/4 is the out-puncture
+    # 1/2 + q, where wp - p is exactly 0: every time evaluation names q,
+    # and params, which reads no time, still runs
+    q = str(complex(float(geometry[-3]), float(geometry[-1])))
+    for argv in (("levellines", "--u", "0.3"), ("verify", "differential"), ("verify", "all", "--window", "4")):
+        code, out, err = run_cli(capsys, *argv, *geometry)
+        assert code == 2 and out == "", argv
+        assert err == (
+            f"error: q={q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes\n"
+        ), (argv, err)
+    code, out, err = run_cli(capsys, "params", *geometry)
+    assert code == 0 and err == "" and json.loads(out)["results"]["p_q"]
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "params", "--tau-im", "-1")
     assert code == 2 and "tau" in err

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_CONFIGS, bits, reduced_distance, suite_checks
+from conftest import ACCEPTANCE_CONFIGS, bits, mark_distance, suite_checks
 from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
 from kntorus.basis import frame_array
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
@@ -200,8 +200,8 @@ def test_differential_suite_packs_its_segments(cfg_square, monkeypatch):
 
 def _random_points_one_at_a_time(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
     """The rejection loop that random_points batches: one candidate a + b*tau
-    at a time, kept when farther than SAMPLE_MARGIN from the punctures and
-    both half periods tau/2 and (1 + tau)/2."""
+    at a time, kept when farther than SAMPLE_MARGIN, by exact lattice
+    distance, from the punctures and both half periods tau/2 and (1 + tau)/2."""
     rng = random.Random(seed)
     tau = cfg.tau
     marks = (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau)
@@ -209,14 +209,21 @@ def _random_points_one_at_a_time(cfg: TorusConfig, count: int, seed: int) -> lis
     while len(points) < count:
         a, b = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
         z = complex(a + b * tau.real, b * tau.imag)
-        if reduced_distance(z, marks, tau) > SAMPLE_MARGIN:
+        if mark_distance(z, marks, tau) > SAMPLE_MARGIN:
             points.append(z)
     return points
 
 
 @pytest.mark.parametrize("count", [1, 25, 1025])
 @pytest.mark.parametrize(
-    "cfg", [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.06j), TorusConfig(tau=20j, q=0.4)],
+    "cfg",
+    [
+        TorusConfig(tau=1j, q=0.2),
+        TorusConfig(tau=0.06j),
+        TorusConfig(tau=20j, q=0.4),
+        # |w1| = 0.117: the reduced-cell distance is exact only below 0.050 here
+        TorusConfig(tau=0.1 + 0.06j, q=0.2),
+    ],
     ids=lambda c: f"tau={c.tau},q={c.q}",
 )
 def test_random_points_are_the_rejection_loop(cfg, count):
@@ -225,7 +232,7 @@ def test_random_points_are_the_rejection_loop(cfg, count):
     assert all(type(z) is complex for z in points)
     assert list(map(bits, points)) == list(map(bits, expected))
     marks = (*cfg.punctures(), 0.5 * cfg.tau, 0.5 + 0.5 * cfg.tau)
-    assert min(reduced_distance(z, marks, cfg.tau) for z in points) > SAMPLE_MARGIN
+    assert min(mark_distance(z, marks, cfg.tau) for z in points) > SAMPLE_MARGIN
 
 
 def test_basis_suite_reads_one_frame_array(cfg_square, monkeypatch):
@@ -264,7 +271,6 @@ def test_config_caches_stay_bounded():
         elliptic.half_period_values,
         basis.puncture_circles,
         basis.lambda_coefficients,
-        propagation._reference_constant,
     )
     for n in range(50):
         cfg = TorusConfig(tau=complex(0.01 * n, 1.0), q=0.1 + 0.003 * n)
