@@ -126,15 +126,12 @@ def puncture_circles(cfg: TorusConfig) -> tuple[PunctureCircle, ...]:
     a thin lattice wp - p can come too close to 0 at a node).
     """
     tau, punctures = cfg.tau, cfg.punctures()
-    half_periods = (0.5 + 0j, 0.5 * tau, 0.5 + 0.5 * tau)
     period = abs(reduced_basis(tau)[0])  # the shortest period
-    # row i: from puncture i to each half period, then to each puncture
-    rows = lattice_distance(np.subtract.outer(punctures, (*half_periods, *punctures)), tau).tolist()
+    # row i: from puncture i to each half period, then to each puncture; a 0 is puncture i itself
+    rows = lattice_distance(np.subtract.outer(punctures, (*cfg.half_periods(), *punctures)), tau).tolist()
     radii = []
-    for i, (s, row) in enumerate(zip(punctures, rows)):
-        # a half period at distance 0 is the merged out-puncture itself
-        near = [d for d in row[:3] if d > 0] + [d for j, d in enumerate(row[3:]) if j != i]
-        radius = CIRCLE_FRACTION * min(period, *near)
+    for s, row in zip(punctures, rows):
+        radius = CIRCLE_FRACTION * min(period, *[d for d in row if d > 0])
         if radius <= 2.0 * EXCLUSION_RADIUS:
             raise BadContourError(
                 f"q={cfg.q}: the circle around the puncture {s} would have radius "

@@ -68,7 +68,7 @@ class TorusConfig:
         if not (0 < self.tol <= 1e-4):
             raise ValueError(f"tol must lie in (0, 1e-4], got {self.tol}")
         if not self.two_point:
-            bases = (0j, 0.5 + 0j, 0.5 * self.tau, 0.5 + 0.5 * self.tau)
+            bases = (0j, *self.half_periods())
             for base, d in zip(bases, lattice_distance(self.q - np.array(bases), self.tau).tolist()):
                 if d <= EXCLUSION_RADIUS:
                     raise ValueError(
@@ -86,6 +86,10 @@ class TorusConfig:
         if self.two_point:
             return (0j, 0.5 + 0j)
         return (0j, 0.5 + self.q, 0.5 - self.q)
+
+    def half_periods(self) -> tuple[complex, complex, complex]:
+        """The half periods (1/2, (1+tau)/2, tau/2), where wp takes e1, e2, e3."""
+        return (0.5 + 0j, 0.5 + 0.5 * self.tau, 0.5 * self.tau)
 
     def two_point_limit(self) -> TorusConfig:
         """This lattice with both out-punctures merged at 1/2 (q = 0)."""

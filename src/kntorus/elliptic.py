@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice_array, reduced_basis
+from .config import (
+    CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, reduce_mod_lattice_array, reduced_basis
+)
 from .errors import DegenerateModuliError, PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
@@ -34,8 +36,8 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HalfPeriodValues:
-    """Values of wp at the half periods and at 1/2 + q (p; e1 bit for bit at
-    q = 0), g2, g3, d = (p - e1, p - e2, p - e3) and x_ref = wp((1+tau)/4) - p."""
+    """wp at the half periods (e1, e2, e3) and at 1/2 + q (p; e1 bit for bit at q = 0),
+    g2, g3, d = (p - e1, p - e2, p - e3) and x_ref = wp((1+tau)/4) - p or None."""
 
     e1: complex
     e2: complex
@@ -44,7 +46,7 @@ class HalfPeriodValues:
     g3: complex
     p: complex
     d: tuple[complex, complex, complex]
-    x_ref: complex
+    x_ref: complex | None
 
 
 def _f_wp(x: complex) -> complex:
@@ -123,16 +125,18 @@ def pole_factor_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple:
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
-    """e1, e2, e3 at the half periods 1/2, (1+tau)/2, tau/2, p at 1/2 + q and
-    wp at (1+tau)/4 (one five-entry wp_array call), g2, g3, d and x_ref.
+    """e1, e2, e3 at cfg.half_periods(), p at 1/2 + q and wp at (1+tau)/4 (one
+    five-entry wp_array call), g2, g3, d and x_ref, None where (1+tau)/4 is
+    within EXCLUSION_RADIUS of a puncture (it is 1/2 +- q at q = +-(tau - 1)/4).
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
     so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|),
     and a larger sum raises DegenerateModuliError naming tau.
     """
     tau = cfg.tau
-    points = np.array([0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q, 0.25 * (1.0 + tau)])
+    points = np.array([*cfg.half_periods(), 0.5 + cfg.q, 0.25 * (1.0 + tau)])
     e1, e2, e3, p, ref = wp_array(points, cfg).tolist()
+    at_puncture = distance_to_points_array(points[4:], cfg.punctures(), tau).item() <= EXCLUSION_RADIUS
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:
@@ -141,4 +145,4 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return HalfPeriodValues(e1, e2, e3, g2, g3, p, d=(p - e1, p - e2, p - e3), x_ref=ref - p)
+    return HalfPeriodValues(e1, e2, e3, g2, g3, p, d=(p - e1, p - e2, p - e3), x_ref=None if at_puncture else ref - p)

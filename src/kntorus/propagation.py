@@ -112,8 +112,8 @@ def time_coordinate(z, cfg: TorusConfig):
     float, or a complex array, giving an array of its shape.  A complex is
     evaluated as a one-entry array, so its value is the one its entry gets
     in any array call, level_line_samples' included.  Raises
-    PoleProximityError inside a puncture exclusion disk, and
-    DegenerateModuliError, naming q, where (1+tau)/4 is an out-puncture.
+    PoleProximityError inside a puncture exclusion disk, and, naming q,
+    DegenerateModuliError where (1+tau)/4 lies in one (q = +-(tau - 1)/4).
     """
     zs = z if isinstance(z, np.ndarray) else np.array([z], dtype=complex)
     check_away_from_punctures(zs, cfg)
@@ -150,7 +150,7 @@ def mu_modulus(cfg: TorusConfig) -> complex:
 def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     # time_coordinate at every entry of a complex array, without its puncture check
     x_ref = half_period_values(cfg).x_ref
-    if x_ref == 0:
+    if x_ref is None:
         raise DegenerateModuliError(
             f"q={cfg.q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes"
         )

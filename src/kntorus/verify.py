@@ -87,7 +87,7 @@ def random_points(cfg: TorusConfig, count: int, seed: int) -> list[complex]:
     the number of points still missing."""
     rng = random.Random(seed)
     tau = cfg.tau
-    marks = (*cfg.punctures(), 0.5 * tau, 0.5 + 0.5 * tau)
+    marks = (*cfg.punctures(), *cfg.half_periods()[1:])
     points: list[complex] = []
     while len(points) < count:
         ab = [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(count - len(points))]

@@ -108,8 +108,9 @@ def reduced_distance(z: complex, marks, tau: complex) -> float:
 
 
 def mark_distance(z: complex, marks, tau: complex) -> float:
-    """Exact distance from one point to the nearest mark mod the lattice."""
-    return min(float(lattice_distance(z - s, tau)) for s in marks)
+    """Exact distance from one point to the nearest mark mod the lattice
+    (one lattice_distance call over the marks)."""
+    return float(lattice_distance(z - np.array(marks, dtype=complex), tau).min())
 
 
 def assert_reduced(z: np.ndarray, zr: np.ndarray, tau: complex) -> None:

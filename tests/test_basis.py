@@ -94,7 +94,7 @@ def test_every_pole_factor_is_pole_factor_array(cfg):
     # at the sample points and at the half periods, bit for bit
     tau = cfg.tau
     pts = random_points(cfg, 25, seed=43)
-    marks = [0.5, 0.5 + 0.5 * tau, 0.5 * tau, 0.5 + cfg.q, 0.25 * (1.0 + tau)]
+    marks = [*cfg.half_periods(), 0.5 + cfg.q, 0.25 * (1.0 + tau)]
     x, wp, _ = pole_factor_array(np.array([*pts, *marks]), cfg, prime=True)
     x_pts, wp_at_q, x_ref = x[:25], wp[28].item(), x[29].item()
     assert list(map(bits, frame_array(np.array(pts), cfg)[0].tolist())) == list(map(bits, x_pts.tolist()))

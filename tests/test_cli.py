@@ -325,13 +325,19 @@ def test_coincident_e1_e2_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "geometry",
-    [("--q-re", "-0.25", "--q-im", "0.25"), ("--tau-re", "0.3", "--tau-im", "1.1", "--q-re", "-0.175", "--q-im", "0.275")],
-    ids=["tau=i", "tau=0.3+1.1i"],
+    [
+        ("--q-re", "-0.25", "--q-im", "0.25"),
+        ("--q-re", "0.25", "--q-im", "-0.25"),
+        ("--tau-re", "0.3", "--tau-im", "1.1", "--q-re", "-0.175", "--q-im", "0.275"),
+        ("--tau-re", "0.3", "--tau-im", "1.1", "--q-re", "0.175", "--q-im", "-0.275"),
+    ],
+    ids=["tau=i", "tau=i,q=(1-tau)/4", "tau=0.3+1.1i", "tau=0.3+1.1i,q=(1-tau)/4"],
 )
 def test_time_reference_at_an_out_puncture_names_q(capsys, geometry):
     # at q = (tau - 1)/4 the reference point (1+tau)/4 is the out-puncture
-    # 1/2 + q, where wp - p is exactly 0: every time evaluation names q,
-    # and params, which reads no time, still runs
+    # 1/2 + q, where wp - p is exactly 0, and at q = (1 - tau)/4 it is
+    # 1/2 - q, where wp - p is only rounding: both are refused by distance,
+    # every time evaluation names q, and params, which reads no time, still runs
     q = str(complex(float(geometry[-3]), float(geometry[-1])))
     for argv in (("levellines", "--u", "0.3"), ("verify", "differential"), ("verify", "all", "--window", "4")):
         code, out, err = run_cli(capsys, *argv, *geometry)
