@@ -57,10 +57,10 @@ CIRCLE_NODES = 512
 class AlgebraParams:
     """The four scalars that encode all structure constants.
 
-    provenance is "derived" when computed from a torus configuration and
-    "formal" for hand-injected values (degeneration studies).  Derived
-    values satisfy lam4 = 1, lam5 = 3p, lam6 = P'(p) = d1*d2 + d1*d3 + d2*d3
-    with d_k = p - e_k, lam7 = (1/4) wp'(1/2+q)^2 with p = wp(1/2+q).
+    provenance is "derived" when computed from a pole parameter p on a
+    lattice (params_from_differences) and "formal" for hand-injected values.
+    Derived values are the Taylor coefficients at p of the cubic P(X) =
+    (X-e1)(X-e2)(X-e3), with lam7 = (1/4) wp'(1/2+q)^2 at p = wp(1/2+q).
     """
 
     lam4: complex
@@ -267,25 +267,24 @@ def winding_order(cfg: TorusConfig, window: int) -> np.ndarray:
     return np.rint(np.real(residues)).astype(int)
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
-    """Derive lam4..lam7 from the torus geometry.
-
-    They are the coefficients of the expansion of the Weierstrass cubic
-    P(X) = (X-e1)(X-e2)(X-e3) around X = p = wp(1/2+q):
+def params_from_differences(p: complex, d: tuple[complex, complex, complex]) -> AlgebraParams:
+    """lam4..lam7 at the pole parameter p from its differences d_k = p - e_k:
+    the coefficients of P(X) = (X-e1)(X-e2)(X-e3) expanded around X = p,
 
         lam4 = 1, lam5 = P''(p)/2 = 3p,
         lam6 = P'(p) = d1*d2 + d1*d3 + d2*d3,
-        lam7 = P(p)  = d1*d2*d3 = (1/4) wp'(1/2+q)^2,
+        lam7 = P(p)  = d1*d2*d3, 0j where d1 is exactly 0 (p = e1; a product
+                       with it can carry a signed zero),
 
-    from the differences d_k = p - e_k of half_period_values, which do not
-    cancel where p is large against them, as 3p^2 - (e2^2 + e2*e3 + e3^2)
-    does on a thin lattice.  At q = 0 (the two-point torus) p = e1 exactly,
-    so lam7 = 0j and lam6 = (e1-e2)(e1-e3).
+    which do not cancel where p is large against the d_k, as 3p^2 - (e2^2 +
+    e2*e3 + e3^2) does on a thin lattice.
     """
+    d1, d2, d3 = d
+    return AlgebraParams(1.0, 3.0 * p, d1 * d2 + d1 * d3 + d2 * d3, 0j if d1 == 0 else d1 * d2 * d3, "derived")
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def lambda_coefficients(cfg: TorusConfig) -> AlgebraParams:
+    """params_from_differences at this torus's p = wp(1/2+q); p = e1 exactly at q = 0, so lam7 = 0j."""
     hp = half_period_values(cfg)
-    d1, d2, d3 = hp.d
-    lam6 = d1 * d2 + d1 * d3 + d2 * d3
-    # d1 = 0 at q = 0, but a product with it can carry a signed zero
-    lam7 = 0j if cfg.two_point else d1 * d2 * d3
-    return AlgebraParams(1.0, 3.0 * hp.p, lam6, lam7, provenance="derived")
+    return params_from_differences(hp.p, hp.differences(hp.p))

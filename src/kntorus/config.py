@@ -19,10 +19,9 @@ import numpy as np
 # no function is evaluated this close to a lattice point or a puncture
 EXCLUSION_RADIUS = 1e-4
 
-# entries of every per-configuration lru_cache: one `verify all` touches
-# five configurations (the given one, its two-point limit and the three
-# q of the degeneration check), so a bound of 8 keeps a run's misses to one
-# per configuration while a process that runs many geometries keeps few
+# entries of every per-configuration lru_cache: one `verify all` touches two
+# configurations (the given one and its two-point limit), so a bound of 8 keeps
+# a run's misses to one per configuration while many geometries keep few
 CONFIG_CACHE_SIZE = 8
 
 # the largest Im t, t of reduced_basis, that the nome sum evaluates: at a

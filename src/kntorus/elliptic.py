@@ -7,14 +7,14 @@ z, where its terms decay at least like |q|**(n - 1/2).  Since t lies in
 the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
 N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
-Every evaluation is an array call in numpy arithmetic; ``wp_pair`` reads
-one point as a one-entry wp_pair_array call, so it is that point's entry
-of any array call, bit for bit.  The pole factor X = wp(z) - p, p =
-wp(1/2 + q), is formed here alone: ``pole_factor_array`` gives (X, wp,
-wp') for the basis frame and the time function, and
-``half_period_values`` the d_k = p - e_k and X at the time reference
-point (1+tau)/4.  No path evaluates wp'': the basis frame takes it from
-the algebraic identity wp'' = 6*wp**2 - g2/2 at the wp it already has.
+Every evaluation is an array call in numpy arithmetic; ``wp_pair`` reads one
+point as a one-entry wp_pair_array call, so it is that point's entry of any
+array call, bit for bit.  The pole factor X = wp(z) - p, p = wp(1/2 + q), is
+formed here alone: ``pole_factor_array`` gives (X, wp, wp') for the basis
+frame and the time function, ``half_period_values`` X at (1+tau)/4 and
+``HalfPeriodValues.differences`` the d_k = p - e_k of any pole parameter p
+on the lattice.  No path evaluates wp'': the basis frame takes it from the
+algebraic identity wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _TWO_PI_I = 2j * math.pi
 @dataclass(frozen=True)
 class HalfPeriodValues:
     """wp at the half periods (e1, e2, e3) and at 1/2 + q (p; e1 bit for bit at q = 0),
-    g2, g3, d = (p - e1, p - e2, p - e3) and x_ref = wp((1+tau)/4) - p or None."""
+    g2, g3, x_ref = wp((1+tau)/4) - p or None, and differences(p) = (p - e1, p - e2, p - e3)."""
 
     e1: complex
     e2: complex
@@ -45,8 +45,10 @@ class HalfPeriodValues:
     g2: complex
     g3: complex
     p: complex
-    d: tuple[complex, complex, complex]
     x_ref: complex | None
+
+    def differences(self, p: complex) -> tuple[complex, complex, complex]:
+        return (p - self.e1, p - self.e2, p - self.e3)
 
 
 def _f_wp(x: complex) -> complex:
@@ -126,7 +128,7 @@ def pole_factor_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple:
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
     """e1, e2, e3 at cfg.half_periods(), p at 1/2 + q and wp at (1+tau)/4 (one
-    five-entry wp_array call), g2, g3, d and x_ref, None where (1+tau)/4 is
+    five-entry wp_array call), g2, g3 and x_ref, None where (1+tau)/4 is
     within EXCLUSION_RADIUS of a puncture (it is 1/2 +- q at q = +-(tau - 1)/4).
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
@@ -145,4 +147,4 @@ def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return HalfPeriodValues(e1, e2, e3, g2, g3, p, d=(p - e1, p - e2, p - e3), x_ref=None if at_puncture else ref - p)
+    return HalfPeriodValues(e1, e2, e3, g2, g3, p, x_ref=None if at_puncture else ref - p)

@@ -107,13 +107,13 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
 def time_coordinate(z, cfg: TorusConfig):
     """Harmonic time t(z) = -(1/2) ln|wp(z) - p| + C with t((1+tau)/4) = 0.
 
-    t -> -inf at the in-point 0 and +inf at the out-points 1/2 +- q,
-    matching the residue signs (+1, -1/2, -1/2).  z is a complex, giving a
-    float, or a complex array, giving an array of its shape.  A complex is
-    evaluated as a one-entry array, so its value is the one its entry gets
-    in any array call, level_line_samples' included.  Raises
-    PoleProximityError inside a puncture exclusion disk, and, naming q,
-    DegenerateModuliError where (1+tau)/4 lies in one (q = +-(tau - 1)/4).
+    t -> -inf at the in-point 0 and +inf at the out-points 1/2 +- q, matching
+    the residue signs (+1, -1/2, -1/2).  z is a complex, giving a float, or a
+    complex array, giving an array of its shape; a complex is a one-entry
+    array, so its value is the one its entry gets in any array call,
+    level_line_samples' included.  Raises PoleProximityError inside a puncture
+    exclusion disk, and DegenerateModuliError naming q where (1+tau)/4 lies in
+    one (q = +-(tau - 1)/4), or naming q, tau and z where wp - p is 0 elsewhere.
     """
     zs = z if isinstance(z, np.ndarray) else np.array([z], dtype=complex)
     check_away_from_punctures(zs, cfg)
@@ -127,7 +127,7 @@ def separation_time(cfg: TorusConfig) -> float:
     this becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
     """
     hp = half_period_values(cfg)
-    d2, d3 = hp.d[1:]
+    d2, d3 = hp.differences(hp.p)[1:]
     if abs(d2) < 1e-13 * max(1.0, abs(hp.e2)):
         raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
     return 0.5 * math.log(abs(d3 / d2))
@@ -154,8 +154,11 @@ def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
         raise DegenerateModuliError(
             f"q={cfg.q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes"
         )
-    t = -0.5 * np.log(np.abs(pole_factor_array(z, cfg, prime=False)[0]))
-    return t + 0.5 * math.log(abs(x_ref))
+    x = np.abs(pole_factor_array(z, cfg, prime=False)[0])
+    if not x.all():  # on a thin lattice p - e1 can round to 0, and X with it at 1/2
+        raise DegenerateModuliError(f"q={cfg.q}, tau={cfg.tau}: wp - p is 0 to rounding at "
+                                    f"z={complex(z[x == 0][0])}, away from the punctures")
+    return -0.5 * np.log(x) + 0.5 * math.log(abs(x_ref))
 
 
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:

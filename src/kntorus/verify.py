@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,6 +249,12 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
     return checks
 
 
+def degeneration_ladder(cfg: TorusConfig) -> list[basis.AlgebraParams]:
+    """lam4..lam7 at q = 0 (p = e1), 1e-1, 1e-2 and 1e-3 on cfg's lattice, from one wp_array call at 1/2 + q."""
+    hp, z = elliptic.half_period_values(cfg), np.array([0.5 + q for q in (0.0, 1e-1, 1e-2, 1e-3)], dtype=complex)
+    return [basis.params_from_differences(p, hp.differences(p)) for p in elliptic.wp_array(z, cfg).tolist()]
+
+
 def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
     rng = random.Random(401)
     pts = random_points(cfg, 25, seed=402)
@@ -280,15 +286,11 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
     checks.append(_check("support_parity", parity_violation, 0.0))
 
     if not cfg.two_point:
-        # largest slot difference over [-6, 6]^2 from the two-point constants,
-        # relative to max(1, their largest magnitude)
+        # slot gaps over [-6, 6]^2 to the q = 0 rung, relative to max(1, its largest magnitude)
         labels = range(-6, 7)
-        ref = algebra.bracket_slots(lambda_coefficients(cfg.two_point_limit()), labels, labels)
+        ref, *ladder = (algebra.bracket_slots(ps, labels, labels) for ps in degeneration_ladder(cfg))
         scale = max(1.0, float(complex_abs(ref).max()))
-        gaps = []
-        for qq in (1e-1, 1e-2, 1e-3):
-            slots = algebra.bracket_slots(lambda_coefficients(replace(cfg, q=qq)), labels, labels)
-            gaps.append(complex_abs(slots - ref) / scale)
+        gaps = [complex_abs(slots - ref) / scale for slots in ladder]
         monotone = 0.0 if gaps[0].max() > gaps[1].max() > gaps[2].max() else 1.0
         checks.append(_check("degeneration_monotone", monotone, 0.0))
         # the relative gap at q = 1e-3 is P'(e1)*1e-6 ~ (0.9..1.1)e-4 over the

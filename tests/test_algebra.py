@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ def test_jacobi_random_lam(lam, triples):
     assert residual.max() <= 1e-9
     for i, j, k in triples:
         assert residual[i + 12, j + 12, k + 12] == _jacobi_by_loop(i, j, k, params), (i, j, k)
+
+
+def test_jacobi_identity_holds_for_every_lam():
+    # with lam4 = 1 each Jacobi sum on [-12, 12]^3 is a polynomial of degree
+    # <= 2 in each of lam5..lam7 (a bracket is linear in lam), so it is zero
+    # if it vanishes on the grid {0, 1, 2}^3.  There every slot is an integer
+    # below 200 in modulus, so the float sums are exact integers
+    for lams in product(range(3), repeat=3):
+        residual = jacobi_residual(12, formal_params(*map(complex, lams)))
+        assert not residual.any(), (lams, np.argwhere(residual) - 12)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import bits
-from kntorus import cli
+from kntorus import cli, propagation
 from kntorus.algebra import build_structure_table
 from kntorus.basis import formal_params, lambda_coefficients
 from kntorus.cocycle import build_cocycle_table
@@ -404,6 +404,20 @@ def test_non_finite_circle_frame_names_q_and_tau(capsys):
         code, out, err = run_cli(capsys, "verify", "differential", "--tau-im", "0.04")
     assert code == 2 and out == ""
     assert err.startswith("error: q=(0.2+0j), tau=0.04j: ") and "not finite" in err, err
+
+
+def test_zero_pole_factor_on_the_level_line_grid_names_the_point(capsys):
+    # on this thin lattice p - e1 rounds to exactly 0, so wp - p is 0 at the
+    # grid node -1/2: the time function refuses it before taking the log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "levellines", "--u", "0.3", "--tau-im", "0.04", "--samples", "16")
+        with pytest.raises(DegenerateModuliError, match=r"wp - p is 0 to rounding at z=\(0.5\+0j\)"):
+            propagation.time_coordinate(0.5 + 0j, TorusConfig(tau=0.04j, q=0.2))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: q=(0.2+0j), tau=0.04j: wp - p is 0 to rounding at z=(-0.5+0j), away from the punctures\n"
+    )
 
 
 def test_vanishing_pole_factor_names_the_label(capsys):

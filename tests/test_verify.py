@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import ACCEPTANCE_CONFIGS, bits, mark_distance, suite_checks
 from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
-from kntorus.basis import frame_array
+from kntorus.basis import frame_array, lambda_coefficients
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
 from kntorus.errors import QuadratureError
 from kntorus.quadrature import segment_integral
@@ -39,6 +40,55 @@ def assert_battery_size(count: int, two_point: bool = False) -> None:
         f"verify all gave {count} checks, but perfbench/harness.py pins VERIFY_CHECK_COUNT = "
         f"{VERIFY_CHECK_COUNT}: a change to the battery needs a benchmark change first"
     )
+
+
+# the checks of a three-point `verify all`, in report order
+BATTERY = (
+    "wp_periodicity", "wp_parity", "wp_differential_equation", "wp_reduction_consistency", "half_period_sum",
+    "omega_antisymmetry", "residue_triple", "residue_sum", "period_real_parts", "time_vs_line_integral",
+    "mu_vs_separation_time",
+    "even_product_law", "odd_product_law", "basis_parity", "derivative_vs_finite_difference",
+    "order_triples_vs_winding", "omega_squared_expansion",
+    "bracket_oracle_equivalence", "jacobi_identity", "table_antisymmetry", "grading_window", "support_parity",
+    "degeneration_monotone", "degeneration_final_gap",
+    "pairing_duality", "pairing_route_consistency", "chi_antisymmetry", "chi_support", "chi_mixed_parity",
+    "witt_cocycle_values", "two_cocycle_identity", "starred_q_vanishing_two_point",
+    "closed_form_reconciliation_reported",
+    "clifford_relations", "normal_ordering_vacuum", "annihilation_side", "l_operator_linearity",
+    "commutator_relation", "vacuum_cocycle_grounding", "wedge_state_canonical",
+)
+
+
+def test_battery_by_name(cfg_square, cfg_two_point):
+    # the names and their order, not only their number: the two-point torus
+    # drops the two degeneration checks
+    assert_battery_size(len(BATTERY))
+    assert tuple(c.name for c in verify_suite("all", cfg_square, 4)) == BATTERY
+    two_point = tuple(n for n in BATTERY if n not in ("degeneration_monotone", "degeneration_final_gap"))
+    assert tuple(c.name for c in verify_suite("all", cfg_two_point, 4)) == two_point
+
+
+@pytest.mark.parametrize(
+    "tau, q", [(1j, 0.2), (0.3 + 1.1j, 0.17 + 0.05j), (0.06j, 0.2), (0.5 + 0.5j, 0.2), (5j, 0.3)]
+)
+def test_degeneration_ladder_is_lambda_coefficients(tau, q):
+    # the ladder reads p = wp(1/2 + q) on the torus's own lattice: the lam of
+    # each rung are those of the configuration at that q, bit for bit, and
+    # the q = 0 rung is the two-point limit's
+    cfg = TorusConfig(tau=tau, q=q)
+    rungs = (cfg.two_point_limit(), *(replace(cfg, q=qq) for qq in (1e-1, 1e-2, 1e-3)))
+    expected = [[bits(complex(v)) for v in lambda_coefficients(c).as_tuple()] for c in rungs]
+    assert [[bits(complex(v)) for v in ps.as_tuple()] for ps in verify.degeneration_ladder(cfg)] == expected
+
+
+def test_degeneration_ladder_builds_no_configuration():
+    # on a fresh three-point torus verify algebra evaluates the half periods
+    # of that configuration alone, and verify all those of it and of its
+    # two-point limit (the separation time and the starred Q)
+    for suite, tau, misses in (("algebra", 0.0123 + 1.0456j, 1), ("all", 0.0234 + 1.0567j, 2)):
+        before = elliptic.half_period_values.cache_info().misses
+        verify_suite(suite, TorusConfig(tau=tau, q=0.2), 6)
+        assert elliptic.half_period_values.cache_info().misses - before == misses, suite
 
 
 # checks of laws that hold exactly in floating point: the residual is 0.0
