@@ -7,6 +7,17 @@ z, where its terms decay at least like |q|**(n - 1/2).  Since t lies in
 the fundamental domain, |q| <= exp(-pi*sqrt(3)) and the fixed term count
 N = ceil(log(1e-18) / log|q|) + 1 is at most 9 for every tau.
 
+The sum's n >= 1 terms at a = q**n u and b = q**n / u are paired, from
+c = u + 1/u and s = u - 1/u (one reciprocal per call): with S = q**n c,
+Q = q**(2n) and P = (1 - a)(1 - b) = 1 - S + Q, the wp kernels give
+f(a) + f(b) = (S(1+Q) - 4Q)/P**2 and the wp' kernels g(a) - g(b) =
+q**n s (S(1+Q) + Q**2 - 6Q + 1)/P**3, so a term costs one complex division
+for wp and two with wp'.  The n = 0 terms f(u) and g(u) stay unpaired,
+since 1/(c - 2) would cancel near z = 0.  The kernel allocates its
+temporaries and never multiplies a complex array in place (``x *= y``):
+on numpy 2.4 with AVX-512 that loop rounds a one-entry array differently
+from the same entry of a longer one.
+
 Every evaluation is an array call in numpy arithmetic; ``wp_pair`` reads one
 point as a one-entry wp_pair_array call, so it is that point's entry of any
 array call, bit for bit.  The pole factor X = wp(z) - p, p = wp(1/2 + q), is
@@ -82,16 +93,29 @@ def _series_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple[np.ndar
     w1, t = reduced_basis(cfg.tau)
     k, q = _TWO_PI_I / w1, cmath.exp(_TWO_PI_I * t)
     u = np.exp(k * zr)
-    total = 1.0 / 12.0 + _f_wp(u)
+    v = 1.0 / u
+    c = u + v
+    s = u - v if prime else None
+    # the n = 0 terms stay unpaired: 1/(c - 2) would cancel near z = 0
+    total = _f_wp(u)
     deriv = _g_wp(u) if prime else None
+    # the n >= 1 terms, paired as in the module docstring (qq = Q, sab = S,
+    # den = P), with no in-place complex multiply; the constant
+    # 1/12 - 2 sum f(q^n) is added once
+    shift = 1.0 / 12.0
     qn = 1.0 + 0j
     for _ in range(_array_terms(t)):
         qn *= q
-        a = qn * u
-        b = qn / u
-        total += _f_wp(a) + _f_wp(b) - 2.0 * _f_wp(qn)
+        qq = qn * qn
+        sab = qn * c
+        den = (1.0 + qq) - sab
+        den2 = den * den
+        sab_q = sab * (1.0 + qq)
+        total += (sab_q - 4.0 * qq) / den2
+        shift -= 2.0 * _f_wp(qn)
         if prime:
-            deriv += _g_wp(a) - _g_wp(b)
+            deriv += (qn * s) * (sab_q + (qq * qq - 6.0 * qq + 1.0)) / (den2 * den)
+    total += shift
     k2 = k * k
     return k2 * total, k2 * k * deriv if prime else None
 

@@ -166,7 +166,11 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
 
     A (resolution x resolution) grid of the fundamental cell is evaluated
     with pole_factor_array in chunks of GRID_CHUNK nodes; nodes within
-    4 * EXCLUSION_RADIUS of a puncture are skipped.  Each sign change of
+    4 * EXCLUSION_RADIUS of a puncture are skipped.  Only the nodes up to
+    the middle one in row-major order are tested and timed: the node
+    mirrored through the cell's centre is -z, t is even and the punctures
+    are symmetric under z -> -z, so each later node reads t(-z) (and is
+    skipped where its mirror is).  Each sign change of
     f = t - u along a grid edge [z0, z1] is refined by bracketed false
     position, all edges in lockstep with one array evaluation per step:
     the trial point is z0 + w (z1 - z0) with w = f0 / (f0 - f1), formed on
@@ -179,7 +183,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     edge whose trial point falls inside a puncture exclusion disk gives
     no point.  Node signs, kept ends and accepted trial points
     are decided from these array values, which are time_coordinate's bit
-    for bit, so every returned point meets |time_coordinate - u| <=
+    for bit (at -z for a mirrored node), and every accepted point is timed
+    itself, so every returned point meets |time_coordinate - u| <=
     cfg.tol.  Points come in edge order: row-major by start node,
     horizontal edge first.  Raises ValueError for a u that is not finite.
     """
@@ -196,13 +201,16 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         ca, cb = coords[k % side], coords[k // side]
         return complex_array(ca + cb * tau.real, cb * tau.imag)
 
-    # t - u at every node, NaN where skipped
+    # t - u at every node, NaN where skipped: node side**2 - 1 - k is -(node k),
+    # so the nodes k < half are timed and the others read their mirror's value
     s = np.full(side * side, np.nan)
-    for first in range(0, side * side, GRID_CHUNK):
-        k = np.arange(first, min(first + GRID_CHUNK, side * side))
+    half = (side * side + 1) // 2
+    for first in range(0, half, GRID_CHUNK):
+        k = np.arange(first, min(first + GRID_CHUNK, half))
         z = node(k)
         clear = distance_to_points_array(z, punctures, tau) > 4.0 * EXCLUSION_RADIUS
         s[k[clear]] = _time_array(z[clear], cfg) - u
+    s[half:] = s[side * side - half - 1::-1]
 
     # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for
     # (k, k+side); products of signs, which cannot overflow as those of s can

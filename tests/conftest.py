@@ -24,8 +24,8 @@ mp.mp.dps = 30
 _ORACLE_VALIDATED: set[complex] = set()
 
 
-def theta_half_period_values(tau: complex) -> tuple[complex, complex, complex]:
-    """(e1, e2, e3) from theta constants; independent of the nome series."""
+def _theta_roots(tau: complex) -> tuple[mp.mpc, mp.mpc, mp.mpc]:
+    # (e1, e2, e3) at 30 digits
     nome = mp.exp(1j * mp.pi * mp.mpc(tau))
     t2 = mp.jtheta(2, 0, nome)
     t3 = mp.jtheta(3, 0, nome)
@@ -35,6 +35,12 @@ def theta_half_period_values(tau: complex) -> tuple[complex, complex, complex]:
     e1 = pi2_3 * (t3**4 + t4**4)
     e2 = pi2_3 * (t2**4 - t4**4)
     e3 = -pi2_3 * (t2**4 + t3**4)
+    return e1, e2, e3
+
+
+def theta_half_period_values(tau: complex) -> tuple[complex, complex, complex]:
+    """(e1, e2, e3) from theta constants; independent of the nome series."""
+    e1, e2, e3 = _theta_roots(tau)
     return complex(e1), complex(e2), complex(e3)
 
 
@@ -53,6 +59,16 @@ def wp_oracle(z: complex, tau: complex) -> complex:
         assert abs(probe * mp.mpf("1e-12") - 1) < 1e-9
         _ORACLE_VALIDATED.add(tau)
     return complex(value)
+
+
+def wp_pair_oracle(z: complex, tau: complex) -> tuple[complex, complex]:
+    """Reference (wp(z), wp'(z)) at 30 digits throughout: e3 + (e1-e3)/sn(w)**2
+    and its derivative -2 (e1-e3)**(3/2) cn(w) dn(w)/sn(w)**3, w = sqrt(e1-e3) z."""
+    e1, e2, e3 = _theta_roots(tau)
+    root = mp.sqrt(e1 - e3)
+    w, m = root * mp.mpc(z), (e2 - e3) / (e1 - e3)
+    sn, cn, dn = (mp.ellipfun(kind, w, m) for kind in ("sn", "cn", "dn"))
+    return complex(e3 + (e1 - e3) / sn**2), complex(-2 * root**3 * cn * dn / sn**3)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close, assert_reduced, bits, fundamental_taus, theta_half_period_values, wp_oracle
+from conftest import (
+    assert_close, assert_reduced, bits, fundamental_taus, theta_half_period_values, wp_oracle, wp_pair_oracle
+)
 from kntorus import elliptic
 from kntorus.config import EXCLUSION_RADIUS, MAX_IM_T, TorusConfig, reduce_mod_lattice_array, reduced_basis
 from kntorus.elliptic import _array_terms, half_period_values, wp_array, wp_pair, wp_pair_array
@@ -50,6 +52,23 @@ def test_wp_matches_reference_oracle(cfg_square, cfg_generic):
         points = random_points(cfg, 8, seed=11)
         for z, value in zip(points, wp_array(np.array(points), cfg).tolist()):
             assert_close(value, wp_oracle(z, cfg.tau), 1e-10 * max(1, abs(value)), label=f"wp({z}; {cfg.tau})")
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5j, 0.2j, -0.45 + 0.9j, 0.1j])
+def test_paired_series_against_oracle(tau):
+    # the nome sum folds its terms at q^n u and q^n / u into one; wp and wp'
+    # stay within 2e-15 of the 30-digit values, relative to the larger of
+    # the value and the root gap |e1 - e3| (its power 3/2 for wp'), so that
+    # a zero of wp or wp' in the sample asks for no more than rounding
+    cfg = TorusConfig(tau=tau)
+    e1, _, e3 = theta_half_period_values(tau)
+    gap = abs(e1 - e3)
+    points = random_points(cfg, 32, seed=5)
+    values, primes = wp_pair_array(np.array(points), cfg)
+    for z, value, prime in zip(points, values.tolist(), primes.tolist()):
+        ref, ref_prime = wp_pair_oracle(z, tau)
+        assert_close(value, ref, 2e-15 * max(abs(ref), gap), label=f"wp({z}; {tau})")
+        assert_close(prime, ref_prime, 2e-15 * max(abs(ref_prime), gap**1.5), label=f"wp'({z}; {tau})")
 
 
 def test_wp_specific_point_differential_equation():

@@ -192,7 +192,7 @@ def test_batched_segments_keep_their_own_outcomes(monkeypatch):
         "segment [(0.28338005960397716+0.20631700547251255j), (0.250319941597631-0.43032708847071405j)] "
         "did not converge in 1024 panels: the last two estimates differ by 2.84e-11 > 2.84e-12"
     )
-    assert unconverged.estimate == -0.4054986798045016 - 2.806408208191705j
+    assert unconverged.estimate == -0.40549867980450727 - 2.8064082081916957j
 
 
 def test_time_between_interaction_points(cfg_square):
@@ -297,20 +297,23 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
 
 
 def test_level_line_weight_off_the_edge_falls_back_to_its_middle(cfg_square, monkeypatch):
-    # f = -1 left of Re z = 0.1 and 1e-20 right of it: w = 1 / (1 + 1e-20)
+    # f = -1 for |Re z| < 0.1 and 1e-20 beyond (even, as t is): w = 1 / (1 + 1e-20)
     # rounds to 1, which would put the trial point on the right node; the
-    # edge [0.0625, 0.125] is halved instead, twice
+    # edge [0.0625, 0.125] is halved instead, twice (on its mirror
+    # [-0.125, -0.0625], w = 1e-20 accepts the left node at once)
     monkeypatch.setattr(
-        propagation, "_time_array", lambda z, cfg: np.where(z.real > 0.1, 1e-20, -1.0)
+        propagation, "_time_array", lambda z, cfg: np.where(np.abs(z.real) > 0.1, 1e-20, -1.0)
     )
     points = level_line_samples(cfg_square, 0.0, 16).points
-    assert len(points) == 17
-    assert {p.real for p in points} == {0.109375}
+    assert len(points) == 34
+    assert sorted(p.real for p in points) == [-0.125] * 17 + [0.109375] * 17
 
 
-def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[complex, ...]:
-    """The scan edge by edge: time_coordinate at every grid node from one
-    array call, then each crossing edge refined by its own scalar Illinois
+def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: bool = False) -> tuple[complex, ...]:
+    """The scan edge by edge: time_coordinate from one array call at each
+    grid node that comes no later than its mirror -(node) in row-major
+    order (at every node with full_grid), each later node reading its
+    mirror's value; then each crossing edge refined by its own scalar Illinois
     false position recurrence on (z0, f0, z1, f1, kept end) with f = t - u,
     the open edges' trial points timed by one array call per step; points
     in row-major order, horizontal edge first.  The oracle for
@@ -322,14 +325,21 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int) -> tuple[co
     def node(ai: int, bi: int) -> complex:
         return complex(coords[ai] + coords[bi] * tau.real, coords[bi] * tau.imag)
 
+    def timed(ai: int, bi: int) -> bool:
+        # the mirror -(node) is node (n - ai, n - bi), at row-major index last - k
+        k, last = ai + (n + 1) * bi, (n + 1) ** 2 - 1
+        return full_grid or k <= last - k
+
     keys = [
         (ai, bi)
         for bi in range(n + 1)
         for ai in range(n + 1)
-        if reduced_distance(node(ai, bi), punctures, tau) > 4.0 * EXCLUSION_RADIUS
+        if timed(ai, bi) and reduced_distance(node(ai, bi), punctures, tau) > 4.0 * EXCLUSION_RADIUS
     ]
     times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
     fvals = {key: t - u for key, t in zip(keys, times.tolist())}
+    if not full_grid:  # t is even
+        fvals.update({(n - ai, n - bi): f for (ai, bi), f in list(fvals.items())})
     # each crossing edge's (z0, f0, z1, f1, kept end), in scan order
     edges = [
         (node(ai, bi), fvals[ai, bi], node(aj, bj), fvals[aj, bj], None)
@@ -378,6 +388,33 @@ def test_level_lines_match_scalar_scan(cfg, levels, resolution):
         expected = _level_lines_scalar(cfg, u, resolution)
         assert expected
         assert level_line_samples(cfg, u, resolution).points == expected
+
+
+@pytest.mark.parametrize("resolution", [63, 64])
+@pytest.mark.parametrize("cfg, levels", LEVEL_LINE_CASES, ids=LEVEL_LINE_IDS)
+def test_level_lines_half_grid_matches_full_grid(cfg, levels, resolution):
+    # t(-z) and t(z) differ by rounding only, so the mirrored half of the
+    # grid gains or loses no crossing and moves the points by rounding only,
+    # except at a tie: a node where t - u is 0 to rounding crosses on its
+    # edges or not as rounding falls.  The reference level u = 0 passes
+    # through the node (1+tau)/4 when 4 divides R; the points beside a tie
+    # node are left out of the comparison
+    n = resolution
+    coords = -0.5 + np.arange(n + 1) / n
+    nodes = (coords[None, :] + coords[:, None] * cfg.tau).ravel()
+    nodes = nodes[[reduced_distance(z, cfg.punctures(), cfg.tau) > 4.0 * EXCLUSION_RADIUS for z in nodes]]
+    times = time_coordinate(nodes, cfg)
+    for u in levels:
+        ties = nodes[np.abs(times - u) <= 1e-14]
+        assert bool(ties.size) == (u == 0.0 and n % 4 == 0)
+
+        def away(points: tuple[complex, ...]) -> list[complex]:
+            return [p for p in points if not ties.size or np.min(np.abs(ties - p)) > 1e-8]
+
+        points = away(level_line_samples(cfg, u, n).points)
+        full = away(_level_lines_scalar(cfg, u, n, full_grid=True))
+        assert len(points) == len(full)
+        assert np.max(np.abs(np.subtract(points, full))) <= 1e-12
 
 
 @pytest.mark.parametrize("resolution", [32, 64])
