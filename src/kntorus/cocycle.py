@@ -41,8 +41,8 @@ definition.
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
 convention and the reconciliation report.  Both visit only the pairs on
-the levels i + j that the keys of _CHI_POLY, _ODD_TABLE and _EVEN_TABLE
-name, in (i, j) order: off those levels chi_sum and chi_closed are zero.
+the levels i + j of CHI_LEVELS, in (i, j) order: off those levels chi_sum
+and chi_closed are zero.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ _CHI_POLY: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int, int], ...]] =
     (-10, 0): (((2, 3), 26, -62),),
     (-12, 0): (((3, 3), 13, -76),),
 }
+# the levels i + j where chi_sum can be nonzero, ascending; the closed-form
+# tables' levels are among them
+CHI_LEVELS: tuple[int, ...] = tuple(sorted({level for level, _ in _CHI_POLY}))
 
 
 def _chi_poly(i: int, j: int, params: AlgebraParams) -> complex:
@@ -282,8 +285,7 @@ def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
     shifted = range(1 - bound, bound + 2)
     slots = bracket_slots(params, shifted, shifted)
     seconds = range(-2 * bound, 2 * bound + 7)
-    levels = {level for level, _ in _CHI_POLY}
-    chi = np.array([[chi_sum(a, m, params) if a + m in levels else 0j for m in seconds] for a in labels])
+    chi = np.array([[chi_sum(a, m, params) if a + m in CHI_LEVELS else 0j for m in seconds] for a in labels])
     # Q_t[a, b, c] = C_bc^m chi_am at m = b + c + 2t, over the cube; the index
     # arrays are the labels + bound, so m - seconds.start is b + c + 2t
     index = range(len(labels))
@@ -299,14 +301,12 @@ def cocycle_identity_residual(bound: int, params: AlgebraParams) -> np.ndarray:
 
 def _support_pairs(window: int):
     """The pairs (i, j) over [-window, window]^2, in (i, j) order, whose level
-    i + j is a key level of _CHI_POLY, _ODD_TABLE or _EVEN_TABLE: the only
-    pairs where chi_sum or chi_closed can be nonzero.  Raises ValueError
-    for window < 1 when iterated."""
+    i + j is in CHI_LEVELS: the only pairs where chi_sum or chi_closed can
+    be nonzero.  Raises ValueError for window < 1 when iterated."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    levels = sorted({level for level, _ in _CHI_POLY}.union(_ODD_TABLE, _EVEN_TABLE))
     for i in range(-window, window + 1):
-        for level in levels:
+        for level in CHI_LEVELS:
             if -window <= level - i <= window:
                 yield i, level - i
 

@@ -22,9 +22,9 @@ Every evaluation is an array call in numpy arithmetic; ``wp_pair`` reads one
 point as a one-entry wp_pair_array call, so it is that point's entry of any
 array call, bit for bit.  The pole factor X = wp(z) - p, p = wp(1/2 + q), is
 formed here alone: ``pole_factor_array`` gives (X, wp, wp') for the basis
-frame and the time function, ``half_period_values`` X at (1+tau)/4 and
-``HalfPeriodValues.differences`` the d_k = p - e_k of any pole parameter p
-on the lattice.  No path evaluates wp'': the basis frame takes it from the
+frame and the time function, and ``HalfPeriodValues.differences`` the
+d_k = p - e_k of any pole parameter p on the lattice (the time function's
+constant reads d3).  No path evaluates wp'': the basis frame takes it from the
 algebraic identity wp'' = 6*wp**2 - g2/2 at the wp it already has.
 """
 
@@ -37,9 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (
-    CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, reduce_mod_lattice_array, reduced_basis
-)
+from .config import CONFIG_CACHE_SIZE, EXCLUSION_RADIUS, TorusConfig, reduce_mod_lattice_array, reduced_basis
 from .errors import DegenerateModuliError, PoleProximityError
 
 _TWO_PI_I = 2j * math.pi
@@ -48,7 +46,7 @@ _TWO_PI_I = 2j * math.pi
 @dataclass(frozen=True)
 class HalfPeriodValues:
     """wp at the half periods (e1, e2, e3) and at 1/2 + q (p; e1 bit for bit at q = 0),
-    g2, g3, x_ref = wp((1+tau)/4) - p or None, and differences(p) = (p - e1, p - e2, p - e3)."""
+    g2, g3, and differences(p) = (p - e1, p - e2, p - e3)."""
 
     e1: complex
     e2: complex
@@ -56,7 +54,6 @@ class HalfPeriodValues:
     g2: complex
     g3: complex
     p: complex
-    x_ref: complex | None
 
     def differences(self, p: complex) -> tuple[complex, complex, complex]:
         return (p - self.e1, p - self.e2, p - self.e3)
@@ -151,24 +148,20 @@ def pole_factor_array(z: np.ndarray, cfg: TorusConfig, prime: bool) -> tuple:
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def half_period_values(cfg: TorusConfig) -> HalfPeriodValues:
-    """e1, e2, e3 at cfg.half_periods(), p at 1/2 + q and wp at (1+tau)/4 (one
-    five-entry wp_array call), g2, g3 and x_ref, None where (1+tau)/4 is
-    within EXCLUSION_RADIUS of a puncture (it is 1/2 +- q at q = +-(tau - 1)/4).
+    """e1, e2, e3 at cfg.half_periods() and p at 1/2 + q (one four-entry
+    wp_array call), g2 and g3.
 
     The cubic 4x^3 - g2*x - g3 = 4(x-e1)(x-e2)(x-e3) has no quadratic term,
     so e1+e2+e3 vanishes; this is checked to 1e-8 of max(1, |e1|, |e2|, |e3|),
     and a larger sum raises DegenerateModuliError naming tau.
     """
-    tau = cfg.tau
-    points = np.array([*cfg.half_periods(), 0.5 + cfg.q, 0.25 * (1.0 + tau)])
-    e1, e2, e3, p, ref = wp_array(points, cfg).tolist()
-    at_puncture = distance_to_points_array(points[4:], cfg.punctures(), tau).item() <= EXCLUSION_RADIUS
+    e1, e2, e3, p = wp_array(np.array([*cfg.half_periods(), 0.5 + cfg.q]), cfg).tolist()
     s = e1 + e2 + e3
     scale = max(1.0, abs(e1), abs(e2), abs(e3))
     if abs(s) > 1e-8 * scale:
         raise DegenerateModuliError(
-            f"half-period values violate e1+e2+e3=0 by {abs(s)} at tau={tau}"
+            f"half-period values violate e1+e2+e3=0 by {abs(s)} at tau={cfg.tau}"
         )
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    return HalfPeriodValues(e1, e2, e3, g2, g3, p, x_ref=None if at_puncture else ref - p)
+    return HalfPeriodValues(e1, e2, e3, g2, g3, p)

@@ -4,7 +4,9 @@ The differential is w(z) dz with w = -(1/2) wp'(z) / (wp(z) - p) where
 p = wp(1/2 + q).  It has residues +1 at 0 and -1/2 at 1/2 +- q, purely
 imaginary periods, and its real integral t(z) = -(1/2) ln|wp(z) - p| + C
 is the harmonic "time" of string propagation.  The additive constant is
-fixed by t((1+tau)/4) = 0.  wp - p comes from ``elliptic`` and w from
+C = (1/2) ln|p - e3|, so t(tau/2) = 0 at the interaction point tau/2, a
+zero of the differential that config keeps away from every puncture, and
+t((1+tau)/2) is separation_time.  wp - p comes from ``elliptic`` and w from
 ``basis.frame_array``; residues and periods integrate w from it, and
 ``omega_hat`` reads one point as a one-entry array.  The time function
 has one evaluation, from pole_factor_array: ``time_coordinate`` takes a
@@ -105,15 +107,16 @@ def period_real_parts(cfg: TorusConfig) -> tuple[float, float]:
 
 
 def time_coordinate(z, cfg: TorusConfig):
-    """Harmonic time t(z) = -(1/2) ln|wp(z) - p| + C with t((1+tau)/4) = 0.
+    """Harmonic time t(z) = -(1/2) ln|wp(z) - p| + C with t(tau/2) = 0.
 
     t -> -inf at the in-point 0 and +inf at the out-points 1/2 +- q, matching
     the residue signs (+1, -1/2, -1/2).  z is a complex, giving a float, or a
     complex array, giving an array of its shape; a complex is a one-entry
     array, so its value is the one its entry gets in any array call,
-    level_line_samples' included.  Raises PoleProximityError inside a puncture
-    exclusion disk, and DegenerateModuliError naming q where (1+tau)/4 lies in
-    one (q = +-(tau - 1)/4), or naming q, tau and z where wp - p is 0 elsewhere.
+    level_line_samples' included.  C = (1/2) ln|p - e3| makes t(tau/2) exactly
+    0.0, and t((1+tau)/2) separation_time to rounding.  Raises
+    PoleProximityError inside a puncture exclusion disk, and
+    DegenerateModuliError naming q, tau and z where wp - p is 0 elsewhere.
     """
     zs = z if isinstance(z, np.ndarray) else np.array([z], dtype=complex)
     check_away_from_punctures(zs, cfg)
@@ -149,16 +152,12 @@ def mu_modulus(cfg: TorusConfig) -> complex:
 
 def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     # time_coordinate at every entry of a complex array, without its puncture check
-    x_ref = half_period_values(cfg).x_ref
-    if x_ref is None:
-        raise DegenerateModuliError(
-            f"q={cfg.q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes"
-        )
+    hp = half_period_values(cfg)
     x = np.abs(pole_factor_array(z, cfg, prime=False)[0])
     if not x.all():  # on a thin lattice p - e1 can round to 0, and X with it at 1/2
         raise DegenerateModuliError(f"q={cfg.q}, tau={cfg.tau}: wp - p is 0 to rounding at "
                                     f"z={complex(z[x == 0][0])}, away from the punctures")
-    return -0.5 * np.log(x) + 0.5 * math.log(abs(x_ref))
+    return -0.5 * np.log(x) + 0.5 * math.log(abs(hp.differences(hp.p)[2]))
 
 
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
@@ -179,11 +178,13 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     exactly), and w = 1/2 where it is not strictly inside (0, 1).  The
     trial point replaces the end whose sign it shares, and an end kept
     twice in a row has its f halved (the Illinois rule), until |t - u| <=
-    cfg.tol, or BisectionError is raised after BISECTION_STEPS steps; an
-    edge whose trial point falls inside a puncture exclusion disk gives
-    no point.  Node signs, kept ends and accepted trial points
-    are decided from these array values, which are time_coordinate's bit
-    for bit (at -z for a mirrored node), and every accepted point is timed
+    cfg.tol, or BisectionError is raised after BISECTION_STEPS steps,
+    giving |wp - p| at the first open edge's ends and |p| (a thin
+    lattice's pole factor cancels to noise there); an edge whose trial
+    point falls inside a puncture exclusion disk gives no point.  Node
+    signs, kept ends and accepted trial points are decided from these
+    array values, which are time_coordinate's bit for bit (at -z for a
+    mirrored node), and every accepted point is timed
     itself, so every returned point meets |time_coordinate - u| <=
     cfg.tol.  Points come in edge order: row-major by start node,
     horizontal edge first.  Raises ValueError for a u that is not finite.
@@ -250,10 +251,13 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         go = ~done
         ids, z0, z1, f0, f1, kept, fm = (a[go] for a in (ids, z0, z1, f0, f1, kept, fm))
     if ids.size:
-        bad = ids[0]
+        # the scale of wp - p at the edge's ends tells a precision failure
+        # (|wp - p| within rounding of |p|) from a slow one
+        ends = node(np.array([start[ids[0]], end[ids[0]]]))
+        x0, x1 = np.abs(pole_factor_array(ends, cfg, prime=False)[0]).tolist()
         raise BisectionError(
-            f"level line t = {u!r} on the grid edge [{complex(node(start[bad]))}, "
-            f"{complex(node(end[bad]))}] did not converge in {BISECTION_STEPS} steps: "
-            f"|t - u| = {abs(fm[0]):.3g} > tol = {cfg.tol:.3g}"
+            f"level line t = {u!r} on the grid edge [{complex(ends[0])}, {complex(ends[1])}] "
+            f"did not converge in {BISECTION_STEPS} steps: |t - u| = {abs(fm[0]):.3g} > tol = {cfg.tol:.3g}; "
+            f"|wp - p| = {x0:.3g} and {x1:.3g} at its ends, |p| = {abs(half_period_values(cfg).p):.3g}"
         )
     return LevelLineSample(u=u, points=tuple(found[i] for i in sorted(found)))

@@ -321,7 +321,7 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
         for j in range(-window, window + 1)
         if cocycle.chi_sum(i, j, params) != 0
     ]
-    off_support = sum(1 for i, j in nonzero if i + j not in (0, -2, -4, -6, -8, -10, -12))
+    off_support = sum(1 for i, j in nonzero if i + j not in cocycle.CHI_LEVELS)
     checks.append(_check("chi_support", off_support, 0.0))
     mixed = sum(1 for i, j in nonzero if i % 2 != j % 2)
     checks.append(_check("chi_mixed_parity", mixed, 0.0))

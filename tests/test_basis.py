@@ -89,21 +89,21 @@ def test_point_views_are_their_array_entries(cfg):
     [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j), TorusConfig(tau=0.2j, q=0.001)],
 )
 def test_every_pole_factor_is_pole_factor_array(cfg):
-    # the frame's base, the time function, the d_k of the algebra's scalars
-    # and the separation time read the one X = wp - p of pole_factor_array,
-    # at the sample points and at the half periods, bit for bit
-    tau = cfg.tau
+    # the frame's base, the time function and its constant d3, the d_k of
+    # the algebra's scalars and the separation time read the one X = wp - p
+    # of pole_factor_array, at the sample points and at the half periods,
+    # bit for bit
     pts = random_points(cfg, 25, seed=43)
-    marks = [*cfg.half_periods(), 0.5 + cfg.q, 0.25 * (1.0 + tau)]
+    marks = [*cfg.half_periods(), 0.5 + cfg.q]
     x, wp, _ = pole_factor_array(np.array([*pts, *marks]), cfg, prime=True)
-    x_pts, wp_at_q, x_ref = x[:25], wp[28].item(), x[29].item()
+    x_pts, wp_at_q = x[:25], wp[28].item()
+    d1, d2, d3 = (-x[25:28]).tolist()
     assert list(map(bits, frame_array(np.array(pts), cfg)[0].tolist())) == list(map(bits, x_pts.tolist()))
     assert list(map(bits, pole_factor_array(np.array(pts), cfg, prime=False)[0].tolist())) == list(
         map(bits, x_pts.tolist())
     )
-    times = (-0.5 * np.log(np.abs(x_pts)) + 0.5 * math.log(abs(x_ref))).tolist()
+    times = (-0.5 * np.log(np.abs(x_pts)) + 0.5 * math.log(abs(d3))).tolist()
     assert [time_coordinate(z, cfg).hex() for z in pts] == [t.hex() for t in times]
-    d1, d2, d3 = (-x[25:28]).tolist()
     lam = lambda_coefficients(cfg)
     assert bits(lam.lam5) == bits(3.0 * wp_at_q)
     assert bits(lam.lam6) == bits(d1 * d2 + d1 * d3 + d2 * d3)

@@ -333,20 +333,15 @@ def test_coincident_e1_e2_exits_2(capsys):
     ],
     ids=["tau=i", "tau=i,q=(1-tau)/4", "tau=0.3+1.1i", "tau=0.3+1.1i,q=(1-tau)/4"],
 )
-def test_time_reference_at_an_out_puncture_names_q(capsys, geometry):
-    # at q = (tau - 1)/4 the reference point (1+tau)/4 is the out-puncture
-    # 1/2 + q, where wp - p is exactly 0, and at q = (1 - tau)/4 it is
-    # 1/2 - q, where wp - p is only rounding: both are refused by distance,
-    # every time evaluation names q, and params, which reads no time, still runs
-    q = str(complex(float(geometry[-3]), float(geometry[-1])))
+def test_time_runs_with_an_out_puncture_at_a_quarter_period(capsys, geometry):
+    # at q = +-(tau - 1)/4 the out-puncture 1/2 +- q is (1+tau)/4; the time
+    # constant reads p - e3 at the interaction point tau/2, which config keeps
+    # away from every puncture, so every time evaluation runs and every check passes
     for argv in (("levellines", "--u", "0.3"), ("verify", "differential"), ("verify", "all", "--window", "4")):
         code, out, err = run_cli(capsys, *argv, *geometry)
-        assert code == 2 and out == "", argv
-        assert err == (
-            f"error: q={q}: the time reference point (1+tau)/4 is an out-puncture, where wp - p vanishes\n"
-        ), (argv, err)
-    code, out, err = run_cli(capsys, "params", *geometry)
-    assert code == 0 and err == "" and json.loads(out)["results"]["p_q"]
+        assert code == 0 and err == "", (argv, err)
+        results = json.loads(out)["results"]
+        assert results["count"] > 0 if argv[0] == "levellines" else results["all_passed"] is True, argv
 
 
 def test_usage_errors(capsys):

@@ -14,6 +14,7 @@ from kntorus.algebra import bracket
 from kntorus.basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
 from kntorus.cocycle import (
     _CHI_POLY,
+    CHI_LEVELS,
     RECONCILIATION_RTOL,
     _chi_literal,
     build_cocycle_table,
@@ -167,6 +168,12 @@ def test_witt_table_bit_identical_to_double_sum():
                 expect[(i, j)] = repr(value)
     # repr tells 0.0 from -0.0
     assert {key: repr(value) for key, value in table.items()} == expect
+
+
+def test_chi_levels_are_the_support():
+    # the one support tuple that the tables, the identity residual and
+    # verify's chi_support read, ascending
+    assert CHI_LEVELS == tuple(sorted(LEVELS))
 
 
 def test_chi_poly_monomials_have_weight_minus_level():

