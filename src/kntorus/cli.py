@@ -302,7 +302,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             csv_rows,
         )
         return 0
-    chi = sorted(build_cocycle_table(params, args.window).items())
+    chi = build_cocycle_table(params, args.window).items()
     _require_finite(c for _, c in chi)
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
 

@@ -11,7 +11,7 @@ Python's complex * and abs, which numpy's may not.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,9 +19,9 @@ import numpy as np
 # no function is evaluated this close to a lattice point or a puncture
 EXCLUSION_RADIUS = 1e-4
 
-# entries of every per-configuration lru_cache: one `verify all` touches two
-# configurations (the given one and its two-point limit), so a bound of 8 keeps
-# a run's misses to one per configuration while many geometries keep few
+# entries of every per-configuration lru_cache: one `verify all` touches one
+# configuration (it reads the q -> 0 end on the same lattice, at p = e1), so
+# a bound of 8 keeps a run's misses to one while many geometries keep few
 CONFIG_CACHE_SIZE = 8
 
 # the largest Im t, t of reduced_basis, that the nome sum evaluates: at a
@@ -89,10 +89,6 @@ class TorusConfig:
     def half_periods(self) -> tuple[complex, complex, complex]:
         """The half periods (1/2, (1+tau)/2, tau/2), where wp takes e1, e2, e3."""
         return (0.5 + 0j, 0.5 + 0.5 * self.tau, 0.5 * self.tau)
-
-    def two_point_limit(self) -> TorusConfig:
-        """This lattice with both out-punctures merged at 1/2 (q = 0)."""
-        return replace(self, q=0j)
 
 
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)

@@ -45,8 +45,8 @@ _TWO_PI_I = 2j * math.pi
 
 @dataclass(frozen=True)
 class HalfPeriodValues:
-    """wp at the half periods (e1, e2, e3) and at 1/2 + q (p; e1 bit for bit at q = 0),
-    g2, g3, and differences(p) = (p - e1, p - e2, p - e3)."""
+    """wp at the half periods (e1, e2, e3) and at 1/2 + q (p; e1 bit for bit at q = 0), g2, g3;
+    differences and separation take any p on the lattice (the q -> 0 end reads p = e1)."""
 
     e1: complex
     e2: complex
@@ -57,6 +57,14 @@ class HalfPeriodValues:
 
     def differences(self, p: complex) -> tuple[complex, complex, complex]:
         return (p - self.e1, p - self.e2, p - self.e3)
+
+    def separation(self, p: complex) -> float:
+        """(1/2) ln|d3/d2|, d_k = p - e_k: the time from tau/2 to (1+tau)/2.
+        Raises DegenerateModuliError where |d2| < 1e-13 max(1, |e2|)."""
+        d2, d3 = self.differences(p)[1:]
+        if abs(d2) < 1e-13 * max(1.0, abs(self.e2)):
+            raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
+        return 0.5 * math.log(abs(d3 / d2))
 
 
 def _f_wp(x: complex) -> complex:

@@ -124,16 +124,10 @@ def time_coordinate(z, cfg: TorusConfig):
 
 
 def separation_time(cfg: TorusConfig) -> float:
-    """Time between the two interaction points tau/2 and (1+tau)/2.
-
-    Equals (1/2) ln|d3/d2| with d_k = p - e_k, p = wp(1/2 + q); at q = 0
-    this becomes (1/2) ln|(e3 - e1)/(e2 - e1)|.
-    """
+    """Time between the interaction points tau/2 and (1+tau)/2: HalfPeriodValues.separation
+    at this torus's p = wp(1/2 + q); at q = 0, (1/2) ln|(e3 - e1)/(e2 - e1)|."""
     hp = half_period_values(cfg)
-    d2, d3 = hp.differences(hp.p)[1:]
-    if abs(d2) < 1e-13 * max(1.0, abs(hp.e2)):
-        raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
-    return 0.5 * math.log(abs(d3 / d2))
+    return hp.separation(hp.p)
 
 
 def mu_modulus(cfg: TorusConfig) -> complex:

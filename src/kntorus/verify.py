@@ -191,7 +191,8 @@ def verify_differential(cfg: TorusConfig) -> list[CheckResult]:
     checks.append(_check("time_vs_line_integral", residuals, 1e-7, unconverged))
 
     try:
-        sep0 = propagation.separation_time(cfg.two_point_limit())
+        hp = elliptic.half_period_values(cfg)
+        sep0 = hp.separation(hp.e1)
         mu = propagation.mu_modulus(cfg)
         checks.append(_check("mu_vs_separation_time", abs(-0.5 * math.log(abs(mu)) - sep0), 1e-10))
     except DegenerateModuliError as exc:
@@ -250,9 +251,9 @@ def verify_basis(cfg: TorusConfig) -> list[CheckResult]:
 
 
 def degeneration_ladder(cfg: TorusConfig) -> list[basis.AlgebraParams]:
-    """lam4..lam7 at q = 0 (p = e1), 1e-1, 1e-2 and 1e-3 on cfg's lattice, from one wp_array call at 1/2 + q."""
-    hp, z = elliptic.half_period_values(cfg), np.array([0.5 + q for q in (0.0, 1e-1, 1e-2, 1e-3)], dtype=complex)
-    return [basis.params_from_differences(p, hp.differences(p)) for p in elliptic.wp_array(z, cfg).tolist()]
+    """lam4..lam7 at q = 0 (p = e1), 1e-1, 1e-2 and 1e-3 on cfg's lattice, the last three from one wp_array call."""
+    hp, z = elliptic.half_period_values(cfg), np.array([0.5 + q for q in (1e-1, 1e-2, 1e-3)], dtype=complex)
+    return [basis.params_from_differences(p, hp.differences(p)) for p in (hp.e1, *elliptic.wp_array(z, cfg).tolist())]
 
 
 def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
@@ -336,7 +337,8 @@ def verify_cocycle(cfg: TorusConfig, window: int) -> list[CheckResult]:
     residuals = [cocycle.cocycle_identity_residual(4, ps) for ps in formal]
     checks.append(_check("two_cocycle_identity", residuals, 1e-9))
 
-    params0 = lambda_coefficients(cfg.two_point_limit())
+    hp = elliptic.half_period_values(cfg)
+    params0 = basis.params_from_differences(hp.e1, hp.differences(hp.e1))
     qv0 = cocycle.q_values(params0)
     deep = [
         v

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, bits, point_frame, reduced_distance
+from conftest import assert_close, bits, point_frame
 from kntorus import propagation, quadrature
 from kntorus.basis import CIRCLE_NODES, frame_array, puncture_circle
-from kntorus.config import EXCLUSION_RADIUS, TorusConfig
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
     BadContourError,
@@ -346,12 +346,11 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: 
         k, last = ai + (n + 1) * bi, (n + 1) ** 2 - 1
         return full_grid or k <= last - k
 
-    keys = [
-        (ai, bi)
-        for bi in range(n + 1)
-        for ai in range(n + 1)
-        if timed(ai, bi) and reduced_distance(node(ai, bi), punctures, tau) > 4.0 * EXCLUSION_RADIUS
-    ]
+    # one distance_to_points_array call for the nodes, and one per step for
+    # the trial points below: each entry is that point's one-point distance
+    candidates = [(ai, bi) for bi in range(n + 1) for ai in range(n + 1) if timed(ai, bi)]
+    distances = distance_to_points_array(np.array([node(*key) for key in candidates]), punctures, tau)
+    keys = [key for key, d in zip(candidates, distances.tolist()) if d > 4.0 * EXCLUSION_RADIUS]
     times = time_coordinate(np.array([node(*key) for key in keys]), cfg)
     fvals = {key: t - u for key, t in zip(keys, times.tolist())}
     if not full_grid:  # t is even
@@ -372,7 +371,8 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: 
             w = f0 / (f0 - f1)
             w = w if 0.0 < w < 1.0 else 0.5
             trials[i] = complex(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
-        open_ = {i: e for i, e in open_.items() if reduced_distance(trials[i], punctures, tau) > EXCLUSION_RADIUS}
+        distances = distance_to_points_array(np.array([trials[i] for i in open_], dtype=complex), punctures, tau)
+        open_ = {i: e for (i, e), d in zip(open_.items(), distances.tolist()) if d > EXCLUSION_RADIUS}
         fms = (time_coordinate(np.array([trials[i] for i in open_]), cfg) - u).tolist() if open_ else []
         for (i, (z0, f0, z1, f1, kept)), fm in zip(list(open_.items()), fms):
             zm = trials[i]
@@ -418,7 +418,7 @@ def test_level_lines_half_grid_matches_full_grid(cfg, levels, resolution):
     n = resolution
     coords = -0.5 + np.arange(n + 1) / n
     nodes = (coords[None, :] + coords[:, None] * cfg.tau).ravel()
-    nodes = nodes[[reduced_distance(z, cfg.punctures(), cfg.tau) > 4.0 * EXCLUSION_RADIUS for z in nodes]]
+    nodes = nodes[distance_to_points_array(nodes, cfg.punctures(), cfg.tau) > 4.0 * EXCLUSION_RADIUS]
     times = time_coordinate(nodes, cfg)
     for u in levels:
         ties = nodes[np.abs(times - u) <= 1e-14]

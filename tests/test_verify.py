@@ -12,7 +12,7 @@ from conftest import ACCEPTANCE_CONFIGS, bits, mark_distance, suite_checks
 from kntorus import basis, cli, cocycle, config, elliptic, fock, propagation, verify
 from kntorus.basis import frame_array, lambda_coefficients
 from kntorus.config import CONFIG_CACHE_SIZE, TorusConfig
-from kntorus.errors import QuadratureError
+from kntorus.errors import DegenerateModuliError, QuadratureError
 from kntorus.quadrature import segment_integral
 from kntorus.verify import (
     SAMPLE_MARGIN,
@@ -68,27 +68,51 @@ def test_battery_by_name(cfg_square, cfg_two_point):
     assert tuple(c.name for c in verify_suite("all", cfg_two_point, 4)) == two_point
 
 
-@pytest.mark.parametrize(
-    "tau, q", [(1j, 0.2), (0.3 + 1.1j, 0.17 + 0.05j), (0.06j, 0.2), (0.5 + 0.5j, 0.2), (5j, 0.3)]
-)
+# tori of the degeneration ladder tests; on the thin one (0.06i) the two-point
+# separation time is refused, since e2 and e1 agree to rounding
+LADDER_TORI = [(1j, 0.2), (0.3 + 1.1j, 0.17 + 0.05j), (0.06j, 0.2), (0.5 + 0.5j, 0.2), (5j, 0.3)]
+
+
+@pytest.mark.parametrize("tau, q", LADDER_TORI)
 def test_degeneration_ladder_is_lambda_coefficients(tau, q):
     # the ladder reads p = wp(1/2 + q) on the torus's own lattice: the lam of
-    # each rung are those of the configuration at that q, bit for bit, and
-    # the q = 0 rung is the two-point limit's
+    # each rung are those of the configuration at that q, bit for bit, the
+    # q = 0 rung (p = e1) included
     cfg = TorusConfig(tau=tau, q=q)
-    rungs = (cfg.two_point_limit(), *(replace(cfg, q=qq) for qq in (1e-1, 1e-2, 1e-3)))
+    rungs = [replace(cfg, q=qq) for qq in (0j, 1e-1, 1e-2, 1e-3)]
     expected = [[bits(complex(v)) for v in lambda_coefficients(c).as_tuple()] for c in rungs]
     assert [[bits(complex(v)) for v in ps.as_tuple()] for ps in verify.degeneration_ladder(cfg)] == expected
 
 
 def test_degeneration_ladder_builds_no_configuration():
-    # on a fresh three-point torus verify algebra evaluates the half periods
-    # of that configuration alone, and verify all those of it and of its
-    # two-point limit (the separation time and the starred Q)
-    for suite, tau, misses in (("algebra", 0.0123 + 1.0456j, 1), ("all", 0.0234 + 1.0567j, 2)):
-        before = elliptic.half_period_values.cache_info().misses
+    # on a fresh three-point torus verify algebra and verify all read one
+    # configuration: the q -> 0 end (the ladder's first rung, the two-point
+    # separation time and the starred Q) is read on its lattice at p = e1
+    caches = (elliptic.half_period_values, basis.lambda_coefficients)
+    for suite, tau in (("algebra", 0.0123 + 1.0456j), ("all", 0.0234 + 1.0567j)):
+        before = [cache.cache_info().misses for cache in caches]
         verify_suite(suite, TorusConfig(tau=tau, q=0.2), 6)
-        assert elliptic.half_period_values.cache_info().misses - before == misses, suite
+        assert [cache.cache_info().misses - b for cache, b in zip(caches, before)] == [1, 1], suite
+
+
+@pytest.mark.parametrize("tau, q", [*LADDER_TORI, (0.5 + 1j, 0)])
+def test_q_zero_end_is_the_two_point_torus(tau, q):
+    # read at p = e1 on the torus's own lattice, the separation time (or its
+    # refusal) and the lam are those of the q = 0 configuration, bit for bit
+    cfg = TorusConfig(tau=tau, q=q)
+    hp, two_point = elliptic.half_period_values(cfg), replace(cfg, q=0j)
+
+    def outcome(separation):
+        try:
+            return separation().hex()
+        except DegenerateModuliError as exc:
+            return str(exc)
+
+    assert outcome(lambda: hp.separation(hp.e1)) == outcome(lambda: propagation.separation_time(two_point))
+    params0 = basis.params_from_differences(hp.e1, hp.differences(hp.e1))
+    assert [bits(complex(v)) for v in params0.as_tuple()] == [
+        bits(complex(v)) for v in lambda_coefficients(two_point).as_tuple()
+    ]
 
 
 # checks of laws that hold exactly in floating point: the residual is 0.0
