@@ -60,10 +60,12 @@ class HalfPeriodValues:
 
     def separation(self, p: complex) -> float:
         """(1/2) ln|d3/d2|, d_k = p - e_k: the time from tau/2 to (1+tau)/2.
-        Raises DegenerateModuliError where |d2| < 1e-13 max(1, |e2|)."""
+        Raises DegenerateModuliError where |d2| < 1e-13 max(1, |e2|), naming
+        p as e1, as wp(1/2+q) or by its value."""
         d2, d3 = self.differences(p)[1:]
         if abs(d2) < 1e-13 * max(1.0, abs(self.e2)):
-            raise DegenerateModuliError("e2 coincides with wp(1/2+q)")
+            name = "e1" if p == self.e1 else "wp(1/2+q)" if p == self.p else f"p={p}"
+            raise DegenerateModuliError(f"e2 coincides with {name}")
         return 0.5 * math.log(abs(d3 / d2))
 
 

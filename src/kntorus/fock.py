@@ -18,15 +18,18 @@ s >= -1; for s < -1, of all of hi plus the -2 - s slots in (s, -1) minus
 the bits of lo below the slot's bit (the vacant ones among them).
 
 Every operator is defined once on a basis state, where it gives one state
-and a sign or zero: _flip is b or c, _then composes two flips (the one
-rule that _normal_ordered, clifford_residual and l_operator compose by),
-_normal_ordered is :b_k c^j: (normal ordering switching at j = -1), and
-_linear extends either to a FockVector.  The current operators
+and a sign or zero: _flip is b or c, _then composes two flips (the rule
+that _normal_ordered and clifford_residual compose by), _normal_ordered
+is :b_k c^j: (normal ordering switching at j = -1), and _linear extends
+either to a FockVector.  The current operators
 L_i = sum_{j,k} C_ij^k :b_k c^j: (shifted structure constants) realize
-the centrally extended algebra.  l_operator takes each first flip once
-per state and reads its constants from a table that one commutator
-builds and shares among its calls, so each C_ij^k is built once per
-commutator; no table outlives the call that made it.
+the centrally extended algebra.  l_operator, the hot loop, takes each
+first flip once per state and works the second on the masks in place,
+term by term as _normal_ordered gives them and with the same products,
+so its values keep their bits (the tests pin it to that term loop).  It
+reads its constants from a table that one commutator builds and shares
+among its calls, so each C_ij^k is built once per commutator; no table
+outlives the call that made it.
 Their commutator connects the abstract cocycle chi_sum to the operator
 anomaly through the sign convention (sigma_c, sigma_chi), the constant
 cocycle.DEFAULT_SIGN_CONVENTION; the tests ground it exactly, at integer
@@ -262,38 +265,88 @@ def l_operator(
 
     Each term is :b_k c^j: on the state, as _normal_ordered gives it, with
     the first flip taken once per state: c^j once for all k when j < -1,
-    b_k once per k when j >= -1; _then applies the second.  The constants
-    come from `table`, which one commutator shares among its calls;
-    without one the call builds its own.
+    b_k once per k when j >= -1, held as masks and a sign parity.  The
+    second flip is _flip's rule worked on those masks in the loop (a bit
+    test, an xor and a popcount), the image is added with _accumulate's
+    rule, and a WedgeState is built only for an image that enters the
+    output.  The terms run in the order state, j, k, and each value is
+    c * (coeff * sign) with an int sign of +-1, so every value keeps the
+    bits of the term loop.  The constants come from `table`, which one
+    commutator shares among its calls; without one the call builds its own.
     """
     if table is None:
         table = {}
     out: FockVector = {}
     for state, coeff in v.items():
-        j_hi = state.hi.bit_length() - 2 - i  # the highest occupied slot, minus i
-        removed: dict[int, StateImage] = {}  # k -> b_k on this state
-        for j in (*state.vacant_below, *range(-1, j_hi + 3)):
-            terms = _constants(table, i, j, params)
-            if j < -1:
-                created = _flip(j, state, False)
-                for k, c in terms:
-                    image = _then(created, k, True)
-                    if image is not None:
-                        _accumulate(out, image[0], c * (coeff * image[1]))
+        hi, lo = state
+        n_hi = hi.bit_count()
+        signed = (coeff * 1, coeff * -1)  # coeff * (-1)**parity, with the term loop's int signs
+        # j < -1, the vacant slots in ascending order: c^j, then b_k
+        for b in range(lo.bit_length() - 1, -1, -1):
+            bit = 1 << b
+            if not lo & bit:
                 continue
-            contributed = False
-            for k, c in terms:
-                if k not in removed:
-                    removed[k] = _flip(k, state, True)
-                image = _then(removed[k], j, False)
-                if image is not None:
-                    _accumulate(out, image[0], c * (coeff * -image[1]))
-                    contributed = True
-            if contributed and j > j_hi:
-                raise WindowViolationError(
-                    f"L_{i} produced a contribution at j={j} beyond the "
-                    f"derived bound {j_hi}"
-                )
+            lo1 = lo ^ bit
+            parity = n_hi + b - (lo & (bit - 1)).bit_count()
+            for k, c in _constants(table, i, -2 - b, params):
+                if k >= -1:
+                    kbit = 1 << (k + 1)
+                    if not hi & kbit:
+                        continue
+                    key = (hi ^ kbit, lo1)
+                    above = (hi >> (k + 2)).bit_count()
+                else:
+                    kbit = 1 << (-2 - k)
+                    if lo1 & kbit:
+                        continue
+                    key = (hi, lo1 ^ kbit)
+                    above = n_hi - 2 - k - (lo1 & (kbit - 1)).bit_count()
+                value = c * signed[(parity + above) & 1]
+                old = out.get(key)
+                if old is None:
+                    new = 0j + value
+                    if new != 0:
+                        out[_masks(WedgeState, key)] = new
+                elif (new := old + value) == 0:
+                    del out[key]
+                else:
+                    out[key] = new
+        # j >= -1: b_k, then c^j, with the reordering sign -1 folded into
+        # the parity of each b_k image, which is (hi, lo, parity) or None
+        j_hi = hi.bit_length() - 2 - i  # the highest occupied slot, minus i
+        removed: dict[int, tuple[int, int, int] | None] = {}
+        for j in range(-1, j_hi + 3):
+            jbit = 1 << (j + 1)
+            for k, c in _constants(table, i, j, params):
+                first = removed.get(k, False)
+                if first is False:  # b_k on the state, once per k
+                    if k >= -1:
+                        kbit = 1 << (k + 1)
+                        above = (hi >> (k + 2)).bit_count()
+                        first = removed[k] = (hi ^ kbit, lo, above + 1) if hi & kbit else None
+                    else:
+                        kbit = 1 << (-2 - k)
+                        above = n_hi - 2 - k - (lo & (kbit - 1)).bit_count()
+                        first = removed[k] = None if lo & kbit else (hi, lo ^ kbit, above + 1)
+                if first is None or first[0] & jbit:
+                    continue
+                if j > j_hi:
+                    raise WindowViolationError(
+                        f"L_{i} produced a contribution at j={j} beyond the "
+                        f"derived bound {j_hi}"
+                    )
+                hi1, lo1, parity = first
+                key = (hi1 ^ jbit, lo1)
+                value = c * signed[(parity + (hi1 >> (j + 2)).bit_count()) & 1]
+                old = out.get(key)
+                if old is None:
+                    new = 0j + value
+                    if new != 0:
+                        out[_masks(WedgeState, key)] = new
+                elif (new := old + value) == 0:
+                    del out[key]
+                else:
+                    out[key] = new
     return out
 
 

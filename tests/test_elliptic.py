@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -118,6 +119,17 @@ def test_half_period_sum_violation_names_tau(monkeypatch):
     cfg = TorusConfig(tau=0.1 + 1.2j, q=0.2)
     with pytest.raises(DegenerateModuliError, match=re.escape("e1+e2+e3=0 by 3.0 at tau=(0.1+1.2j)")):
         half_period_values.__wrapped__(cfg)  # past the cache
+
+
+def test_separation_refusal_names_the_p_it_was_given():
+    # on this thin lattice e2 equals e1 to rounding while p = wp(1/2 + q)
+    # lies apart: each refusal names the p it refused
+    hp = half_period_values(TorusConfig(tau=0.06j, q=0.2))
+    assert math.isfinite(hp.separation(hp.p))
+    at_e2 = dataclasses.replace(hp, p=hp.e2)
+    for values, p, name in ((hp, hp.e1, "e1"), (at_e2, at_e2.p, "wp(1/2+q)"), (hp, hp.e2, f"p={hp.e2}")):
+        with pytest.raises(DegenerateModuliError, match=f"^{re.escape('e2 coincides with ' + name)}$"):
+            values.separation(p)
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5 + 0.8j, 0.5 + 1.3j, 5j, 0.2j])

@@ -142,17 +142,23 @@ def test_normal_ordered_bc_equals_composition(state, k, j):
 lams = hs.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
+# the currents a commutator applies: L_k with k = i + j + 2t for i, j in
+# [-5, 5], so negative ones whose j >= -1 terms reach k < -1 among them
+currents = hs.integers(-16, 16)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     states=hs.lists(wedge_states, min_size=1, max_size=3, unique=True),
-    i=hs.integers(-6, 6),
+    i=currents,
     lam=hs.tuples(lams, lams, lams),
 )
 def test_l_operator_equals_brute_force_sum(states, i, lam):
     params = formal_params(*lam)
     v = {st: complex(1 + n, 0.5 - n) for n, st in enumerate(states)}
-    # every j in a window wider than any contributing one (slots lie in
-    # [-10, 10], |i| <= 6), composed without the l_operator pruning
+    # every j in a window wider than any contributing one, composed without
+    # the l_operator pruning: c^j needs a vacant j >= -10 when j < -1, and
+    # b_k an occupied k >= i + j when j >= -1, so j <= 10 - i <= 26
     brute = {}
     for j in range(-30, 31):
         for k, c in shifted_constants(i, j, params).items():
@@ -188,7 +194,7 @@ signed_complex = hs.builds(complex, signed_parts, signed_parts)
 @given(
     states=hs.lists(wedge_states, min_size=1, max_size=3, unique=True),
     coeffs=hs.lists(signed_complex, min_size=3, max_size=3),
-    i=hs.integers(-6, 6),
+    i=currents,
     lam=hs.tuples(signed_complex, signed_complex, signed_complex),
 )
 def test_l_operator_is_the_term_loop_bit_for_bit(states, coeffs, i, lam):
@@ -201,6 +207,39 @@ def test_l_operator_is_the_term_loop_bit_for_bit(states, coeffs, i, lam):
     for _ in range(2):
         l_operator(1 - i, v, params, table)
         assert repr(list(l_operator(i, v, params, table).items())) == expect
+
+
+# a wedge_commutators benchmark op: one state with 1 to 10 excitations in
+# [-10, 10], each occupying a slot >= -1 or vacating one below
+excited_states = hs.builds(
+    lambda slots: WedgeState(
+        tuple(sorted((s for s in slots if s >= -1), reverse=True)), tuple(sorted(s for s in slots if s < -1))
+    ),
+    hs.sets(hs.integers(-10, 10), min_size=1, max_size=10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    i=hs.integers(-5, 5),
+    j=hs.integers(-5, 5),
+    state=excited_states,
+    params=hs.just(WITT_PARAMS) | hs.builds(formal_params, signed_complex, signed_complex, signed_complex),
+)
+def test_commutator_is_the_term_loop_bit_for_bit(i, j, state, params):
+    # the commutator vector, its residual and the vacuum cocycle are those
+    # of the term loop, bit for bit
+    v = {state: 1.0 + 0j}
+
+    def results():
+        commutator = fock._commutator(i, j, v, params, {})
+        residual = commutator_residual(i, j, v, params, DEFAULT_SIGN_CONVENTION)
+        return repr((list(commutator.items()), residual, extract_vacuum_cocycle(i, j, params)))
+
+    expect = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "l_operator", lambda k, w, lam, table=None: l_operator_by_terms(k, w, lam))
+        assert results() == expect
 
 
 def test_one_commutator_builds_each_constant_once(cfg_square, monkeypatch):

@@ -61,7 +61,7 @@ def test_residue_bad_contour(cfg_square):
 
 def test_degenerate_moduli_error():
     # on this thin lattice e2 equals e1 = p to rounding
-    with pytest.raises(DegenerateModuliError):
+    with pytest.raises(DegenerateModuliError, match=r"^e2 coincides with e1$"):
         separation_time(TorusConfig(tau=0.06j))
     # q = tau/2 or (1+tau)/2 would merge the out-punctures at the other half period
     for q in (0.5j, 0.5 + 0.5j):

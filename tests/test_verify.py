@@ -322,7 +322,8 @@ def test_basis_suite_reads_one_frame_array(cfg_square, monkeypatch):
 
 def test_degenerate_two_point_time_fails_its_check(capsys):
     # on this thin lattice e1 and e2 agree to rounding, so the two-point
-    # separation time is degenerate: the check fails, the run goes on
+    # separation time is degenerate: the check fails naming p = e1, the
+    # value it refused, and the run goes on
     code = cli.main(["verify", "all", "--tau-im", "0.06", "--window", "4"])
     out = capsys.readouterr().out
 
@@ -334,7 +335,7 @@ def test_degenerate_two_point_time_fails_its_check(capsys):
     assert_battery_size(len(checks))
     assert all(math.isfinite(c["max_residual"]) for c in checks.values())
     mu = checks["mu_vs_separation_time"]
-    assert mu["status"] == "fail" and mu["detail"] == "e2 coincides with wp(1/2+q)", mu
+    assert mu["status"] == "fail" and mu["detail"] == "e2 coincides with e1", mu
 
 
 def test_config_caches_stay_bounded():
