@@ -22,8 +22,9 @@ oracle at many drawn (pair, point) entries from shared tables: one frame
 array of the points, one table of basis.monomial and one of
 basis.monomial_derivative over the labels, and one bracket_slots table.
 build_structure_table returns the nonzero structure constants over an
-index window as plain rows (i, j, k, c) in (i, j, k) order, read from one
-bracket_slots table; cli.py alone writes them out.
+index window as a StructureTable of four columns i, j, k and c in (i, j, k)
+order, read from one bracket_slots table by one np.nonzero; its rows()
+gives them as plain (i, j, k, c) tuples, and cli.py alone writes them out.
 
 jacobi_residual(bound, params) checks the Jacobi identity on every label
 triple of the cube [-bound, bound]^3 in one call.  It reads every bracket
@@ -36,6 +37,8 @@ definition.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .basis import AlgebraParams, monomial, monomial_derivative, require_finite
@@ -43,6 +46,20 @@ from .config import complex_abs, complex_multiply
 
 BracketTerms = dict[int, complex]
 StructureRow = tuple[int, int, int, complex]
+
+
+class StructureTable(NamedTuple):
+    """Structure constants as columns: row n is (i[n], j[n], k[n], c[n]),
+    the labels as int arrays and the coefficients as a complex array."""
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    c: np.ndarray
+
+    def rows(self) -> list[StructureRow]:
+        """The rows as (i, j, k, c) tuples of Python int and complex."""
+        return list(zip(self.i.tolist(), self.j.tolist(), self.k.tolist(), self.c.tolist()))
 
 
 def slot_coefficients(i: int, j: int, params: AlgebraParams) -> tuple[complex, ...]:
@@ -178,31 +195,24 @@ def jacobi_residual(bound: int, params: AlgebraParams) -> np.ndarray:
     return complex_abs(total).max(axis=-1) / (scale * scale)
 
 
-def build_structure_table(
-    params: AlgebraParams, window: int, indexing: str = "original"
-) -> list[StructureRow]:
-    """The nonzero structure constants over [-window, window]^2 as rows
-    (i, j, k, c), c the coefficient of [l_i, l_j] at l_k, in (i, j, k)
-    order; in the l basis ("original") or the shifted basis e_i = l_{i+1}
-    ("shifted"), where the row carries shifted_constants(i, j)[k].
+def build_structure_table(params: AlgebraParams, window: int, indexing: str = "original") -> StructureTable:
+    """The nonzero structure constants over [-window, window]^2 as the
+    columns of rows (i, j, k, c), c the coefficient of [l_i, l_j] at l_k, in
+    (i, j, k) order; in the l basis ("original") or the shifted basis
+    e_i = l_{i+1} ("shifted"), where the row carries shifted_constants(i, j)[k].
 
     The coefficients come from one bracket_slots table, whose slot t sits
-    at k = i + j - 1 + 2t (original) or i + j + 2t (shifted), so slot order
-    is k order within each pair.
+    at k = i + j - 1 + 2t (original) or i + j + 2t (shifted): the table's
+    (x, y, t) order is (i, j, k) order, so one np.nonzero over it reads
+    every row in order.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if indexing not in ("original", "shifted"):
         raise ValueError(f"unknown indexing {indexing!r}")
     shift = 0 if indexing == "original" else 1
-    labels = range(-window, window + 1)
-    slot_labels = range(labels.start + shift, labels.stop + shift)
+    slot_labels = range(shift - window, shift + window + 1)
     slots = bracket_slots(params, slot_labels, slot_labels)
-    rows: list[StructureRow] = []
-    for x, i in enumerate(labels):
-        # the nonzero slots t of [l_i, l_j], j = labels[y], in (y, t) order
-        y, t = np.nonzero(slots[x])
-        j = y + labels.start
-        k = i + j - 1 + shift + 2 * t
-        rows.extend(zip([i] * y.size, j.tolist(), k.tolist(), slots[x, y, t].tolist()))
-    return rows
+    x, y, t = np.nonzero(slots)
+    i, j = x - window, y - window
+    return StructureTable(i, j, i + j - 1 + shift + 2 * t, slots[x, y, t])

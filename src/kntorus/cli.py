@@ -14,8 +14,11 @@ envelope {"config", "results", "checks"}, to stdout or to --output.  The
 JSON is written in one pass by _write_json, which appends every token to
 one list that is joined once.  Its text is byte for byte what json.dumps
 writes with sorted keys and an indent of 2; json.dumps itself runs its
-slower pure-Python encoder whenever it indents.  The argument parser is
-built once per process, on the first call of main.
+slower pure-Python encoder whenever it indents.  The bracket table's CSV
+is written from the structure table's columns by _bracket_csv, which
+formats each label and each distinct constant once and joins the body
+once.  The argument parser is built once per process, on the first call
+of main.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
 still written), 2 usage or configuration error or an --output path that
@@ -31,7 +34,6 @@ MAX_SAMPLES); a larger value is a usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import sys
@@ -39,8 +41,10 @@ from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import propagation
-from .algebra import build_structure_table
+from .algebra import StructureTable, build_structure_table
 from .basis import AlgebraParams, formal_params, lambda_coefficients
 from .cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
 from .config import TorusConfig
@@ -259,9 +263,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _require_finite(numbers) -> None:
-    """Refuse a table that would write a number overflowed from the lams."""
-    if not all(map(cmath.isfinite, numbers)):
+    """Refuse a table that would write a number overflowed from the lams;
+    numbers is an array or a list of numbers."""
+    if not np.isfinite(numbers).all():
         raise ValueError("--lam5/--lam6/--lam7: the table would hold numbers that are not finite")
+
+
+def _bracket_csv(table: StructureTable, window: int) -> str:
+    """The CSV text of a finite structure table: the header and one line
+    i,j,k,re,im per row, each line led by its line break.
+
+    Every label lies in [-2 window - 1, 2 window + 6], and each label's
+    text is formatted once.  C_ij^k depends only on the parity of i, on
+    j - i and on the slot t = (k - i - j + 1) // 2 (in either indexing),
+    since bracket_slots gathers it from those, so all rows of one key hold
+    the same value bit for bit: each key's text is formatted once, from
+    any of its rows.  The texts are gathered into one object array, row by
+    row, and joined once.
+    """
+    i, j, k, c = table
+    lo = -2 * window - 1
+    labels = range(lo, 2 * window + 7)
+    # an i text leads its line with the line break
+    lead = np.array([f"\n{n}," for n in labels], dtype=object)
+    inner = np.array([f"{n}," for n in labels], dtype=object)
+    # the key (j - i, t, parity of i) as one index into a dense table
+    key = ((j - i + 2 * window) * 4 + (k - i - j + 1) // 2) * 2 + i % 2
+    used = np.zeros((4 * window + 1) * 8, dtype=bool)
+    used[key] = True
+    row_of = np.empty(used.size, dtype=np.intp)
+    row_of[key] = np.arange(key.size)  # any row of a key holds its value
+    text = np.empty(used.size, dtype=object)
+    text[used] = [f"{v.real!r},{v.imag!r}" for v in c[row_of[used]].tolist()]
+    parts = np.empty((key.size, 4), dtype=object)
+    parts[:, 0] = lead[i - lo]
+    parts[:, 1] = inner[j - lo]
+    parts[:, 2] = inner[k - lo]
+    parts[:, 3] = text[key]
+    return "i,j,k,re,im" + "".join(parts.ravel().tolist())
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -277,18 +316,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     header = {"window": args.window, "params": _lam_json(params)}
     if args.kind == "brackets":
         args.indexing = args.indexing or "original"
-        rows = build_structure_table(params, args.window, indexing=args.indexing)
-        _require_finite(row[3] for row in rows)
-
-        def csv_rows() -> list[str]:
-            # C_ij^k depends only on the parity of i, j - i and the slot, so
-            # few values fill many rows: each distinct one is formatted once.
-            # A complex key is exact: slot_coefficients adds 0j, so no zero
-            # part is -0.0, and _require_finite has refused NaN, so values
-            # that compare equal repr alike.
-            text = {c: f"{c.real!r},{c.imag!r}" for c in {row[3] for row in rows}}
-            return ["i,j,k,re,im", *(f"{i},{j},{k},{text[c]}" for i, j, k, c in rows)]
-
+        table = build_structure_table(params, args.window, indexing=args.indexing)
+        _require_finite(table.c)
         _emit(
             args, cfg,
             lambda: {
@@ -296,19 +325,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 "indexing": args.indexing,
                 "entries": [
                     {"i": i, "j": j, "terms": [{"k": k, "c": _c(c)} for *_, k, c in terms]}
-                    for (i, j), terms in groupby(rows, key=lambda row: row[:2])
+                    for (i, j), terms in groupby(table.rows(), key=lambda row: row[:2])
                 ],
             },
-            csv_rows,
+            lambda: [_bracket_csv(table, args.window)],
         )
         return 0
     chi = build_cocycle_table(params, args.window).items()
-    _require_finite(c for _, c in chi)
+    _require_finite([c for _, c in chi])
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
 
     def reconciliation() -> list[dict]:
         report = reconciliation_report(params, args.window)
-        _require_finite(e[key] for e in report for key in ("chi_sum", "chi_closed", "abs_diff"))
+        _require_finite([e[key] for e in report for key in ("chi_sum", "chi_closed", "abs_diff")])
         return [{**e, "chi_sum": _c(e["chi_sum"]), "chi_closed": _c(e["chi_closed"])} for e in report]
 
     _emit(

@@ -10,7 +10,7 @@ t((1+tau)/2) is separation_time.  wp - p comes from ``elliptic`` and w from
 ``basis.frame_array``; residues and periods integrate w from it, and
 ``omega_hat`` reads one point as a one-entry array.  The time function
 has one evaluation, from pole_factor_array: ``time_coordinate`` takes a
-point or an array, and the level-line scan decides every sign and every
+point or an array, and the level-line scan decides every side and every
 accepted point from the same array values.  The scan refines each
 crossing edge by bracketed false position (the Illinois variant), all
 edges in lockstep, so every point stays on its own grid edge.
@@ -154,6 +154,13 @@ def _time_array(z: np.ndarray, cfg: TorusConfig) -> np.ndarray:
     return -0.5 * np.log(x) + 0.5 * math.log(abs(hp.differences(hp.p)[2]))
 
 
+def _side(f: np.ndarray) -> np.ndarray:
+    """The side of the level that f = t - u puts a point on: 1.0 where
+    f >= 0 (a tie, f = 0, counts as above the level), -1.0 where f < 0 and
+    NaN where f is NaN (a skipped node)."""
+    return np.where(f >= 0.0, 1.0, np.sign(f))
+
+
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
     """Points where the time function crosses the level u.
 
@@ -163,20 +170,24 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     the middle one in row-major order are tested and timed: the node
     mirrored through the cell's centre is -z, t is even and the punctures
     are symmetric under z -> -z, so each later node reads t(-z) (and is
-    skipped where its mirror is).  Each sign change of
-    f = t - u along a grid edge [z0, z1] is refined by bracketed false
-    position, all edges in lockstep with one array evaluation per step:
+    skipped where its mirror is).  Each change of side of f = t - u along
+    a grid edge [z0, z1] is refined by bracketed false position, all edges
+    in lockstep with one array evaluation per step:
     the trial point is z0 + w (z1 - z0) with w = f0 / (f0 - f1), formed on
     the real and imaginary parts apart and assembled by
     config.complex_array (so a horizontal edge keeps its row's Im z
     exactly), and w = 1/2 where it is not strictly inside (0, 1).  The
-    trial point replaces the end whose sign it shares, and an end kept
+    trial point replaces the end on its own side, and an end kept
     twice in a row has its f halved (the Illinois rule), until |t - u| <=
     cfg.tol, or BisectionError is raised after BISECTION_STEPS steps,
     giving |wp - p| at the first open edge's ends and |p| (a thin
     lattice's pole factor cancels to noise there); an edge whose trial
-    point falls inside a puncture exclusion disk gives no point.  Node
-    signs, kept ends and accepted trial points are decided from these
+    point falls inside a puncture exclusion disk gives no point.  A tie,
+    f = 0, is on the side f > 0 wherever a side is compared (_side), so a
+    node on the level, such as the interaction point tau/2 at the level
+    0 when resolution is even, starts crossings on its edges to the other
+    side and the refinement closes in on it.  Node
+    sides, kept ends and accepted trial points are decided from these
     array values, which are time_coordinate's bit for bit (at -z for a
     mirrored node), and every accepted point is timed
     itself, so every returned point meets |time_coordinate - u| <=
@@ -208,9 +219,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     s[half:] = s[side * side - half - 1::-1]
 
     # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for
-    # (k, k+side); products of signs, which cannot overflow as those of s can
-    sign = np.sign(s)
-    grid = sign.reshape(side, side)
+    # (k, k+side); products of sides, which cannot overflow as those of s can
+    grid = _side(s).reshape(side, side)
     crossing = np.zeros((side, side, 2), dtype=bool)
     crossing[:, :-1, 0] = grid[:, :-1] * grid[:, 1:] < 0
     crossing[:-1, :, 1] = grid[:-1, :] * grid[1:, :] < 0
@@ -235,8 +245,8 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         fm = _time_array(zm, cfg) - u
         done = np.abs(fm) <= cfg.tol
         found.update(zip(ids[done].tolist(), zm[done].tolist()))
-        # keep the end of the other sign; halve f at an end kept twice in a row
-        keep0 = np.sign(fm) != np.sign(f0)
+        # keep the end on the other side; halve f at an end kept twice in a row
+        keep0 = _side(fm) != _side(f0)
         f0 = np.where(keep0, np.where(kept == 0, 0.5 * f0, f0), fm)
         f1 = np.where(keep0, fm, np.where(kept == 1, 0.5 * f1, f1))
         z0 = np.where(keep0, z0, zm)

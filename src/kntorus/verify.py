@@ -277,7 +277,7 @@ def verify_algebra(cfg: TorusConfig, window: int) -> list[CheckResult]:
     residuals = [algebra.jacobi_residual(5, ps) for ps in formal]
     checks.append(_check("jacobi_identity", residuals, 1e-9))
 
-    rows = algebra.build_structure_table(params, window)
+    rows = algebra.build_structure_table(params, window).rows()
     table = {(i, j, k): c for i, j, k, c in rows}
     antisymmetry = (abs(c + table.get((j, i, k), 0j)) for (i, j, k), c in table.items())
     grading_violation = sum(not (i + j - 1 <= k <= i + j + 5) for i, j, k, _ in rows)

@@ -180,7 +180,7 @@ def test_overflowing_lams_fill_the_tables_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         table = bracket_slots(params, range(-8, 9), range(-8, 9))
-        rows = build_structure_table(params, 8)
+        rows = build_structure_table(params, 8).rows()
     assert not np.isfinite(table.real).all() and not np.isfinite(table.imag).all()
     assert any(not np.isfinite(c) for *_, c in rows)
 
@@ -248,9 +248,34 @@ def _by_pair(rows):
     return pairs
 
 
+SIGNED_ZERO_PARAMS = formal_params(complex(-1.5, -0.0), complex(-0.0, 2), complex(-3, -0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((*SLOT_PARAMS, SIGNED_ZERO_PARAMS)), st.integers(1, 12), st.sampled_from(("original", "shifted"))
+)
+@example(SIGNED_ZERO_PARAMS, 12, "shifted")
+@example(formal_params(complex(1e308, 1e308)), 12, "original")
+@example(WITT_PARAMS, 1, "original")
+def test_structure_table_is_the_bracket_loop(params, window, indexing):
+    # every row of the table, in order and bit for bit, is the loop over the
+    # label pairs and their bracket's nonzero terms; labels are Python ints
+    # and constants Python complexes, as the JSON writer needs
+    labels = range(-window, window + 1)
+    constants = bracket if indexing == "original" else shifted_constants
+    expect = [(i, j, k, c) for i in labels for j in labels for k, c in constants(i, j, params).items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = build_structure_table(params, window, indexing).rows()
+    assert [row[:3] for row in rows] == [row[:3] for row in expect]
+    assert [bits(c) for *_, c in rows] == [bits(c) for *_, c in expect]
+    assert {tuple(map(type, row)) for row in rows} == {(int, int, int, complex)}
+
+
 def test_structure_table_entries(cfg_square):
     # the CSV and JSON round trips of the table are in test_cli
-    rows = build_structure_table(lambda_coefficients(cfg_square), 4)
+    rows = build_structure_table(lambda_coefficients(cfg_square), 4).rows()
     assert [row[:3] for row in rows] == sorted(row[:3] for row in rows)
     assert all(c != 0 for *_, c in rows)
     table = _by_pair(rows)
@@ -260,7 +285,7 @@ def test_structure_table_entries(cfg_square):
 
 def test_shifted_table_indexing(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    shifted = _by_pair(build_structure_table(lam, 3, indexing="shifted"))
+    shifted = _by_pair(build_structure_table(lam, 3, indexing="shifted").rows())
     # [e_1, e_3] = [l_2, l_4] = 2 l_5 = 2 e_4
     assert shifted[(1, 3)] == {4: 2 + 0j}
 
@@ -269,7 +294,7 @@ def test_degeneration_two_point_values(cfg_two_point):
     from kntorus.elliptic import half_period_values
 
     hp = half_period_values(cfg_two_point)
-    table = _by_pair(build_structure_table(lambda_coefficients(cfg_two_point), 4))
+    table = _by_pair(build_structure_table(lambda_coefficients(cfg_two_point), 4).rows())
     terms = table[(1, 3)]
     assert abs(terms[3] - 2.0) < 1e-12
     assert abs(terms[5] - 2 * 3 * hp.e1) < 1e-9
@@ -278,7 +303,7 @@ def test_degeneration_two_point_values(cfg_two_point):
 
 
 def test_degeneration_witt():
-    table = _by_pair(build_structure_table(WITT_PARAMS, 3))
+    table = _by_pair(build_structure_table(WITT_PARAMS, 3).rows())
     assert table[(1, 2)] == {2: 1 + 0j}
     for (i, j), terms in table.items():
         assert set(terms) == {i + j - 1}

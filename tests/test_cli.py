@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bits
 from kntorus import cli, propagation
@@ -103,7 +107,7 @@ def test_table_brackets_csv(capsys):
             "--format", "csv",
         )
         assert code == 0
-        expect = build_structure_table(params, window, indexing=indexing)
+        expect = build_structure_table(params, window, indexing=indexing).rows()
         assert out == "\n".join(
             ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in expect)]
         ) + "\n"
@@ -117,6 +121,53 @@ def test_table_brackets_csv(capsys):
                 i, j, k, re, im = line.split(",")
                 table.append((int(i), int(j), int(k), (float(re).hex(), float(im).hex())))
             assert table == [(i, j, k, bits(c)) for i, j, k, c in expect]
+
+
+# a lam part is often a zero of either sign; an omitted lam is 0.  argparse
+# reads a word such as -1.5e-05 as an option, not as a negative number, so
+# the parts are drawn as repr writes them without an exponent when negative
+lam_parts = st.one_of(
+    st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0).filter(lambda x: x >= 0 or "e" not in repr(x))
+)
+table_lams = st.lists(st.none() | st.builds(complex, lam_parts, lam_parts), min_size=3, max_size=3)
+TABLE_GEOMETRIES = (
+    TorusConfig(tau=1j, q=0.2),
+    TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j),
+    TorusConfig(tau=0.3 + 1.1j, q=0),  # two-point: lam7 = 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_lams, st.sampled_from(TABLE_GEOMETRIES), st.integers(1, 40), st.sampled_from(("original", "shifted")))
+@example([0j, None, None], TABLE_GEOMETRIES[0], 40, "original")  # --lam5 0 0, the Witt table
+@example([None] * 3, TABLE_GEOMETRIES[2], 40, "shifted")
+@example([None] * 3, TABLE_GEOMETRIES[1], 256, "original")
+def test_table_brackets_csv_is_the_per_row_text(lams, cfg, window, indexing):
+    # the writer formats each key's text once and joins the mapped columns;
+    # its text must be the plain per-row formatting of the table's rows.
+    # Without a lam the constants are cfg's, else the formal ones
+    if any(lam is not None for lam in lams):
+        params = formal_params(*(lam or 0j for lam in lams))
+        argv = [
+            arg
+            for flag, lam in zip(("--lam5", "--lam6", "--lam7"), lams)
+            if lam is not None
+            for arg in (flag, repr(lam.real), repr(lam.imag))
+        ]
+    else:
+        params = lambda_coefficients(cfg)
+        argv = ["--tau-re", repr(cfg.tau.real), "--tau-im", repr(cfg.tau.imag),
+                "--q-re", repr(cfg.q.real), "--q-im", repr(cfg.q.imag)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            ["table", "brackets", *argv, "--window", str(window), "--indexing", indexing, "--format", "csv"]
+        )
+    assert code == 0
+    rows = build_structure_table(params, window, indexing=indexing).rows()
+    assert out.getvalue() == "\n".join(
+        ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in rows)]
+    ) + "\n"
 
 
 def test_table_cocycle_witt(capsys):

@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_close, bits, point_frame
 from kntorus import propagation, quadrature
 from kntorus.basis import CIRCLE_NODES, frame_array, puncture_circle
-from kntorus.config import EXCLUSION_RADIUS, TorusConfig, distance_to_points_array
+from kntorus.config import EXCLUSION_RADIUS, TorusConfig, distance_to_points_array, lattice_distance
 from kntorus.elliptic import half_period_values, wp_pair
 from kntorus.errors import (
     BadContourError,
@@ -329,8 +329,9 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: 
     """The scan edge by edge: time_coordinate from one array call at each
     grid node that comes no later than its mirror -(node) in row-major
     order (at every node with full_grid), each later node reading its
-    mirror's value; then each crossing edge refined by its own scalar Illinois
-    false position recurrence on (z0, f0, z1, f1, kept end) with f = t - u,
+    mirror's value; then each crossing edge (f = t - u >= 0 at one end and
+    < 0 at the other, so a tie f = 0 is above the level) refined by its own
+    scalar Illinois false position recurrence on (z0, f0, z1, f1, kept end),
     the open edges' trial points timed by one array call per step; points
     in row-major order, horizontal edge first.  The oracle for
     level_line_samples."""
@@ -361,7 +362,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: 
         for bi in range(n + 1)
         for ai in range(n + 1)
         for aj, bj in ((ai + 1, bi), (ai, bi + 1))
-        if (ai, bi) in fvals and (aj, bj) in fvals and fvals[ai, bi] * fvals[aj, bj] < 0
+        if (ai, bi) in fvals and (aj, bj) in fvals and (fvals[ai, bi] >= 0) != (fvals[aj, bj] >= 0)
     ]
     points: dict[int, complex] = {}
     open_ = dict(enumerate(edges))
@@ -379,7 +380,7 @@ def _level_lines_scalar(cfg: TorusConfig, u: float, resolution: int, full_grid: 
             if abs(fm) <= cfg.tol:
                 points[i] = zm
                 del open_[i]
-            elif (fm > 0) == (f0 > 0):
+            elif (fm >= 0) == (f0 >= 0):
                 open_[i] = (zm, fm, z1, 0.5 * f1 if kept == 1 else f1, 1)
             else:
                 open_[i] = (z0, 0.5 * f0 if kept == 0 else f0, zm, fm, 0)
@@ -431,6 +432,19 @@ def test_level_lines_half_grid_matches_full_grid(cfg, levels, resolution):
         full = away(_level_lines_scalar(cfg, u, n, full_grid=True))
         assert len(points) == len(full)
         assert np.max(np.abs(np.subtract(points, full))) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 128])
+@pytest.mark.parametrize(
+    "cfg", [TorusConfig(tau=1j, q=0.2), TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j)], ids=["square", "skewed"]
+)
+def test_level_zero_reaches_the_interaction_point(cfg, resolution):
+    # t(tau/2) = 0 exactly, and tau/2 is a grid node for even R: the tie is
+    # above the level, so its edges to the nodes below it cross, and the
+    # level through the saddle gets a point at it
+    assert time_coordinate(cfg.tau / 2, cfg) == 0.0
+    points = np.array(level_line_samples(cfg, 0.0, resolution).points)
+    assert lattice_distance(points - cfg.tau / 2, cfg.tau).min() <= 1e-4
 
 
 @pytest.mark.parametrize("resolution", [32, 64])
