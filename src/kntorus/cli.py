@@ -17,8 +17,13 @@ writes with sorted keys and an indent of 2; json.dumps itself runs its
 slower pure-Python encoder whenever it indents.  The bracket table's CSV
 is written from the structure table's columns by _bracket_csv, which
 formats each label and each distinct constant once and joins the body
-once.  The argument parser is built once per process, on the first call
-of main.
+once.  The cocycle table's texts are formatted once per command by
+_pair_texts, which reads a part that is the nonzero negation of its
+mirror's (j, i) off the mirror's text; they serve its JSON entries, the
+chi_sum of its reconciliation records and its CSV rows.  Its entries and
+its records are each written from one template (_Records).  The argument
+parser is built once per process, on the first call of main; it reads
+every negative float repr writes as a value.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
 still written), 2 usage or configuration error or an --output path that
@@ -36,10 +41,12 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +69,11 @@ MAX_SAMPLES = 512
 DEFAULT_WINDOW = 6
 
 LAM_NAMES = ("lam4", "lam5", "lam6", "lam7")
+
+# argparse reads a word led by "-" as an option unless it matches its
+# negative-number pattern, which takes no exponent; this one takes every
+# negative float repr writes (-1.5e-05, -inf).  No option looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|nan)$")
 
 
 def _check_range(flag: str, value: int, floor: int, cap: int, work: str) -> None:
@@ -121,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--tol", type=float, default=TorusConfig.tol, help="target |t - u| of each point")
     add_output(p_level)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -147,6 +161,23 @@ def _lam_json(params: AlgebraParams) -> dict:
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
+class _Records(NamedTuple):
+    """A JSON list of records of one shape: template % row is the text of
+    one record, as _write_json writes it at the top level, for each row."""
+
+    template: str
+    rows: list[tuple]
+
+
+# a cocycle entry from (re, im, i, j), and a reconciliation record from
+# (abs_diff, chi_closed re, im, chi_sum re, im, i, j)
+_ENTRY = '{\n  "chi": [\n    %s,\n    %s\n  ],\n  "i": %d,\n  "j": %d\n}'
+_RECORD = (
+    '{\n  "abs_diff": %s,\n  "chi_closed": [\n    %s,\n    %s\n  ],\n'
+    '  "chi_sum": [\n    %s,\n    %s\n  ],\n  "i": %d,\n  "j": %d\n}'
+)
+
+
 def _write_json(value, out: list[str], newline: str = "\n") -> None:
     """Append the JSON text of value to out, as json.dumps writes it with
     sorted keys and an indent of 2; newline is the line break and indent
@@ -155,6 +186,8 @@ def _write_json(value, out: list[str], newline: str = "\n") -> None:
     Types are tested as the json module tests them: bool before int, and a
     subclass of float or int (np.float64) as its base.  Keys must be str.
     NaN and the infinities are written as json writes them by default.
+    A _Records value is written as a list: its template's lines are moved
+    in to the list's items, and all its records are formatted by one %.
     """
     if isinstance(value, float):
         if value != value:
@@ -174,6 +207,13 @@ def _write_json(value, out: list[str], newline: str = "\n") -> None:
             sep = "," + inner
             _write_json(item, out, inner)
         out.append(newline + "}")
+    elif isinstance(value, _Records):
+        if not value.rows:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        body = ("," + inner).join([value.template.replace("\n", inner)] * len(value.rows))
+        out.append("[" + inner + body % tuple(chain.from_iterable(value.rows)) + newline + "]")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -269,6 +309,54 @@ def _require_finite(numbers) -> None:
         raise ValueError("--lam5/--lam6/--lam7: the table would hold numbers that are not finite")
 
 
+def _pair_texts(values: dict[tuple[int, int], complex]) -> dict[tuple[int, int], tuple[str, str]]:
+    """The texts (float.__repr__(re), float.__repr__(im)) of each value of
+    an antisymmetric table {(i, j): value}.
+
+    Where (j, i) came before and a part is the nonzero negation of the same
+    part there, its text is read off that part's text, the leading "-"
+    toggled.  Every other part is formatted, a zero always: its sign need
+    not flip with its mirror's (chi_closed's zeros do not).
+    """
+    texts: dict[tuple[int, int], tuple[str, str]] = {}
+    for (i, j), value in values.items():
+        x, y = value.real, value.imag
+        mirror = texts.get((j, i))
+        if mirror is None:
+            texts[i, j] = float.__repr__(x), float.__repr__(y)
+            continue
+        other, (a, b) = values[j, i], mirror
+        texts[i, j] = (
+            (a[1:] if a[0] == "-" else "-" + a) if x and x == -other.real else float.__repr__(x),
+            (b[1:] if b[0] == "-" else "-" + b) if y and y == -other.imag else float.__repr__(y),
+        )
+    return texts
+
+
+def _record_rows(report: list[dict], chi: dict[tuple[int, int], complex], texts: dict) -> list[tuple]:
+    """The _RECORD rows of a finite reconciliation report, given the cocycle
+    table chi and its _pair_texts.
+
+    chi_closed is antisymmetric, so its texts are _pair_texts'; abs_diff is
+    symmetric, so a nonzero one equal to its mirror's takes that text; and
+    a nonzero chi_sum part with the bits of the entry's part at (i, j) takes
+    the entry's text.  Every other number is formatted.
+    """
+    closed = _pair_texts({(e["i"], e["j"]): e["chi_closed"] for e in report})
+    diffs: dict[tuple[int, int], tuple[float, str]] = {}
+    rows = []
+    for e in report:
+        i, j, s, d = e["i"], e["j"], e["chi_sum"], e["abs_diff"]
+        c, (c_re, c_im), mirror = chi.get((i, j), 0j), texts.get((i, j), ("", "")), diffs.get((j, i))
+        diffs[i, j] = d, mirror[1] if mirror and d and d == mirror[0] else float.__repr__(d)
+        rows.append((
+            diffs[i, j][1], *closed[i, j],
+            c_re if s.real and s.real == c.real else float.__repr__(s.real),
+            c_im if s.imag and s.imag == c.imag else float.__repr__(s.imag), i, j,
+        ))
+    return rows
+
+
 def _bracket_csv(table: StructureTable, window: int) -> str:
     """The CSV text of a finite structure table: the header and one line
     i,j,k,re,im per row, each line led by its line break.
@@ -331,14 +419,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
             lambda: [_bracket_csv(table, args.window)],
         )
         return 0
-    chi = build_cocycle_table(params, args.window).items()
-    _require_finite([c for _, c in chi])
+    chi = build_cocycle_table(params, args.window)
+    _require_finite(list(chi.values()))
+    texts = _pair_texts(chi)
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
 
-    def reconciliation() -> list[dict]:
+    def reconciliation() -> _Records:
         report = reconciliation_report(params, args.window)
         _require_finite([e[key] for e in report for key in ("chi_sum", "chi_closed", "abs_diff")])
-        return [{**e, "chi_sum": _c(e["chi_sum"]), "chi_closed": _c(e["chi_closed"])} for e in report]
+        return _Records(_RECORD, _record_rows(report, chi, texts))
 
     _emit(
         args, cfg,
@@ -346,10 +435,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             **header,
             "method": "sum",
             "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
-            "entries": [{"i": i, "j": j, "chi": _c(c)} for (i, j), c in chi],
+            "entries": _Records(_ENTRY, [(*t, *key) for key, t in texts.items()]),
             "reconciliation": reconciliation(),
         },
-        lambda: ["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)],
+        lambda: ["i,j,re,im", *(f"{i},{j},{re},{im}" for (i, j), (re, im) in texts.items())],
     )
     return 0
 

@@ -241,6 +241,11 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
     chi_sum.  Residual disagreements with chi_sum are the business of the
     reconciliation report, never patched here.
     """
+    return _chi_closed(i, j, q_values(params))
+
+
+def _chi_closed(i: int, j: int, qv: dict[int, complex]) -> complex:
+    """chi_closed(i, j, params) from qv = q_values(params)."""
     if (i + j) % 2 != 0 or (i % 2) != (j % 2):
         return 0j
     level = i + j
@@ -249,7 +254,6 @@ def chi_closed(i: int, j: int, params: AlgebraParams) -> complex:
         return 0j
     shift = -level // 2
     s = i + shift
-    qv = q_values(params)
     total = 0j
     for cubic, linear, qkey in table[level]:
         factor = 1.0 + 0j if qkey is None else qv[qkey]
@@ -326,12 +330,14 @@ def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
 
     One record per disagreeing pair, with chi_sum and chi_closed as complex
     values; empty list means full agreement at RECONCILIATION_RTOL over the
-    whole window.
+    whole window.  The Q values are formed once per report; each chi_closed
+    value has the bits chi_closed(i, j, params) returns.
     """
     report: list[dict] = []
+    qv = q_values(params)
     for i, j in _support_pairs(window):
         s = chi_sum(i, j, params)
-        c = chi_closed(i, j, params)
+        c = _chi_closed(i, j, qv)
         diff = abs(s - c)
         if diff > RECONCILIATION_RTOL * max(1.0, abs(s)):
             report.append(

@@ -16,7 +16,7 @@ from conftest import bits
 from kntorus import cli, propagation
 from kntorus.algebra import build_structure_table
 from kntorus.basis import formal_params, lambda_coefficients
-from kntorus.cocycle import build_cocycle_table
+from kntorus.cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
 from kntorus.config import TorusConfig
 from kntorus.errors import DegenerateModuliError
 from kntorus.verify import SUITES, CheckResult
@@ -123,18 +123,30 @@ def test_table_brackets_csv(capsys):
             assert table == [(i, j, k, bits(c)) for i, j, k, c in expect]
 
 
-# a lam part is often a zero of either sign; an omitted lam is 0.  argparse
-# reads a word such as -1.5e-05 as an option, not as a negative number, so
-# the parts are drawn as repr writes them without an exponent when negative
-lam_parts = st.one_of(
-    st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0).filter(lambda x: x >= 0 or "e" not in repr(x))
-)
+# a lam part is often a zero of either sign; an omitted lam is 0
+lam_parts = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0))
 table_lams = st.lists(st.none() | st.builds(complex, lam_parts, lam_parts), min_size=3, max_size=3)
 TABLE_GEOMETRIES = (
     TorusConfig(tau=1j, q=0.2),
     TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j),
     TorusConfig(tau=0.3 + 1.1j, q=0),  # two-point: lam7 = 0
 )
+
+
+def _table_argv(lams, cfg):
+    """(argv, params, config) of a table: the formal params of lams where
+    any is given, else cfg's derived ones, with cfg as the config."""
+    if any(lam is not None for lam in lams):
+        argv = [
+            arg
+            for flag, lam in zip(("--lam5", "--lam6", "--lam7"), lams)
+            if lam is not None
+            for arg in (flag, repr(lam.real), repr(lam.imag))
+        ]
+        return argv, formal_params(*(0j if lam is None else lam for lam in lams)), None
+    argv = ["--tau-re", repr(cfg.tau.real), "--tau-im", repr(cfg.tau.imag),
+            "--q-re", repr(cfg.q.real), "--q-im", repr(cfg.q.imag)]
+    return argv, lambda_coefficients(cfg), cfg
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,18 +158,7 @@ def test_table_brackets_csv_is_the_per_row_text(lams, cfg, window, indexing):
     # the writer formats each key's text once and joins the mapped columns;
     # its text must be the plain per-row formatting of the table's rows.
     # Without a lam the constants are cfg's, else the formal ones
-    if any(lam is not None for lam in lams):
-        params = formal_params(*(lam or 0j for lam in lams))
-        argv = [
-            arg
-            for flag, lam in zip(("--lam5", "--lam6", "--lam7"), lams)
-            if lam is not None
-            for arg in (flag, repr(lam.real), repr(lam.imag))
-        ]
-    else:
-        params = lambda_coefficients(cfg)
-        argv = ["--tau-re", repr(cfg.tau.real), "--tau-im", repr(cfg.tau.imag),
-                "--q-re", repr(cfg.q.real), "--q-im", repr(cfg.q.imag)]
+    argv, params, _ = _table_argv(lams, cfg)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(
@@ -168,6 +169,109 @@ def test_table_brackets_csv_is_the_per_row_text(lams, cfg, window, indexing):
     assert out.getvalue() == "\n".join(
         ["i,j,k,re,im", *(f"{i},{j},{k},{c.real!r},{c.imag!r}" for i, j, k, c in rows)]
     ) + "\n"
+
+
+def _cocycle_envelope(params, window, cfg=None) -> dict:
+    """The table cocycle envelope built from the library's values, one dict
+    per entry and per reconciliation record."""
+    config = {"command": "table", "window": window}
+    if cfg is not None:
+        config.update({"tau": cli._c(cfg.tau), "q": cli._c(cfg.q), "two_point": cfg.two_point, "tol": cfg.tol})
+    sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
+    results = {
+        "window": window,
+        "params": cli._lam_json(params),
+        "method": "sum",
+        "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
+        "entries": [{"i": i, "j": j, "chi": cli._c(c)} for (i, j), c in build_cocycle_table(params, window).items()],
+        "reconciliation": [
+            {**e, "chi_sum": cli._c(e["chi_sum"]), "chi_closed": cli._c(e["chi_closed"])}
+            for e in reconciliation_report(params, window)
+        ],
+    }
+    return {"config": config, "results": results, "checks": []}
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_lams, st.sampled_from(TABLE_GEOMETRIES), st.integers(1, 40))
+@example([0j, None, None], TABLE_GEOMETRIES[0], 16)  # --lam5 0 0, the Witt table
+@example([None] * 3, TABLE_GEOMETRIES[2], 32)  # q = 0: chi_closed's zero parts keep their sign
+@example([None] * 3, TABLE_GEOMETRIES[1], 256)
+def test_table_cocycle_is_the_per_record_text(lams, cfg, window):
+    # the writer formats each text once and fills one template per record;
+    # its JSON must be json.dumps of the envelope built one dict per record,
+    # and its CSV the per-row formatting of build_cocycle_table's entries
+    argv, params, config = _table_argv(lams, cfg)
+    texts = {}
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["table", "cocycle", *argv, "--window", str(window), "--format", fmt])
+        assert code == 0
+        texts[fmt] = out.getvalue()
+    assert texts["json"] == _stdlib_json(_cocycle_envelope(params, window, config)) + "\n"
+    chi = build_cocycle_table(params, window).items()
+    assert texts["csv"] == "\n".join(["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)]) + "\n"
+
+
+def test_cocycle_texts_are_the_reprs():
+    # each text is float.__repr__ of its number: zeros of either sign are
+    # formatted, not toggled off their mirror's, a part that is not its
+    # mirror's exact negation is formatted, and a record whose chi_sum is 0
+    # has no entry to read it from
+    chi = {
+        (-5, 3): complex(7.5e-300, -1e300),
+        (-4, 0): complex(1.0, 2.0),
+        (-2, 2): complex(-0.0, 1.5),
+        (-1, 1): complex(0.0, -3.25),
+        (0, -4): complex(-1.0000000000000002, 2.0),
+        (1, -1): complex(0.0, 3.25),
+        (2, -2): complex(-0.0, -1.5),
+        (3, -5): complex(-7.5e-300, 1e300),
+        (6, -6): complex(-2.0, 0.0),
+    }
+    texts = cli._pair_texts(chi)
+    assert texts == {key: (float.__repr__(c.real), float.__repr__(c.imag)) for key, c in chi.items()}
+    report = [
+        {"i": -5, "j": 3, "chi_sum": chi[-5, 3], "chi_closed": complex(-0.0, 2.5), "abs_diff": 0.125},
+        {"i": -3, "j": 1, "chi_sum": complex(0.0, -0.0), "chi_closed": complex(1e-20, 0.0), "abs_diff": 1e-20},
+        {"i": -1, "j": 1, "chi_sum": chi[-1, 1], "chi_closed": complex(-0.0, -3.0), "abs_diff": 0.5},
+        {"i": 1, "j": -3, "chi_sum": complex(-0.0, 0.0), "chi_closed": complex(-1e-20, -0.0), "abs_diff": 1e-20},
+        {"i": 1, "j": -1, "chi_sum": complex(-0.0, 3.25), "chi_closed": complex(0.0, 3.0), "abs_diff": 0.25},
+        {"i": 3, "j": -5, "chi_sum": chi[3, -5], "chi_closed": complex(0.0, -2.5), "abs_diff": 0.125},
+    ]
+    r = float.__repr__
+    assert cli._record_rows(report, chi, texts) == [
+        (r(e["abs_diff"]), r(e["chi_closed"].real), r(e["chi_closed"].imag),
+         r(e["chi_sum"].real), r(e["chi_sum"].imag), e["i"], e["j"])
+        for e in report
+    ]
+
+
+def test_negative_numbers_in_exponent_notation_are_arguments(capsys):
+    # argparse's own pattern reads -1.2e-05 as an option; every negative
+    # float repr writes is a value, and -inf and -nan reach the refusals
+    for argv in (
+        ("table", "cocycle", "--lam7", "0", "-1.2e-5", "--window", "2"),
+        ("levellines", "--u", "-1e-05", "--samples", "16"),
+        ("params", "--tau-re", "-1.5e-05"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["results"], argv
+    # the value read is the one written
+    code, out, _ = run_cli(capsys, "table", "cocycle", "--lam7", "0", "-1.2e-5", "--window", "2", "--format", "csv")
+    chi = build_cocycle_table(formal_params(0j, 0j, complex(0, -1.2e-5)), 2).items()
+    assert code == 0 and out == "\n".join(["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)]) + "\n"
+    for argv, message in (
+        (("levellines", "--u", "-inf", "--samples", "16"), "error: u must be finite, got -inf\n"),
+        (("table", "cocycle", "--lam5", "-inf", "0", "--window", "2"), "error: lam5 must be finite, got (-inf+0j)\n"),
+        (("table", "brackets", "--lam6", "0", "-nan"), "error: lam6 must be finite, got nanj\n"),
+        (("params", "--tau-re", "-inf"), "error: tau must be finite"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(message), err
 
 
 def test_table_cocycle_witt(capsys):
@@ -285,7 +389,6 @@ def test_json_writer_matches_stdlib_on_every_envelope(capsys, monkeypatch):
         ("verify", "algebra", "--tau-im", "0.02"),
         ("table", "brackets", "--window", "4", "--indexing", "original"),
         ("table", "brackets", "--window", "4", "--indexing", "shifted"),
-        ("table", "cocycle", "--window", "8"),
         ("levellines", "--u", "0.3", "--samples", "32"),
     ):
         code, out, _ = run_cli(capsys, *argv)
@@ -293,6 +396,11 @@ def test_json_writer_matches_stdlib_on_every_envelope(capsys, monkeypatch):
         (envelope,) = envelopes
         envelopes.clear()
         assert out == _stdlib_json(envelope) + "\n", argv
+    # the cocycle envelope holds its entries and records as templates, which
+    # json cannot write: its oracle is the envelope built from the values
+    code, out, _ = run_cli(capsys, "table", "cocycle", "--window", "8")
+    cfg = TorusConfig(tau=1j, q=0.2)
+    assert code == 0 and out == _stdlib_json(_cocycle_envelope(lambda_coefficients(cfg), 8, cfg)) + "\n"
 
 
 def test_json_writer_matches_stdlib_on_edge_values():
@@ -314,6 +422,12 @@ def test_json_writer_matches_stdlib_on_edge_values():
     }
     for value in (obj, [], {}, [[]], "top", -0.0, math.nan, None, 3):
         assert written(value) == _stdlib_json(value), value
+    # a list of records written from one template reads as its dicts at any depth
+    records = cli._Records('{\n  "a": [\n    %s\n  ],\n  "b": %d\n}', [("0.5", 1), ("-0.0", 2)])
+    dicts = [{"a": [0.5], "b": 1}, {"a": [-0.0], "b": 2}]
+    for nest in (lambda v: v, lambda v: {"x": [v, {"y": v}]}):
+        assert written(nest(records)) == _stdlib_json(nest(dicts))
+    assert written({"x": cli._Records("{}", [])}) == _stdlib_json({"x": []})
     # what json cannot write, the writer refuses alike
     for value in ([1j], {"x": np.int64(3)}, [np.bool_(True)], {"s": {1}}):
         with pytest.raises(TypeError):
