@@ -17,17 +17,17 @@ writes with sorted keys and an indent of 2; json.dumps itself runs its
 slower pure-Python encoder whenever it indents.  The bracket table's CSV
 is written from the structure table's columns by _bracket_csv, which
 formats each label and each distinct constant once and joins the body
-once.  The cocycle table's texts are formatted once per command by
-_pair_texts, which reads a part that is the nonzero negation of its
-mirror's (j, i) off the mirror's text; they serve its JSON entries, the
-chi_sum of its reconciliation records and its CSV rows.  Its entries and
-its records are each written from one template (_Records).  The argument
-parser is built once per process, on the first call of main; it reads
-every negative float repr writes as a value.
+once.  The cocycle table's entries and its reconciliation records are
+each written from one template (_Records) filled by %r from the numbers
+themselves; the report reads chi_sum from the table it reconciles, so
+the command evaluates chi_sum once per table entry.  The argument parser
+is built once per process, on the first call of main; it reads every
+negative float repr writes as a value.
 
 Exit status: 0 all checks pass, 1 a verification check failed (report is
-still written), 2 usage or configuration error or an --output path that
-cannot be written, 141 standard output was
+still written), 2 usage or configuration error, an --output path that
+cannot be written or a standard output that cannot be written (a full
+disk), 141 standard output was
 closed before all output was written (the status a SIGPIPE death reports;
 e.g. `kntorus table cocycle --format csv | head` under `set -o pipefail`).
 Output is byte-identical across repeated runs with identical arguments.
@@ -170,11 +170,12 @@ class _Records(NamedTuple):
 
 
 # a cocycle entry from (re, im, i, j), and a reconciliation record from
-# (abs_diff, chi_closed re, im, chi_sum re, im, i, j)
-_ENTRY = '{\n  "chi": [\n    %s,\n    %s\n  ],\n  "i": %d,\n  "j": %d\n}'
+# (abs_diff, chi_closed re, im, chi_sum re, im, i, j); %r of a finite
+# float is its float.__repr__, as _write_json writes it
+_ENTRY = '{\n  "chi": [\n    %r,\n    %r\n  ],\n  "i": %d,\n  "j": %d\n}'
 _RECORD = (
-    '{\n  "abs_diff": %s,\n  "chi_closed": [\n    %s,\n    %s\n  ],\n'
-    '  "chi_sum": [\n    %s,\n    %s\n  ],\n  "i": %d,\n  "j": %d\n}'
+    '{\n  "abs_diff": %r,\n  "chi_closed": [\n    %r,\n    %r\n  ],\n'
+    '  "chi_sum": [\n    %r,\n    %r\n  ],\n  "i": %d,\n  "j": %d\n}'
 )
 
 
@@ -309,54 +310,6 @@ def _require_finite(numbers) -> None:
         raise ValueError("--lam5/--lam6/--lam7: the table would hold numbers that are not finite")
 
 
-def _pair_texts(values: dict[tuple[int, int], complex]) -> dict[tuple[int, int], tuple[str, str]]:
-    """The texts (float.__repr__(re), float.__repr__(im)) of each value of
-    an antisymmetric table {(i, j): value}.
-
-    Where (j, i) came before and a part is the nonzero negation of the same
-    part there, its text is read off that part's text, the leading "-"
-    toggled.  Every other part is formatted, a zero always: its sign need
-    not flip with its mirror's (chi_closed's zeros do not).
-    """
-    texts: dict[tuple[int, int], tuple[str, str]] = {}
-    for (i, j), value in values.items():
-        x, y = value.real, value.imag
-        mirror = texts.get((j, i))
-        if mirror is None:
-            texts[i, j] = float.__repr__(x), float.__repr__(y)
-            continue
-        other, (a, b) = values[j, i], mirror
-        texts[i, j] = (
-            (a[1:] if a[0] == "-" else "-" + a) if x and x == -other.real else float.__repr__(x),
-            (b[1:] if b[0] == "-" else "-" + b) if y and y == -other.imag else float.__repr__(y),
-        )
-    return texts
-
-
-def _record_rows(report: list[dict], chi: dict[tuple[int, int], complex], texts: dict) -> list[tuple]:
-    """The _RECORD rows of a finite reconciliation report, given the cocycle
-    table chi and its _pair_texts.
-
-    chi_closed is antisymmetric, so its texts are _pair_texts'; abs_diff is
-    symmetric, so a nonzero one equal to its mirror's takes that text; and
-    a nonzero chi_sum part with the bits of the entry's part at (i, j) takes
-    the entry's text.  Every other number is formatted.
-    """
-    closed = _pair_texts({(e["i"], e["j"]): e["chi_closed"] for e in report})
-    diffs: dict[tuple[int, int], tuple[float, str]] = {}
-    rows = []
-    for e in report:
-        i, j, s, d = e["i"], e["j"], e["chi_sum"], e["abs_diff"]
-        c, (c_re, c_im), mirror = chi.get((i, j), 0j), texts.get((i, j), ("", "")), diffs.get((j, i))
-        diffs[i, j] = d, mirror[1] if mirror and d and d == mirror[0] else float.__repr__(d)
-        rows.append((
-            diffs[i, j][1], *closed[i, j],
-            c_re if s.real and s.real == c.real else float.__repr__(s.real),
-            c_im if s.imag and s.imag == c.imag else float.__repr__(s.imag), i, j,
-        ))
-    return rows
-
-
 def _bracket_csv(table: StructureTable, window: int) -> str:
     """The CSV text of a finite structure table: the header and one line
     i,j,k,re,im per row, each line led by its line break.
@@ -421,13 +374,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
     chi = build_cocycle_table(params, args.window)
     _require_finite(list(chi.values()))
-    texts = _pair_texts(chi)
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
 
     def reconciliation() -> _Records:
-        report = reconciliation_report(params, args.window)
+        report = reconciliation_report(params, args.window, chi)
         _require_finite([e[key] for e in report for key in ("chi_sum", "chi_closed", "abs_diff")])
-        return _Records(_RECORD, _record_rows(report, chi, texts))
+        rows = [(e["abs_diff"], *_c(e["chi_closed"]), *_c(e["chi_sum"]), e["i"], e["j"]) for e in report]
+        return _Records(_RECORD, rows)
 
     _emit(
         args, cfg,
@@ -435,10 +388,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             **header,
             "method": "sum",
             "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
-            "entries": _Records(_ENTRY, [(*t, *key) for key, t in texts.items()]),
+            "entries": _Records(_ENTRY, [(v.real, v.imag, i, j) for (i, j), v in chi.items()]),
             "reconciliation": reconciliation(),
         },
-        lambda: ["i,j,re,im", *(f"{i},{j},{re},{im}" for (i, j), (re, im) in texts.items())],
+        lambda: ["i,j,re,im", *(f"{i},{j},{v.real!r},{v.imag!r}" for (i, j), v in chi.items())],
     )
     return 0
 
@@ -479,11 +432,15 @@ def main(argv: list[str] | None = None) -> int:
     except (KNTorusError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except BrokenPipeError:
-        # the reader went away; send what is still buffered, and the flush
-        # at interpreter exit, to devnull instead of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    except BrokenPipeError:  # the reader went away
+        status = 141
+    except OSError as exc:  # writing to stdout failed (--output raises ValueError)
+        sys.stderr.write(f"error: standard output: {exc.strerror or exc}\n")
+        status = 2
+    # send what is still buffered, and the flush at interpreter exit, to
+    # devnull instead of raising again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

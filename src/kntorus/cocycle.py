@@ -40,9 +40,10 @@ definition.
 
 build_cocycle_table returns the nonzero chi_sum values over a window as a
 plain dict {(i, j): chi}; cli.py alone writes it out, with the sign
-convention and the reconciliation report.  Both visit only the pairs on
-the levels i + j of CHI_LEVELS, in (i, j) order: off those levels chi_sum
-and chi_closed are zero.
+convention and the reconciliation report.  The report reads chi_sum from
+that table, so a command evaluates chi_sum once per table entry.  Both
+visit only the pairs on the levels i + j of CHI_LEVELS, in (i, j) order:
+off those levels chi_sum and chi_closed are zero.
 """
 
 from __future__ import annotations
@@ -325,18 +326,23 @@ def build_cocycle_table(params: AlgebraParams, window: int) -> dict[tuple[int, i
     return entries
 
 
-def reconciliation_report(params: AlgebraParams, window: int) -> list[dict]:
-    """chi_closed vs chi_sum comparison.
+def reconciliation_report(params: AlgebraParams, window: int, table: dict[tuple[int, int], complex]) -> list[dict]:
+    """chi_closed vs chi_sum comparison, reading chi_sum from table, the
+    build_cocycle_table(params, window) it reconciles.
 
     One record per disagreeing pair, with chi_sum and chi_closed as complex
     values; empty list means full agreement at RECONCILIATION_RTOL over the
-    whole window.  The Q values are formed once per report; each chi_closed
-    value has the bits chi_closed(i, j, params) returns.
+    whole window.  A pair missing from the table is a zero of chi_sum, and
+    chi_sum is called for it, so that its parts keep their signs.  The Q
+    values are formed once per report; each chi_closed value has the bits
+    chi_closed(i, j, params) returns.
     """
     report: list[dict] = []
     qv = q_values(params)
     for i, j in _support_pairs(window):
-        s = chi_sum(i, j, params)
+        s = table.get((i, j))
+        if s is None:
+            s = chi_sum(i, j, params)
         c = _chi_closed(i, j, qv)
         diff = abs(s - c)
         if diff > RECONCILIATION_RTOL * max(1.0, abs(s)):

@@ -18,6 +18,7 @@ from kntorus.basis import WITT_PARAMS, basis_value, lambda_coefficients
 from kntorus.cocycle import (
     DEFAULT_SIGN_CONVENTION,
     STARRED_Q_KEYS,
+    build_cocycle_table,
     chi_closed,
     chi_sum,
     pairing,
@@ -175,7 +176,7 @@ def test_criterion_11_closed_form_reconciliation():
     summaries = []
     complete = True
     for label, params in sets.items():
-        report = reconciliation_report(params, 8)
+        report = reconciliation_report(params, 8, build_cocycle_table(params, 8))
         reported = {(e["i"], e["j"]) for e in report}
         for i in range(-8, 9):
             for j in range(-8, 9):

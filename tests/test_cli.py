@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits
-from kntorus import cli, propagation
+from kntorus import cli, cocycle, propagation
 from kntorus.algebra import build_structure_table
 from kntorus.basis import formal_params, lambda_coefficients
 from kntorus.cocycle import DEFAULT_SIGN_CONVENTION, build_cocycle_table, reconciliation_report
@@ -178,15 +179,16 @@ def _cocycle_envelope(params, window, cfg=None) -> dict:
     if cfg is not None:
         config.update({"tau": cli._c(cfg.tau), "q": cli._c(cfg.q), "two_point": cfg.two_point, "tol": cfg.tol})
     sigma_c, sigma_chi = DEFAULT_SIGN_CONVENTION
+    table = build_cocycle_table(params, window)
     results = {
         "window": window,
         "params": cli._lam_json(params),
         "method": "sum",
         "sign_convention": {"sigma_c": sigma_c, "sigma_chi": sigma_chi},
-        "entries": [{"i": i, "j": j, "chi": cli._c(c)} for (i, j), c in build_cocycle_table(params, window).items()],
+        "entries": [{"i": i, "j": j, "chi": cli._c(c)} for (i, j), c in table.items()],
         "reconciliation": [
             {**e, "chi_sum": cli._c(e["chi_sum"]), "chi_closed": cli._c(e["chi_closed"])}
-            for e in reconciliation_report(params, window)
+            for e in reconciliation_report(params, window, table)
         ],
     }
     return {"config": config, "results": results, "checks": []}
@@ -198,7 +200,7 @@ def _cocycle_envelope(params, window, cfg=None) -> dict:
 @example([None] * 3, TABLE_GEOMETRIES[2], 32)  # q = 0: chi_closed's zero parts keep their sign
 @example([None] * 3, TABLE_GEOMETRIES[1], 256)
 def test_table_cocycle_is_the_per_record_text(lams, cfg, window):
-    # the writer formats each text once and fills one template per record;
+    # the writer fills one template per record by %r;
     # its JSON must be json.dumps of the envelope built one dict per record,
     # and its CSV the per-row formatting of build_cocycle_table's entries
     argv, params, config = _table_argv(lams, cfg)
@@ -212,40 +214,6 @@ def test_table_cocycle_is_the_per_record_text(lams, cfg, window):
     assert texts["json"] == _stdlib_json(_cocycle_envelope(params, window, config)) + "\n"
     chi = build_cocycle_table(params, window).items()
     assert texts["csv"] == "\n".join(["i,j,re,im", *(f"{i},{j},{c.real!r},{c.imag!r}" for (i, j), c in chi)]) + "\n"
-
-
-def test_cocycle_texts_are_the_reprs():
-    # each text is float.__repr__ of its number: zeros of either sign are
-    # formatted, not toggled off their mirror's, a part that is not its
-    # mirror's exact negation is formatted, and a record whose chi_sum is 0
-    # has no entry to read it from
-    chi = {
-        (-5, 3): complex(7.5e-300, -1e300),
-        (-4, 0): complex(1.0, 2.0),
-        (-2, 2): complex(-0.0, 1.5),
-        (-1, 1): complex(0.0, -3.25),
-        (0, -4): complex(-1.0000000000000002, 2.0),
-        (1, -1): complex(0.0, 3.25),
-        (2, -2): complex(-0.0, -1.5),
-        (3, -5): complex(-7.5e-300, 1e300),
-        (6, -6): complex(-2.0, 0.0),
-    }
-    texts = cli._pair_texts(chi)
-    assert texts == {key: (float.__repr__(c.real), float.__repr__(c.imag)) for key, c in chi.items()}
-    report = [
-        {"i": -5, "j": 3, "chi_sum": chi[-5, 3], "chi_closed": complex(-0.0, 2.5), "abs_diff": 0.125},
-        {"i": -3, "j": 1, "chi_sum": complex(0.0, -0.0), "chi_closed": complex(1e-20, 0.0), "abs_diff": 1e-20},
-        {"i": -1, "j": 1, "chi_sum": chi[-1, 1], "chi_closed": complex(-0.0, -3.0), "abs_diff": 0.5},
-        {"i": 1, "j": -3, "chi_sum": complex(-0.0, 0.0), "chi_closed": complex(-1e-20, -0.0), "abs_diff": 1e-20},
-        {"i": 1, "j": -1, "chi_sum": complex(-0.0, 3.25), "chi_closed": complex(0.0, 3.0), "abs_diff": 0.25},
-        {"i": 3, "j": -5, "chi_sum": chi[3, -5], "chi_closed": complex(0.0, -2.5), "abs_diff": 0.125},
-    ]
-    r = float.__repr__
-    assert cli._record_rows(report, chi, texts) == [
-        (r(e["abs_diff"]), r(e["chi_closed"].real), r(e["chi_closed"].imag),
-         r(e["chi_sum"].real), r(e["chi_sum"].imag), e["i"], e["j"])
-        for e in report
-    ]
 
 
 def test_negative_numbers_in_exponent_notation_are_arguments(capsys):
@@ -342,7 +310,7 @@ def test_overflowing_tables_name_the_lams(capsys, monkeypatch):
         assert err == "error: --lam5/--lam6/--lam7: the table would hold numbers that are not finite\n"
     # a reconciliation entry is written too
     entry = {"i": 2, "j": -2, "chi_sum": 1j, "chi_closed": complex(math.inf, 0), "abs_diff": math.inf}
-    monkeypatch.setattr(cli, "reconciliation_report", lambda params, window: [entry])
+    monkeypatch.setattr(cli, "reconciliation_report", lambda params, window, table: [entry])
     code, out, err = run_cli(capsys, "table", "cocycle", "--window", "2")
     assert code == 2 and out == "" and err.startswith("error: --lam5/--lam6/--lam7: ")
 
@@ -697,22 +665,60 @@ def test_non_finite_geometry_names_field(capsys):
         assert err.startswith(f"error: {field} must be finite"), err
 
 
+def _run_cli_process(stdout, *argv) -> subprocess.CompletedProcess:
+    """Run the CLI of this source tree in a new process, writing to stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "kntorus.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
 def test_closed_stdout_exits_without_traceback():
     # the read end is closed before the command writes anything, as when
     # `| head` has already exited
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "kntorus.cli", "table", "cocycle", "--window", "12", "--format", "csv"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=120,
-        )
+        proc = _run_cli_process(write_end, "table", "cocycle", "--window", "12", "--format", "csv")
     finally:
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_line():
+    # a write to stdout that fails for another reason than a closed pipe
+    # is an error of the run, not a failed check, and no traceback
+    with open("/dev/full", "wb") as full:
+        proc = _run_cli_process(full, "params")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: standard output: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+def test_table_and_report_evaluate_chi_sum_once_per_key(capsys, monkeypatch):
+    # the reconciliation report reads chi_sum from the table it reconciles,
+    # so each key of the table is evaluated once, by build_cocycle_table
+    params = lambda_coefficients(TorusConfig(tau=1j, q=0.2))
+    lam = params.as_tuple()
+    tables = {window: build_cocycle_table(params, window) for window in (6, 32)}
+    calls, table_calls = Counter(), Counter()
+    evaluate = cocycle.chi_sum
+
+    def counted(i, j, ps):
+        key = i, j, ps.as_tuple()
+        calls[key] += 1
+        if sys._getframe(1).f_code.co_name in ("build_cocycle_table", "reconciliation_report"):
+            table_calls[key] += 1
+        return evaluate(i, j, ps)
+
+    monkeypatch.setattr(cocycle, "chi_sum", counted)
+    assert run_cli(capsys, "table", "cocycle", "--window", "32")[0] == 0
+    assert {calls[i, j, lam] for i, j in tables[32]} == {1}
+    # 413 support pairs: each of the 89 zeros is evaluated again by the report
+    assert sum(calls.values()) == 502
+    # verify cocycle scans the window and checks the identity by chi_sum too
+    table_calls.clear()
+    assert run_cli(capsys, "verify", "cocycle", "--window", "6")[0] == 0
+    assert {table_calls[i, j, lam] for i, j in tables[6]} == {1}

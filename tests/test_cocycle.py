@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_lams, label_triples
+from conftest import bits, complex_lams, label_triples
 from kntorus.algebra import bracket
 from kntorus.basis import WITT_PARAMS, AlgebraParams, formal_params, lambda_coefficients
 from kntorus.cocycle import (
@@ -321,17 +321,17 @@ def test_identity_refuses_a_negative_bound():
 
 
 def test_reconciliation_witt_agrees():
-    assert reconciliation_report(WITT_PARAMS, 8) == []
+    assert reconciliation_report(WITT_PARAMS, 8, build_cocycle_table(WITT_PARAMS, 8)) == []
 
 
 def test_reconciliation_report_refuses_a_small_window():
     with pytest.raises(ValueError, match="window"):
-        reconciliation_report(WITT_PARAMS, 0)
+        reconciliation_report(WITT_PARAMS, 0, {})
 
 
 def test_reconciliation_report_structure(cfg_square):
     lam = lambda_coefficients(cfg_square)
-    report = reconciliation_report(lam, 8)
+    report = reconciliation_report(lam, 8, build_cocycle_table(lam, 8))
     # the closed-form tables deviate from the double sum beyond level 0;
     # every deviation must be reported, never patched (acceptance criterion 11
     # checks that the report is complete)
@@ -358,8 +358,11 @@ def test_cocycle_table(cfg_square):
 @pytest.mark.parametrize("window", (1, 2, 8, 33))
 def test_tables_match_the_full_window(window, cfg_generic):
     # the tables visit the support levels alone; a double loop over every
-    # pair of the window gives the same items in the same order
-    for params in (WITT_PARAMS, lambda_coefficients(cfg_generic), *random_formal_sets(2, seed=406)):
+    # pair of the window gives the same items in the same order.  At
+    # lam5 = 37, lam6 = -296, chi_sum(0, -4) is -0-0j and chi_closed is not
+    # 0 there, so the report holds a zero that is in no table
+    zero = formal_params(37 + 0j, -296 + 0j)
+    for params in (WITT_PARAMS, lambda_coefficients(cfg_generic), zero, *random_formal_sets(2, seed=406)):
         table, report = {}, []
         for i in range(-window, window + 1):
             for j in range(-window, window + 1):
@@ -369,4 +372,7 @@ def test_tables_match_the_full_window(window, cfg_generic):
                 if abs(s - c) > RECONCILIATION_RTOL * max(1.0, abs(s)):
                     report.append({"i": i, "j": j, "chi_sum": s, "chi_closed": c, "abs_diff": abs(s - c)})
         assert list(build_cocycle_table(params, window).items()) == list(table.items())
-        assert reconciliation_report(params, window) == report
+        got = reconciliation_report(params, window, table)
+        assert got == report
+        # a reported zero of chi_sum keeps the signs of its parts
+        assert [bits(e["chi_sum"]) for e in got] == [bits(e["chi_sum"]) for e in report]
