@@ -563,11 +563,11 @@ def test_vanishing_pole_factor_names_the_label(capsys):
             ), (tau_im, err)
 
 
-@pytest.mark.parametrize("suite", ["basis", "differential"])
+@pytest.mark.parametrize("suite", ["basis"])
 def test_tall_lattice_fails_its_checks_without_a_warning(capsys, suite):
     # at tau = 20i, q = 0.4 the sample points spread over a tall cell: the
-    # product and finite-difference checks (basis) and a time-check segment
-    # (differential) fail, and the run reports them
+    # product and finite-difference checks fail, and the run reports them
+    # (verify differential passes there: test_time_check_passes_beside_a_puncture)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, "verify", suite, "--tau-im", "20", "--q-re", "0.4")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,13 +126,13 @@ def test_array_quadrature_matches_scalar_loops(cfg_generic):
         for p in range(2)
         for t, w in zip(x, weights)
     ) * (z1 - z0) * 0.25
-    # with tol = inf the doubling stops at its first refinement, 2 panels
+    # with tol = inf the bisection stops at its first refinement, 2 panels
     (value,) = segment_integral(lambda z: frame_array(z, cfg)[1], [(z0, z1)], tol=math.inf)
     assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-# a segment of verify_differential at this geometry passes ~1e-3 from a
-# puncture: the panel doubling settles only at 2048 panels
+# a segment of verify_differential at this geometry passes 5.2e-4 from a
+# puncture: doubling the panels of the whole segment settled it at 2048
 BESIDE_CFG = TorusConfig(
     tau=0.13467594962923174 + 1.4250306337306076j,
     q=0.22175815022078413 - 0.09734361074373614j,
@@ -147,54 +148,102 @@ def _counted_omega(cfg, calls):
     return omega
 
 
-def test_time_line_integral_beside_a_puncture(monkeypatch):
+def _doubling(f, segment, tol=1e-12):
+    # the rule local bisection replaced: the panels of the whole segment
+    # double from 1 until two successive estimates agree, or to MAX_PANELS.
+    # Its value, and the nodes it spent.
+    z0, z1 = segment
+    x, weights = np.polynomial.legendre.leggauss(quadrature.GAUSS_ORDER)
+    previous, panels, nodes = None, 1, 0
+    while True:
+        t = ((np.arange(panels) + 0.5)[:, None] + 0.5 * x) / panels
+        current = complex(np.tile(weights, panels) @ f(z0 + t.ravel() * (z1 - z0))) * (z1 - z0) * 0.5 / panels
+        nodes += t.size
+        if previous is not None and abs(current - previous) <= tol * max(1.0, abs(current)):
+            return current, nodes
+        if 2 * panels > quadrature.MAX_PANELS:
+            return None, nodes
+        previous, panels = current, 2 * panels
+
+
+def test_time_line_integral_beside_a_puncture():
+    # local bisection spends its nodes beside the puncture: 944, where the
+    # doubling spent 65520
     z0, z1 = BESIDE_SEGMENT
-    omega = lambda z: frame_array(z, BESIDE_CFG)[1]  # noqa: E731
-    with monkeypatch.context() as m:
-        m.setattr(quadrature, "MAX_PANELS", 1024)
-        (unconverged,) = segment_integral(omega, [(z0, z1)])
-        assert isinstance(unconverged, QuadratureError) and "in 1024 panels" in str(unconverged)
+    calls = []
+    (value,) = segment_integral(_counted_omega(BESIDE_CFG, calls), [BESIDE_SEGMENT])
     lhs = time_coordinate(z1, BESIDE_CFG) - time_coordinate(z0, BESIDE_CFG)
-    assert abs(lhs - segment_integral(omega, [(z0, z1)])[0].real) < 1e-7
+    assert abs(lhs - value.real) <= 1e-12
+    assert sum(calls) <= 1024
+
+
+@pytest.mark.parametrize(
+    "cfg, length",
+    [
+        (TorusConfig(tau=1j, q=0.3), 0.4),
+        (TorusConfig(tau=0.3 + 1.1j, q=0.3), 0.4),
+        (TorusConfig(tau=5j, q=0.3), 0.4),
+        (TorusConfig(tau=20j, q=0.4), 4.0),
+        (BESIDE_CFG, 0.4),
+    ],
+    ids=lambda p: f"tau={p.tau},q={p.q}" if isinstance(p, TorusConfig) else f"length={p}",
+)
+def test_line_integral_near_a_puncture_matches_the_time(cfg, length):
+    # segments crossing the line through an out-point at an angle, passing
+    # 1e-1 to 1e-3 from it: each integral meets the time difference, and
+    # local bisection spends no more nodes than doubling the whole segment
+    s = cfg.punctures()[1]
+    u = cmath.exp(1j * (0.5 * math.pi + 0.3))
+    for d in (1e-1, 1e-2, 1e-3):
+        z0 = s + 1j * d * u - 0.3 * length * u
+        z1 = z0 + length * u
+        along = z0 + np.linspace(0.0, 1.0, 10001) * (z1 - z0)
+        gap = lattice_distance(np.subtract.outer(along, cfg.punctures()), cfg.tau).min()
+        assert abs(gap - d) <= 0.01 * d
+        calls = []
+        (value,) = segment_integral(_counted_omega(cfg, calls), [(z0, z1)])
+        assert abs(time_coordinate(z1, cfg) - time_coordinate(z0, cfg) - value.real) <= 1e-11, d
+        _, nodes = _doubling(lambda z: frame_array(z, cfg)[1], (z0, z1))
+        assert sum(calls) <= nodes, d
 
 
 def test_batched_segments_match_single_segments():
-    # the short segment settles at 2 panels, the other at 2048: packed into
-    # one call, each keeps its own value bit for bit, and the short one
-    # rides along in the long one's first two integrand calls
+    # packed into the same calls, each segment keeps its own value bit for
+    # bit, and the short one, which settles at the first level, rides along
+    # in the long one's first call
     short = (0.1 + 0.3j, 0.5 + 0.6j)
     alone, calls = [], []
     for seg in (short, BESIDE_SEGMENT):
         calls.append([])
         alone.extend(segment_integral(_counted_omega(BESIDE_CFG, calls[-1]), [seg]))
-    # one call at each of 1 to 32 panels, then 64 panels (1024 nodes) per call up to 2048
-    assert len(calls[0]) == 2 and len(calls[1]) == 6 + 1 + 2 + 4 + 8 + 16 + 32
+    assert len(calls[0]) == 1
     packed_calls = []
     packed = segment_integral(_counted_omega(BESIDE_CFG, packed_calls), [short, BESIDE_SEGMENT])
-    assert packed == alone
-    assert len(packed_calls) == len(calls[1])
-    assert packed_calls[:2] == [32, 64] and max(packed_calls) == quadrature.GRID_CHUNK
+    assert packed == alone and all(type(value) is complex for value in packed)
+    assert packed_calls == [calls[0][0] + calls[1][0], *calls[1][1:]]
 
 
 def test_batched_segments_keep_their_own_outcomes(monkeypatch):
     # one call holds a segment passing 1e-5 from a puncture, inside its
-    # exclusion disk, the unconverged segment and a plain one
+    # exclusion disk, the capped segment and a plain one
     s = BESIDE_CFG.punctures()[2]
     through = (s - 0.1 + 1e-5j, s + 0.1 + 1e-5j)
     plain = (0.1 + 0.3j, 0.5 + 0.6j)
     omega = lambda z: frame_array(z, BESIDE_CFG)[1]  # noqa: E731
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 1024)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
     skipped, unconverged, value = segment_integral(omega, [through, BESIDE_SEGMENT, plain])
     assert isinstance(skipped, PoleProximityError)
     assert "inside a puncture exclusion disk" in str(skipped)
     assert value == segment_integral(omega, [plain])[0]
-    # the message and estimate of the one-segment-at-a-time doubling
+    # the message and estimate of the capped segment: it has 14 panels, and
+    # the splits it needs would take it past 16
     assert isinstance(unconverged, QuadratureError)
     assert str(unconverged) == (
         "segment [(0.28338005960397716+0.20631700547251255j), (0.250319941597631-0.43032708847071405j)] "
-        "did not converge in 1024 panels: the last two estimates differ by 2.84e-11 > 2.84e-12"
+        "did not converge in 14 panels: the error estimate 0.00209 > 2.84e-12, and refining it further "
+        "needs more than 16 panels"
     )
-    assert unconverged.estimate == -0.40549867980450727 - 2.8064082081916957j
+    assert unconverged.estimate == -0.4054503928693962 - 2.806470383295622j
 
 
 def test_time_between_interaction_points(cfg_square):
@@ -503,6 +552,28 @@ def test_segment_integral_reports_unconverged():
     (err,) = segment_integral(lambda z: 1.0 / (z - 0.3) ** 2, [(0j, 1 + 0j)])
     assert isinstance(err, QuadratureError)
     message = str(err)
-    assert "segment [0j, (1+0j)]" in message and "in 2048 panels" in message
-    assert "estimates differ by" in message
+    assert message.startswith("segment [0j, (1+0j)] did not converge in ")
+    assert message.endswith(f"refining it further needs more than {quadrature.MAX_PANELS} panels")
     assert abs(err.estimate) > 1e3
+    # a unit step at 0.3 splits only the panel holding it, down to MIN_WIDTH
+    calls = []
+    (err,) = segment_integral(lambda z: calls.append(z.size) or np.where(z.real > 0.3, 1.0, 0.0) + 0j, [(0j, 1 + 0j)])
+    assert isinstance(err, QuadratureError)
+    assert str(err) == (
+        "segment [0j, (1+0j)] did not converge in 60 panels: the error estimate 3.72e-11 > 1e-12, "
+        "and refining it further needs panels narrower than 9.31e-10 of it"
+    )
+    assert abs(err.estimate - 0.7) <= 1e-9 and len(calls) == 30
+
+
+def test_segment_integral_stops_at_a_non_finite_integrand():
+    # the first rule that is not finite ends the segment, without a warning
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (err,) = segment_integral(
+            lambda z: calls.append(z.size) or np.where(z.real > 0.7, np.inf, 1.0) + 0j, [(0j, 1 + 0j)]
+        )
+    assert isinstance(err, QuadratureError)
+    assert str(err) == "segment [0j, (1+0j)]: the integrand is not finite on it"
+    assert cmath.isnan(err.estimate) and calls == [3 * quadrature.GAUSS_ORDER]

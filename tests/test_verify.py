@@ -217,6 +217,14 @@ def test_nan_commutator_residual_fails_its_check(cfg_square, monkeypatch):
     assert check.status == "fail" and math.isnan(check.max_residual), check
 
 
+def test_fock_suite_sweeps_each_distinct_state_once(cfg_square, monkeypatch):
+    # 18 of the 30 drawn wedge states are distinct; a repeat would repeat its sweep
+    residual, swept = fock.clifford_residual, []
+    monkeypatch.setattr(fock, "clifford_residual", lambda state, bound: swept.append(state) or residual(state, bound))
+    check = {c.name: c for c in verify.verify_fock(cfg_square)}["clifford_relations"]
+    assert check.passed and len(swept) == len(set(swept)) == 18
+
+
 def test_check_result_passed_property():
     good = CheckResult(name="x", status="pass", max_residual=0.0, tolerance=1.0)
     bad = CheckResult(name="x", status="fail", max_residual=2.0, tolerance=1.0)
@@ -229,12 +237,15 @@ def test_check_result_passed_property():
         (0.13467594962923174 + 1.4250306337306076j, 0.22175815022078413 - 0.09734361074373614j),
         (-0.42795645893313183 + 0.9084632343037009j, 0.16666188774231883 - 0.0949892542583142j),
         (-0.4 + 0.15j, 0.15 + 0.05j),
+        (20j, 0.4),
     ],
 )
 def test_time_check_passes_beside_a_puncture(tau, q):
     # in the first two geometries one segment of the check passes ~1e-3 from
-    # a puncture and needs 2048 panels; in the third one passes 1.6e-5 from a
-    # puncture, inside its exclusion disk, and is skipped
+    # a puncture, which doubling the panels of the whole segment settled only
+    # at 2048; in the third one passes 1.6e-5 from a puncture, inside its
+    # exclusion disk, and is skipped; in the tall fourth one, 18 long, passes
+    # 1.7e-3 from one, which the doubling did not settle in 2048 panels
     checks = {c.name: c for c in verify_differential(TorusConfig(tau=tau, q=q))}
     assert checks["time_vs_line_integral"].passed, checks["time_vs_line_integral"]
 
