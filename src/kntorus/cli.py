@@ -17,9 +17,9 @@ writes with sorted keys and an indent of 2; json.dumps itself runs its
 slower pure-Python encoder whenever it indents.  The bracket table's CSV
 is written from the structure table's columns by _bracket_csv, which
 formats each label and each distinct constant once and joins the body
-once.  The cocycle table's entries and its reconciliation records are
-each written from one template (_Records) filled by %r from the numbers
-themselves; the report reads chi_sum from the table it reconciles, so
+once.  The cocycle table's entries, its reconciliation records and the
+level-line points are each written from one template (_Records) filled
+by %r from the numbers themselves; the report reads chi_sum from the table it reconciles, so
 the command evaluates chi_sum once per table entry.  The argument parser
 is built once per process, on the first call of main; it reads every
 negative float repr writes as a value.
@@ -61,8 +61,9 @@ from .verify import SUITES, WINDOWED_SUITES, verify_suite
 
 
 # cost bounds: verify evaluates 5 (2W+1)^2 pointwise brackets, a table has
-# (2W+1)^2 entries, a level-line scan evaluates wp on (R+1)^2 grid nodes (in
-# array chunks) and then refines O(R) crossing edges in lockstep
+# (2W+1)^2 entries, a level-line scan times the ((R+1)^2+1)//2 grid nodes up
+# to the middle one (in array chunks; the others read their mirror) and then
+# refines O(R) crossing edges in lockstep
 MAX_VERIFY_WINDOW = 32
 MAX_TABLE_WINDOW = 256
 MAX_SAMPLES = 512
@@ -169,14 +170,16 @@ class _Records(NamedTuple):
     rows: list[tuple]
 
 
-# a cocycle entry from (re, im, i, j), and a reconciliation record from
-# (abs_diff, chi_closed re, im, chi_sum re, im, i, j); %r of a finite
-# float is its float.__repr__, as _write_json writes it
+# a cocycle entry from (re, im, i, j), a reconciliation record from
+# (abs_diff, chi_closed re, im, chi_sum re, im, i, j) and a level-line
+# point from (re, im); %r of a finite float is its float.__repr__, as
+# _write_json writes it
 _ENTRY = '{\n  "chi": [\n    %r,\n    %r\n  ],\n  "i": %d,\n  "j": %d\n}'
 _RECORD = (
     '{\n  "abs_diff": %r,\n  "chi_closed": [\n    %r,\n    %r\n  ],\n'
     '  "chi_sum": [\n    %r,\n    %r\n  ],\n  "i": %d,\n  "j": %d\n}'
 )
+_POINT = '[\n  %r,\n  %r\n]'
 
 
 def _write_json(value, out: list[str], newline: str = "\n") -> None:
@@ -401,13 +404,17 @@ def _cmd_levellines(args: argparse.Namespace) -> int:
     side = args.samples + 1
     _check_range(
         "--samples", args.samples, propagation.MIN_RESOLUTION, MAX_SAMPLES,
-        f"{side * side} time evaluations",
+        f"{(side * side + 1) // 2} time evaluations",
     )
     sample = propagation.level_line_samples(cfg, args.u, args.samples)
     u = repr(sample.u)
     _emit(
         args, cfg,
-        lambda: {"u": sample.u, "count": len(sample.points), "points": [_c(p) for p in sample.points]},
+        lambda: {
+            "u": sample.u,
+            "count": len(sample.points),
+            "points": _Records(_POINT, [(p.real, p.imag) for p in sample.points]),
+        },
         lambda: ["u,re,im", *(f"{u},{p.real!r},{p.imag!r}" for p in sample.points)],
     )
     return 0

@@ -161,12 +161,49 @@ def _side(f: np.ndarray) -> np.ndarray:
     return np.where(f >= 0.0, 1.0, np.sign(f))
 
 
+def _near_slices(x: float, reach: float, resolution: int):
+    # the node indices i, at -1/2 + i / resolution, within reach of x - 1, x or
+    # x + 1, as one slice each, widened by one node against rounding
+    for c in (x - 1.0, x, x + 1.0):
+        lo = max(0, math.floor((c - reach + 0.5) * resolution) - 1)
+        hi = min(resolution, math.ceil((c + reach + 0.5) * resolution) + 1)
+        if lo <= hi:
+            yield slice(lo, hi + 1)
+
+
+def _near_nodes(points: tuple[complex, ...], tau: complex, resolution: int, radius: float) -> np.ndarray:
+    """Flat indices ai + (resolution + 1) bi, in increasing order, of every
+    level-line grid node -1/2 + ai / resolution + (-1/2 + bi / resolution) tau
+    that can lie within radius of a lattice translate of one of the points.
+
+    In the basis (1, tau) a node within radius of s + m + n tau, with
+    s = alpha + beta tau, differs from (alpha + m, beta + n) by at most
+    radius (1 + |Re tau| / Im tau) in a and radius / Im tau in b; with
+    alpha and beta taken mod 1, m and n in {-1, 0, 1} reach every node of
+    the cell.  Each point gives a box of nodes per translate.
+    """
+    side = resolution + 1
+    reach_b = radius / tau.imag
+    reach_a = radius + reach_b * abs(tau.real)
+    near = np.zeros((side, side), dtype=bool)
+    for s in points:
+        beta = s.imag / tau.imag
+        alpha = s.real - beta * tau.real
+        for rows in _near_slices(beta % 1.0, reach_b, resolution):
+            for columns in _near_slices(alpha % 1.0, reach_a, resolution):
+                near[rows, columns] = True
+    return np.flatnonzero(near)
+
+
 def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> LevelLineSample:
     """Points where the time function crosses the level u.
 
     A (resolution x resolution) grid of the fundamental cell is evaluated
     with pole_factor_array in chunks of GRID_CHUNK nodes; nodes within
-    4 * EXCLUSION_RADIUS of a puncture are skipped.  Only the nodes up to
+    4 * EXCLUSION_RADIUS of a puncture are skipped.  Only a node within the
+    longest grid edge plus 4 * EXCLUSION_RADIUS of a puncture can be
+    skipped or start an edge whose trial point is refused (_near_nodes
+    lists them), so those alone are tested.  Only the nodes up to
     the middle one in row-major order are tested and timed: the node
     mirrored through the cell's centre is -z, t is even and the punctures
     are symmetric under z -> -z, so each later node reads t(-z) (and is
@@ -207,15 +244,22 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         ca, cb = coords[k % side], coords[k // side]
         return complex_array(ca + cb * tau.real, cb * tau.imag)
 
+    # the longest grid edge plus 4 * EXCLUSION_RADIUS
+    reach = max(1.0, abs(tau)) / resolution + 4.0 * EXCLUSION_RADIUS
+    near = np.zeros(side * side, dtype=bool)
+    near[_near_nodes(punctures, tau, resolution, reach)] = True
+
     # t - u at every node, NaN where skipped: node side**2 - 1 - k is -(node k),
     # so the nodes k < half are timed and the others read their mirror's value
     s = np.full(side * side, np.nan)
     half = (side * side + 1) // 2
+    clear = np.ones(half, dtype=bool)
+    k = np.flatnonzero(near[:half])
+    clear[k] = distance_to_points_array(node(k), punctures, tau) > 4.0 * EXCLUSION_RADIUS
     for first in range(0, half, GRID_CHUNK):
         k = np.arange(first, min(first + GRID_CHUNK, half))
-        z = node(k)
-        clear = distance_to_points_array(z, punctures, tau) > 4.0 * EXCLUSION_RADIUS
-        s[k[clear]] = _time_array(z[clear], cfg) - u
+        k = k[clear[k]]
+        s[k] = _time_array(node(k), cfg) - u
     s[half:] = s[side * side - half - 1::-1]
 
     # crossing edges in scan order: flat index 2*k for (k, k+1), 2*k+1 for
@@ -231,6 +275,7 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
     # each open edge's ends, their t - u and the end kept at the previous
     # step (0 the start, 1 the end, -1 before the first)
     ids = np.arange(edge.size)
+    tested = near[start]  # the edges whose trial points are tested for clearance
     z0, z1, f0, f1 = node(start), node(end), s[start], s[end]
     kept = np.full(edge.size, -1)
     found: dict[int, complex] = {}
@@ -240,8 +285,13 @@ def level_line_samples(cfg: TorusConfig, u: float, resolution: int = 64) -> Leve
         w = f0 / (f0 - f1)
         w = np.where((w > 0.0) & (w < 1.0), w, 0.5)
         zm = complex_array(z0.real + w * (z1.real - z0.real), z0.imag + w * (z1.imag - z0.imag))
-        clear = distance_to_points_array(zm, punctures, tau) > EXCLUSION_RADIUS
-        ids, z0, z1, f0, f1, kept, zm = (a[clear] for a in (ids, z0, z1, f0, f1, kept, zm))
+        test = np.flatnonzero(tested[ids])
+        if test.size:
+            refused = test[distance_to_points_array(zm[test], punctures, tau) <= EXCLUSION_RADIUS]
+            if refused.size:
+                keep = np.ones(ids.size, dtype=bool)
+                keep[refused] = False
+                ids, z0, z1, f0, f1, kept, zm = (a[keep] for a in (ids, z0, z1, f0, f1, kept, zm))
         fm = _time_array(zm, cfg) - u
         done = np.abs(fm) <= cfg.tol
         found.update(zip(ids[done].tolist(), zm[done].tolist()))

@@ -357,18 +357,24 @@ def test_json_writer_matches_stdlib_on_every_envelope(capsys, monkeypatch):
         ("verify", "algebra", "--tau-im", "0.02"),
         ("table", "brackets", "--window", "4", "--indexing", "original"),
         ("table", "brackets", "--window", "4", "--indexing", "shifted"),
-        ("levellines", "--u", "0.3", "--samples", "32"),
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code in (0, 1), argv
         (envelope,) = envelopes
         envelopes.clear()
         assert out == _stdlib_json(envelope) + "\n", argv
-    # the cocycle envelope holds its entries and records as templates, which
-    # json cannot write: its oracle is the envelope built from the values
+    # the cocycle and level-line envelopes hold their entries, records and
+    # points as templates, which json cannot write: their oracles are the
+    # envelopes built from the values
     code, out, _ = run_cli(capsys, "table", "cocycle", "--window", "8")
     cfg = TorusConfig(tau=1j, q=0.2)
     assert code == 0 and out == _stdlib_json(_cocycle_envelope(lambda_coefficients(cfg), 8, cfg)) + "\n"
+    config = {"command": "levellines", "tau": cli._c(cfg.tau), "q": cli._c(cfg.q), "two_point": False, "tol": cfg.tol}
+    for u in (0.3, 1e300):  # the empty list too
+        code, out, _ = run_cli(capsys, "levellines", "--u", repr(u), "--samples", "32")
+        points = propagation.level_line_samples(cfg, u, 32).points
+        results = {"u": u, "count": len(points), "points": [cli._c(p) for p in points]}
+        assert code == 0 and out == _stdlib_json({"config": config, "results": results, "checks": []}) + "\n", u
 
 
 def test_json_writer_matches_stdlib_on_edge_values():
@@ -650,6 +656,9 @@ def test_cost_caps(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} ") and f"cap {cap}:" in err and "would take" in err, err
+    # the scan times the nodes up to the middle one, ((R+1)^2 + 1) // 2 of them
+    code, _, err = run_cli(capsys, "levellines", "--u", "0", "--samples", "513")
+    assert code == 2 and err == "error: --samples 513 exceeds the cap 512: it would take 132098 time evaluations\n"
     # every size the README, the tests and the benchmark use stays admitted
     assert cli.MAX_VERIFY_WINDOW >= 8 and cli.MAX_TABLE_WINDOW >= 32 and cli.MAX_SAMPLES >= 128
 

@@ -445,15 +445,79 @@ LEVEL_LINE_CFGS = (
 )
 LEVEL_LINE_IDS = ("square", "skewed", "two_point")
 LEVEL_LINE_CASES = list(zip(LEVEL_LINE_CFGS, ((-0.45, 0.3), (-0.2, 0.6), (0.0, 0.8))))
+# an out-point 6e-5 off the grid row Im z = 1/4 and 1.0e-3 along it from
+# the node -0.3125 + 0.25i (a node at R = 16, 32 and 64): within
+# EXCLUSION_RADIUS of that node's edge and more than 4 * EXCLUSION_RADIUS
+# from both its ends, so the level u = 2.75 puts a trial point in its disk
+REFUSAL_CFG = TorusConfig(tau=1j, q=0.1885 + 0.25006j)
+SCALAR_SCAN_CASES = [
+    *((cfg, levels, resolution) for resolution in (32, 64) for cfg, levels in LEVEL_LINE_CASES),
+    # the levels beside the out-point and the in-point that CI scans
+    (TorusConfig(tau=1j, q=0.2), (1.750362269170077, -2.9232292158499256), 128),
+    (TorusConfig(tau=0.06j, q=0.2), (-1.0, 0.3), 64),
+    (TorusConfig(tau=20j, q=0.4), (-0.3, 1.0), 64),
+    (REFUSAL_CFG, (2.75,), 16),
+]
+SCALAR_SCAN_IDS = [
+    *(f"{name}-{resolution}" for resolution in (32, 64) for name in LEVEL_LINE_IDS),
+    "beside-punctures-128", "thin-64", "tall-64", "refused-16",
+]
 
 
-@pytest.mark.parametrize("resolution", [32, 64])
-@pytest.mark.parametrize("cfg, levels", LEVEL_LINE_CASES, ids=LEVEL_LINE_IDS)
-def test_level_lines_match_scalar_scan(cfg, levels, resolution):
+@pytest.mark.parametrize("cfg, levels, resolution", SCALAR_SCAN_CASES, ids=SCALAR_SCAN_IDS)
+def test_level_lines_match_scalar_scan(cfg, levels, resolution, monkeypatch):
+    # the scan tests clearance only near a puncture; the oracle tests every
+    # node and every trial point
+    distances = []
+
+    def recorded(z, points, tau):
+        distances.append(distance_to_points_array(z, points, tau))
+        return distances[-1]
+
+    monkeypatch.setattr(propagation, "distance_to_points_array", recorded)
+    refused = 0
     for u in levels:
         expected = _level_lines_scalar(cfg, u, resolution)
         assert expected
+        distances.clear()
         assert level_line_samples(cfg, u, resolution).points == expected
+        # the first call tests the nodes, each later one the trial points of a step
+        refused += sum(int(np.count_nonzero(d <= EXCLUSION_RADIUS)) for d in distances[1:])
+    assert (refused > 0) == (cfg is REFUSAL_CFG)
+
+
+NEAR_CFGS = (
+    TorusConfig(tau=1j, q=0.2),
+    TorusConfig(tau=0.3 + 1.1j, q=0.17 + 0.05j),
+    TorusConfig(tau=0.06j, q=0.2),
+    TorusConfig(tau=0.02j, q=0.2),
+    TorusConfig(tau=0.3 + 0.1j, q=0.2),
+    TorusConfig(tau=20j, q=0.4),
+    TorusConfig(tau=75j, q=0.2),
+    TorusConfig(tau=1 + 0.0134j, q=0.2),
+    TorusConfig(tau=0.5 + 0.5j, q=0.2),
+    TorusConfig(tau=1j, q=0),
+)
+
+
+@pytest.mark.parametrize("cfg", NEAR_CFGS, ids=lambda cfg: f"{cfg.tau}-{cfg.q}")
+def test_near_nodes_hold_every_node_within_reach(cfg):
+    # the scan's reach, the longest grid edge plus 4 * EXCLUSION_RADIUS: every
+    # node whose exact distance to a puncture is within it is listed
+    tau = cfg.tau
+    for n in (16, 17, 63, 128, 512):
+        reach = max(1.0, abs(tau)) / n + 4.0 * EXCLUSION_RADIUS
+        coords = -0.5 + np.arange(n + 1) / n
+        ca, cb = np.tile(coords, n + 1), np.repeat(coords, n + 1)  # node k = ai + (n + 1) bi
+        nodes = ca + cb * tau.real + 1j * (cb * tau.imag)
+        distance = np.min([lattice_distance(nodes - s, tau) for s in cfg.punctures()], axis=0)
+        near = propagation._near_nodes(cfg.punctures(), tau, n, reach)
+        assert (np.diff(near) > 0).all()
+        listed = np.zeros(nodes.size, dtype=bool)
+        listed[near] = True
+        assert listed[distance <= reach].all(), (n, np.flatnonzero((distance <= reach) & ~listed))
+        if tau == 1j and n == 128:  # a few boxes, not the grid
+            assert near.size <= 0.01 * nodes.size, near.size
 
 
 @pytest.mark.parametrize("resolution", [63, 64])
